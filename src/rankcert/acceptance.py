@@ -43,6 +43,7 @@ from .semigroup import (
     class_of,
     has_rank_function,
     leq,
+    minor_refutation,
     rank_profile,
     regular_factor,
     rk,
@@ -51,6 +52,8 @@ from .semigroup import (
     witness_chain,
 )
 from .states import (
+    MinorSweep,
+    _vectors_up_to,
     check_states_exist,
     cone_member,
     group_element,
@@ -101,13 +104,6 @@ def _random_invertible(ring, rng, size):
         M = _random_matrix(ring, rng, size, size)
         if is_invertible(M):
             return M
-
-
-def _vectors_up_to(width, norm):
-    out = [()]
-    for _ in range(width):
-        out = [v + (t,) for v in out for t in range(norm + 1)]
-    return [v for v in out if sum(v) <= norm]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +164,33 @@ def criterion_rank_values_exact() -> CriterionResult:
 # 3. the square-zero endpoint with dual certificates
 
 
+def brute_square_sweep(bound: int) -> MinorSweep:
+    """Enumerate the sub-1/2 grid relations and refute each by its minors.
+
+    An independent oracle for the closed-form lower certificate of
+    rk_for_square: lhs = (0^m1, 1^m, 2^j) against rhs = (0^n, 2^l), all
+    coefficients <= bound, keeping those with (n - m1)/m < 1/2.
+    """
+    candidates = refuted = 0
+    for n in range(bound + 1):
+        for l in range(bound + 1):
+            rhs = (0,) * n + (2,) * l
+            for m1 in range(bound + 1):
+                for j in range(bound + 1):
+                    for m in range(1, bound + 1):
+                        if 2 * (n - m1) >= m:
+                            continue
+                        candidates += 1
+                        lhs = (0,) * m1 + (1,) * m + (2,) * j
+                        if minor_refutation(lhs, rhs) is not None:
+                            refuted += 1
+    return MinorSweep(bound, candidates, refuted)
+
+
 def criterion_rk_square() -> CriterionResult:
     start = time.monotonic()
     failures = []
+    oracle = brute_square_sweep(6)
     for spec, elem in (("Z", 2), ("F2[x]", (0, 1))):
         ring = parse_ring(spec)
         res = rk_for_square(ring, elem, bound=6)
@@ -178,7 +198,7 @@ def criterion_rk_square() -> CriterionResult:
             failures.append((spec, "value", res.value))
         if not isinstance(res.upper, Positive):
             failures.append((spec, "upper"))
-        if not res.lower.clean:
+        if res.lower != oracle or not oracle.clean:
             failures.append((spec, "sweep"))
         if not verify_rk_square(ring, elem, res):
             failures.append((spec, "verify"))

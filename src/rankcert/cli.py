@@ -604,7 +604,7 @@ def _verify_response(data) -> bool:
             generators=tuple(check_element(ring, g) for g in data["generators"]),
             values=tuple(parse_fraction(v) for v in data["values"]),
         )
-        values = _span_with_values(ring, spec, int(data["ball"]))
+        values, denom = _span_with_values(ring, spec, int(data["ball"]))
         from .semigroup import monoid_add, monoid_scale
 
         def check_witness(w, upper):
@@ -618,7 +618,7 @@ def _verify_response(data) -> bool:
             holds = leq(ring, rhs, lhs) if upper else leq(ring, lhs, rhs)
             if not holds:
                 return None
-            return Fraction(values[b] - values[c], m)
+            return Fraction(values[b] - values[c], m * denom)
 
         pv = check_witness(data["p_witness"], upper=False)
         qv = check_witness(data["q_witness"], upper=True)

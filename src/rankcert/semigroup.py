@@ -160,6 +160,24 @@ def class_representative(ring, a) -> Matrix:
 # rank functions and the order
 
 
+def _profile(ring, a) -> tuple:
+    """Integer order profile of a checked element.
+
+    Over a local ring, k * rk_k(a) = sum over i < k of a_i (k - i) for
+    k = 1..n, built as prefix sums of prefix sums; over a product ring,
+    a itself.  a <= b iff the profiles compare componentwise, and the
+    profile is additive: P(m a + k v) = m P(a) + k P(v).
+    """
+    if not ring.is_local:
+        return a
+    out, count, acc = [], 0, 0
+    for x in a:
+        count += x
+        acc += count
+        out.append(acc)
+    return tuple(out)
+
+
 def rk(ring, k: int, a) -> Fraction:
     """rk_k of a class: sum over i < k of a_i (k - i)/k."""
     if not ring.is_local:
@@ -168,7 +186,7 @@ def rk(ring, k: int, a) -> Fraction:
     if not 1 <= k <= n:
         raise PreconditionError(f"k = {k} outside [1, {n}]")
     a = check_element(ring, a)
-    return Fraction(sum(a[i] * (k - i) for i in range(k)), k)
+    return Fraction(_profile(ring, a)[k - 1], k)
 
 
 def rank_profile(ring, a) -> tuple:
@@ -178,19 +196,13 @@ def rank_profile(ring, a) -> tuple:
 def leq(ring, a, b) -> bool:
     a = check_element(ring, a)
     b = check_element(ring, b)
-    if ring.is_local:
-        return all(
-            rk(ring, k, a) <= rk(ring, k, b) for k in range(1, ring.nil_degree + 1)
-        )
-    return all(x <= y for x, y in zip(a, b))
+    return all(x <= y for x, y in zip(_profile(ring, a), _profile(ring, b)))
 
 
 def least_violating_k(ring, a, b):
     """Smallest k with rk_k(a) > rk_k(b), or None (local only)."""
-    for k in range(1, ring.nil_degree + 1):
-        if rk(ring, k, a) > rk(ring, k, b):
-            return k
-    return None
+    pairs = zip(_profile(ring, a), _profile(ring, b))
+    return next((k for k, (x, y) in enumerate(pairs, 1) if x > y), None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,23 +11,29 @@ and every returned endpoint carries the witness relation that achieved
 it.  The same enumeration against a finitely generated subsemigroup
 with prescribed values gives the extension interval endpoints, with an
 optional shifted variant allowing relations b + t * a <= c + (m + t) * a.
+The order is cancellative, so a shifted relation holds iff its t = 0
+form b <= c + m * a does, and every relation is decided at t = 0.
+
+Each order decision compares integer order profiles (semigroup._profile),
+computed once per element on operands validated once at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BoundExceededError, PreconditionError, SearchBudgetError
 from .fields import ExtensionField, PrimeField, field_rank
 from .polys import is_irreducible, pdivmod, pscale
-from .rings import IntegerRing, Matrix, PolyRing
+from .rings import IntegerRing, Matrix, PolyRing, _is_prime
 from .semigroup import (
     Positive,
+    _profile,
     check_element,
     leq,
     leq_provable,
-    minor_refutation,
     monoid_add,
     monoid_identity,
     monoid_scale,
@@ -149,13 +155,14 @@ class StateRange:
 
 
 def check_states_exist(ring, limit: int):
-    """Raise unless (m+1)v is incomparable above m * v for all m <= limit."""
-    v = order_unit(ring)
-    for m in range(1, limit + 1):
-        if leq(ring, monoid_scale(m + 1, v), monoid_scale(m, v)):
-            raise PreconditionError(
-                f"no states exist: {m + 1} * <1> <= {m} * <1> over {ring.spec}"
-            )
+    """Raise unless (m+1)v is incomparable above m * v for all m <= limit.
+
+    By cancellation (m+1)v <= m * v iff v <= 0, for every m alike, so
+    only m = 1 needs checking.
+    """
+    pv = _profile(ring, order_unit(ring))
+    if limit >= 1 and all(x <= 0 for x in pv):
+        raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
 
 def _exact_interval(ring, a):
@@ -170,27 +177,34 @@ def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
     if n_bound < 1 or m_bound < 1:
         raise PreconditionError("bounds must be >= 1")
     check_states_exist(ring, n_bound)
-    v = order_unit(ring)
+    pv = _profile(ring, order_unit(ring))
+    pa = _profile(ring, a)
+    multiples = [(m, [m * x for x in pa]) for m in range(1, m_bound + 1)]
+    # n v <= m a + k v iff (n - k) P(v) <= m P(a); a best value (n - k)/m
+    # is kept as its integer pair and compared by cross-multiplying
     best_p = best_q = None
     for n in range(n_bound + 1):
-        lhs = monoid_scale(n, v)
         for k in range(n_bound + 1):
-            for m in range(1, m_bound + 1):
-                rhs = monoid_add(monoid_scale(m, a), monoid_scale(k, v))
-                val = Fraction(n - k, m)
-                if (best_p is None or val > best_p[0]) and leq(ring, lhs, rhs):
-                    best_p = (val, (n, k, m))
-                if (best_q is None or val < best_q[0]) and leq(ring, rhs, lhs):
-                    best_q = (val, (n, k, m))
+            d = n - k
+            dv = [d * x for x in pv]
+            for m, ma in multiples:
+                if (best_p is None or d * best_p[1] > best_p[0] * m) and all(
+                    x <= y for x, y in zip(dv, ma)
+                ):
+                    best_p = (d, m, (n, k, m))
+                if (best_q is None or d * best_q[1] < best_q[0] * m) and all(
+                    x >= y for x, y in zip(dv, ma)
+                ):
+                    best_q = (d, m, (n, k, m))
     if best_p is None or best_q is None:
         raise BoundExceededError(
             f"no witness relation found within bounds ({n_bound}, {m_bound})"
         )
     return StateRange(
-        p_lb=best_p[0],
-        q_ub=best_q[0],
-        p_witness=best_p[1],
-        q_witness=best_q[1],
+        p_lb=Fraction(best_p[0], best_p[1]),
+        q_ub=Fraction(best_q[0], best_q[1]),
+        p_witness=best_p[2],
+        q_witness=best_q[2],
         exact=_exact_interval(ring, a),
     )
 
@@ -208,13 +222,16 @@ class StateSpec:
 def _span_with_values(ring, spec: StateSpec, ball: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
-    Returns {element: value}; additivity conflicts and monotonicity
-    violations on provable relations are rejected.
+    Returns ({element: value numerator}, denominator): every value is an
+    integer over one common denominator.  Additivity conflicts and
+    monotonicity violations on provable relations are rejected.
     """
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
+    denom = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (denom // v.denominator) for v in vals]
     zero = monoid_identity(ring)
     elems = {}
 
@@ -223,11 +240,12 @@ def _span_with_values(ring, spec: StateSpec, ball: int):
             prev = elems.get(cur)
             if prev is not None and prev != val:
                 raise PreconditionError(
-                    f"state spec is inconsistent: element {cur} gets values {prev} and {val}"
+                    f"state spec is inconsistent: element {cur} gets values "
+                    f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
                 )
             elems.setdefault(cur, val)
             return
-        g, gv = gens[idx], vals[idx]
+        g, gv = gens[idx], nums[idx]
         t = 0
         elt, value = cur, val
         while sum(elt) <= ball:
@@ -238,17 +256,17 @@ def _span_with_values(ring, spec: StateSpec, ball: int):
             value = value + gv
             t += 1
 
-    visit(0, zero, Fraction(0))
+    visit(0, zero, 0)
 
-    ordered = sorted(elems)
-    for x in ordered:
-        for y in ordered:
-            if elems[x] > elems[y] and leq(ring, x, y):
+    ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
+    for x, vx, px in ordered:
+        for y, vy, py in ordered:
+            if vx > vy and all(s <= t for s, t in zip(px, py)):
                 raise PreconditionError(
                     f"state spec is inconsistent: {x} <= {y} but value "
-                    f"{elems[x]} > {elems[y]}"
+                    f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
                 )
-    return elems
+    return elems, denom
 
 
 def state_extension(
@@ -259,38 +277,48 @@ def state_extension(
     m_bound: int = 12,
     shifted: bool = False,
 ) -> StateRange:
+    """Extension interval of the state fixed on a subsemigroup, at a.
+
+    Relations b + t<a> <= c + (m + t)<a> with b, c in the span are
+    enumerated for 1 <= m <= m_bound.  Without `shifted` only t = 0 is
+    allowed.  The order is cancellative, so a shifted relation holds iff
+    b <= c + m<a> does: every relation is decided at t = 0, and the
+    witness (b, c, m, t) always has t = 0 either way.
+    """
     a = check_element(ring, a)
     check_states_exist(ring, max(ball, 1))
     v = order_unit(ring)
-    elems = _span_with_values(ring, spec, ball)
-    if elems.get(v) != Fraction(1):
+    elems, denom = _span_with_values(ring, spec, ball)
+    if elems.get(v) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"
         )
-    shifts = range(m_bound + 1) if shifted else (0,)
+    pa = _profile(ring, a)
+    multiples = [(m, [m * x for x in pa]) for m in range(1, m_bound + 1)]
+    ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
+    # a best value (vb - vc)/(m denom) is kept as its integer pair
     best_p = best_q = None
-    for b in sorted(elems):
-        vb = elems[b]
-        for c in sorted(elems):
-            vc = elems[c]
-            for m in range(1, m_bound + 1):
-                val = Fraction(vb - vc, m)
-                for mbar in shifts:
-                    lhs = monoid_add(b, monoid_scale(mbar, a))
-                    rhs = monoid_add(c, monoid_scale(m + mbar, a))
-                    if (best_p is None or val > best_p[0]) and leq(ring, lhs, rhs):
-                        best_p = (val, (b, c, m, mbar))
-                    if (best_q is None or val < best_q[0]) and leq(ring, rhs, lhs):
-                        best_q = (val, (b, c, m, mbar))
+    for b, vb, pb in ordered:
+        for c, vc, pc in ordered:
+            d = vb - vc
+            for m, ma in multiples:
+                if (best_p is None or d * best_p[1] > best_p[0] * m) and all(
+                    x <= y + z for x, y, z in zip(pb, pc, ma)
+                ):
+                    best_p = (d, m, (b, c, m, 0))
+                if (best_q is None or d * best_q[1] < best_q[0] * m) and all(
+                    y + z <= x for x, y, z in zip(pb, pc, ma)
+                ):
+                    best_q = (d, m, (b, c, m, 0))
     if best_p is None or best_q is None:
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
     return StateRange(
-        p_lb=best_p[0],
-        q_ub=best_q[0],
-        p_witness=best_p[1],
-        q_witness=best_q[1],
+        p_lb=Fraction(best_p[0], best_p[1] * denom),
+        q_ub=Fraction(best_q[0], best_q[1] * denom),
+        p_witness=best_p[2],
+        q_witness=best_q[2],
         exact=None,
     )
 
@@ -301,7 +329,13 @@ def state_extension(
 
 @dataclass(frozen=True)
 class MinorSweep:
-    """Record of the exhaustive refutation of all sub-1/2 relations."""
+    """Record of the refutation of all sub-1/2 relations up to a bound.
+
+    Every candidate c + m<a> <= b with (n - m1)/m < 1/2 (see
+    _square_sweep) is refuted by the index k = m1 + m: either
+    mu_k(lhs) = m < 2(k - n) = mu_k(rhs), or rhs has fewer than k
+    entries.  So `refuted` equals `candidates` for every bound.
+    """
 
     bound: int
     candidates: int
@@ -320,64 +354,85 @@ class RkSquareResult:
 
 
 def _check_square_pair(ring, a, bound: int):
+    """Check a^m not in (a^(m+1)) for all m <= bound.
+
+    Z and F_p[x] are UFDs, so the first failure is at m = 0 when a is a
+    unit, at m = 1 when a = 0, and never otherwise.
+    """
     if not isinstance(ring, (IntegerRing, PolyRing)):
         raise PreconditionError("rk_for_square needs Z or F_p[x]")
     a = ring.normalize(a)
-    for m in range(bound + 1):
-        if ring.ideal_member(ring.power(a, m), ring.power(a, m + 1)):
-            raise PreconditionError(
-                f"hypothesis fails: {ring.format(a)}^{m} lies in "
-                f"({ring.format(a)}^{m + 1})"
-            )
+    if ring.is_unit(a):
+        first = 0
+    elif ring.is_zero(a):
+        first = 1
+    else:
+        first = None
+    if first is not None and first <= bound:
+        raise PreconditionError(
+            f"hypothesis fails: {ring.format(a)}^{first} lies in "
+            f"({ring.format(a)}^{first + 1})"
+        )
     return a
+
+
+def _square_candidates(bound: int) -> int:
+    """Number of sub-1/2 grid relations up to bound, in closed form.
+
+    Counts (n, l, m1, j, m) with n, l, m1, j in [0, bound], m in
+    [1, bound] and 2(n - m1) < m.  l and j are free; with d = n - m1,
+    which (bound + 1 - |d|) pairs (n, m1) attain, every m counts when
+    d <= 0 and max(0, bound - 2d) of them when d > 0.
+    """
+    b = bound
+    if b < 1:
+        return 0
+    top = (b - 1) // 2  # the largest d > 0 with some m counting
+    # sum over d = 1..top of (b + 1 - d)(b - 2d), by power sums of d
+    s1 = top * (top + 1) // 2
+    s2 = top * (top + 1) * (2 * top + 1) // 6
+    positive = top * b * (b + 1) - (3 * b + 2) * s1 + 2 * s2
+    non_positive = b * (b + 1) * (b + 2) // 2
+    return (b + 1) ** 2 * (non_positive + positive)
 
 
 def _square_sweep(bound: int) -> MinorSweep:
     """Refute every grid relation c + m<a> <= b whose value ratio is < 1/2.
 
     Elements range over b = n<1> + l<a^2>, c = m1<1> + j<a^2> with all
-    coefficients <= bound.  Each candidate must fail the minor-valuation
-    necessary condition; a clean sweep pins the infimum at 1/2.
+    coefficients <= bound, so lhs has exponents (0^m1, 1^m, 2^j) and rhs
+    (0^n, 2^l).  The index k = m1 + m refutes every candidate with
+    (n - m1)/m < 1/2: mu_k(lhs) = m < 2(k - n) = mu_k(rhs), or rhs has
+    fewer than k entries.  The sweep is therefore clean by that lemma,
+    which pins the infimum at 1/2, and only its size is computed.
     """
-    half = Fraction(1, 2)
-    candidates = refuted = 0
-    for n in range(bound + 1):
-        for l in range(bound + 1):
-            rhs = (0,) * n + (2,) * l
-            for m1 in range(bound + 1):
-                for j in range(bound + 1):
-                    for m in range(1, bound + 1):
-                        if Fraction(n - m1, m) >= half:
-                            continue
-                        candidates += 1
-                        lhs = tuple(sorted((0,) * m1 + (1,) * m + (2,) * j))
-                        if minor_refutation(lhs, rhs) is not None:
-                            refuted += 1
-    return MinorSweep(bound, candidates, refuted)
+    candidates = _square_candidates(bound)
+    return MinorSweep(bound, candidates, candidates)
 
 
 def rk_for_square(ring, a, bound: int = 6, depth: int = 8) -> RkSquareResult:
     """Certified sup of rk(a) over rank functions with rk(a^2) = 0.
 
     Upper side: an explicit chain for 2<a> <= <1> + <a^2> caps the value
-    at 1/2.  Lower side: every enumerated relation that would push the
-    infimum below 1/2 is refuted by its minor profile.
+    at 1/2.  Lower side: every grid relation c + m<a> <= b that would
+    push the infimum below 1/2 is refuted by the minor index k = m1 + m
+    (see _square_sweep), so the lower certificate is that lemma together
+    with the number of relations it covers.
     """
     _check_square_pair(ring, a, bound)
     upper = leq_provable((1, 1), (0, 2), depth)
     if not isinstance(upper, Positive):
         raise SearchBudgetError("chain for 2<a> <= <1>+<a^2> not found; this is a bug")
-    sweep = _square_sweep(bound)
-    if not sweep.clean:
-        raise SearchBudgetError(
-            f"minor sweep left {sweep.candidates - sweep.refuted} relations "
-            "unrefuted; this is a bug"
-        )
-    return RkSquareResult(Fraction(1, 2), upper, sweep)
+    return RkSquareResult(Fraction(1, 2), upper, _square_sweep(bound))
 
 
 def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
-    """Re-check both certificates of a rk_for_square result."""
+    """Re-check both certificates of a rk_for_square result.
+
+    The lower certificate is checked by the refuting-index lemma: it
+    must claim every candidate refuted, and its candidate count is
+    compared with the closed form, in constant time.
+    """
     try:
         _check_square_pair(ring, a, result.lower.bound)
     except PreconditionError:
@@ -386,8 +441,8 @@ def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
         return False
     if not verify_formal_certificate((1, 1), (0, 2), result.upper):
         return False
-    sweep = _square_sweep(result.lower.bound)
-    return sweep.clean and sweep.candidates == result.lower.candidates
+    lower = result.lower
+    return lower.refuted == lower.candidates == _square_candidates(lower.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +467,7 @@ class PullbackRank:
             return
         if isinstance(ring, IntegerRing):
             p = abs(self.pi)
-            if not _is_prime_int(p):
+            if not _is_prime(p):
                 raise PreconditionError(f"{self.pi} is not prime in Z")
             self.field = PrimeField(p)
             self._reduce = lambda x: x % p
@@ -466,13 +521,3 @@ def _fraction_field_rank(ring, M: Matrix) -> int:
             break
     return rank
 
-
-def _is_prime_int(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True

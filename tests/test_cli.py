@@ -1,4 +1,5 @@
 import json
+import time
 
 from rankcert.cli import main
 
@@ -49,6 +50,31 @@ def test_rk_square_command(capsys):
     assert data["value"] == "1/2"
     assert data["upper"]["kind"] == "positive"
     assert data["lower"]["candidates"] == data["lower"]["refuted"]
+
+
+def sub_half_relations(bound):
+    """Grid relations (n, l, m1, j, m) with 2(n - m1) < m, summed over d = n - m1."""
+    low = bound * (bound + 1) * (bound + 2) // 2  # d <= 0: every m counts
+    low += sum((bound + 1 - d) * (bound - 2 * d) for d in range(1, (bound + 1) // 2))
+    return (bound + 1) ** 2 * low
+
+
+def test_rk_square_verify_cost_is_bounded_by_the_certificate(capsys, tmp_path):
+    data = run_json(capsys, "rk-square", "--ring", "Z", "--a", "2", "--bounds", "6")
+    assert data["lower"]["candidates"] == sub_half_relations(6)
+    path = tmp_path / "resp.json"
+    big = 1000000
+    data["lower"]["bound"] = big
+    for count, code in ((data["lower"]["candidates"], 1), (sub_half_relations(big), 0)):
+        data["lower"]["candidates"] = data["lower"]["refuted"] = count
+        path.write_text(json.dumps(data))
+        start = time.monotonic()
+        assert run_cli(capsys, "verify", "--file", str(path))[0] == code
+        assert time.monotonic() - start < 1.0
+    # the lemma refutes every candidate, so a sweep claiming less is wrong
+    data["lower"]["refuted"] -= 1
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", "--file", str(path))[0] == 1
 
 
 def test_chain_then_verify(capsys, tmp_path):

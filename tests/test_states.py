@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcert import (
     BoundExceededError,
@@ -25,7 +27,9 @@ from rankcert import (
     verify_rk_square,
 )
 
-from helpers import random_matrix
+from rankcert.acceptance import brute_square_sweep
+
+from helpers import random_matrix, reference_state_extension, reference_state_range
 
 Z8 = parse_ring("Z/8")
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -231,6 +235,69 @@ def test_extension_requires_order_unit():
 
 
 # ---------------------------------------------------------------------------
+# the integer-profile enumerations against the Fraction/leq reference loops
+
+REFERENCE_RINGS = ("Z/4", "Z/8", "Z/32", "F2[x]/x^5", "F3[x]/x^4", "F2*F3", "F2*F3*F5")
+
+
+def outcome(fn, *args):
+    try:
+        sr = fn(*args)
+    except (PreconditionError, BoundExceededError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", (sr.p_lb, sr.q_ub, sr.p_witness, sr.q_witness, sr.exact)
+
+
+def vectors(width, top):
+    return st.lists(st.integers(0, top), min_size=width, max_size=width).map(tuple)
+
+
+@st.composite
+def range_cases(draw):
+    ring = parse_ring(draw(st.sampled_from(REFERENCE_RINGS)))
+    width = ring.nil_degree if ring.is_local else ring.width
+    a = draw(vectors(width, 3))
+    return ring, a, draw(st.integers(0, 7)), draw(st.integers(0, 7))
+
+
+@st.composite
+def extension_cases(draw):
+    """A spec from one state, sometimes perturbed or missing the unit."""
+    ring = parse_ring(draw(st.sampled_from(REFERENCE_RINGS)))
+    width = ring.nil_degree if ring.is_local else ring.width
+    unit = (1,) + (0,) * (width - 1) if ring.is_local else (1,) * width
+    gens = [unit] + draw(st.lists(vectors(width, 1), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        gens = gens[1:] or [(0,) * width]
+    state = draw(st.integers(0, width - 1))
+    if ring.is_local:
+        values = [rk(ring, state + 1, g) for g in gens]
+    else:
+        values = [Fraction(g[state]) for g in gens]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] += Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+    spec = StateSpec(tuple(gens), tuple(values))
+    a = draw(vectors(width, 1))
+    # one ball in four is too small to hold the unit
+    ball = sum(unit) + draw(st.integers(-1, 2))
+    m_bound = draw(st.integers(1, 4))
+    return ring, spec, a, ball, m_bound, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(range_cases())
+def test_state_range_matches_reference(case):
+    assert outcome(state_range, *case) == outcome(reference_state_range, *case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_cases())
+def test_state_extension_matches_reference(case):
+    assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
+
+
+# ---------------------------------------------------------------------------
 # the square-zero endpoint and pullback ranks
 
 
@@ -251,6 +318,14 @@ def test_rk_for_square_polynomials():
     assert verify_rk_square(ring, (0, 1), res)
 
 
+def test_square_sweep_closed_form_matches_enumeration():
+    z = parse_ring("Z")
+    for bound in range(11):
+        lower = rk_for_square(z, 2, bound=bound).lower
+        assert lower == brute_square_sweep(bound)
+        assert lower.clean
+
+
 def test_rk_for_square_hypothesis_enforced():
     z = parse_ring("Z")
     with pytest.raises(PreconditionError):
@@ -259,6 +334,20 @@ def test_rk_for_square_hypothesis_enforced():
         rk_for_square(z, 0, bound=4)
     with pytest.raises(PreconditionError):
         rk_for_square(parse_ring("Z/8"), 2, bound=4)
+
+
+def test_rk_for_square_hypothesis_decided_at_any_bound():
+    z, f3x = parse_ring("Z"), parse_ring("F3[x]")
+    with pytest.raises(PreconditionError, match=r"-1\^0 lies in \(-1\^1\)"):
+        rk_for_square(z, -1, bound=10**9)
+    with pytest.raises(PreconditionError, match=r"0\^1 lies in \(0\^2\)"):
+        rk_for_square(z, 0, bound=10**9)
+    with pytest.raises(PreconditionError, match=r"2\^0 lies in \(2\^1\)"):
+        rk_for_square(f3x, (2,), bound=10**9)
+    # the first failure for 0 is at m = 1, beyond bound 0
+    assert rk_for_square(z, 0, bound=0).lower.candidates == 0
+    res = rk_for_square(f3x, (1, 1), bound=10**6)
+    assert res.lower.clean and verify_rk_square(f3x, (1, 1), res)
 
 
 def test_quotient_state_realizes_zero_endpoint():
