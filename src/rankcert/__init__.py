@@ -101,6 +101,8 @@ from .states import (
     state_extension,
     state_range,
     verify_rk_square,
+    verify_state_extension,
+    verify_state_range,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

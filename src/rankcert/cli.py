@@ -2,23 +2,24 @@
 
 Requests are flags, responses are canonical JSON on stdout: keys sorted,
 rationals as "num/den" in lowest terms, matrices as arrays of entry
-strings.  Output is byte-stable for a fixed request unless --timing is
-given.  Exit codes: 0 success, 1 failed verification/selftest, 2 parse
-error, 3 precondition violation, 4 bound overflow.
+strings.  Output is byte-stable for a fixed request.  Exit codes:
+0 success, 1 failed verification/selftest, 2 parse error, 3 precondition
+violation, 4 bound overflow.  `verify` is total: it exits 0, 1 or 2 and
+never prints a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-import time
 from fractions import Fraction
 
 from . import acceptance
 from .errors import BoundExceededError, ParseError, PreconditionError
-from .normal_form import diagonalize, verify_factorization
+from .normal_form import DiagonalForm, diagonalize, verify_factorization
 from .presentations import (
     dim,
     module_basis_labels,
@@ -33,6 +34,7 @@ from .semigroup import (
     Cancel,
     Drop,
     ExponentIncrease,
+    FactorResult,
     NegativeMinor,
     NegativeRank,
     Positive,
@@ -53,14 +55,17 @@ from .semigroup import (
 from .states import (
     MinorSweep,
     RkSquareResult,
+    StateRange,
     StateSpec,
+    check_formal_hypothesis,
     pullback_rank,
     rk_for_square,
     state_extension,
     state_range,
     verify_rk_square,
+    verify_state_extension,
+    verify_state_range,
 )
-from .states import _span_with_values
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,13 @@ def parse_fraction(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from None
 
 
+def load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+
+
 def matrix_payload(M: Matrix):
     return M.to_strings()
 
@@ -91,10 +103,7 @@ def load_matrix(ring, data) -> Matrix:
 
 def load_operand(ring, text: str):
     """A JSON matrix (nested arrays) or monoid vector (flat int array)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise ParseError(f"operand is not valid JSON: {text!r}") from None
+    data = load_json(text, "operand")
     if isinstance(data, list) and data and all(isinstance(r, list) for r in data):
         return "matrix", load_matrix(ring, data)
     if isinstance(data, list) and all(isinstance(x, int) for x in data):
@@ -103,46 +112,67 @@ def load_operand(ring, text: str):
 
 
 def load_exponents(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise ParseError(f"exponent list is not valid JSON: {text!r}") from None
+    data = load_json(text, "exponent list")
     if not isinstance(data, list) or not all(isinstance(x, int) and x >= 0 for x in data):
         raise ParseError("exponent multiset must be a list of nonnegative ints")
     return tuple(sorted(data))
 
 
+_MOVES = {
+    "power-swap": (PowerSwap, ("j1", "j2")),
+    "exponent-increase": (ExponentIncrease, ("i",)),
+    "drop": (Drop, ("i",)),
+    "cancel": (Cancel, ("i",)),
+}
+_RANGE_WITNESS = ("n", "k", "m")
+_EXTENSION_WITNESS = ("b", "c", "m", "mbar")
+
+
 def move_payload(mv):
-    if isinstance(mv, PowerSwap):
-        return {"move": "power-swap", "j1": mv.j1, "j2": mv.j2}
-    if isinstance(mv, ExponentIncrease):
-        return {"move": "exponent-increase", "i": mv.i}
-    if isinstance(mv, Drop):
-        return {"move": "drop", "i": mv.i}
-    if isinstance(mv, Cancel):
-        return {"move": "cancel", "i": mv.i}
+    for name, (cls, fields) in _MOVES.items():
+        if isinstance(mv, cls):
+            return {"move": name, **{f: getattr(mv, f) for f in fields}}
     raise ParseError(f"unknown move {mv!r}")
 
 
+def _typed(value, kind, what):
+    """value if it has type kind (an int is never a bool); else ParseError."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ParseError(f"{what} is missing or not of type {kind.__name__}")
+
+
+def _get(data, key, kind):
+    value = data.get(key) if isinstance(data, dict) else None
+    return _typed(value, kind, f"payload field {key!r}")
+
+
+def _int_tuple(value, what) -> tuple:
+    return tuple(_typed(x, int, f"an entry of {what}") for x in _typed(value, list, what))
+
+
+def load_spec(gens, values) -> StateSpec:
+    """A state spec from JSON arrays of class vectors and of rationals."""
+    return StateSpec(
+        generators=tuple(_int_tuple(g, "a generator") for g in _typed(gens, list, "generators")),
+        values=tuple(parse_fraction(v) for v in _typed(values, list, "values")),
+    )
+
+
 def load_move(data):
-    kind = data.get("move")
-    if kind == "power-swap":
-        return PowerSwap(int(data["j1"]), int(data["j2"]))
-    if kind == "exponent-increase":
-        return ExponentIncrease(int(data["i"]))
-    if kind == "drop":
-        return Drop(int(data["i"]))
-    if kind == "cancel":
-        return Cancel(int(data["i"]))
-    raise ParseError(f"unknown move payload {data!r}")
+    kind = _get(data, "move", str)
+    if kind not in _MOVES:
+        raise ParseError(f"unknown move payload {data!r}")
+    cls, fields = _MOVES[kind]
+    return cls(*(_get(data, f, int) for f in fields))
 
 
 def _inf_or_int(x):
     return "inf" if x is None else x
 
 
-def _from_inf(x):
-    return None if x == "inf" else int(x)
+def _get_inf_or_int(data, key):
+    return None if data.get(key) == "inf" else _get(data, key, int)
 
 
 def certificate_payload(cert):
@@ -166,24 +196,16 @@ def certificate_payload(cert):
 
 
 def load_certificate(data):
-    kind = data.get("kind")
+    kind = _get(data, "kind", str)
     if kind == "positive":
-        return Positive(tuple(load_move(m) for m in data["moves"]))
+        return Positive(tuple(load_move(m) for m in _get(data, "moves", list)))
     if kind == "negative-rank":
-        return NegativeRank(
-            int(data["k"]), parse_fraction(data["lhs"]), parse_fraction(data["rhs"])
-        )
+        lhs, rhs = parse_fraction(data.get("lhs")), parse_fraction(data.get("rhs"))
+        return NegativeRank(_get(data, "k", int), lhs, rhs)
     if kind == "negative-minor":
-        return NegativeMinor(int(data["k"]), _from_inf(data["lhs"]), _from_inf(data["rhs"]))
+        lhs, rhs = _get_inf_or_int(data, "lhs"), _get_inf_or_int(data, "rhs")
+        return NegativeMinor(_get(data, "k", int), lhs, rhs)
     raise ParseError(f"unknown certificate payload {data!r}")
-
-
-def emit(payload, args) -> None:
-    if getattr(args, "timing", False):
-        payload = dict(payload)
-        payload["elapsed_ms"] = int((time.monotonic() - args._start) * 1000)
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +276,9 @@ def _leq_payload(command, args):
         if ring.is_local or ring.is_product:
             raise ParseError("--elem applies to the Z and F_p[x] families")
         pivot = ring.parse(args.elem)
-        for m in range(args.depth):
-            if ring.ideal_member(ring.power(pivot, m), ring.power(pivot, m + 1)):
-                raise PreconditionError(
-                    f"{ring.format(pivot)}^{m} lies in ({ring.format(pivot)}^{m + 1}); "
-                    "minor certificates are unavailable"
-                )
         ea, eb = load_exponents(args.a), load_exponents(args.b)
+        # minor certificates need the hypothesis up to every exponent they use
+        check_formal_hypothesis(ring, pivot, max(args.depth - 1, *ea, *eb))
         cert = leq_provable(ea, eb, depth=args.depth)
         result = "unknown" if cert is UNKNOWN else isinstance(cert, Positive)
         payload = {
@@ -319,14 +337,6 @@ def _leq_payload(command, args):
     return payload
 
 
-def cmd_leq(args):
-    return _leq_payload("leq", args)
-
-
-def cmd_chain(args):
-    return _leq_payload("chain", args)
-
-
 def cmd_state_range(args):
     ring = parse_ring(args.ring)
     kind, a = load_operand(ring, args.a)
@@ -340,8 +350,8 @@ def cmd_state_range(args):
         "M": args.M,
         "p_lb": fmt_fraction(sr.p_lb),
         "q_ub": fmt_fraction(sr.q_ub),
-        "p_witness": {"n": sr.p_witness[0], "k": sr.p_witness[1], "m": sr.p_witness[2]},
-        "q_witness": {"n": sr.q_witness[0], "k": sr.q_witness[1], "m": sr.q_witness[2]},
+        "p_witness": dict(zip(_RANGE_WITNESS, sr.p_witness)),
+        "q_witness": dict(zip(_RANGE_WITNESS, sr.q_witness)),
     }
     if sr.exact is not None:
         payload["exact"] = [fmt_fraction(sr.exact[0]), fmt_fraction(sr.exact[1])]
@@ -350,26 +360,12 @@ def cmd_state_range(args):
 
 def cmd_extend_state(args):
     ring = parse_ring(args.ring)
-    try:
-        gens = json.loads(args.generators)
-        values = json.loads(args.values)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad state-spec JSON: {exc}") from None
-    if not isinstance(gens, list) or not isinstance(values, list):
-        raise ParseError("generators and values must be JSON arrays")
-    spec = StateSpec(
-        generators=tuple(check_element(ring, g) for g in gens),
-        values=tuple(parse_fraction(v) for v in values),
-    )
+    spec = load_spec(load_json(args.generators, "generators"), load_json(args.values, "values"))
     kind, a = load_operand(ring, args.a)
     vec = class_of(a) if kind == "matrix" else a
     sr = state_extension(
         ring, spec, vec, ball=args.ball, m_bound=args.M, shifted=args.shifted
     )
-    def witness_payload(w):
-        b, c, m, mbar = w
-        return {"b": list(b), "c": list(c), "m": m, "mbar": mbar}
-
     return {
         "command": "extend-state",
         "ring": ring.spec,
@@ -381,8 +377,8 @@ def cmd_extend_state(args):
         "shifted": args.shifted,
         "p_lb": fmt_fraction(sr.p_lb),
         "q_ub": fmt_fraction(sr.q_ub),
-        "p_witness": witness_payload(sr.p_witness),
-        "q_witness": witness_payload(sr.q_witness),
+        "p_witness": dict(zip(_EXTENSION_WITNESS, sr.p_witness)),
+        "q_witness": dict(zip(_EXTENSION_WITNESS, sr.q_witness)),
     }
 
 
@@ -422,10 +418,7 @@ def cmd_dim(args):
 
 
 def _load_presentation(ring, text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise ParseError(f"presentation payload is not valid JSON: {text!r}") from None
+    data = load_json(text, "presentation payload")
     if not isinstance(data, dict) or "gens" not in data or "relations" not in data:
         raise ParseError('presentation must look like {"gens": m, "relations": [[..]]}')
     return presentation(int(data["gens"]), load_matrix(ring, data["relations"]))
@@ -508,139 +501,99 @@ def cmd_axioms_check(args):
 
 
 def cmd_verify(args):
-    if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"verify payload is not valid JSON: {exc}") from None
-    ok = _verify_response(data)
-    return {"command": "verify", "verified": ok, "of": data.get("command")}, (0 if ok else 1)
+        if args.file is not None:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"verify payload is unreadable: {exc}") from None
+    data = load_json(text, "verify payload")
+    command = _get(data, "command", str)
+    try:
+        ok = _verify_response(command, data)
+    except PreconditionError:
+        # a certificate outside a library precondition certifies nothing
+        ok = False
+    return {"command": "verify", "verified": ok, "of": command}, (0 if ok else 1)
 
 
-def _verify_response(data) -> bool:
-    command = data.get("command")
+def _load_state_range(data, fields) -> StateRange:
+    """A state-range or extend-state response; witness fields b and c are vectors."""
+    p_w, q_w = (
+        tuple(_int_tuple(w.get(f), f) if f in ("b", "c") else _get(w, f, int) for f in fields)
+        for w in (_get(data, "p_witness", dict), _get(data, "q_witness", dict))
+    )
+    p_lb, q_ub = parse_fraction(data.get("p_lb")), parse_fraction(data.get("q_ub"))
+    return StateRange(p_lb, q_ub, p_w, q_w, exact=None)
+
+
+def _verify_response(command, data) -> bool:
+    """Decode a response into library types and re-check it with its verifier."""
+    if command not in ("leq", "chain", "rk-square", "state-range", "extend-state", "diagonalize"):
+        raise ParseError(f"verify does not support command {command!r}")
+    ring = parse_ring(_get(data, "ring", str))
+    result = data.get("result")
     if command in ("leq", "chain"):
-        ring = parse_ring(data["ring"])
         mode = data.get("mode")
-        if mode == "formal":
-            if "certificate" not in data:
+        if mode in ("formal", "local"):
+            if "certificate" not in data:  # a formal search may end unknown
                 return False
             cert = load_certificate(data["certificate"])
-            ok = verify_formal_certificate(data["a"], data["b"], cert)
-            claimed = data.get("result")
-            return ok and claimed == isinstance(cert, Positive)
-        if mode == "local":
-            cert = load_certificate(data["certificate"])
-            a = check_element(ring, data["a_class"])
-            b = check_element(ring, data["b_class"])
-            ok = verify_certificate(ring, a, b, cert)
-            return ok and data.get("result") == isinstance(cert, Positive)
+            if mode == "formal":
+                a, b = _int_tuple(data.get("a"), "a"), _int_tuple(data.get("b"), "b")
+                bound = max(_get(data, "depth", int) - 1, *a, *b)
+                check_formal_hypothesis(ring, ring.parse(_get(data, "elem", str)), bound)
+                ok = verify_formal_certificate(a, b, cert)
+            else:
+                a = _int_tuple(data.get("a_class"), "a_class")
+                b = _int_tuple(data.get("b_class"), "b_class")
+                ok = verify_certificate(ring, a, b, cert)
+            return ok and result == isinstance(cert, Positive)
         if mode == "regular":
-            A = load_matrix(ring, data["a_matrix"])
-            B = load_matrix(ring, data["b_matrix"])
-            cert = data["certificate"]
-            if cert.get("kind") == "factorization":
-                from .rings import mat_mul
-
-                C = load_matrix(ring, cert["c"])
-                D = load_matrix(ring, cert["d"])
-                return data.get("result") is True and mat_mul(mat_mul(C, B), D) == A
-            if cert.get("kind") == "negative-component":
-                i = int(cert["component"])
-                ra, rb = class_of(A), class_of(B)
+            A = load_matrix(ring, data.get("a_matrix"))
+            B = load_matrix(ring, data.get("b_matrix"))
+            cert = _get(data, "certificate", dict)
+            kind = cert.get("kind")
+            if kind == "factorization":
+                C, D = load_matrix(ring, cert.get("c")), load_matrix(ring, cert.get("d"))
+                return result is True and verify_factor(A, B, FactorResult(C, D, None))
+            if kind == "negative-component":
+                i = _get(cert, "component", int)
+                claimed = (_get(cert, "lhs", int), _get(cert, "rhs", int))
                 return (
-                    data.get("result") is False
-                    and 0 <= i < len(ra)
-                    and ra[i] == int(cert["lhs"])
-                    and rb[i] == int(cert["rhs"])
-                    and ra[i] > rb[i]
+                    result is False
+                    and verify_factor(A, B, FactorResult(None, None, i))
+                    and claimed == (class_of(A)[i], class_of(B)[i])
                 )
-            return False
         return False
     if command == "rk-square":
-        ring = parse_ring(data["ring"])
-        elem = ring.parse(data["elem"])
+        lower = _get(data, "lower", dict)
         res = RkSquareResult(
-            value=parse_fraction(data["value"]),
-            upper=load_certificate(data["upper"]),
-            lower=MinorSweep(
-                bound=int(data["lower"]["bound"]),
-                candidates=int(data["lower"]["candidates"]),
-                refuted=int(data["lower"]["refuted"]),
-            ),
+            value=parse_fraction(data.get("value")),
+            upper=load_certificate(data.get("upper")),
+            lower=MinorSweep(*(_get(lower, k, int) for k in ("bound", "candidates", "refuted"))),
         )
-        return verify_rk_square(ring, elem, res)
+        return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)
     if command == "state-range":
-        ring = parse_ring(data["ring"])
-        a = check_element(ring, data["a"])
-        from .semigroup import monoid_add, monoid_scale, order_unit
-
-        v = order_unit(ring)
-        pw, qw = data["p_witness"], data["q_witness"]
-        p_rel = leq(
-            ring,
-            monoid_scale(pw["n"], v),
-            monoid_add(monoid_scale(pw["m"], a), monoid_scale(pw["k"], v)),
-        )
-        q_rel = leq(
-            ring,
-            monoid_add(monoid_scale(qw["m"], a), monoid_scale(qw["k"], v)),
-            monoid_scale(qw["n"], v),
-        )
-        return (
-            p_rel
-            and q_rel
-            and parse_fraction(data["p_lb"]) == Fraction(pw["n"] - pw["k"], pw["m"])
-            and parse_fraction(data["q_ub"]) == Fraction(qw["n"] - qw["k"], qw["m"])
-        )
+        sr = _load_state_range(data, _RANGE_WITNESS)
+        a = _int_tuple(data.get("a"), "a")
+        return verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
     if command == "extend-state":
-        ring = parse_ring(data["ring"])
-        a = check_element(ring, data["a"])
-        spec = StateSpec(
-            generators=tuple(check_element(ring, g) for g in data["generators"]),
-            values=tuple(parse_fraction(v) for v in data["values"]),
-        )
-        values, denom = _span_with_values(ring, spec, int(data["ball"]))
-        from .semigroup import monoid_add, monoid_scale
-
-        def check_witness(w, upper):
-            b = check_element(ring, w["b"])
-            c = check_element(ring, w["c"])
-            m, mbar = int(w["m"]), int(w["mbar"])
-            if b not in values or c not in values or m < 1 or mbar < 0:
-                return None
-            lhs = monoid_add(b, monoid_scale(mbar, a))
-            rhs = monoid_add(c, monoid_scale(m + mbar, a))
-            holds = leq(ring, rhs, lhs) if upper else leq(ring, lhs, rhs)
-            if not holds:
-                return None
-            return Fraction(values[b] - values[c], m * denom)
-
-        pv = check_witness(data["p_witness"], upper=False)
-        qv = check_witness(data["q_witness"], upper=True)
-        return (
-            pv is not None
-            and qv is not None
-            and pv == parse_fraction(data["p_lb"])
-            and qv == parse_fraction(data["q_ub"])
-        )
-    if command == "diagonalize":
-        ring = parse_ring(data["ring"])
-        from .normal_form import DiagonalForm
-
-        A = load_matrix(ring, data["matrix"])
-        form = DiagonalForm(
-            exponents=tuple(data["exponents"]),
-            zero_count=int(data["zero_count"]),
-            left=load_matrix(ring, data["left"]),
-            right=load_matrix(ring, data["right"]),
-        )
-        return verify_factorization(A, form)
-    raise ParseError(f"verify does not support command {command!r}")
+        spec = load_spec(data.get("generators"), data.get("values"))
+        sr = _load_state_range(data, _EXTENSION_WITNESS)
+        a = _int_tuple(data.get("a"), "a")
+        bounds = (_get(data, "ball", int), _get(data, "M", int), _get(data, "shifted", bool))
+        return verify_state_extension(ring, spec, a, sr, *bounds)
+    A = load_matrix(ring, data.get("matrix"))
+    form = DiagonalForm(
+        exponents=_int_tuple(data.get("exponents"), "exponents"),
+        zero_count=_get(data, "zero_count", int),
+        left=load_matrix(ring, data.get("left")),
+        right=load_matrix(ring, data.get("right")),
+    )
+    return verify_factorization(A, form)
 
 
 def cmd_selftest(args):
@@ -660,7 +613,6 @@ def build_parser():
         prog="rankcert",
         description="Exact order and rank certificates for desk-scale rings.",
     )
-    parser.add_argument("--timing", action="store_true", help="include elapsed_ms")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def ring_flag(p):
@@ -697,7 +649,7 @@ def build_parser():
         p.add_argument("--b", required=True)
         p.add_argument("--elem", help="pivot element for formal mode over Z / F_p[x]")
         p.add_argument("--depth", type=int, default=8)
-        p.set_defaults(handler=cmd_leq if name == "leq" else cmd_chain)
+        p.set_defaults(handler=functools.partial(_leq_payload, name))
 
     p = sub.add_parser("state-range", help="certified state range of a class")
     ring_flag(p)
@@ -770,7 +722,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    args._start = time.monotonic()
     try:
         out = args.handler(args)
     except ParseError as exc:
@@ -782,13 +733,10 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"bound overflow: {exc}", file=sys.stderr)
         return 4
-    if isinstance(out, tuple):
-        payload, code = out
-        if payload is not None:
-            emit(payload, args)
-        return code
-    emit(out, args)
-    return 0
+    payload, code = out if isinstance(out, tuple) else (out, 0)
+    if payload is not None:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":

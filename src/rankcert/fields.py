@@ -10,7 +10,7 @@ tuples of ints.
 from __future__ import annotations
 
 from .errors import ParseError, PreconditionError
-from .polys import format_poly, min_irreducible, pdivmod, pmul, pnormalize
+from .polys import min_irreducible, pdivmod, pmul, pnormalize
 
 
 def factor_prime_power(q: int):
@@ -126,9 +126,6 @@ class ExtensionField:
 
     def elements(self):
         return range(self.size)
-
-    def format_element(self, a) -> str:
-        return format_poly(self.decode(a))
 
     def __eq__(self, other):
         return (

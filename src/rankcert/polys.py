@@ -40,10 +40,6 @@ def pneg(a, p) -> tuple:
     return tuple((-c) % p for c in a)
 
 
-def psub(a, b, p) -> tuple:
-    return padd(a, pneg(b, p), p)
-
-
 def pmul(a, b, p) -> tuple:
     if not a or not b:
         return ()
@@ -85,17 +81,6 @@ def pdivides(b, a, p) -> bool:
     if not b:
         return not a
     return not pdivmod(a, b, p)[1]
-
-
-def ppow_mod(a, e, mod, p) -> tuple:
-    result = (1,)
-    base = pdivmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = pdivmod(pmul(result, base, p), mod, p)[1]
-        base = pdivmod(pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
 
 
 def is_irreducible(f, p) -> bool:

@@ -169,9 +169,7 @@ def phi_group(ring, coeffs) -> GroupElement:
         diff = [sum(coeffs)] + [-c for c in coeffs[1:]]
     else:
         diff = list(coeffs)
-    pos = tuple(max(d, 0) for d in diff)
-    neg = tuple(max(-d, 0) for d in diff)
-    return GroupElement(pos, neg)
+    return group_element(diff, (0,) * width)
 
 
 def psi_group(ring, g: GroupElement) -> tuple:

@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
-from .fields import make_field
+from .fields import factor_prime_power, make_field
 from .polys import (
     format_poly,
     padd,
@@ -498,7 +498,7 @@ def parse_ring(text: str) -> Ring:
     m = re.match(r"^Z/(\d+)$", s)
     if m:
         q = int(m.group(1))
-        p, n = _factor_prime_power_or_raise(q)
+        p, n = factor_prime_power(q)
         return ModPrimePowerRing(p, n)
     m = re.match(r"^F(\d+)\[x\]/x\^(\d+)$", s)
     if m:
@@ -509,15 +509,6 @@ def parse_ring(text: str) -> Ring:
     if _PRODUCT_RE.match(s):
         return FieldProductRing([int(t[1:]) for t in s.split("*")])
     raise ParseError(f"unrecognized ring spec {text!r}")
-
-
-def _factor_prime_power_or_raise(q: int):
-    from .fields import factor_prime_power
-
-    try:
-        return factor_prime_power(q)
-    except ParseError:
-        raise ParseError(f"{q} is not a prime power") from None
 
 
 class Matrix:

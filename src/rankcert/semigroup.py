@@ -527,12 +527,19 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
 
 
 def verify_factor(A: Matrix, B: Matrix, result: FactorResult) -> bool:
+    """Re-check a regular_factor result; False on mismatched rings or shapes."""
+    ring = A.ring
+    if not ring.is_product or B.ring != ring:
+        return False
     if not result.ok:
         i = result.failing_component
-        if not isinstance(i, int) or not 0 <= i < A.ring.width:
+        if not isinstance(i, int) or not 0 <= i < ring.width:
             return False
         return class_of(A)[i] > class_of(B)[i]
-    return mat_mul(mat_mul(result.C, B), result.D) == A
+    C, D = result.C, result.D
+    if (C.ring, C.shape, D.ring, D.shape) != (ring, (A.rows, B.rows), ring, (B.cols, A.cols)):
+        return False
+    return mat_mul(mat_mul(C, B), D) == A
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +547,14 @@ def verify_factor(A: Matrix, B: Matrix, result: FactorResult) -> bool:
 
 
 def has_rank_function(ring, limit: int) -> bool:
-    """Check I_{m+1} not<= I_m for all m <= limit."""
+    """Check I_{m+1} not<= I_m for all m <= limit.
+
+    By cancellation (m+1)<1> <= m<1> iff <1> <= 0, for every m alike, so
+    only m = 1 needs checking.
+    """
     if limit < 1:
         raise PreconditionError("limit must be >= 1")
-    width = monoid_width(ring)
-    unit = tuple(1 if (ring.is_product or i == 0) else 0 for i in range(width))
-    for m in range(1, limit + 1):
-        if leq(ring, monoid_scale(m + 1, unit), monoid_scale(m, unit)):
-            return False
-    return True
+    return not all(x <= 0 for x in _profile(ring, order_unit(ring)))
 
 
 def order_unit(ring) -> tuple:

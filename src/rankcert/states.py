@@ -32,6 +32,7 @@ from .semigroup import (
     Positive,
     _profile,
     check_element,
+    has_rank_function,
     leq,
     leq_provable,
     monoid_add,
@@ -155,13 +156,8 @@ class StateRange:
 
 
 def check_states_exist(ring, limit: int):
-    """Raise unless (m+1)v is incomparable above m * v for all m <= limit.
-
-    By cancellation (m+1)v <= m * v iff v <= 0, for every m alike, so
-    only m = 1 needs checking.
-    """
-    pv = _profile(ring, order_unit(ring))
-    if limit >= 1 and all(x <= 0 for x in pv):
+    """Raise unless (m+1)v is incomparable above m * v for all m <= limit."""
+    if limit >= 1 and not has_rank_function(ring, limit):
         raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
 
@@ -209,6 +205,31 @@ def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
     )
 
 
+def _relation_holds(ring, b, c, m: int, pa, lower: bool) -> bool:
+    """b <= c + m a (lower) or b >= c + m a (upper), by integer profiles."""
+    rhs = [y + m * z for y, z in zip(_profile(ring, c), pa)]
+    return all(x <= y if lower else x >= y for x, y in zip(_profile(ring, b), rhs))
+
+
+def verify_state_range(ring, a, result: StateRange, n_bound: int, m_bound: int) -> bool:
+    """Re-check both witness relations of a state_range result.
+
+    A witness (n, k, m) must lie in the enumerated grid and relate n v to
+    m a + k v as its endpoint (n - k)/m claims, in constant time.
+    """
+    try:
+        v, pa = order_unit(ring), _profile(ring, check_element(ring, a))
+    except PreconditionError:
+        return False
+    ends = []
+    for (n, k, m), lower in ((result.p_witness, True), (result.q_witness, False)):
+        in_grid = 0 <= n <= n_bound and 0 <= k <= n_bound and 1 <= m <= m_bound
+        b, c = monoid_scale(n, v), monoid_scale(k, v)
+        holds = in_grid and _relation_holds(ring, b, c, m, pa, lower)
+        ends.append(Fraction(n - k, m) if holds else None)
+    return ends == [result.p_lb, result.q_ub]
+
+
 # ---------------------------------------------------------------------------
 # state extension from a finitely generated subsemigroup
 
@@ -223,49 +244,31 @@ def _span_with_values(ring, spec: StateSpec, ball: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
     Returns ({element: value numerator}, denominator): every value is an
-    integer over one common denominator.  Additivity conflicts and
-    monotonicity violations on provable relations are rejected.
+    integer over one common denominator.  The first additivity conflict,
+    in lexicographic order of the coefficients, is rejected.
     """
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
     denom = lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (denom // v.denominator) for v in vals]
-    zero = monoid_identity(ring)
+    combos = [(monoid_identity(ring), 0)]
+    for g, v in zip(gens, vals):
+        gv, grown = v.numerator * (denom // v.denominator), []
+        for elt, val in combos:
+            t = 0  # a zero generator still gets t = 1, to expose its value
+            while sum(elt) <= ball and (t < 2 or any(g)):
+                grown.append((elt, val))
+                elt, val, t = monoid_add(elt, g), val + gv, t + 1
+        combos = grown
     elems = {}
-
-    def visit(idx, cur, val):
-        if idx == len(gens):
-            prev = elems.get(cur)
-            if prev is not None and prev != val:
-                raise PreconditionError(
-                    f"state spec is inconsistent: element {cur} gets values "
-                    f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
-                )
-            elems.setdefault(cur, val)
-            return
-        g, gv = gens[idx], nums[idx]
-        t = 0
-        elt, value = cur, val
-        while sum(elt) <= ball:
-            visit(idx + 1, elt, value)
-            if sum(g) == 0 and t >= 1:
-                break
-            elt = monoid_add(elt, g)
-            value = value + gv
-            t += 1
-
-    visit(0, zero, 0)
-
-    ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
-    for x, vx, px in ordered:
-        for y, vy, py in ordered:
-            if vx > vy and all(s <= t for s, t in zip(px, py)):
-                raise PreconditionError(
-                    f"state spec is inconsistent: {x} <= {y} but value "
-                    f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
-                )
+    for elt, val in combos:
+        prev = elems.setdefault(elt, val)
+        if prev != val:
+            raise PreconditionError(
+                f"state spec is inconsistent: element {elt} gets values "
+                f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
+            )
     return elems, denom
 
 
@@ -289,13 +292,20 @@ def state_extension(
     check_states_exist(ring, max(ball, 1))
     v = order_unit(ring)
     elems, denom = _span_with_values(ring, spec, ball)
+    ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
+    for x, vx, px in ordered:
+        for y, vy, py in ordered:
+            if vx > vy and all(s <= t for s, t in zip(px, py)):
+                raise PreconditionError(
+                    f"state spec is inconsistent: {x} <= {y} but value "
+                    f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
+                )
     if elems.get(v) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"
         )
     pa = _profile(ring, a)
     multiples = [(m, [m * x for x in pa]) for m in range(1, m_bound + 1)]
-    ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
     # a best value (vb - vc)/(m denom) is kept as its integer pair
     best_p = best_q = None
     for b, vb, pb in ordered:
@@ -321,6 +331,58 @@ def state_extension(
         q_witness=best_q[2],
         exact=None,
     )
+
+
+def _values_below(gens, values, top) -> dict:
+    """{element: value} over the span's elements componentwise <= top.
+
+    Each element keeps the value of the first combination reaching it; a
+    consistent spec gives every combination the same value.
+    """
+    found = {(0,) * len(top): Fraction(0)}
+    for g, v in zip(gens, values):
+        for elt, val in list(found.items()):
+            while any(g):
+                elt, val = monoid_add(elt, g), val + v
+                if any(x > t for x, t in zip(elt, top)):
+                    break
+                found.setdefault(elt, val)
+    return found
+
+
+def verify_state_extension(
+    ring, spec: StateSpec, a, result: StateRange, ball: int, m_bound: int, shifted: bool
+) -> bool:
+    """Re-check both witness relations of a state_extension result.
+
+    A witness (b, c, m, mbar) needs ||b||_1, ||c||_1 <= ball, 1 <= m <=
+    m_bound and mbar = 0 unless shifted; its relation is decided at t = 0.
+    Values come from the span below b and c, so the cost is bounded by
+    the witness, not the ball.  An inconsistent spec admits no state, so
+    the emitter's consistency scan is not repeated.
+    """
+
+    def endpoint(witness, lower):
+        b, c, m, mbar = witness
+        b, c = check_element(ring, b), check_element(ring, c)
+        if max(sum(b), sum(c)) > ball or not 1 <= m <= m_bound:
+            return None
+        if mbar < 0 or (mbar > 0 and not shifted):
+            return None
+        if not _relation_holds(ring, b, c, m, pa, lower):
+            return None
+        values = _values_below(gens, spec.values, tuple(map(max, b, c)))
+        if b not in values or c not in values:
+            return None
+        return (values[b] - values[c]) / m
+
+    try:
+        pa = _profile(ring, check_element(ring, a))
+        gens = [check_element(ring, g) for g in spec.generators]
+        ends = (endpoint(result.p_witness, True), endpoint(result.q_witness, False))
+    except PreconditionError:
+        return False
+    return len(gens) == len(spec.values) and ends == (result.p_lb, result.q_ub)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +415,14 @@ class RkSquareResult:
     lower: MinorSweep
 
 
-def _check_square_pair(ring, a, bound: int):
-    """Check a^m not in (a^(m+1)) for all m <= bound.
+def check_formal_hypothesis(ring, a, bound: int):
+    """Check a^m not in (a^(m+1)) for all m <= bound; return a normalized.
 
     Z and F_p[x] are UFDs, so the first failure is at m = 0 when a is a
     unit, at m = 1 when a = 0, and never otherwise.
     """
     if not isinstance(ring, (IntegerRing, PolyRing)):
-        raise PreconditionError("rk_for_square needs Z or F_p[x]")
+        raise PreconditionError("formal diagonal elements need Z or F_p[x]")
     a = ring.normalize(a)
     if ring.is_unit(a):
         first = 0
@@ -419,7 +481,7 @@ def rk_for_square(ring, a, bound: int = 6, depth: int = 8) -> RkSquareResult:
     (see _square_sweep), so the lower certificate is that lemma together
     with the number of relations it covers.
     """
-    _check_square_pair(ring, a, bound)
+    check_formal_hypothesis(ring, a, bound)
     upper = leq_provable((1, 1), (0, 2), depth)
     if not isinstance(upper, Positive):
         raise SearchBudgetError("chain for 2<a> <= <1>+<a^2> not found; this is a bug")
@@ -434,7 +496,7 @@ def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
     compared with the closed form, in constant time.
     """
     try:
-        _check_square_pair(ring, a, result.lower.bound)
+        check_formal_hypothesis(ring, a, result.lower.bound)
     except PreconditionError:
         return False
     if result.value != Fraction(1, 2):

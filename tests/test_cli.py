@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from rankcert.cli import main
 
 
@@ -228,3 +230,79 @@ def test_selftest_fast_subset(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 2
     assert all(l.startswith("PASS") for l in lines)
+
+
+EXTEND_STATE = (
+    "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,0,1]]",
+    "--values", '["1/1","0/1"]', "--a", "[0,1,0]", "--ball", "12", "--M", "12",
+)
+STATE_RANGE = ("state-range", "--ring", "Z/8", "--a", "[0,1,0]")
+REGULAR_LEQ = ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]')
+LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
+FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
+
+
+def edit(fn):
+    """An edit that changes a response in place, then returns it."""
+
+    def apply(data):
+        fn(data)
+        return data
+
+    return apply
+
+
+# (emitting command, edit of its response, exit codes verify may give)
+EDITED_RESPONSES = [
+    pytest.param(EXTEND_STATE, edit(lambda d: d.update(ball=3000)), {0}, id="ball-3000"),
+    pytest.param(
+        EXTEND_STATE,
+        edit(lambda d: (d["p_witness"].update(mbar=5), d["q_witness"].update(mbar=7))),
+        {1},
+        id="mbar-unshifted",
+    ),
+    pytest.param(
+        EXTEND_STATE, edit(lambda d: d.update(values=["0/1", "1/1"])), {0, 1}, id="inconsistent"
+    ),
+    pytest.param(STATE_RANGE, edit(lambda d: d["q_witness"].update(m=0)), {1}, id="m-zero"),
+    pytest.param(STATE_RANGE, edit(lambda d: d["p_witness"].update(n=-3)), {1}, id="n-negative"),
+    pytest.param(
+        REGULAR_LEQ,
+        edit(lambda d: d["certificate"].update(c=[["(1,0)", "(0,0)"]])),
+        {1},
+        id="factor-shape",
+    ),
+    pytest.param(
+        LOCAL_CHAIN, edit(lambda d: d["certificate"]["moves"][0].pop("j1")), {2}, id="no-j1"
+    ),
+    pytest.param(LOCAL_CHAIN, lambda d: [d], {2}, id="top-level-list"),
+    # diag(u) <= diag(u^2) for a unit u, and diag(0) <= diag(0): the refutation is false
+    pytest.param(FORMAL_REFUTATION, edit(lambda d: d.update(elem="1")), {1}, id="unit-pivot"),
+    pytest.param(
+        FORMAL_REFUTATION, edit(lambda d: d.update(elem="0", depth=0)), {1}, id="zero-pivot"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, change, codes", EDITED_RESPONSES)
+def test_verify_edited_response_is_decided_quickly(capsys, tmp_path, argv, change, codes):
+    data = change(run_json(capsys, *argv))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, "verify", "--file", str(path))
+    assert code in codes, err
+    assert time.monotonic() - start < 1.0
+
+
+def test_formal_hypothesis_is_decided_at_any_depth(capsys):
+    start = time.monotonic()
+    data = run_json(
+        capsys, "leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[1]", "--depth", "8000"
+    )
+    assert data["result"] is True
+    assert time.monotonic() - start < 1.0
+    assert run_cli(capsys, "leq", "--ring", "Z", "--elem", "-1", "--a", "[1]", "--b", "[1]")[0] == 3
+    # diag(0) <= diag(0): the hypothesis must hold up to the exponents, whatever the depth
+    argv = ("leq", "--ring", "Z", "--elem", "0", "--a", "[1]", "--b", "[2]", "--depth", "1")
+    assert run_cli(capsys, *argv)[0] == 3

@@ -9,6 +9,7 @@ from rankcert import (
     Cancel,
     Drop,
     ExponentIncrease,
+    FactorResult,
     NegativeMinor,
     NegativeRank,
     Positive,
@@ -303,6 +304,20 @@ def test_regular_factor_random_round_trips():
         else:
             assert not leq(ring, class_of(A), class_of(B))
         done += 1
+
+
+def test_verify_factor_rejects_mismatched_shapes_and_rings():
+    ring = parse_ring("F2*F3")
+    A = matrix(ring, [[(1, 0)]])
+    B = matrix(ring, [[(1, 1)]])
+    res = regular_factor(A, B)
+    wide = matrix(ring, [[(1, 0), (0, 0)]])
+    assert not verify_factor(A, B, FactorResult(wide, res.D, None))
+    assert not verify_factor(A, B, FactorResult(res.C, wide, None))
+    z8 = parse_ring("Z/8")
+    one = identity(z8, 1)
+    assert not verify_factor(one, one, FactorResult(None, None, 0))
+    assert not verify_factor(A, one, FactorResult(None, None, 0))
 
 
 # ---------------------------------------------------------------------------

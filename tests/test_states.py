@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from rankcert import (
     state_extension,
     state_range,
     verify_rk_square,
+    verify_state_extension,
+    verify_state_range,
 )
 
 from rankcert.acceptance import brute_square_sweep
@@ -295,6 +298,48 @@ def test_state_range_matches_reference(case):
 @given(extension_cases())
 def test_state_extension_matches_reference(case):
     assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(range_cases())
+def test_state_range_certificates_verify(case):
+    ring, a, n_bound, m_bound = case
+    try:
+        sr = state_range(*case)
+    except (PreconditionError, BoundExceededError):
+        return
+    assert verify_state_range(ring, a, sr, n_bound, m_bound)
+    (n, k, m), (n2, k2, m2) = sr.p_witness, sr.q_witness
+    assert not verify_state_range(ring, a, sr, n_bound, m - 1)
+    assert not verify_state_range(ring, a, replace(sr, q_ub=sr.q_ub + 1), n_bound, m_bound)
+    # the endpoints are extreme over the grid, so a one-step better claim fails its relation
+    if n < n_bound:
+        better = replace(sr, p_lb=Fraction(n + 1 - k, m), p_witness=(n + 1, k, m))
+        assert not verify_state_range(ring, a, better, n_bound, m_bound)
+    if n2 > 0:
+        better = replace(sr, q_ub=Fraction(n2 - 1 - k2, m2), q_witness=(n2 - 1, k2, m2))
+        assert not verify_state_range(ring, a, better, n_bound, m_bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_cases())
+def test_state_extension_certificates_verify(case):
+    ring, spec, a, ball, m_bound, shifted = case
+    try:
+        sr = state_extension(*case)
+    except (PreconditionError, BoundExceededError):
+        return
+    assert verify_state_extension(ring, spec, a, sr, ball, m_bound, shifted)
+    # cancellation keeps a shifted relation valid, but only a shifted run may name one
+    b, c, m, _ = sr.p_witness
+    moved = replace(sr, p_witness=(b, c, m, 3))
+    assert verify_state_extension(ring, spec, a, moved, ball, m_bound, shifted) == shifted
+    assert not verify_state_extension(ring, spec, a, sr, ball, m - 1, shifted)
+    assert not verify_state_extension(
+        ring, spec, a, replace(sr, q_ub=sr.q_ub + 1), ball, m_bound, shifted
+    )
+    # the ball only caps the witness norms; the values are looked up below the witness
+    assert verify_state_extension(ring, spec, a, sr, 10**9, m_bound, shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,161 @@
+"""`verify` is total: every mutation of a README response exits 0, 1 or 2, fast.
+
+Each example takes one verifiable response from the README's CLI block,
+applies one mutation (drop a key, change a value's type, perturb an
+integer, reshape a matrix) and feeds it to `verify` in-process.  An
+exception escaping `main` is what would print a traceback.
+"""
+
+import io
+import json
+import signal
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankcert.cli import main
+
+README_RESPONSES = (
+    ("diagonalize", "--ring", "Z/8", "--matrix", '[["2","1"],["0","4"]]'),
+    ("leq", "--ring", "Z/8", "--a", "[[2]]", "--b", "[[4]]"),
+    ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]"),
+    ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]'),
+    ("leq", "--ring", "Z", "--elem", "2", "--a", "[1,1]", "--b", "[0,2]"),
+    ("state-range", "--ring", "Z/8", "--a", "[0,1,0]", "--N", "12", "--M", "12"),
+    (
+        "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,0,1]]",
+        "--values", '["1/1","0/1"]', "--a", "[0,1,0]", "--ball", "12", "--M", "12",
+    ),
+    ("rk-square", "--ring", "Z", "--a", "2", "--bounds", "6"),
+)
+LIMIT_S = 1.0
+OTHER_VALUES = (None, True, 0, -1, 2.5, "x", "1/0", "inf", [], [[]], {}, {"kind": "positive"})
+LARGE_INTS = (-(2**31), -1, 0, 2**31)
+
+
+class TooSlow(Exception):
+    pass
+
+
+def run(argv, stdin=""):
+    """Exit code, stdout and seconds of one in-process CLI call.
+
+    A call still running after ten times the limit is stopped, so that a
+    hang fails the example instead of the suite.
+    """
+
+    def stop(signum, frame):
+        raise TooSlow(argv)
+
+    out, saved = io.StringIO(), sys.stdin
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10 * LIMIT_S)
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            start = time.monotonic()
+            code = main(list(argv))
+            elapsed = time.monotonic() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        sys.stdin = saved
+    return code, out.getvalue(), elapsed
+
+
+@lru_cache(maxsize=None)
+def responses():
+    texts = []
+    for argv in README_RESPONSES:
+        code, text, _ = run(argv)
+        assert code == 0, argv
+        texts.append(text)
+    return tuple(texts)
+
+
+def nodes(doc, path=()):
+    """(path, value) for every node of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from nodes(value, path + (key,))
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_matrix(value):
+    return isinstance(value, list) and bool(value) and all(isinstance(r, list) for r in value)
+
+
+def reshapes(m):
+    return [
+        m[1:],
+        [m[0][:-1]] + m[1:],
+        m + [list(m[0])],
+        [list(col) for col in zip(*m)],
+        [row + ["0"] for row in m],
+        [],
+    ]
+
+
+@st.composite
+def mutated_responses(draw):
+    doc = json.loads(draw(st.sampled_from(responses())))
+    everything = list(nodes(doc))
+    kind = draw(st.sampled_from(["drop", "retype", "perturb", "reshape"]))
+    if kind == "drop":
+        choices = [p for p, _ in everything if p]
+    elif kind == "retype":
+        choices = [p for p, _ in everything]
+    elif kind == "perturb":
+        choices = [p for p, v in everything if is_int(v)]
+    else:
+        choices = [p for p, v in everything if is_matrix(v)]
+    if not choices:
+        return doc
+    path = draw(st.sampled_from(choices))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]] if path else doc
+    if kind == "drop":
+        del parent[path[-1]]
+        return doc
+    if kind == "retype":
+        new = draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(value)]))
+    elif kind == "perturb":
+        new = draw(st.one_of(st.integers(-3, 3).map(lambda d: value + d),
+                             st.sampled_from(LARGE_INTS)))
+    else:
+        new = draw(st.sampled_from(reshapes(value)))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_responses())
+def test_verify_is_total_on_mutated_readme_responses(doc):
+    code, out, elapsed = run(["verify"], json.dumps(doc))
+    assert code in (0, 1, 2)
+    assert elapsed < LIMIT_S
+    if code in (0, 1):
+        assert json.loads(out)["verified"] is (code == 0)
+
+
+def test_every_readme_response_verifies():
+    for text in responses():
+        code, out, _ = run(["verify"], text)
+        assert code == 0 and json.loads(out)["verified"] is True
