@@ -219,9 +219,9 @@ def cmd_normalize(args):
     if ring.is_local:
         payload["zero"] = ring.is_zero(value)
         if not ring.is_zero(value):
-            unit = ring.from_unit_val(value.unit, 0)
-            payload["unit"] = ring.format(unit)
-            payload["valuation"] = value.val
+            val = ring.valuation(value)
+            payload["unit"] = ring.format(ring.shift(value, val))
+            payload["valuation"] = val
     return payload
 
 
@@ -421,7 +421,7 @@ def _load_presentation(ring, text):
     data = load_json(text, "presentation payload")
     if not isinstance(data, dict) or "gens" not in data or "relations" not in data:
         raise ParseError('presentation must look like {"gens": m, "relations": [[..]]}')
-    return presentation(int(data["gens"]), load_matrix(ring, data["relations"]))
+    return presentation(_get(data, "gens", int), load_matrix(ring, data["relations"]))
 
 
 def _signature_payload(sig):
@@ -520,13 +520,19 @@ def cmd_verify(args):
 
 
 def _load_state_range(data, fields) -> StateRange:
-    """A state-range or extend-state response; witness fields b and c are vectors."""
+    """A state-range or extend-state response; witness fields b and c are vectors.
+
+    Only a state-range response carries the `exact` interval.
+    """
     p_w, q_w = (
         tuple(_int_tuple(w.get(f), f) if f in ("b", "c") else _get(w, f, int) for f in fields)
         for w in (_get(data, "p_witness", dict), _get(data, "q_witness", dict))
     )
     p_lb, q_ub = parse_fraction(data.get("p_lb")), parse_fraction(data.get("q_ub"))
-    return StateRange(p_lb, q_ub, p_w, q_w, exact=None)
+    exact = None
+    if fields is _RANGE_WITNESS:
+        exact = tuple(parse_fraction(x) for x in _typed(data.get("exact"), list, "exact"))
+    return StateRange(p_lb, q_ub, p_w, q_w, exact)
 
 
 def _verify_response(command, data) -> bool:

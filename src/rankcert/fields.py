@@ -13,15 +13,25 @@ from .errors import ParseError, PreconditionError
 from .polys import min_irreducible, pdivmod, pmul, pnormalize
 
 
+def _least_divisor(q: int) -> int:
+    """The least divisor d >= 2 of q >= 2, by trial division up to sqrt(q)."""
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            return d
+        d += 1
+    return q
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and _least_divisor(p) == p
+
+
 def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, or raise if q is not a prime power."""
     if q < 2:
         raise ParseError(f"{q} is not a prime power")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    p = _least_divisor(q)
     k, rest = 0, q
     while rest % p == 0:
         rest //= p

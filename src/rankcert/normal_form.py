@@ -94,20 +94,18 @@ def diagonalize(A: Matrix) -> DiagonalForm:
             swap_rows(d, pi)
         if pj != d:
             swap_cols(d, pj)
-        unit = ring.from_unit_val(M[d][d].unit, 0)
-        if not ring.is_zero(ring.sub(unit, ring.one)):
+        unit = ring.shift(M[d][d], v)
+        if unit != ring.one:
             scale_row(d, ring.unit_inverse(unit))
         # pivot is now exactly c^v; every other entry has valuation >= v
         for i in range(d + 1, r):
             x = M[i][d]
             if not ring.is_zero(x):
-                t = ring.from_unit_val(x.unit, x.val - v)
-                add_row(i, d, ring.neg(t))
+                add_row(i, d, ring.neg(ring.shift(x, v)))
         for j in range(d + 1, c):
             x = M[d][j]
             if not ring.is_zero(x):
-                t = ring.from_unit_val(x.unit, x.val - v)
-                add_col(j, d, ring.neg(t))
+                add_col(j, d, ring.neg(ring.shift(x, v)))
         exponents.append(v)
         d += 1
 

@@ -9,20 +9,22 @@ Five families are available, named in the same grammar the CLI accepts:
     F2*F3*F5    finite product of finite fields (von Neumann regular)
 
 Every value is a canonical immutable object, so equality of values is
-equality in the ring.  Nonzero elements of the local families are kept
-as LocalValue(unit, val) with value = unit * c^val; the unit is the
-least representative modulo c^(n-val), which makes the pair unique.
-No floating point is used anywhere.
+equality in the ring.  A value of Z/p^n is its residue in [0, p^n); a
+value of F_p[x]/x^n is its F_p[x] coefficient tuple cut below degree n.
+The local families read the radical generator c off that form on demand:
+valuation(a) is the largest v with c^v dividing a (n for zero), and
+shift(a, v), for v <= valuation(a), is the canonical a / c^v, so
+mul(shift(a, v), generator_power(v)) == a and shift(a, valuation(a)) is
+a unit.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
-from .fields import factor_prime_power, make_field
+from .fields import factor_prime_power, is_prime, make_field
 from .polys import (
     format_poly,
     padd,
@@ -32,11 +34,6 @@ from .polys import (
     pneg,
     pnormalize,
 )
-
-
-class LocalValue(NamedTuple):
-    unit: object
-    val: int
 
 
 class Ring:
@@ -151,7 +148,7 @@ class PolyRing(Ring):
     """F_p[x]; values are coefficient tuples, lowest degree first."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ParseError(f"{p} is not prime")
         self.p = p
         self.spec = f"F{p}[x]"
@@ -204,38 +201,48 @@ class _LocalRing(Ring):
     is_finite = True
 
     nil_degree: int  # least n with c^n = 0
+    generator: object  # the radical generator c
 
-    def radical_generator(self):
+    def valuation(self, a) -> int:
+        """Largest v with c^v dividing a; nil_degree for zero."""
         raise NotImplementedError
 
-    def _to_raw(self, v: LocalValue):
+    def shift(self, a, v: int):
+        """The canonical a / c^v, for 0 <= v <= valuation(a)."""
         raise NotImplementedError
 
-    def valuation(self, a: LocalValue) -> int:
-        """Exponent of c in the canonical form; nil_degree for zero."""
-        return a.val
+    def _inverse(self, a):
+        raise NotImplementedError
 
     def is_zero(self, a):
-        return a.val >= self.nil_degree
+        return a == self.zero
 
     def is_unit(self, a):
-        return a.val == 0
+        return self.valuation(a) == 0
 
-    def from_unit_val(self, unit_raw, val: int) -> LocalValue:
-        raise NotImplementedError
+    def unit_inverse(self, a):
+        if not self.is_unit(a):
+            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
+        return self._inverse(a)
 
-    def generator_power(self, i: int) -> LocalValue:
+    def ideal_member(self, x, gen):
+        return self.valuation(x) >= self.valuation(gen)
+
+    def radical_generator(self):
+        return self.generator
+
+    def generator_power(self, i: int):
         """c^i, with i = nil_degree giving zero."""
         if not 0 <= i <= self.nil_degree:
             raise PreconditionError(f"exponent {i} outside [0, {self.nil_degree}]")
-        return self.power(self.radical_generator(), i)
+        return self.power(self.generator, i)
 
 
 class ModPrimePowerRing(_LocalRing):
-    """Z/p^n with radical generator c = p."""
+    """Z/p^n with radical generator c = p; values are residues in [0, p^n)."""
 
     def __init__(self, p: int, n: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ParseError(f"{p} is not prime")
         if n < 1:
             raise ParseError("exponent must be >= 1")
@@ -244,57 +251,38 @@ class ModPrimePowerRing(_LocalRing):
         self.modulus = p**n
         self.size = self.modulus
         self.spec = f"Z/{self.modulus}"
-        self.zero = LocalValue(0, n)
-        self.one = LocalValue(1, 0)
+        self.zero = 0
+        self.one = 1
+        self.generator = self.normalize(p)
 
     def normalize(self, raw):
-        if isinstance(raw, LocalValue):
-            raw = self._to_raw(raw)
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ParseError(f"bad residue literal {raw!r}")
-        r = raw % self.modulus
-        if r == 0:
-            return self.zero
-        val = 0
-        while r % self.p == 0:
-            r //= self.p
-            val += 1
-        return LocalValue(r % self.p ** (self.nil_degree - val), val)
+        return raw % self.modulus
 
-    def _to_raw(self, v):
-        if v.val >= self.nil_degree:
-            return 0
-        return (v.unit * self.p**v.val) % self.modulus
+    def valuation(self, a):
+        if a == 0:
+            return self.nil_degree
+        v = 0
+        while a % self.p == 0:
+            a //= self.p
+            v += 1
+        return v
 
-    def from_unit_val(self, unit_raw, val):
-        if val >= self.nil_degree:
-            return self.zero
-        return self.normalize(unit_raw * self.p**val)
-
-    def radical_generator(self):
-        return self.normalize(self.p)
+    def shift(self, a, v):
+        return a // self.p**v
 
     def add(self, a, b):
-        return self.normalize(self._to_raw(a) + self._to_raw(b))
+        return (a + b) % self.modulus
 
     def neg(self, a):
-        return self.normalize(-self._to_raw(a))
+        return -a % self.modulus
 
     def mul(self, a, b):
-        v = a.val + b.val
-        if v >= self.nil_degree:
-            return self.zero
-        return LocalValue((a.unit * b.unit) % self.p ** (self.nil_degree - v), v)
+        return a * b % self.modulus
 
-    def unit_inverse(self, a):
-        if a.val != 0:
-            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
-        return LocalValue(pow(a.unit, -1, self.modulus), 0)
-
-    def ideal_member(self, x, gen):
-        if self.is_zero(x):
-            return True
-        return x.val >= gen.val
+    def _inverse(self, a):
+        return pow(a, -1, self.modulus)
 
     def parse(self, text):
         try:
@@ -303,17 +291,17 @@ class ModPrimePowerRing(_LocalRing):
             raise ParseError(f"bad residue literal {text!r}") from None
 
     def format(self, a):
-        return str(self._to_raw(a))
+        return str(a)
 
     def elements(self):
-        return [self.normalize(i) for i in range(self.modulus)]
+        return list(range(self.modulus))
 
 
 class TruncatedPolyRing(_LocalRing):
-    """F_p[x]/(x^n) with radical generator c = x; units are coefficient tuples."""
+    """F_p[x]/(x^n) with radical generator c = x; values are F_p[x] tuples of length <= n."""
 
     def __init__(self, p: int, n: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ParseError(f"{p} is not prime")
         if n < 1:
             raise ParseError("exponent must be >= 1")
@@ -321,80 +309,52 @@ class TruncatedPolyRing(_LocalRing):
         self.nil_degree = n
         self.size = p**n
         self.spec = f"F{p}[x]/x^{n}"
-        self.zero = LocalValue((), n)
-        self.one = LocalValue((1,), 0)
+        self.zero = ()
+        self.one = (1,)
+        self.generator = self.normalize((0, 1))
 
     def normalize(self, raw):
-        if isinstance(raw, LocalValue):
-            raw = self._to_raw(raw)
         if isinstance(raw, int) and not isinstance(raw, bool):
             raw = (raw,)
         if not isinstance(raw, (list, tuple)):
             raise ParseError(f"bad truncated polynomial literal {raw!r}")
-        coeffs = pnormalize(tuple(raw)[: self.nil_degree], self.p)
-        if not coeffs:
-            return self.zero
-        val = next(i for i, c in enumerate(coeffs) if c != 0)
-        return LocalValue(coeffs[val:], val)
+        return pnormalize(raw[: self.nil_degree], self.p)
 
-    def _to_raw(self, v):
-        if v.val >= self.nil_degree:
-            return ()
-        return (0,) * v.val + tuple(v.unit)
+    def valuation(self, a):
+        return next((i for i, c in enumerate(a) if c), self.nil_degree)
 
-    def from_unit_val(self, unit_raw, val):
-        if val >= self.nil_degree:
-            return self.zero
-        unit = pnormalize(unit_raw, self.p)
-        return self.normalize((0,) * val + unit)
-
-    def radical_generator(self):
-        return self.normalize((0, 1))
+    def shift(self, a, v):
+        return a[v:]
 
     def add(self, a, b):
-        return self.normalize(padd(self._to_raw(a), self._to_raw(b), self.p))
+        return padd(a, b, self.p)
 
     def neg(self, a):
-        return self.normalize(pneg(self._to_raw(a), self.p))
+        return pneg(a, self.p)
 
     def mul(self, a, b):
-        v = a.val + b.val
-        if v >= self.nil_degree:
-            return self.zero
-        unit = pmul(a.unit, b.unit, self.p)[: self.nil_degree - v]
-        return LocalValue(pnormalize(unit, self.p), v)
+        return pnormalize(pmul(a, b, self.p)[: self.nil_degree], self.p)
 
-    def unit_inverse(self, a):
-        if a.val != 0:
-            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
+    def _inverse(self, a):
         # power series inversion of the unit up to degree n-1
-        u = self._to_raw(a)
-        inv0 = pow(u[0], -1, self.p)
+        inv0 = pow(a[0], -1, self.p)
         w = [inv0] + [0] * (self.nil_degree - 1)
         for k in range(1, self.nil_degree):
             acc = 0
             for i in range(1, k + 1):
-                if i < len(u):
-                    acc += u[i] * w[k - i]
+                if i < len(a):
+                    acc += a[i] * w[k - i]
             w[k] = (-inv0 * acc) % self.p
         return self.normalize(w)
-
-    def ideal_member(self, x, gen):
-        if self.is_zero(x):
-            return True
-        return x.val >= gen.val
 
     def parse(self, text):
         return self.normalize(parse_poly(text, self.p))
 
     def format(self, a):
-        return format_poly(self._to_raw(a))
+        return format_poly(a)
 
     def elements(self):
-        out = []
-        for coeffs in product(range(self.p), repeat=self.nil_degree):
-            out.append(self.normalize(coeffs))
-        return out
+        return [pnormalize(c, self.p) for c in product(range(self.p), repeat=self.nil_degree)]
 
 
 class FieldProductRing(Ring):
@@ -477,17 +437,6 @@ class FieldProductRing(Ring):
 
 
 _PRODUCT_RE = re.compile(r"^F(\d+)(\*F\d+)*$")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def parse_ring(text: str) -> Ring:

@@ -25,9 +25,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BoundExceededError, PreconditionError, SearchBudgetError
-from .fields import ExtensionField, PrimeField, field_rank
+from .fields import ExtensionField, PrimeField, field_rank, is_prime
 from .polys import is_irreducible, pdivmod, pscale
-from .rings import IntegerRing, Matrix, PolyRing, _is_prime
+from .rings import IntegerRing, Matrix, PolyRing
 from .semigroup import (
     Positive,
     _profile,
@@ -39,7 +39,6 @@ from .semigroup import (
     monoid_identity,
     monoid_scale,
     order_unit,
-    rank_profile,
     verify_formal_certificate,
 )
 
@@ -163,8 +162,8 @@ def check_states_exist(ring, limit: int):
 
 def _exact_interval(ring, a):
     if ring.is_local:
-        profile = rank_profile(ring, a)
-        return (min(profile), max(profile))
+        ranks = [Fraction(x, k) for k, x in enumerate(_profile(ring, a), 1)]
+        return (min(ranks), max(ranks))
     return (Fraction(min(a)), Fraction(max(a)))
 
 
@@ -212,14 +211,18 @@ def _relation_holds(ring, b, c, m: int, pa, lower: bool) -> bool:
 
 
 def verify_state_range(ring, a, result: StateRange, n_bound: int, m_bound: int) -> bool:
-    """Re-check both witness relations of a state_range result.
+    """Re-check both witness relations and the exact interval of a state_range result.
 
     A witness (n, k, m) must lie in the enumerated grid and relate n v to
-    m a + k v as its endpoint (n - k)/m claims, in constant time.
+    m a + k v as its endpoint (n - k)/m claims, in constant time; the
+    exact interval is recomputed, in time linear in the width.
     """
     try:
-        v, pa = order_unit(ring), _profile(ring, check_element(ring, a))
+        a = check_element(ring, a)
+        v, pa = order_unit(ring), _profile(ring, a)
     except PreconditionError:
+        return False
+    if result.exact != _exact_interval(ring, a):
         return False
     ends = []
     for (n, k, m), lower in ((result.p_witness, True), (result.q_witness, False)):
@@ -529,7 +532,7 @@ class PullbackRank:
             return
         if isinstance(ring, IntegerRing):
             p = abs(self.pi)
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise PreconditionError(f"{self.pi} is not prime in Z")
             self.field = PrimeField(p)
             self._reduce = lambda x: x % p

@@ -1,5 +1,8 @@
+import io
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +190,13 @@ def test_dim_equiv_phi_psi(capsys):
     assert ps["coeffs"] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("gens", ['"x"', "true"])
+def test_presentation_gens_must_be_an_int(capsys, gens):
+    payload = '{"gens":%s,"relations":[["2"]]}' % gens
+    code, out, err = run_cli(capsys, "phi", "--ring", "Z/8", "--presentation", payload)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_diagonalize_verify_round_trip(capsys, tmp_path):
     data = run_json(
         capsys, "diagonalize", "--ring", "Z/8", "--matrix", '[["2","1"],["0","4"]]'
@@ -295,6 +305,18 @@ def test_verify_edited_response_is_decided_quickly(capsys, tmp_path, argv, chang
     assert time.monotonic() - start < 1.0
 
 
+def test_verify_certifies_state_range_exact(capsys, tmp_path):
+    data = run_json(capsys, *STATE_RANGE, "--N", "12", "--M", "12")
+    path = tmp_path / "sr.json"
+    for response, code in [
+        (data, 0),
+        ({**data, "exact": ["5/1", "7/1"]}, 1),
+        ({k: v for k, v in data.items() if k != "exact"}, 2),
+    ]:
+        path.write_text(json.dumps(response))
+        assert run_cli(capsys, "verify", "--file", str(path))[0] == code
+
+
 def test_formal_hypothesis_is_decided_at_any_depth(capsys):
     start = time.monotonic()
     data = run_json(
@@ -306,3 +328,23 @@ def test_formal_hypothesis_is_decided_at_any_depth(capsys):
     # diag(0) <= diag(0): the hypothesis must hold up to the exponents, whatever the depth
     argv = ("leq", "--ring", "Z", "--elem", "0", "--a", "[1]", "--b", "[2]", "--depth", "1")
     assert run_cli(capsys, *argv)[0] == 3
+
+
+README_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "cli_readme.json"
+README_INVOCATIONS = json.loads(README_FIXTURES.read_text())["invocations"]
+
+
+@pytest.mark.parametrize(
+    "inv",
+    README_INVOCATIONS,
+    ids=[f"{i}-{inv['argv'][0]}" for i, inv in enumerate(README_INVOCATIONS)],
+)
+def test_readme_command_bytes(capsys, monkeypatch, inv):
+    # every README command prints the recorded bytes and exit code, and so does
+    # `verify` when its response is piped back in
+    code, out, _ = run_cli(capsys, *inv["argv"])
+    assert (out, code) == (inv["stdout"], inv["exit"])
+    if inv["verify"] is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = run_cli(capsys, "verify")
+        assert (out, code) == (inv["verify"]["stdout"], inv["verify"]["exit"])

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -37,9 +38,11 @@ def test_parse_ring_rejects(bad):
 def test_normalize_six_in_z8():
     ring = parse_ring("Z/8")
     v = ring.normalize(6)
+    val = ring.valuation(v)
+    unit = ring.shift(v, val)
     # oracle: unit * c^val reproduces the residue
-    assert (v.unit * 2**v.val) % 8 == 6
-    assert (v.unit, v.val) == (3, 1)
+    assert (unit * 2**val) % 8 == 6
+    assert (unit, val) == (3, 1)
 
 
 def test_normalize_zero_everywhere():
@@ -52,7 +55,7 @@ def test_normalize_truncated_poly():
     ring = parse_ring("F2[x]/x^3")
     v = ring.parse("x^2+x")
     # oracle: (x+1) * x = x^2 + x and x+1 is invertible mod x^3
-    assert (v.unit, v.val) == ((1, 1), 1)
+    assert (ring.shift(v, ring.valuation(v)), ring.valuation(v)) == ((1, 1), 1)
     assert ring.mul(ring.normalize((1, 1)), ring.radical_generator()) == v
     assert ring.is_unit(ring.normalize((1, 1)))
 
@@ -72,10 +75,34 @@ def test_local_unit_valuation_unique():
         for x in ring.elements():
             if ring.is_zero(x):
                 continue
-            assert 0 <= x.val < ring.nil_degree
-            key = (x.unit, x.val)
+            val = ring.valuation(x)
+            assert 0 <= val < ring.nil_degree
+            key = (ring.shift(x, val), val)
             assert key not in seen
             seen[key] = x
+
+
+def test_shift_undoes_generator_power():
+    # the local ring contract: x = shift(x, v) * c^v, and shift(x, val(x)) is a unit
+    for spec in SMALL_FINITE:
+        ring = parse_ring(spec)
+        if not ring.is_local:
+            continue
+        for x in ring.elements():
+            if ring.is_zero(x):
+                continue
+            val = ring.valuation(x)
+            for v in range(val + 1):
+                assert ring.mul(ring.shift(x, v), ring.generator_power(v)) == x, (spec, x, v)
+            assert ring.is_unit(ring.shift(x, val)), (spec, x)
+
+
+def test_parse_ring_large_prime_is_fast():
+    # trial division stops at sqrt(q), so a ring spec in a payload cannot cost O(q)
+    start = time.monotonic()
+    ring = parse_ring("Z/1000000007")
+    assert time.monotonic() - start < 1.0
+    assert (ring.p, ring.nil_degree) == (1000000007, 1)
 
 
 def test_ring_laws_exhaustive_z8():
@@ -119,8 +146,8 @@ def test_local_mul_valuation_law():
         for x in ring.elements():
             for y in ring.elements():
                 z = ring.mul(x, y)
-                expected = min(x.val + y.val, n)
-                assert z.val == (n if expected >= n else expected)
+                expected = min(ring.valuation(x) + ring.valuation(y), n)
+                assert ring.valuation(z) == (n if expected >= n else expected)
 
 
 def test_unit_inverse_exhaustive():
