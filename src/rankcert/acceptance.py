@@ -532,14 +532,14 @@ def criterion_existence() -> CriterionResult:
     failures = []
     for spec in SHIPPED_RINGS:
         ring = parse_ring(spec)
-        if not has_rank_function(ring, 5):
+        if not has_rank_function(ring):
             failures.append((spec, "has_rank_function"))
         try:
-            check_states_exist(ring, 5)
+            check_states_exist(ring)
         except Exception:
             failures.append((spec, "states precondition"))
     elapsed = time.monotonic() - start
-    detail = f"{len(SHIPPED_RINGS)} rings at limit 5, {len(failures)} failures"
+    detail = f"{len(SHIPPED_RINGS)} rings, {len(failures)} failures"
     return CriterionResult(10, "rank function existence", not failures, detail, elapsed)
 
 

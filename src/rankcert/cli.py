@@ -385,7 +385,7 @@ def cmd_extend_state(args):
 def cmd_rk_square(args):
     ring = parse_ring(args.ring)
     elem = ring.parse(args.a)
-    res = rk_for_square(ring, elem, bound=args.bounds, depth=args.depth)
+    res = rk_for_square(ring, elem, bound=args.bounds)
     return {
         "command": "rk-square",
         "ring": ring.spec,
@@ -678,7 +678,6 @@ def build_parser():
     ring_flag(p)
     p.add_argument("--a", required=True)
     p.add_argument("--bounds", type=int, default=6)
-    p.add_argument("--depth", type=int, default=8)
     p.set_defaults(handler=cmd_rk_square)
 
     p = sub.add_parser("dim", help="dimension of a presented module")

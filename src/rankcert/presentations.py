@@ -136,12 +136,6 @@ def module_class(P: Presentation) -> tuple:
     return sig.multiplicities
 
 
-def _module_unit(ring) -> tuple:
-    if ring.is_local:
-        return (1,) + (0,) * (ring.nil_degree - 1)
-    return (1,) * ring.width
-
-
 def phi(P: Presentation) -> GroupElement:
     """Matrix-side image of [R^m/R^n A]: m[<1>] - [<A>]."""
     ring = P.relations.ring
@@ -155,7 +149,7 @@ def psi(A: Matrix) -> tuple:
     """Module-side image of [<A>]: m[R] - [R^m/R^n A], via the signature."""
     P = presentation(A.cols, A)
     mc = module_class(P)
-    unit = _module_unit(A.ring)
+    unit = order_unit(A.ring)
     return tuple(A.cols * u - c for u, c in zip(unit, mc))
 
 

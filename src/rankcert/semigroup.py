@@ -546,14 +546,12 @@ def verify_factor(A: Matrix, B: Matrix, result: FactorResult) -> bool:
 # existence of a rank function
 
 
-def has_rank_function(ring, limit: int) -> bool:
-    """Check I_{m+1} not<= I_m for all m <= limit.
+def has_rank_function(ring) -> bool:
+    """Check I_{m+1} not<= I_m for every m >= 1.
 
     By cancellation (m+1)<1> <= m<1> iff <1> <= 0, for every m alike, so
     only m = 1 needs checking.
     """
-    if limit < 1:
-        raise PreconditionError("limit must be >= 1")
     return not all(x <= 0 for x in _profile(ring, order_unit(ring)))
 
 

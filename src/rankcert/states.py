@@ -1,18 +1,20 @@
 """States of the class monoid: cones, ranges, extensions, pullbacks.
 
 The Grothendieck group of a free class monoid is Z^width; an element
-[a] - [b] is stored as a reduced (pos, neg) pair.  State ranges come
-from enumerating order relations against the order-unit v = <1>:
+[a] - [b] is stored as a reduced (pos, neg) pair.  State ranges are the
+best order relations against the order-unit v = <1> over a bounded grid:
 
     p = sup { (n - k)/m : n * v <= m * a + k * v }
     q = inf { (n - k)/m : n * v >= m * a + k * v }
 
-and every returned endpoint carries the witness relation that achieved
-it.  The same enumeration against a finitely generated subsemigroup
-with prescribed values gives the extension interval endpoints, with an
-optional shifted variant allowing relations b + t * a <= c + (m + t) * a.
-The order is cancellative, so a shifted relation holds iff its t = 0
-form b <= c + m * a does, and every relation is decided at t = 0.
+computed in closed form (a floor and a ceiling for each m, see
+state_range), and every returned endpoint carries the witness relation
+that achieves it.  Enumerating relations against a finitely generated
+subsemigroup with prescribed values gives the extension interval
+endpoints, with an optional shifted variant allowing relations
+b + t * a <= c + (m + t) * a.  The order is cancellative, so a shifted
+relation holds iff its t = 0 form b <= c + m * a does, and every
+relation is decided at t = 0.
 
 Each order decision compares integer order profiles (semigroup._profile),
 computed once per element on operands validated once at the boundary.
@@ -24,17 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BoundExceededError, PreconditionError, SearchBudgetError
+from .errors import BoundExceededError, PreconditionError
 from .fields import ExtensionField, PrimeField, field_rank, is_prime
 from .polys import is_irreducible, pdivmod, pscale
 from .rings import IntegerRing, Matrix, PolyRing
 from .semigroup import (
     Positive,
+    PowerSwap,
     _profile,
     check_element,
     has_rank_function,
     leq,
-    leq_provable,
     monoid_add,
     monoid_identity,
     monoid_scale,
@@ -154,9 +156,9 @@ class StateRange:
     exact: object  # (low, high) Fractions when extreme states are known
 
 
-def check_states_exist(ring, limit: int):
-    """Raise unless (m+1)v is incomparable above m * v for all m <= limit."""
-    if limit >= 1 and not has_rank_function(ring, limit):
+def check_states_exist(ring):
+    """Raise unless (m+1)v is incomparable above m * v for every m >= 1."""
+    if not has_rank_function(ring):
         raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
 
@@ -168,38 +170,44 @@ def _exact_interval(ring, a):
 
 
 def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
+    """Certified bounds p <= s(a) <= q over the states s with s(<1>) = 1.
+
+    The grid holds the relations n v <= m a + k v (for p) and
+    n v >= m a + k v (for q) with n, k in [0, N] and m in [1, M], each
+    worth d/m for d = n - k.  By the profile, n v <= m a + k v iff
+    d P(v) <= m P(a), and P(v) > 0 in every component, so for each m the
+    lower relation holds exactly for d <= min_i floor(m P(a)_i / P(v)_i)
+    and the upper one for d >= max_i ceil(m P(a)_i / P(v)_i).  Both are
+    >= 0, and d ranges over [-N, N]: p is the max over m of the lower
+    bound capped at N, and q the min of the upper bound over the m where
+    it is <= N.  The cost is O(M * width), whatever N is.
+
+    Whether a relation holds depends only on its ratio d/m, so every
+    grid triple worth an optimal u/w (in lowest terms) is a witness.
+    Since u >= 0, the first of them in (n, k, m) order is (u, 0, w).
+    """
     a = check_element(ring, a)
     if n_bound < 1 or m_bound < 1:
         raise PreconditionError("bounds must be >= 1")
-    check_states_exist(ring, n_bound)
+    check_states_exist(ring)
     pv = _profile(ring, order_unit(ring))
     pa = _profile(ring, a)
-    multiples = [(m, [m * x for x in pa]) for m in range(1, m_bound + 1)]
-    # n v <= m a + k v iff (n - k) P(v) <= m P(a); a best value (n - k)/m
-    # is kept as its integer pair and compared by cross-multiplying
-    best_p = best_q = None
-    for n in range(n_bound + 1):
-        for k in range(n_bound + 1):
-            d = n - k
-            dv = [d * x for x in pv]
-            for m, ma in multiples:
-                if (best_p is None or d * best_p[1] > best_p[0] * m) and all(
-                    x <= y for x, y in zip(dv, ma)
-                ):
-                    best_p = (d, m, (n, k, m))
-                if (best_q is None or d * best_q[1] < best_q[0] * m) and all(
-                    x >= y for x, y in zip(dv, ma)
-                ):
-                    best_q = (d, m, (n, k, m))
-    if best_p is None or best_q is None:
+    lows, highs = [], []
+    for m in range(1, m_bound + 1):
+        lows.append(Fraction(min(n_bound, *(m * x // y for x, y in zip(pa, pv))), m))
+        d = max(-(-m * x // y) for x, y in zip(pa, pv))
+        if d <= n_bound:
+            highs.append(Fraction(d, m))
+    if not highs:
         raise BoundExceededError(
             f"no witness relation found within bounds ({n_bound}, {m_bound})"
         )
+    p, q = max(lows), min(highs)
     return StateRange(
-        p_lb=Fraction(best_p[0], best_p[1]),
-        q_ub=Fraction(best_q[0], best_q[1]),
-        p_witness=best_p[2],
-        q_witness=best_q[2],
+        p_lb=p,
+        q_ub=q,
+        p_witness=(p.numerator, 0, p.denominator),
+        q_witness=(q.numerator, 0, q.denominator),
         exact=_exact_interval(ring, a),
     )
 
@@ -292,7 +300,7 @@ def state_extension(
     witness (b, c, m, t) always has t = 0 either way.
     """
     a = check_element(ring, a)
-    check_states_exist(ring, max(ball, 1))
+    check_states_exist(ring)
     v = order_unit(ring)
     elems, denom = _span_with_values(ring, spec, ball)
     ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
@@ -475,20 +483,18 @@ def _square_sweep(bound: int) -> MinorSweep:
     return MinorSweep(bound, candidates, candidates)
 
 
-def rk_for_square(ring, a, bound: int = 6, depth: int = 8) -> RkSquareResult:
+def rk_for_square(ring, a, bound: int = 6) -> RkSquareResult:
     """Certified sup of rk(a) over rank functions with rk(a^2) = 0.
 
-    Upper side: an explicit chain for 2<a> <= <1> + <a^2> caps the value
+    Upper side: the one-move chain PowerSwap(0, 2), which turns the
+    exponents (0, 2) of <1> + <a^2> into (1, 1) of 2<a>, caps the value
     at 1/2.  Lower side: every grid relation c + m<a> <= b that would
     push the infimum below 1/2 is refuted by the minor index k = m1 + m
     (see _square_sweep), so the lower certificate is that lemma together
     with the number of relations it covers.
     """
     check_formal_hypothesis(ring, a, bound)
-    upper = leq_provable((1, 1), (0, 2), depth)
-    if not isinstance(upper, Positive):
-        raise SearchBudgetError("chain for 2<a> <= <1>+<a^2> not found; this is a bug")
-    return RkSquareResult(Fraction(1, 2), upper, _square_sweep(bound))
+    return RkSquareResult(Fraction(1, 2), Positive((PowerSwap(0, 2),)), _square_sweep(bound))
 
 
 def verify_rk_square(ring, a, result: RkSquareResult) -> bool:

@@ -57,6 +57,17 @@ def test_rk_square_command(capsys):
     assert data["lower"]["candidates"] == data["lower"]["refuted"]
 
 
+@pytest.mark.parametrize("ring, a", [("Z", "2"), ("F2[x]", "x")])
+def test_rk_square_has_no_depth_flag(capsys, ring, a):
+    code, out, err = run_cli(capsys, "rk-square", "--ring", ring, "--a", a, "--depth", "0")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert run_json(capsys, "rk-square", "--ring", ring, "--a", a)["upper"] == {
+        "kind": "positive",
+        "moves": [{"j1": 0, "j2": 2, "move": "power-swap"}],
+    }
+
+
 def sub_half_relations(bound):
     """Grid relations (n, l, m1, j, m) with 2(n - m1) < m, summed over d = n - m1."""
     low = bound * (bound + 1) * (bound + 2) // 2  # d <= 0: every m counts

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -181,7 +182,7 @@ def test_state_range_bound_overflow():
 
 def test_check_states_exist_passes():
     for spec in ["Z/4", "Z/8", "Z/9", "F2[x]/x^3", "F3[x]/x^2", "F2*F3"]:
-        check_states_exist(parse_ring(spec), 5)
+        check_states_exist(parse_ring(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +293,25 @@ def extension_cases(draw):
 @given(range_cases())
 def test_state_range_matches_reference(case):
     assert outcome(state_range, *case) == outcome(reference_state_range, *case)
+
+
+@st.composite
+def range_cases_at_cli_defaults(draw):
+    ring, a, _, _ = draw(range_cases())
+    return ring, a, draw(st.integers(0, 12)), draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(range_cases_at_cli_defaults())
+def test_state_range_closed_form_matches_reference_up_to_cli_defaults(case):
+    assert outcome(state_range, *case) == outcome(reference_state_range, *case)
+
+
+def test_state_range_cost_does_not_grow_with_n_bound():
+    start = time.perf_counter()
+    sr = state_range(Z8, E1, 10**6, 12)
+    assert time.perf_counter() - start < 1
+    assert sr == state_range(Z8, E1, 12, 12)
 
 
 @settings(max_examples=150, deadline=None)
