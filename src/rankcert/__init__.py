@@ -14,7 +14,13 @@ from .errors import (
     RankcertError,
     SearchBudgetError,
 )
-from .normal_form import DiagonalForm, diagonal_matrix, diagonalize, verify_factorization
+from .normal_form import (
+    DiagonalForm,
+    diagonal_matrix,
+    diagonalize,
+    is_invertible,
+    verify_factorization,
+)
 from .presentations import (
     LocalSignature,
     Presentation,
@@ -43,7 +49,6 @@ from .rings import (
     block_upper,
     det,
     identity,
-    is_invertible,
     mat_mul,
     matrix,
     minor,

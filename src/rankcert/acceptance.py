@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .normal_form import diagonalize, verify_factorization
+from .normal_form import diagonalize, is_invertible, verify_factorization
 from .presentations import (
     module_class,
     module_coeffs_sub,
@@ -30,7 +30,6 @@ from .rings import (
     block_diag,
     block_upper,
     identity,
-    is_invertible,
     mat_mul,
     matrix,
     minors_in_ideal,

@@ -17,7 +17,6 @@ import random
 import sys
 from fractions import Fraction
 
-from . import acceptance
 from .errors import BoundExceededError, ParseError, PreconditionError
 from .normal_form import DiagonalForm, diagonalize, verify_factorization
 from .presentations import (
@@ -474,6 +473,8 @@ def cmd_psi(args):
 
 
 def cmd_axioms_check(args):
+    from . import acceptance  # only this command and selftest use the suite
+
     ring = parse_ring(args.ring)
     rng = random.Random(args.seed)
     report = {}
@@ -603,6 +604,8 @@ def _verify_response(command, data) -> bool:
 
 
 def cmd_selftest(args):
+    from . import acceptance
+
     numbers = set(args.only) if args.only else None
     results = acceptance.run_all(numbers)
     for res in results:

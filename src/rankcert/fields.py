@@ -1,10 +1,11 @@
-"""Finite fields GF(q) and dense linear algebra over them.
+"""Finite fields GF(q).
 
 Field elements are plain ints.  For GF(p) they are residues in [0, p);
 for GF(p^k) they encode coefficient vectors base p (lowest degree in the
 least significant digit), reduced modulo the lexicographically least
-monic irreducible of degree k.  Matrices over a field are tuples of
-tuples of ints.
+monic irreducible of degree k.  A field also presents itself as a local
+ring with c = 0 (nil degree 1), so `normal_form.eliminate` computes ranks
+and factorizations over it; this module does no linear algebra.
 """
 
 from __future__ import annotations
@@ -27,11 +28,39 @@ def is_prime(p: int) -> bool:
     return p >= 2 and _least_divisor(p) == p
 
 
+def _integer_root(q: int, k: int) -> int:
+    """The floor of q^(1/k) for q >= 1, by Newton's method on integers.
+
+    Newton starts just above the root, from the root of q's leading bits,
+    so it takes few steps whatever k is.
+    """
+    b = q.bit_length()
+    s = b // (2 * k)
+    x = 1 << -(-b // k) if s == 0 else (_integer_root(q >> (k * s), k) + 1) << s
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def factor_prime_power(q: int):
-    """Return (p, k) with q = p^k, or raise if q is not a prime power."""
+    """Return (p, k) with q = p^k, or raise if q is not a prime power.
+
+    A prime p below 2^10 is found by trial division, which decides a huge
+    q with a small factor at once.  A larger p has k <= log2(q) / 10, and
+    an exact k-th root is tried for each such k >= 2 before q itself is
+    tested, so trial division runs up to sqrt(p), not up to p.
+    """
     if q < 2:
         raise ParseError(f"{q} is not a prime power")
-    p = _least_divisor(q)
+    p = next((d for d in range(2, 1 << 10) if q % d == 0), q)
+    if p == q:
+        for k in range(q.bit_length() // 10, 1, -1):
+            root = _integer_root(q, k)
+            if root**k == q and is_prime(root):
+                return root, k
+        p = _least_divisor(q)
     k, rest = 0, q
     while rest % p == 0:
         rest //= p
@@ -41,7 +70,27 @@ def factor_prime_power(q: int):
     return p, k
 
 
-class PrimeField:
+class _FieldBase:
+    """A field as a local ring with radical generator c = 0 (nil degree 1)."""
+
+    nil_degree = 1
+    zero = 0
+    one = 1
+
+    def is_zero(self, a):
+        return a == 0
+
+    def valuation(self, a) -> int:
+        return 1 if a == 0 else 0
+
+    def shift(self, a, v: int):
+        return a
+
+    def unit_inverse(self, a):
+        return self.inv(a)
+
+
+class PrimeField(_FieldBase):
     """GF(p) with residue arithmetic."""
 
     def __init__(self, p: int):
@@ -78,7 +127,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-class ExtensionField:
+class ExtensionField(_FieldBase):
     """GF(p^k) as F_p[x] modulo a monic irreducible of degree k."""
 
     def __init__(self, p: int, k: int, modulus=None):
@@ -153,120 +202,3 @@ class ExtensionField:
 def make_field(q: int):
     p, k = factor_prime_power(q)
     return PrimeField(p) if k == 1 else ExtensionField(p, k)
-
-
-def field_mat_mul(field, A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    if len(A[0]) != inner:
-        raise PreconditionError("dimension mismatch in field matrix product")
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                acc = field.add(acc, field.mul(A[i][t], B[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def field_identity(field, m):
-    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-
-
-def field_rank(field, rows) -> int:
-    """Rank by Gaussian elimination; rows is a sequence of sequences."""
-    M = [list(r) for r in rows]
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if M[r][col] != 0), None)
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        inv = field.inv(M[rank][col])
-        M[rank] = [field.mul(inv, x) for x in M[rank]]
-        for r in range(nrows):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(M[r], M[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def field_paq(field, rows):
-    """Factor A = P * diag(I_r, 0) * Q over a field.
-
-    Returns (r, P, Pinv, Q, Qinv) with P (m x m) and Q (n x n) invertible.
-    Row/column operations are applied to a working copy while P and Q
-    accumulate their inverses, so the identity A = P * D * Q holds exactly.
-    """
-    M = [list(r) for r in rows]
-    m, n = len(M), len(M[0])
-    P = [list(r) for r in field_identity(field, m)]
-    Pinv = [list(r) for r in field_identity(field, m)]
-    Q = [list(r) for r in field_identity(field, n)]
-    Qinv = [list(r) for r in field_identity(field, n)]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
-        for row in P:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in Qinv:
-            row[i], row[j] = row[j], row[i]
-        Q[i], Q[j] = Q[j], Q[i]
-
-    def scale_row(i, s):
-        s_inv = field.inv(s)
-        M[i] = [field.mul(s, x) for x in M[i]]
-        Pinv[i] = [field.mul(s, x) for x in Pinv[i]]
-        for row in P:
-            row[i] = field.mul(row[i], s_inv)
-
-    def add_row(i, j, t):
-        # row_i += t * row_j
-        M[i] = [field.add(x, field.mul(t, y)) for x, y in zip(M[i], M[j])]
-        Pinv[i] = [field.add(x, field.mul(t, y)) for x, y in zip(Pinv[i], Pinv[j])]
-        for row in P:
-            row[j] = field.sub(row[j], field.mul(t, row[i]))
-
-    def add_col(i, j, t):
-        # col_i += t * col_j
-        for row in M:
-            row[i] = field.add(row[i], field.mul(t, row[j]))
-        for row in Qinv:
-            row[i] = field.add(row[i], field.mul(t, row[j]))
-        Q[j] = [field.sub(x, field.mul(t, y)) for x, y in zip(Q[j], Q[i])]
-
-    d = 0
-    while d < m and d < n:
-        pivot = next(
-            ((i, j) for i in range(d, m) for j in range(d, n) if M[i][j] != 0), None
-        )
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != d:
-            swap_rows(d, i)
-        if j != d:
-            swap_cols(d, j)
-        if M[d][d] != 1:
-            scale_row(d, field.inv(M[d][d]))
-        for r in range(d + 1, m):
-            if M[r][d] != 0:
-                add_row(r, d, field.neg(M[r][d]))
-        for c in range(d + 1, n):
-            if M[d][c] != 0:
-                add_col(c, d, field.neg(M[d][c]))
-        d += 1
-
-    freeze = lambda rows_: tuple(tuple(r) for r in rows_)
-    return d, freeze(P), freeze(Pinv), freeze(Q), freeze(Qinv)

@@ -1,12 +1,18 @@
-"""Diagonalization over the Artinian local families.
+"""Diagonalization over the Artinian local families and finite fields.
 
 Every matrix A over Z/p^n or F_p[x]/x^n factors as A = left * D * right
 with left, right invertible and D = diag(c^e1, ..., c^el, 0, ..., 0)
 padded to A's shape.  The pivot of least valuation divides every other
 entry after unit scaling, so plain unimodular row/column elimination
-(unit scalings, transvections, swaps) reaches the diagonal form; each
-operation is mirrored on left/right so the factorization can be checked
-afterwards by multiplication alone.
+(unit scalings, transvections, swaps) reaches the diagonal form.
+
+One kernel, `eliminate`, does that elimination and records its
+operations in order instead of mirroring them into factors.  A finite
+field is a local ring with c = 0 (nil degree 1: every nonzero entry is a
+unit of valuation 0), so the same kernel gives the ranks of the field
+components of a product ring.  Callers read only what they need: a class
+reads the exponents, a rank counts them, and `diagonalize` and
+`semigroup.regular_factor` replay the operations into their factors.
 """
 
 from __future__ import annotations
@@ -14,7 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .rings import Matrix, is_invertible, mat_mul
+from .rings import Matrix, det, mat_mul
+
+# Recorded operations, in the order they were applied to the working copy:
+#   (_SWAP_ROWS, i, j, None)   swap rows i and j
+#   (_SWAP_COLS, i, j, None)   swap columns i and j
+#   (_SCALE, i, u, u_inv)      row i *= u, for a unit u with inverse u_inv
+#   (_ADD_ROW, i, j, t)        row i += t * row j
+#   (_ADD_COL, i, j, t)        column i += t * column j
+_SWAP_ROWS, _SWAP_COLS, _SCALE, _ADD_ROW, _ADD_COL = range(5)
 
 
 @dataclass(frozen=True)
@@ -39,83 +53,128 @@ def diagonal_matrix(ring, rows: int, cols: int, exponents) -> Matrix:
     return Matrix(ring, grid)
 
 
-def diagonalize(A: Matrix) -> DiagonalForm:
-    ring = A.ring
-    _require_local(ring)
+def eliminate(ring, grid):
+    """Exponents of the diagonal form of grid, and the operations reaching it.
+
+    The pivot of step d is the first entry, row-major, of least valuation
+    in the block below and right of (d, d).  It is moved to (d, d) and
+    scaled to c^v; its column is cleared by row transvections and its
+    row by column transvections.  Once the pivot column is clear, a
+    column transvection changes only the pivot row, which no later step
+    reads, so column transvections are recorded without being applied.
+    """
     n = ring.nil_degree
-    r, c = A.rows, A.cols
-
-    M = [list(row) for row in A.entries]
-    L = [[ring.one if i == j else ring.zero for j in range(r)] for i in range(r)]
-    R = [[ring.one if i == j else ring.zero for j in range(c)] for i in range(c)]
-
-    # Invariant: A = L * M * R throughout.
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        for row in L:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        R[i], R[j] = R[j], R[i]
-
-    def scale_row(i, u):
-        u_inv = ring.unit_inverse(u)
-        M[i] = [ring.mul(u, x) for x in M[i]]
-        for row in L:
-            row[i] = ring.mul(row[i], u_inv)
-
-    def add_row(i, j, t):
-        # row_i += t * row_j
-        M[i] = [ring.add(x, ring.mul(t, y)) for x, y in zip(M[i], M[j])]
-        for row in L:
-            row[j] = ring.sub(row[j], ring.mul(t, row[i]))
-
-    def add_col(i, j, t):
-        # col_i += t * col_j
-        for row in M:
-            row[i] = ring.add(row[i], ring.mul(t, row[j]))
-        R[j] = [ring.sub(x, ring.mul(t, y)) for x, y in zip(R[j], R[i])]
-
-    exponents = []
-    d = 0
-    while d < r and d < c:
-        best = None
-        for i in range(d, r):
-            for j in range(d, c):
-                v = ring.valuation(M[i][j])
-                if v < n and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+    M = [list(row) for row in grid]
+    r, c = len(M), len(M[0])
+    exponents, ops = [], []
+    for d in range(min(r, c)):
+        v, pi, pj = min(
+            (ring.valuation(M[i][j]), i, j) for i in range(d, r) for j in range(d, c)
+        )
+        if v == n:
             break
-        v, pi, pj = best
         if pi != d:
-            swap_rows(d, pi)
+            M[d], M[pi] = M[pi], M[d]
+            ops.append((_SWAP_ROWS, d, pi, None))
         if pj != d:
-            swap_cols(d, pj)
+            for row in M[d:]:
+                row[d], row[pj] = row[pj], row[d]
+            ops.append((_SWAP_COLS, d, pj, None))
         unit = ring.shift(M[d][d], v)
         if unit != ring.one:
-            scale_row(d, ring.unit_inverse(unit))
-        # pivot is now exactly c^v; every other entry has valuation >= v
+            u = ring.unit_inverse(unit)
+            M[d] = [ring.mul(u, x) for x in M[d]]
+            ops.append((_SCALE, d, u, unit))
+        # the pivot is now exactly c^v; every other entry has valuation >= v
         for i in range(d + 1, r):
             x = M[i][d]
             if not ring.is_zero(x):
-                add_row(i, d, ring.neg(ring.shift(x, v)))
+                t = ring.neg(ring.shift(x, v))
+                M[i] = [ring.add(a, ring.mul(t, b)) for a, b in zip(M[i], M[d])]
+                ops.append((_ADD_ROW, i, d, t))
         for j in range(d + 1, c):
             x = M[d][j]
             if not ring.is_zero(x):
-                add_col(j, d, ring.neg(ring.shift(x, v)))
+                ops.append((_ADD_COL, j, d, ring.neg(ring.shift(x, v))))
         exponents.append(v)
-        d += 1
+    return exponents, ops
 
-    form = DiagonalForm(
+
+def _identity_grid(ring, m):
+    return [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
+
+
+def factors(ring, rows, cols, ops):
+    """(L, R) with A = L * D * R: each operation undone on identities, in order."""
+    L, R = _identity_grid(ring, rows), _identity_grid(ring, cols)
+    for kind, i, j, t in ops:
+        if kind == _SWAP_ROWS:
+            for row in L:
+                row[i], row[j] = row[j], row[i]
+        elif kind == _SWAP_COLS:
+            R[i], R[j] = R[j], R[i]
+        elif kind == _SCALE:  # j is the unit u, t its inverse
+            for row in L:
+                row[i] = ring.mul(row[i], t)
+        elif kind == _ADD_ROW:
+            for row in L:
+                row[j] = ring.sub(row[j], ring.mul(t, row[i]))
+        else:
+            R[j] = [ring.sub(x, ring.mul(t, y)) for x, y in zip(R[j], R[i])]
+    return L, R
+
+
+def inverse_factors(ring, rows, cols, ops):
+    """(L^-1, R^-1) with L^-1 * A * R^-1 = D: each operation applied to identities."""
+    Linv, Rinv = _identity_grid(ring, rows), _identity_grid(ring, cols)
+    for kind, i, j, t in ops:
+        if kind == _SWAP_ROWS:
+            Linv[i], Linv[j] = Linv[j], Linv[i]
+        elif kind == _SWAP_COLS:
+            for row in Rinv:
+                row[i], row[j] = row[j], row[i]
+        elif kind == _SCALE:  # j is the unit u
+            Linv[i] = [ring.mul(j, x) for x in Linv[i]]
+        elif kind == _ADD_ROW:
+            Linv[i] = [ring.add(x, ring.mul(t, y)) for x, y in zip(Linv[i], Linv[j])]
+        else:
+            for row in Rinv:
+                row[i] = ring.add(row[i], ring.mul(t, row[j]))
+    return Linv, Rinv
+
+
+def diagonalize(A: Matrix) -> DiagonalForm:
+    ring = A.ring
+    _require_local(ring)
+    exponents, ops = eliminate(ring, A.entries)
+    L, R = factors(ring, A.rows, A.cols, ops)
+    return DiagonalForm(
         exponents=tuple(exponents),
-        zero_count=min(r, c) - len(exponents),
+        zero_count=min(A.rows, A.cols) - len(exponents),
         left=Matrix(ring, L),
         right=Matrix(ring, R),
     )
-    return form
+
+
+def is_invertible(M: Matrix) -> bool:
+    """Square with a unit determinant.
+
+    Over a local ring or a product of fields, that is an elimination
+    with M.rows exponents, all 0, in O(n^3); over Z and F_p[x] it is the
+    cofactor determinant.
+    """
+    if M.rows != M.cols:
+        raise PreconditionError("invertibility needs a square matrix")
+    ring = M.ring
+    if ring.is_local:
+        exponents = eliminate(ring, M.entries)[0]
+        return len(exponents) == M.rows and not any(exponents)
+    if ring.is_product:
+        return all(
+            len(eliminate(f, ring.component_grid(M, i))[0]) == M.rows
+            for i, f in enumerate(ring.fields)
+        )
+    return ring.is_unit(det(M))
 
 
 def verify_factorization(A: Matrix, form: DiagonalForm) -> bool:

@@ -116,8 +116,13 @@ def min_irreducible(p, k) -> tuple:
     raise ValueError(f"no irreducible of degree {k} over F_{p}")
 
 
-def parse_poly(text, p) -> tuple:
-    """Parse literals like 'x^2+x', '2x+1', '-x', '0'."""
+def parse_poly(text, p, below=None) -> tuple:
+    """Parse literals like 'x^2+x', '2x+1', '-x', '0'.
+
+    Terms of degree >= below, when below is given, are dropped before the
+    dense coefficient list is built, so a truncated ring never allocates
+    for them.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial literal")
@@ -132,14 +137,21 @@ def parse_poly(text, p) -> tuple:
         coef_s, xpart, exp_s = m.group(1), m.group(2), m.group(3)
         if coef_s is None and xpart is None:
             raise ParseError(f"bad polynomial term {term!r} in {text!r}")
-        coef = int(coef_s) if coef_s is not None else 1
+        try:  # int() refuses literals beyond the interpreter's digit limit
+            coef = int(coef_s) if coef_s is not None else 1
+            exp = 0
+            if xpart is not None:
+                exp = int(exp_s) if exp_s is not None else 1
+        except ValueError:
+            raise ParseError(f"number too long in polynomial literal {text[:40]!r}") from None
         if neg:
             coef = -coef
-        exp = 0
-        if xpart is not None:
-            exp = int(exp_s) if exp_s is not None else 1
-        coeffs[exp] = coeffs.get(exp, 0) + coef
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+        if below is None or exp < below:
+            coeffs[exp] = coeffs.get(exp, 0) + coef
+    try:
+        out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    except (OverflowError, MemoryError):
+        raise ParseError(f"degree too high in polynomial literal {text[:40]!r}") from None
     for e, c in coeffs.items():
         out[e] = c
     return pnormalize(out, p)

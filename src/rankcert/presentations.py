@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .normal_form import diagonalize
+from .normal_form import eliminate
 from .rings import Matrix, block_diag, stack_vertical, zeros
 from .semigroup import class_of, monoid_width, order_unit, rk
 from .states import GroupElement, cone_member, group_diff, group_element
@@ -69,7 +69,7 @@ class RegularSignature:
 def signature(P: Presentation):
     ring = P.relations.ring
     if ring.is_local:
-        exps = diagonalize(P.relations).exponents
+        exps = eliminate(ring, P.relations.entries)[0]
         return LocalSignature(
             torsion=tuple(sorted(e for e in exps if e >= 1)),
             free_rank=P.gens - len(exps),

@@ -348,7 +348,7 @@ class TruncatedPolyRing(_LocalRing):
         return self.normalize(w)
 
     def parse(self, text):
-        return self.normalize(parse_poly(text, self.p))
+        return self.normalize(parse_poly(text, self.p, below=self.nil_degree))
 
     def format(self, a):
         return format_poly(a)
@@ -637,8 +637,3 @@ def minors_in_ideal(M: Matrix, k: int, gen) -> bool:
                 return False
     return True
 
-
-def is_invertible(M: Matrix) -> bool:
-    if M.rows != M.cols:
-        raise PreconditionError("invertibility needs a square matrix")
-    return M.ring.is_unit(det(M))

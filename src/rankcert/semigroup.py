@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SearchBudgetError
-from .fields import field_mat_mul, field_paq, field_rank
-from .normal_form import diagonalize
+from .normal_form import eliminate, factors, inverse_factors
 from .rings import Matrix, identity, mat_mul
 
 
@@ -129,12 +128,12 @@ def class_of(A: Matrix) -> tuple:
     ring = A.ring
     if ring.is_local:
         vec = [0] * ring.nil_degree
-        for e in diagonalize(A).exponents:
+        for e in eliminate(ring, A.entries)[0]:
             vec[e] += 1
         return tuple(vec)
     if ring.is_product:
         return tuple(
-            field_rank(f, ring.component_grid(A, i)) for i, f in enumerate(ring.fields)
+            len(eliminate(f, ring.component_grid(A, i))[0]) for i, f in enumerate(ring.fields)
         )
     raise PreconditionError(f"{ring.spec} has no computed class monoid")
 
@@ -494,21 +493,25 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
     ring = A.ring
     if not ring.is_product or B.ring != ring:
         raise PreconditionError("regular_factor needs matrices over one product ring")
-    ra, rb = class_of(A), class_of(B)
-    for i, (x, y) in enumerate(zip(ra, rb)):
-        if x > y:
+    eliminations = [
+        (eliminate(f, ring.component_grid(A, i)), eliminate(f, ring.component_grid(B, i)))
+        for i, f in enumerate(ring.fields)
+    ]
+    for i, ((exps_a, _), (exps_b, _)) in enumerate(eliminations):
+        if len(exps_a) > len(exps_b):
             return FactorResult(None, None, i)
     if A == B:
         return FactorResult(identity(ring, A.rows), identity(ring, A.cols), None)
 
+    # A = Pa E Qa and B = Pb E' Qb with E, E' 0/1 diagonal and rank(A) = r <= rank(B),
+    # so A = (Pa[:, :r] Pb^-1[:r, :]) B (Qb^-1[:, :r] Qa[:r, :]).
     c_parts, d_parts = [], []
-    for i, f in enumerate(ring.fields):
-        rank_a, Pa, _, Qa, _ = field_paq(f, ring.component_grid(A, i))
-        _, _, Pb_inv, _, Qb_inv = field_paq(f, ring.component_grid(B, i))
-        E = [[1 if (s == t and s < rank_a) else 0 for t in range(B.rows)] for s in range(A.rows)]
-        F = [[1 if (s == t and s < rank_a) else 0 for t in range(A.cols)] for s in range(B.cols)]
-        c_parts.append(field_mat_mul(f, field_mat_mul(f, Pa, E), Pb_inv))
-        d_parts.append(field_mat_mul(f, field_mat_mul(f, Qb_inv, F), Qa))
+    for f, ((exps_a, ops_a), (_, ops_b)) in zip(ring.fields, eliminations):
+        r = len(exps_a)
+        Pa, Qa = factors(f, A.rows, A.cols, ops_a)
+        Pb_inv, Qb_inv = inverse_factors(f, B.rows, B.cols, ops_b)
+        c_parts.append(_product_through(f, Pa, Pb_inv, r))
+        d_parts.append(_product_through(f, Qb_inv, Qa, r))
 
     def assemble(parts, r, c):
         return Matrix(
@@ -524,6 +527,20 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
     if mat_mul(mat_mul(C, B), D) != A:
         raise SearchBudgetError("regular factorization failed to verify; this is a bug")
     return FactorResult(C, D, None)
+
+
+def _product_through(f, X, Y, r):
+    """X[:, :r] * Y[:r, :] over the field f."""
+    out = []
+    for row in X:
+        out_row = []
+        for t in range(len(Y[0])):
+            acc = 0
+            for k in range(r):
+                acc = f.add(acc, f.mul(row[k], Y[k][t]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def verify_factor(A: Matrix, B: Matrix, result: FactorResult) -> bool:

@@ -27,7 +27,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BoundExceededError, PreconditionError
-from .fields import ExtensionField, PrimeField, field_rank, is_prime
+from .fields import ExtensionField, PrimeField, is_prime
+from .normal_form import eliminate
 from .polys import is_irreducible, pdivmod, pscale
 from .rings import IntegerRing, Matrix, PolyRing
 from .semigroup import (
@@ -560,7 +561,7 @@ class PullbackRank:
         if self.field is None:
             return Fraction(_fraction_field_rank(self.ring, M))
         grid = [[self._reduce(x) for x in row] for row in M.entries]
-        return Fraction(field_rank(self.field, grid))
+        return Fraction(len(eliminate(self.field, grid)[0]))
 
 
 def pullback_rank(ring, pi) -> PullbackRank:

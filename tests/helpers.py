@@ -4,9 +4,11 @@ from fractions import Fraction
 
 from rankcert import (
     BoundExceededError,
+    DiagonalForm,
     Matrix,
     PreconditionError,
     StateRange,
+    identity,
     is_invertible,
     leq,
     order_unit,
@@ -153,3 +155,238 @@ def reference_state_extension(ring, spec, a, ball=12, m_bound=12, shifted=False)
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
     return StateRange(best_p[0], best_q[0], best_p[1], best_q[1], None)
+
+
+# ---------------------------------------------------------------------------
+# reference eliminations: the three separate eliminations that once computed
+# local diagonal forms, field ranks and field factorizations, kept as oracles
+# for the one recorded elimination in normal_form
+
+
+def reference_diagonalize(A):
+    ring = A.ring
+    n = ring.nil_degree
+    r, c = A.rows, A.cols
+
+    M = [list(row) for row in A.entries]
+    L = [[ring.one if i == j else ring.zero for j in range(r)] for i in range(r)]
+    R = [[ring.one if i == j else ring.zero for j in range(c)] for i in range(c)]
+
+    # Invariant: A = L * M * R throughout.
+    def swap_rows(i, j):
+        M[i], M[j] = M[j], M[i]
+        for row in L:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+        R[i], R[j] = R[j], R[i]
+
+    def scale_row(i, u):
+        u_inv = ring.unit_inverse(u)
+        M[i] = [ring.mul(u, x) for x in M[i]]
+        for row in L:
+            row[i] = ring.mul(row[i], u_inv)
+
+    def add_row(i, j, t):
+        # row_i += t * row_j
+        M[i] = [ring.add(x, ring.mul(t, y)) for x, y in zip(M[i], M[j])]
+        for row in L:
+            row[j] = ring.sub(row[j], ring.mul(t, row[i]))
+
+    def add_col(i, j, t):
+        # col_i += t * col_j
+        for row in M:
+            row[i] = ring.add(row[i], ring.mul(t, row[j]))
+        R[j] = [ring.sub(x, ring.mul(t, y)) for x, y in zip(R[j], R[i])]
+
+    exponents = []
+    d = 0
+    while d < r and d < c:
+        best = None
+        for i in range(d, r):
+            for j in range(d, c):
+                v = ring.valuation(M[i][j])
+                if v < n and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        v, pi, pj = best
+        if pi != d:
+            swap_rows(d, pi)
+        if pj != d:
+            swap_cols(d, pj)
+        unit = ring.shift(M[d][d], v)
+        if unit != ring.one:
+            scale_row(d, ring.unit_inverse(unit))
+        # pivot is now exactly c^v; every other entry has valuation >= v
+        for i in range(d + 1, r):
+            x = M[i][d]
+            if not ring.is_zero(x):
+                add_row(i, d, ring.neg(ring.shift(x, v)))
+        for j in range(d + 1, c):
+            x = M[d][j]
+            if not ring.is_zero(x):
+                add_col(j, d, ring.neg(ring.shift(x, v)))
+        exponents.append(v)
+        d += 1
+
+    return DiagonalForm(
+        exponents=tuple(exponents),
+        zero_count=min(r, c) - len(exponents),
+        left=Matrix(ring, L),
+        right=Matrix(ring, R),
+    )
+
+
+def reference_field_identity(field, m):
+    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+
+
+def reference_field_rank(field, rows) -> int:
+    """Rank by Gaussian elimination; rows is a sequence of sequences."""
+    M = [list(r) for r in rows]
+    nrows, ncols = len(M), len(M[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if M[r][col] != 0), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        inv = field.inv(M[rank][col])
+        M[rank] = [field.mul(inv, x) for x in M[rank]]
+        for r in range(nrows):
+            if r != rank and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(M[r], M[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def reference_field_paq(field, rows):
+    """Factor A = P * diag(I_r, 0) * Q over a field.
+
+    Returns (r, P, Pinv, Q, Qinv) with P (m x m) and Q (n x n) invertible.
+    Row/column operations are applied to a working copy while P and Q
+    accumulate their inverses, so the identity A = P * D * Q holds exactly.
+    """
+    M = [list(r) for r in rows]
+    m, n = len(M), len(M[0])
+    P = [list(r) for r in reference_field_identity(field, m)]
+    Pinv = [list(r) for r in reference_field_identity(field, m)]
+    Q = [list(r) for r in reference_field_identity(field, n)]
+    Qinv = [list(r) for r in reference_field_identity(field, n)]
+
+    def swap_rows(i, j):
+        M[i], M[j] = M[j], M[i]
+        Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
+        for row in P:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+        for row in Qinv:
+            row[i], row[j] = row[j], row[i]
+        Q[i], Q[j] = Q[j], Q[i]
+
+    def scale_row(i, s):
+        s_inv = field.inv(s)
+        M[i] = [field.mul(s, x) for x in M[i]]
+        Pinv[i] = [field.mul(s, x) for x in Pinv[i]]
+        for row in P:
+            row[i] = field.mul(row[i], s_inv)
+
+    def add_row(i, j, t):
+        # row_i += t * row_j
+        M[i] = [field.add(x, field.mul(t, y)) for x, y in zip(M[i], M[j])]
+        Pinv[i] = [field.add(x, field.mul(t, y)) for x, y in zip(Pinv[i], Pinv[j])]
+        for row in P:
+            row[j] = field.sub(row[j], field.mul(t, row[i]))
+
+    def add_col(i, j, t):
+        # col_i += t * col_j
+        for row in M:
+            row[i] = field.add(row[i], field.mul(t, row[j]))
+        for row in Qinv:
+            row[i] = field.add(row[i], field.mul(t, row[j]))
+        Q[j] = [field.sub(x, field.mul(t, y)) for x, y in zip(Q[j], Q[i])]
+
+    d = 0
+    while d < m and d < n:
+        pivot = next(
+            ((i, j) for i in range(d, m) for j in range(d, n) if M[i][j] != 0), None
+        )
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != d:
+            swap_rows(d, i)
+        if j != d:
+            swap_cols(d, j)
+        if M[d][d] != 1:
+            scale_row(d, field.inv(M[d][d]))
+        for r in range(d + 1, m):
+            if M[r][d] != 0:
+                add_row(r, d, field.neg(M[r][d]))
+        for c in range(d + 1, n):
+            if M[d][c] != 0:
+                add_col(c, d, field.neg(M[d][c]))
+        d += 1
+
+    freeze = lambda rows_: tuple(tuple(r) for r in rows_)
+    return d, freeze(P), freeze(Pinv), freeze(Q), freeze(Qinv)
+
+
+def reference_field_mat_mul(field, A, B):
+    out = []
+    for i in range(len(A)):
+        row = []
+        for j in range(len(B[0])):
+            acc = 0
+            for t in range(len(B)):
+                acc = field.add(acc, field.mul(A[i][t], B[t][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_class_of(A):
+    ring = A.ring
+    if ring.is_local:
+        vec = [0] * ring.nil_degree
+        for e in reference_diagonalize(A).exponents:
+            vec[e] += 1
+        return tuple(vec)
+    return tuple(
+        reference_field_rank(f, ring.component_grid(A, i)) for i, f in enumerate(ring.fields)
+    )
+
+
+def reference_regular_factor(A, B):
+    """(C, D, failing component) as the field_paq factorization computed them."""
+    ring = A.ring
+    for i, (x, y) in enumerate(zip(reference_class_of(A), reference_class_of(B))):
+        if x > y:
+            return None, None, i
+    if A == B:
+        return identity(ring, A.rows), identity(ring, A.cols), None
+    c_parts, d_parts = [], []
+    for i, f in enumerate(ring.fields):
+        rank_a, Pa, _, Qa, _ = reference_field_paq(f, ring.component_grid(A, i))
+        _, _, Pb_inv, _, Qb_inv = reference_field_paq(f, ring.component_grid(B, i))
+        E = [[1 if (s == t and s < rank_a) else 0 for t in range(B.rows)] for s in range(A.rows)]
+        F = [[1 if (s == t and s < rank_a) else 0 for t in range(A.cols)] for s in range(B.cols)]
+        mul = reference_field_mat_mul
+        c_parts.append(mul(f, mul(f, Pa, E), Pb_inv))
+        d_parts.append(mul(f, mul(f, Qb_inv, F), Qa))
+
+    def assemble(parts, r, c):
+        return Matrix(
+            ring, [[tuple(part[s][t] for part in parts) for t in range(c)] for s in range(r)]
+        )
+
+    return assemble(c_parts, A.rows, B.rows), assemble(d_parts, B.cols, A.cols), None

@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import random
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import rankcert
 from rankcert.cli import main
 
 
@@ -261,6 +265,13 @@ STATE_RANGE = ("state-range", "--ring", "Z/8", "--a", "[0,1,0]")
 REGULAR_LEQ = ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]')
 LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
+RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
+_rng = random.Random(18)
+# an 18 x 18 form, whose factors a cofactor determinant would test in about 2 s
+DIAGONALIZE_18 = (
+    "diagonalize", "--ring", "Z/8",
+    "--matrix", json.dumps([[str(_rng.randrange(8)) for _ in range(18)] for _ in range(18)]),
+)
 
 
 def edit(fn):
@@ -301,6 +312,24 @@ EDITED_RESPONSES = [
     pytest.param(FORMAL_REFUTATION, edit(lambda d: d.update(elem="1")), {1}, id="unit-pivot"),
     pytest.param(
         FORMAL_REFUTATION, edit(lambda d: d.update(elem="0", depth=0)), {1}, id="zero-pivot"
+    ),
+    pytest.param(DIAGONALIZE_18, edit(lambda d: None), {0}, id="diagonalize-18x18"),
+    # beyond int()'s digit limit, beyond an index-sized int, beyond memory
+    pytest.param(
+        RK_SQUARE_POLY, edit(lambda d: d.update(elem="x^" + "9" * 5000)), {2}, id="elem-digits"
+    ),
+    pytest.param(
+        RK_SQUARE_POLY, edit(lambda d: d.update(elem="x^" + "9" * 30)), {2}, id="elem-index"
+    ),
+    pytest.param(
+        RK_SQUARE_POLY, edit(lambda d: d.update(elem="x^1000000000000")), {2}, id="elem-memory"
+    ),
+    # the square of a prime near 10^7: trial division up to p took about 1.5 s
+    pytest.param(
+        LOCAL_CHAIN,
+        edit(lambda d: d.update(ring="Z/100000380000361")),
+        {0, 1, 2},
+        id="ring-p-squared",
     ),
 ]
 
@@ -359,3 +388,13 @@ def test_readme_command_bytes(capsys, monkeypatch, inv):
         monkeypatch.setattr(sys, "stdin", io.StringIO(out))
         code, out, _ = run_cli(capsys, "verify")
         assert (out, code) == (inv["verify"]["stdout"], inv["verify"]["exit"])
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # only selftest and axioms-check need the acceptance suite
+    code = "import sys, rankcert.cli; print('rankcert.acceptance' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(rankcert.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"

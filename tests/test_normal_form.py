@@ -1,22 +1,43 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcert import (
     DiagonalForm,
+    FactorResult,
+    Matrix,
     PreconditionError,
+    class_of,
+    det,
     diagonal_matrix,
     diagonalize,
     identity,
+    is_invertible,
     mat_mul,
     matrix,
     minor,
     parse_ring,
+    pullback_rank,
+    regular_factor,
+    verify_factor,
     verify_factorization,
     zeros,
 )
+from rankcert.fields import make_field
+from rankcert.normal_form import eliminate, factors, inverse_factors
+from rankcert.polys import pdivmod, pscale
 
-from helpers import random_invertible, random_matrix
+from helpers import (
+    random_invertible,
+    random_matrix,
+    reference_class_of,
+    reference_diagonalize,
+    reference_field_paq,
+    reference_field_rank,
+    reference_regular_factor,
+)
 
 LOCAL_RINGS = ["Z/4", "Z/8", "Z/9", "F2[x]/x^3", "F3[x]/x^2"]
 
@@ -134,3 +155,112 @@ def test_diagonal_matrix_padding():
     ring = parse_ring("Z/8")
     D = diagonal_matrix(ring, 2, 3, (0, 2))
     assert D.to_strings() == [["1", "0", "0"], ["0", "4", "0"]]
+
+
+# ---------------------------------------------------------------------------
+# the recorded elimination against the separate eliminations it replaced
+
+ORACLE_LOCAL = (
+    "Z/4", "Z/8", "Z/9", "Z/27", "Z/25", "F2[x]/x^3", "F2[x]/x^4", "F3[x]/x^2", "F5[x]/x^2"
+)
+ORACLE_PRODUCT = ("F2*F3", "F2*F3*F5", "F4*F9", "F8", "F2*F2")
+
+
+@st.composite
+def matrices(draw, ring, rows, cols):
+    # a zero-biased draw, so that low ranks and high valuations are common
+    values = ring.elements()
+    entry = st.one_of(st.just(ring.zero), st.sampled_from(values))
+    grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(ring, grid)
+
+
+@st.composite
+def local_matrices(draw):
+    ring = parse_ring(draw(st.sampled_from(ORACLE_LOCAL)))
+    return draw(matrices(ring, draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+
+
+@st.composite
+def product_pairs(draw):
+    ring = parse_ring(draw(st.sampled_from(ORACLE_PRODUCT)))
+    a_rows, a_cols, b_rows, b_cols = (draw(st.integers(1, 4)) for _ in range(4))
+    A = draw(matrices(ring, a_rows, a_cols))
+    B = A if draw(st.integers(0, 9)) == 0 else draw(matrices(ring, b_rows, b_cols))
+    return A, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_matrices())
+def test_diagonalize_and_class_match_reference(A):
+    form = diagonalize(A)
+    assert form == reference_diagonalize(A)
+    assert class_of(A) == reference_class_of(A)
+    assert verify_factorization(A, form)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_pairs())
+def test_regular_factor_matches_reference(pair):
+    A, B = pair
+    assert class_of(A) == reference_class_of(A)
+    res = regular_factor(A, B)
+    assert (res.C, res.D, res.failing_component) == reference_regular_factor(A, B)
+    assert verify_factor(A, B, res)
+    ranks_a, ranks_b = reference_class_of(A), reference_class_of(B)
+    for i in range(A.ring.width):
+        claim = FactorResult(None, None, i)
+        assert verify_factor(A, B, claim) == (ranks_a[i] > ranks_b[i])
+
+
+@st.composite
+def field_grids(draw):
+    field = make_field(draw(st.sampled_from((2, 3, 4, 5, 8, 9))))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(0, field.size - 1))
+    return field, tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_grids())
+def test_field_elimination_matches_field_paq(case):
+    field, grid = case
+    rows, cols = len(grid), len(grid[0])
+    exponents, ops = eliminate(field, grid)
+    rank, P, Pinv, Q, Qinv = reference_field_paq(field, grid)
+    assert len(exponents) == rank == reference_field_rank(field, grid)
+    freeze = lambda pair: tuple(tuple(tuple(row) for row in g) for g in pair)
+    assert freeze(factors(field, rows, cols, ops)) == (P, Q)
+    assert freeze(inverse_factors(field, rows, cols, ops)) == (Pinv, Qinv)
+
+
+# (ring, generator of a maximal ideal) for residue pullback ranks
+RESIDUES = (("Z", "2"), ("Z", "3"), ("Z", "-5"), ("F2[x]", "x^3+x+1"), ("F3[x]", "2x^2+2"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RESIDUES), st.integers(1, 5), st.integers(1, 5), st.randoms())
+def test_residue_pullback_rank_matches_reference(residue, rows, cols, rng):
+    ring = parse_ring(residue[0])
+    pi = ring.parse(residue[1])
+    M = random_matrix(ring, rng, rows, cols)
+    rank = pullback_rank(ring, pi)
+    if ring.spec == "Z":
+        grid = [[x % abs(pi) for x in row] for row in M.entries]
+    else:
+        monic = pscale(pi, pow(pi[-1], -1, ring.p), ring.p)
+        grid = [[rank.field.encode(pdivmod(x, monic, ring.p)[1]) for x in row] for row in M.entries]
+    assert rank(M) == reference_field_rank(rank.field, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ORACLE_LOCAL + ORACLE_PRODUCT + ("Z", "F2[x]")),
+    st.integers(1, 5),
+    st.randoms(),
+)
+def test_is_invertible_matches_determinant(spec, size, rng):
+    ring = parse_ring(spec)
+    M = random_matrix(ring, rng, size, size)
+    assert is_invertible(M) == ring.is_unit(det(M))
+    assert is_invertible(identity(ring, size))

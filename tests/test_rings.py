@@ -20,6 +20,7 @@ from rankcert import (
     parse_ring,
     zeros,
 )
+from rankcert.fields import factor_prime_power
 
 SMALL_FINITE = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4", "F2*F3"]
 
@@ -49,6 +50,14 @@ def test_normalize_zero_everywhere():
     for spec in SMALL_FINITE + ["Z", "F3[x]"]:
         ring = parse_ring(spec)
         assert ring.is_zero(ring.normalize(0))
+
+
+def test_truncated_parse_drops_terms_beyond_the_ring():
+    # the dense coefficient list stops at the nil degree, whatever the exponent
+    ring = parse_ring("F2[x]/x^3")
+    start = time.monotonic()
+    assert ring.parse("x^3000000+x^2+1") == (1, 0, 1)
+    assert time.monotonic() - start < 0.1
 
 
 def test_normalize_truncated_poly():
@@ -103,6 +112,37 @@ def test_parse_ring_large_prime_is_fast():
     ring = parse_ring("Z/1000000007")
     assert time.monotonic() - start < 1.0
     assert (ring.p, ring.nil_degree) == (1000000007, 1)
+    # an exact square root first: trial division then stops at sqrt(p), not at p
+    start = time.monotonic()
+    ring = parse_ring("Z/100000380000361")
+    assert time.monotonic() - start < 1.0
+    assert (ring.p, ring.nil_degree) == (10000019, 2)
+
+
+def _trial_division_prime_power(q):
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    return (p, k) if rest == 1 else None
+
+
+def test_factor_prime_power_matches_trial_division():
+    def outcome(q):
+        try:
+            return factor_prime_power(q)
+        except ParseError:
+            return None
+
+    for q in range(-2, 5000):
+        assert outcome(q) == _trial_division_prime_power(q), q
+    for p in (1031, 1033, 10007, 65537):
+        for k in range(1, 6):
+            assert outcome(p**k) == (p, k)
+            assert outcome(p**k * 1031 * 1033) is None
 
 
 def test_ring_laws_exhaustive_z8():
