@@ -10,22 +10,45 @@ and factorizations over it; this module does no linear algebra.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .errors import ParseError, PreconditionError
 from .polys import min_irreducible, pdivmod, pmul, pnormalize
 
 
-def _least_divisor(q: int) -> int:
-    """The least divisor d >= 2 of q >= 2, by trial division up to sqrt(q)."""
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
+# Sorenson and Webster (2015): a strong probable prime to the 13 prime
+# bases 2..41 is prime below this bound
+PRIME_CAP = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_prime(p: int) -> bool:
-    return p >= 2 and _least_divisor(p) == p
+def is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_CAP, by strong probable-prime tests.
+
+    Raises ParseError at or above the cap, where the 13 bases no longer
+    decide primality.
+    """
+    if n >= PRIME_CAP:
+        raise ParseError(f"primality is decided only below {PRIME_CAP}")
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _integer_root(q: int, k: int) -> int:
@@ -48,19 +71,24 @@ def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, or raise if q is not a prime power.
 
     A prime p below 2^10 is found by trial division, which decides a huge
-    q with a small factor at once.  A larger p has k <= log2(q) / 10, and
-    an exact k-th root is tried for each such k >= 2 before q itself is
-    tested, so trial division runs up to sqrt(p), not up to p.
+    q with a small factor at once.  A larger p has k <= log2(q) / 10: q is
+    replaced by its exact l-th root for each prime l dividing k, in
+    increasing order, and what is left must be prime.
     """
     if q < 2:
         raise ParseError(f"{q} is not a prime power")
     p = next((d for d in range(2, 1 << 10) if q % d == 0), q)
     if p == q:
-        for k in range(q.bit_length() // 10, 1, -1):
-            root = _integer_root(q, k)
-            if root**k == q and is_prime(root):
-                return root, k
-        p = _least_divisor(q)
+        k, ell = 1, 2
+        while ell <= p.bit_length() // 10:
+            root = _integer_root(p, ell)
+            if root**ell == p:
+                p, k = root, k * ell
+            else:
+                ell = next(n for n in count(ell + 1) if is_prime(n))
+        if is_prime(p):
+            return p, k
+        raise ParseError(f"{q} is not a prime power")
     k, rest = 0, q
     while rest % p == 0:
         rest //= p

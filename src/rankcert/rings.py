@@ -249,7 +249,6 @@ class ModPrimePowerRing(_LocalRing):
         self.p = p
         self.nil_degree = n
         self.modulus = p**n
-        self.size = self.modulus
         self.spec = f"Z/{self.modulus}"
         self.zero = 0
         self.one = 1
@@ -307,7 +306,6 @@ class TruncatedPolyRing(_LocalRing):
             raise ParseError("exponent must be >= 1")
         self.p = p
         self.nil_degree = n
-        self.size = p**n
         self.spec = f"F{p}[x]/x^{n}"
         self.zero = ()
         self.one = (1,)
@@ -336,15 +334,14 @@ class TruncatedPolyRing(_LocalRing):
         return pnormalize(pmul(a, b, self.p)[: self.nil_degree], self.p)
 
     def _inverse(self, a):
-        # power series inversion of the unit up to degree n-1
+        # power series inversion of the unit up to degree n-1, in O(n * deg a);
+        # a constant unit is its own series
         inv0 = pow(a[0], -1, self.p)
-        w = [inv0] + [0] * (self.nil_degree - 1)
-        for k in range(1, self.nil_degree):
-            acc = 0
-            for i in range(1, k + 1):
-                if i < len(a):
-                    acc += a[i] * w[k - i]
-            w[k] = (-inv0 * acc) % self.p
+        w = [inv0]
+        if len(a) > 1:
+            for k in range(1, self.nil_degree):
+                acc = sum(a[i] * w[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+                w.append(-inv0 * acc % self.p)
         return self.normalize(w)
 
     def parse(self, text):
@@ -370,9 +367,6 @@ class FieldProductRing(Ring):
         self.fields = tuple(make_field(q) for q in self.orders)
         self.width = len(self.fields)
         self.spec = "*".join(f"F{q}" for q in self.orders)
-        self.size = 1
-        for q in self.orders:
-            self.size *= q
         self.zero = (0,) * self.width
         self.one = (1,) * self.width
 
@@ -439,6 +433,14 @@ class FieldProductRing(Ring):
 _PRODUCT_RE = re.compile(r"^F(\d+)(\*F\d+)*$")
 
 
+def _spec_int(digits: str) -> int:
+    """A number in a ring spec; one longer than int() accepts is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a {len(digits)}-digit number in a ring spec is too long") from None
+
+
 def parse_ring(text: str) -> Ring:
     """Parse a ring spec such as Z, Z/8, F2[x], F2[x]/x^3, F2*F3*F5."""
     s = text.strip()
@@ -446,17 +448,16 @@ def parse_ring(text: str) -> Ring:
         return IntegerRing()
     m = re.match(r"^Z/(\d+)$", s)
     if m:
-        q = int(m.group(1))
-        p, n = factor_prime_power(q)
+        p, n = factor_prime_power(_spec_int(m.group(1)))
         return ModPrimePowerRing(p, n)
     m = re.match(r"^F(\d+)\[x\]/x\^(\d+)$", s)
     if m:
-        return TruncatedPolyRing(int(m.group(1)), int(m.group(2)))
+        return TruncatedPolyRing(_spec_int(m.group(1)), _spec_int(m.group(2)))
     m = re.match(r"^F(\d+)\[x\]$", s)
     if m:
-        return PolyRing(int(m.group(1)))
+        return PolyRing(_spec_int(m.group(1)))
     if _PRODUCT_RE.match(s):
-        return FieldProductRing([int(t[1:]) for t in s.split("*")])
+        return FieldProductRing([_spec_int(t[1:]) for t in s.split("*")])
     raise ParseError(f"unrecognized ring spec {text!r}")
 
 

@@ -9,12 +9,21 @@ best order relations against the order-unit v = <1> over a bounded grid:
 
 computed in closed form (a floor and a ceiling for each m, see
 state_range), and every returned endpoint carries the witness relation
-that achieves it.  Enumerating relations against a finitely generated
-subsemigroup with prescribed values gives the extension interval
-endpoints, with an optional shifted variant allowing relations
-b + t * a <= c + (m + t) * a.  The order is cancellative, so a shifted
-relation holds iff its t = 0 form b <= c + m * a does, and every
-relation is decided at t = 0.
+that achieves it.
+
+Extension intervals come from relations b <= c + m * a (and >=) between
+elements b, c of a finitely generated subsemigroup with prescribed
+values, worth (v(b) - v(c))/m, with an optional shifted variant allowing
+relations b + t * a <= c + (m + t) * a.  The order is cancellative, so a
+shifted relation holds iff its t = 0 form does, and every relation is
+decided at t = 0.  The profile P is linear, so a relation depends on b
+and c only through P(b) - P(c), and additive values make its worth
+depend only on v(b) - v(c).  Removing the common part of the coefficient
+vectors of b and c changes neither and keeps both in the ball, so the
+optimum over all pairs is reached on pairs of disjoint support, and for
+each such pair the best m is read off in closed form.  The witness is
+the first relation in sorted (b, c, m) order worth the optimum, found in
+a second pass that looks c up by its value.
 
 Each order decision compares integer order profiles (semigroup._profile),
 computed once per element on operands validated once at the boundary.
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .errors import BoundExceededError, PreconditionError
 from .fields import ExtensionField, PrimeField, is_prime
@@ -255,33 +264,130 @@ class StateSpec:
 def _span_with_values(ring, spec: StateSpec, ball: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
-    Returns ({element: value numerator}, denominator): every value is an
-    integer over one common denominator.  The first additivity conflict,
-    in lexicographic order of the coefficients, is rejected.
+    Returns ({element: value numerator}, denominator, {support: elements}):
+    every value is an integer over one common denominator, and a support
+    is the bitmask of the generators with a nonzero coefficient in some
+    combination reaching the element.  The first additivity conflict, in
+    lexicographic order of the coefficients, is rejected.
     """
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
     denom = lcm(*(v.denominator for v in vals))
-    combos = [(monoid_identity(ring), 0)]
-    for g, v in zip(gens, vals):
+    combos = [(monoid_identity(ring), 0, 0)]
+    for i, (g, v) in enumerate(zip(gens, vals)):
         gv, grown = v.numerator * (denom // v.denominator), []
-        for elt, val in combos:
+        for elt, val, support in combos:
             t = 0  # a zero generator still gets t = 1, to expose its value
             while sum(elt) <= ball and (t < 2 or any(g)):
-                grown.append((elt, val))
+                grown.append((elt, val, support | (t > 0) << i))
                 elt, val, t = monoid_add(elt, g), val + gv, t + 1
         combos = grown
-    elems = {}
-    for elt, val in combos:
+    elems, supports = {}, {}
+    for elt, val, support in combos:
         prev = elems.setdefault(elt, val)
         if prev != val:
             raise PreconditionError(
                 f"state spec is inconsistent: element {elt} gets values "
                 f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
             )
-    return elems, denom
+        supports.setdefault(support, set()).add(elt)
+    return elems, denom, supports
+
+
+def _extension_optima(supports, values, profiles, pa, m_bound: int):
+    """Best (d, m) for both endpoints over pairs of disjoint support, and monotonicity.
+
+    For a pair b, c with D = P(b) - P(c) and d = v(b) - v(c), b <= c +
+    m<a> iff D <= m P(a): it holds for every m >= least = max_i
+    ceil(D_i / P(a)_i), provided D_i <= 0 wherever P(a)_i = 0; likewise
+    b >= c + m<a> holds for every m <= most = min_i floor(D_i / P(a)_i),
+    provided D_i >= 0 there.  So a pair is worth d / max(1, least) for p
+    and d / min(m_bound, most) for q.  That is its best ratio when d >= 0;
+    a pair with d < 0 never decides either: p >= 0 is reached at b = c,
+    and an upper relation with d < 0 puts c <= b with v(c) > v(b).  That
+    m = 0 case is monotonicity: d > 0 with D <= 0 is a conflict.
+
+    Profiles are scaled by s / P(a)_i with s = lcm of the positive P(a)_i,
+    so least and most are the ceiling and floor of one max and one min of
+    the scaled differences over s (_pair_relations).  Returns (best_p,
+    best_q, monotone), a best being None when no pair has a relation.
+    """
+    scale = lcm(*(z for z in pa if z > 0))
+
+    def row(x):
+        px = profiles[x]
+        scaled = [y * (scale // z) for y, z in zip(px, pa) if z > 0]
+        return scaled, [y for y, z in zip(px, pa) if z == 0], values[x]
+
+    groups = [(support, [row(x) for x in xs]) for support, xs in supports.items()]
+    best_p = best_q = None
+    monotone = True
+    for d, least, most in _pair_relations(groups, scale, m_bound * scale):
+        if d > 0 and least <= 0:
+            monotone = False
+        low, high = max(1, least), min(m_bound, most)
+        if low <= m_bound and (best_p is None or d * best_p[1] > best_p[0] * low):
+            best_p = (d, low)
+        if high >= 1 and (best_q is None or d * best_q[1] < best_q[0] * high):
+            best_q = (d, high)
+    return best_p, best_q, monotone
+
+
+def _pair_relations(groups, scale: int, cap: int):
+    """(d, least, most) for both orders of every pair of disjoint support.
+
+    Each unordered pair is read once, for both orders, since floor(-x) =
+    -ceil(x).  cap stands in for an empty max or min over the scaled coordinates,
+    which happens when P(a) = 0: then every m is allowed.  A coordinate
+    where P(a) is 0 bars the lower relation when D is positive there and
+    the upper one when D is negative, by an infinite least or most.
+    """
+    for i, (sb, bs) in enumerate(groups):
+        for sc, cs in groups[i:]:
+            if sb & sc:
+                continue
+            for pb, zb, vb in bs:
+                for pc, zc, vc in cs:
+                    diff = [x - y for x, y in zip(pb, pc)]
+                    least = -(-max(diff, default=-cap) // scale)
+                    most = min(diff, default=cap) // scale
+                    if zb:
+                        zd = [x - y for x, y in zip(zb, zc)]
+                        above, below = max(zd) > 0, min(zd) < 0
+                        yield vb - vc, inf if above else least, -inf if below else most
+                        yield vc - vb, inf if below else -most, -inf if above else -least
+                    else:
+                        yield vb - vc, least, most
+                        yield vc - vb, -most, -least
+
+
+def _first_witness(ordered, by_value, pa, m_bound: int, best, lower: bool):
+    """The first (b, c, m, 0) in (b, c, m) order whose ratio is the optimum best.
+
+    For each b in sorted order and each m with an integer v(c) = v(b) -
+    opt * m, the elements of that value are searched in sorted order for
+    the least c whose relation holds; the least (c, m) of the first b
+    with any is the witness.
+    """
+    opt = Fraction(*best)
+    steps = [
+        (m, m // opt.denominator * opt.numerator, [m * z for z in pa])
+        for m in range(opt.denominator, m_bound + 1, opt.denominator)
+    ]
+    for b, vb, pb in ordered:
+        hits = []
+        for m, dv, ma in steps:
+            for c, pc in by_value.get(vb - dv, ()):
+                if all(
+                    (x <= y + z) if lower else (x >= y + z) for x, y, z in zip(pb, pc, ma)
+                ):
+                    hits.append((c, m))
+                    break
+        if hits:
+            c, m = min(hits)
+            return (b, c, m, 0)
 
 
 def state_extension(
@@ -299,48 +405,50 @@ def state_extension(
     allowed.  The order is cancellative, so a shifted relation holds iff
     b <= c + m<a> does: every relation is decided at t = 0, and the
     witness (b, c, m, t) always has t = 0 either way.
+
+    The spec is checked first for additivity (_span_with_values), then
+    for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
+    <1> with value 1.  A relation depends only on P(b) - P(c), and with
+    additive values the ratio only on v(b) - v(c); removing the common
+    part of two coefficient vectors changes neither and keeps both in
+    the ball.  So pairs of disjoint support reach every optimum and every
+    monotonicity conflict (_extension_optima), and the first conflicting
+    pair in sorted order is searched for only once one is known.  The
+    witness is the first (b, c, m) in sorted order reaching the optimum,
+    recovered by looking up c by its value (_first_witness).
     """
     a = check_element(ring, a)
     check_states_exist(ring)
     v = order_unit(ring)
-    elems, denom = _span_with_values(ring, spec, ball)
-    ordered = [(x, elems[x], _profile(ring, x)) for x in sorted(elems)]
-    for x, vx, px in ordered:
-        for y, vy, py in ordered:
-            if vx > vy and all(s <= t for s, t in zip(px, py)):
-                raise PreconditionError(
-                    f"state spec is inconsistent: {x} <= {y} but value "
-                    f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
-                )
+    elems, denom, supports = _span_with_values(ring, spec, ball)
+    profiles = {x: _profile(ring, x) for x in elems}
+    pa = _profile(ring, a)
+    best_p, best_q, monotone = _extension_optima(supports, elems, profiles, pa, m_bound)
+    ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
+    if not monotone:
+        for x, vx, px in ordered:
+            for y, vy, py in ordered:
+                if vx > vy and all(s <= t for s, t in zip(px, py)):
+                    raise PreconditionError(
+                        f"state spec is inconsistent: {x} <= {y} but value "
+                        f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
+                    )
     if elems.get(v) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"
         )
-    pa = _profile(ring, a)
-    multiples = [(m, [m * x for x in pa]) for m in range(1, m_bound + 1)]
-    # a best value (vb - vc)/(m denom) is kept as its integer pair
-    best_p = best_q = None
-    for b, vb, pb in ordered:
-        for c, vc, pc in ordered:
-            d = vb - vc
-            for m, ma in multiples:
-                if (best_p is None or d * best_p[1] > best_p[0] * m) and all(
-                    x <= y + z for x, y, z in zip(pb, pc, ma)
-                ):
-                    best_p = (d, m, (b, c, m, 0))
-                if (best_q is None or d * best_q[1] < best_q[0] * m) and all(
-                    y + z <= x for x, y, z in zip(pb, pc, ma)
-                ):
-                    best_q = (d, m, (b, c, m, 0))
     if best_p is None or best_q is None:
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
+    by_value = {}
+    for x, vx, px in ordered:
+        by_value.setdefault(vx, []).append((x, px))
     return StateRange(
         p_lb=Fraction(best_p[0], best_p[1] * denom),
         q_ub=Fraction(best_q[0], best_q[1] * denom),
-        p_witness=best_p[2],
-        q_witness=best_q[2],
+        p_witness=_first_witness(ordered, by_value, pa, m_bound, best_p, True),
+        q_witness=_first_witness(ordered, by_value, pa, m_bound, best_q, False),
         exact=None,
     )
 
@@ -569,10 +677,21 @@ def pullback_rank(ring, pi) -> PullbackRank:
 
 
 def _fraction_field_rank(ring, M: Matrix) -> int:
-    """Division-free row elimination over an integral domain."""
+    """Rank over the fraction field, by Bareiss fraction-free elimination.
+
+    After the pivot step at row r every entry below and right of the
+    pivot is an (r + 1)-minor of M (Sylvester's identity), so the new
+    entries divide exactly by the previous pivot: with // over Z and
+    with a zero-remainder pdivmod over F_p[x].  The entries stay as
+    large as the minors of M (Bareiss 1968).
+    """
+    if isinstance(ring, IntegerRing):
+        divide = int.__floordiv__
+    else:
+        divide = lambda x, d: pdivmod(x, d, ring.p)[0]
     grid = [list(row) for row in M.entries]
     nrows, ncols = M.rows, M.cols
-    rank = 0
+    rank, prev = 0, ring.one
     for col in range(ncols):
         pivot = next(
             (r for r in range(rank, nrows) if not ring.is_zero(grid[r][col])), None
@@ -580,16 +699,13 @@ def _fraction_field_rank(ring, M: Matrix) -> int:
         if pivot is None:
             continue
         grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        pval = grid[rank][col]
-        for r in range(rank + 1, nrows):
-            x = grid[r][col]
-            if not ring.is_zero(x):
-                grid[r] = [
-                    ring.sub(ring.mul(pval, grid[r][j]), ring.mul(x, grid[rank][j]))
-                    for j in range(ncols)
-                ]
+        top, pval = grid[rank], grid[rank][col]
+        for row in grid[rank + 1 :]:
+            x = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = divide(ring.sub(ring.mul(pval, row[j]), ring.mul(x, top[j])), prev)
+        prev = pval
         rank += 1
         if rank == nrows:
             break
     return rank
-

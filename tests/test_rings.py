@@ -20,7 +20,7 @@ from rankcert import (
     parse_ring,
     zeros,
 )
-from rankcert.fields import factor_prime_power
+from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
 
 SMALL_FINITE = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4", "F2*F3"]
 
@@ -107,16 +107,58 @@ def test_shift_undoes_generator_power():
 
 
 def test_parse_ring_large_prime_is_fast():
-    # trial division stops at sqrt(q), so a ring spec in a payload cannot cost O(q)
+    # primality is a strong probable-prime test, so a ring spec in a payload
+    # cannot cost O(sqrt(q)): 2^61 - 1 took minutes by trial division
+    for spec, p, n in [
+        ("Z/1000000007", 1000000007, 1),
+        ("Z/100000380000361", 10000019, 2),
+        ("Z/2305843009213693951", 2**61 - 1, 1),
+        (f"Z/{(2**61 - 1) ** 6}", 2**61 - 1, 6),
+        (f"Z/{1000003 ** 30}", 1000003, 30),
+    ]:
+        start = time.monotonic()
+        ring = parse_ring(spec)
+        assert time.monotonic() - start < 0.1, spec
+        assert (ring.p, ring.nil_degree) == (p, n)
+
+
+# the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+)
+
+
+def test_is_prime_matches_sympy_below_the_cap():
+    import sympy
+
+    rng = random.Random(7)
+    numbers = list(STRONG_PSEUDOPRIMES) + list(range(-2, 3000))
+    numbers += [rng.randrange(10 ** rng.randint(4, 24)) for _ in range(3000)]
+    numbers += [sympy.prevprime(PRIME_CAP), PRIME_CAP - 1]
+    for n in numbers:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_numbers_past_the_caps_are_parse_errors():
+    # the cap itself is the least strong pseudoprime to the 13 bases
+    with pytest.raises(ParseError, match=str(PRIME_CAP)):
+        is_prime(PRIME_CAP)
+    for spec in [f"Z/{PRIME_CAP}", f"F{PRIME_CAP}[x]", f"F{PRIME_CAP}*F2"]:
+        with pytest.raises(ParseError, match=str(PRIME_CAP)):
+            parse_ring(spec)
+    # beyond int()'s digit limit: once a ValueError traceback
+    nines = "9" * 5000
+    for spec in [f"Z/{nines}", f"F{nines}[x]", f"F2[x]/x^{nines}", f"F{nines}*F2", f"F2*F{nines}"]:
+        with pytest.raises(ParseError, match="5000-digit"):
+            parse_ring(spec)
+
+
+def test_parse_ring_cost_does_not_grow_with_the_nil_degree():
     start = time.monotonic()
-    ring = parse_ring("Z/1000000007")
-    assert time.monotonic() - start < 1.0
-    assert (ring.p, ring.nil_degree) == (1000000007, 1)
-    # an exact square root first: trial division then stops at sqrt(p), not at p
-    start = time.monotonic()
-    ring = parse_ring("Z/100000380000361")
-    assert time.monotonic() - start < 1.0
-    assert (ring.p, ring.nil_degree) == (10000019, 2)
+    ring = parse_ring("F3[x]/x^10000000")
+    assert ring.unit_inverse((2,)) == (2,)
+    assert time.monotonic() - start < 0.1
 
 
 def _trial_division_prime_power(q):

@@ -18,6 +18,7 @@ from rankcert import (
     group_add,
     group_element,
     group_props_check,
+    mat_mul,
     matrix,
     parse_ring,
     pullback_rank,
@@ -32,6 +33,7 @@ from rankcert import (
 )
 
 from rankcert.acceptance import brute_square_sweep
+from rankcert.polys import min_irreducible
 
 from helpers import random_matrix, reference_state_extension, reference_state_range
 
@@ -232,6 +234,17 @@ def test_extension_rejects_monotonicity_conflict():
         state_extension(Z8, spec, E2, ball=6, m_bound=4)
 
 
+def test_extension_rejects_conflict_below_one_multiple_of_a():
+    # e1 <= e0 with the larger value: D = P(e1) - P(e0) = (-1, -1, -1) and
+    # P(a) = (1, 2, 3), so the least m with e1 <= e0 + m<a> is exactly 0
+    # (ceil(-1/2) = ceil(-1/3) = 0), the m = 0 relation that is the conflict
+    spec = StateSpec(generators=(E0, E1), values=(Fraction(1), Fraction(2)))
+    case = (Z8, spec, E0, 1, 2, False)
+    with pytest.raises(PreconditionError, match=r"\(0, 1, 0\) <= \(1, 0, 0\) but value 2 > 1"):
+        state_extension(*case)
+    assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
+
+
 def test_extension_requires_order_unit():
     spec = StateSpec(generators=(E2,), values=(Fraction(0),))
     with pytest.raises(PreconditionError):
@@ -264,15 +277,45 @@ def range_cases(draw):
     return ring, a, draw(st.integers(0, 7)), draw(st.integers(0, 7))
 
 
+# the reference loops cost |span|^2 * M, so the ball is lowered until the
+# span holds at most this many elements
+SPAN_CAP = 60
+
+
+def span_size(gens, ball):
+    span = {(0,) * len(gens[0])}
+    for g in gens:
+        for x in list(span):
+            while any(g) and sum(x) + sum(g) <= ball:
+                x = tuple(s + t for s, t in zip(x, g))
+                span.add(x)
+    return len(span)
+
+
 @st.composite
 def extension_cases(draw):
-    """A spec from one state, sometimes perturbed or missing the unit."""
+    """A spec from one state, sometimes perturbed or missing the unit.
+
+    Three specs in four get one more generator: a copy of another, a sum
+    of two others or zero, so that many elements have several coefficient
+    vectors.  The generators come in any order, and the ball goes up to 8
+    (see SPAN_CAP).
+    """
     ring = parse_ring(draw(st.sampled_from(REFERENCE_RINGS)))
     width = ring.nil_degree if ring.is_local else ring.width
     unit = (1,) + (0,) * (width - 1) if ring.is_local else (1,) * width
     gens = [unit] + draw(st.lists(vectors(width, 1), max_size=2))
+    extra = draw(st.sampled_from(("copy", "sum", "zero", None)))
+    if extra == "copy":
+        gens.append(draw(st.sampled_from(gens)))
+    elif extra == "sum":
+        x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens.append(tuple(s + t for s, t in zip(x, y)))
+    elif extra == "zero":
+        gens.append((0,) * width)
     if draw(st.integers(0, 9)) == 0:
         gens = gens[1:] or [(0,) * width]
+    gens = draw(st.permutations(gens))
     state = draw(st.integers(0, width - 1))
     if ring.is_local:
         values = [rk(ring, state + 1, g) for g in gens]
@@ -283,8 +326,10 @@ def extension_cases(draw):
         values[i] += Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
     spec = StateSpec(tuple(gens), tuple(values))
     a = draw(vectors(width, 1))
-    # one ball in four is too small to hold the unit
-    ball = sum(unit) + draw(st.integers(-1, 2))
+    # some balls are too small to hold the unit
+    ball = draw(st.integers(sum(unit) - 1, 8))
+    while span_size(gens, ball) > SPAN_CAP:
+        ball -= 1
     m_bound = draw(st.integers(1, 4))
     return ring, spec, a, ball, m_bound, draw(st.booleans())
 
@@ -318,6 +363,15 @@ def test_state_range_cost_does_not_grow_with_n_bound():
 @given(extension_cases())
 def test_state_extension_matches_reference(case):
     assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
+
+
+def test_state_extension_cost_grows_slowly_with_ball():
+    # the README spec: pairs of disjoint support number O(ball^2) here
+    spec = StateSpec(generators=(E0, E2), values=(Fraction(1), Fraction(0)))
+    start = time.perf_counter()
+    sr = state_extension(Z8, spec, E1, ball=48, m_bound=12)
+    assert time.perf_counter() - start < 1
+    assert sr == state_extension(Z8, spec, E1, ball=12, m_bound=12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -447,6 +501,56 @@ def test_pullback_fraction_field_rank():
     assert pullback_rank(f3x, 0)(B) == 1
 
 
+@st.composite
+def matrix_products(draw, entries, size=7):
+    """The rows of an r x k times k x c product: its rank is at most k."""
+    r, k, c = (draw(st.integers(1, size)) for _ in range(3))
+
+    def block(n, m):
+        return draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+
+    return block(r, k), block(k, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_products(st.integers(-9, 9)))
+def test_fraction_field_rank_matches_sympy(factors):
+    import sympy
+
+    z = parse_ring("Z")
+    M = mat_mul(matrix(z, factors[0]), matrix(z, factors[1]))
+    rows = [list(row) for row in M.entries]
+    assert pullback_rank(z, 0)(M) == sympy.Matrix(rows).rank()
+
+
+def test_fraction_field_rank_matches_sympy_on_sparse_products():
+    # mostly-zero factors leave zeros in pivot columns; those rows must
+    # still be scaled by the pivot before the exact division
+    import sympy
+
+    rng = random.Random(11)
+    z = parse_ring("Z")
+    for _ in range(300):
+        r, k, c = (rng.randint(1, 6) for _ in range(3))
+        A = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(r)]
+        B = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(c)] for _ in range(k)]
+        M = mat_mul(matrix(z, A), matrix(z, B))
+        assert pullback_rank(z, 0)(M) == sympy.Matrix([list(row) for row in M.entries]).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda p: st.tuples(st.just(p), matrix_products(vectors(2, p - 1), size=4))
+))
+def test_fraction_field_rank_over_polynomials_matches_a_large_residue_field(case):
+    # entries have degree <= 2, so every nonzero minor has degree <= 8 and
+    # stays nonzero modulo an irreducible of degree 9: the two ranks agree
+    p, factors = case
+    ring = parse_ring(f"F{p}[x]")
+    M = mat_mul(matrix(ring, factors[0]), matrix(ring, factors[1]))
+    assert pullback_rank(ring, 0)(M) == pullback_rank(ring, min_irreducible(p, 9))(M)
+
+
 def test_pullback_rank_is_monotone_under_products():
     rng = random.Random(41)
     z = parse_ring("Z")
@@ -454,6 +558,4 @@ def test_pullback_rank_is_monotone_under_products():
     for _ in range(50):
         A = random_matrix(z, rng, 2, 2)
         B = random_matrix(z, rng, 2, 2)
-        from rankcert import mat_mul
-
         assert rank(mat_mul(A, B)) <= min(rank(A), rank(B))

@@ -14,6 +14,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,3 +160,19 @@ def test_every_readme_response_verifies():
     for text in responses():
         code, out, _ = run(["verify"], text)
         assert code == 0 and json.loads(out)["verified"] is True
+
+
+# ring specs whose parse once cost time or memory that grew with a number
+# they name: trial division up to 2^61 - 1, a number past int()'s digit
+# limit (a traceback), and p^n for the nil degree n = 10^7
+COSTLY_RINGS = ("Z/2305843009213693951", "Z/" + "9" * 5000, "F3[x]/x^10000000")
+
+
+@pytest.mark.parametrize("ring", COSTLY_RINGS, ids=("mersenne-61", "digits-5000", "nil-1e7"))
+def test_verify_decides_a_response_over_a_costly_ring_quickly(ring):
+    for text in responses():
+        doc = json.loads(text)
+        doc["ring"] = ring
+        code, _, elapsed = run(["verify"], json.dumps(doc))
+        assert code in (1, 2), doc["command"]
+        assert elapsed < LIMIT_S, doc["command"]
