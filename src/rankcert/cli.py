@@ -28,7 +28,7 @@ from .presentations import (
     psi,
     signature,
 )
-from .rings import Matrix, parse_ring
+from .rings import Matrix, parse_matrix, parse_ring
 from .semigroup import (
     Cancel,
     Drop,
@@ -97,7 +97,7 @@ def matrix_payload(M: Matrix):
 def load_matrix(ring, data) -> Matrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError("matrix payload must be a nonempty array of arrays")
-    return Matrix(ring, [[ring.parse(str(e)) for e in row] for row in data])
+    return parse_matrix(ring, [[str(e) for e in row] for row in data])
 
 
 def load_operand(ring, text: str):

@@ -3,9 +3,12 @@
 Field elements are plain ints.  For GF(p) they are residues in [0, p);
 for GF(p^k) they encode coefficient vectors base p (lowest degree in the
 least significant digit), reduced modulo the lexicographically least
-monic irreducible of degree k.  A field also presents itself as a local
-ring with c = 0 (nil degree 1), so `normal_form.eliminate` computes ranks
-and factorizations over it; this module does no linear algebra.
+monic irreducible of degree k.  Arithmetic takes and returns these
+canonical ints: addition and negation work digitwise on the encoding
+(XOR when p = 2), and nothing is re-reduced.  A field also presents
+itself as a local ring with c = 0 (nil degree 1), so
+`normal_form.eliminate` computes ranks and factorizations over it; this
+module does no linear algebra.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from itertools import count
 
 from .errors import ParseError, PreconditionError
-from .polys import min_irreducible, pdivmod, pmul, pnormalize
+from .polys import min_irreducible, pdivmod, pmul
 
 
 # Sorenson and Webster (2015): a strong probable prime to the 13 prime
@@ -167,30 +170,42 @@ class ExtensionField(_FieldBase):
             raise PreconditionError("modulus must be monic of degree k")
 
     def decode(self, a: int) -> tuple:
+        """The coefficient tuple of a canonical element: its base-p digits."""
         coeffs, rest = [], a
         while rest:
-            coeffs.append(rest % self.p)
-            rest //= self.p
-        return pnormalize(coeffs, self.p)
+            rest, c = divmod(rest, self.p)
+            coeffs.append(c)
+        return tuple(coeffs)
 
     def encode(self, coeffs) -> int:
+        """The element with these coefficients, each in [0, p)."""
         out = 0
-        for c in reversed(pnormalize(coeffs, self.p)):
+        for c in reversed(coeffs):
             out = out * self.p + c
         return out
 
     def add(self, a, b):
-        ca, cb = self.decode(a), self.decode(b)
-        m = max(len(ca), len(cb))
-        out = [0] * m
-        for i, c in enumerate(ca):
-            out[i] = c
-        for i, c in enumerate(cb):
-            out[i] = (out[i] + c) % self.p
-        return self.encode(out)
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
 
     def neg(self, a):
-        return self.encode(tuple((-c) % self.p for c in self.decode(a)))
+        p = self.p
+        if p == 2:
+            return a
+        out, place = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += -x % p * place
+            place *= p
+        return out
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

@@ -50,27 +50,30 @@ def diagonal_matrix(ring, rows: int, cols: int, exponents) -> Matrix:
     grid = [[ring.zero] * cols for _ in range(rows)]
     for idx, e in enumerate(exponents):
         grid[idx][idx] = ring.generator_power(e)
-    return Matrix(ring, grid)
+    return Matrix._canonical(ring, grid)
 
 
 def eliminate(ring, grid):
     """Exponents of the diagonal form of grid, and the operations reaching it.
 
     The pivot of step d is the first entry, row-major, of least valuation
-    in the block below and right of (d, d).  It is moved to (d, d) and
-    scaled to c^v; its column is cleared by row transvections and its
-    row by column transvections.  Once the pivot column is clear, a
-    column transvection changes only the pivot row, which no later step
-    reads, so column transvections are recorded without being applied.
+    in the block below and right of (d, d); the scan stops at the first
+    unit, since nothing has a smaller valuation.  It is moved to (d, d)
+    and scaled to c^v; its column is cleared by row transvections and its
+    row by column transvections.  Columns left of d are zero below row
+    d - 1, so a row transvection touches columns d and up only.  Once the
+    pivot column is clear, a column transvection changes only the pivot
+    row, which no later step reads, so column transvections are recorded
+    without being applied.  The entries must be canonical values of ring.
     """
     n = ring.nil_degree
+    add, mul, neg, shift, valuation = ring.add, ring.mul, ring.neg, ring.shift, ring.valuation
+    zero = ring.zero
     M = [list(row) for row in grid]
     r, c = len(M), len(M[0])
     exponents, ops = [], []
     for d in range(min(r, c)):
-        v, pi, pj = min(
-            (ring.valuation(M[i][j]), i, j) for i in range(d, r) for j in range(d, c)
-        )
+        v, pi, pj = _pivot(valuation, M, d, c, n)
         if v == n:
             break
         if pi != d:
@@ -80,24 +83,41 @@ def eliminate(ring, grid):
             for row in M[d:]:
                 row[d], row[pj] = row[pj], row[d]
             ops.append((_SWAP_COLS, d, pj, None))
-        unit = ring.shift(M[d][d], v)
+        unit = shift(M[d][d], v)
         if unit != ring.one:
             u = ring.unit_inverse(unit)
-            M[d] = [ring.mul(u, x) for x in M[d]]
+            M[d][d:] = [mul(u, x) for x in M[d][d:]]
             ops.append((_SCALE, d, u, unit))
         # the pivot is now exactly c^v; every other entry has valuation >= v
+        pivot_row = M[d][d:]
         for i in range(d + 1, r):
-            x = M[i][d]
-            if not ring.is_zero(x):
-                t = ring.neg(ring.shift(x, v))
-                M[i] = [ring.add(a, ring.mul(t, b)) for a, b in zip(M[i], M[d])]
+            row = M[i]
+            x = row[d]
+            if x != zero:
+                t = neg(shift(x, v))
+                row[d:] = [add(a, mul(t, b)) for a, b in zip(row[d:], pivot_row)]
                 ops.append((_ADD_ROW, i, d, t))
         for j in range(d + 1, c):
-            x = M[d][j]
-            if not ring.is_zero(x):
-                ops.append((_ADD_COL, j, d, ring.neg(ring.shift(x, v))))
+            x = pivot_row[j - d]
+            if x != zero:
+                ops.append((_ADD_COL, j, d, neg(shift(x, v))))
         exponents.append(v)
     return exponents, ops
+
+
+def _pivot(valuation, M, d, c, n):
+    """(v, i, j): the first entry row-major of least valuation v in the
+    block below and right of (d, d), with v = n when the block is zero."""
+    best = (n + 1, d, d)
+    for i in range(d, len(M)):
+        row = M[i]
+        for j in range(d, c):
+            v = valuation(row[j])
+            if v < best[0]:
+                if v == 0:
+                    return 0, i, j
+                best = (v, i, j)
+    return best
 
 
 def _identity_grid(ring, m):
@@ -105,7 +125,12 @@ def _identity_grid(ring, m):
 
 
 def factors(ring, rows, cols, ops):
-    """(L, R) with A = L * D * R: each operation undone on identities, in order."""
+    """(L, R) with A = L * D * R: each operation undone on identities, in order.
+
+    Undoing a transvection by t adds -t times a row or column; a zero
+    entry of it adds nothing and is skipped.
+    """
+    add, mul, neg, zero = ring.add, ring.mul, ring.neg, ring.zero
     L, R = _identity_grid(ring, rows), _identity_grid(ring, cols)
     for kind, i, j, t in ops:
         if kind == _SWAP_ROWS:
@@ -115,17 +140,21 @@ def factors(ring, rows, cols, ops):
             R[i], R[j] = R[j], R[i]
         elif kind == _SCALE:  # j is the unit u, t its inverse
             for row in L:
-                row[i] = ring.mul(row[i], t)
+                row[i] = mul(row[i], t)
         elif kind == _ADD_ROW:
+            t = neg(t)
             for row in L:
-                row[j] = ring.sub(row[j], ring.mul(t, row[i]))
+                if row[i] != zero:
+                    row[j] = add(row[j], mul(t, row[i]))
         else:
-            R[j] = [ring.sub(x, ring.mul(t, y)) for x, y in zip(R[j], R[i])]
+            t = neg(t)
+            R[j] = [x if y == zero else add(x, mul(t, y)) for x, y in zip(R[j], R[i])]
     return L, R
 
 
 def inverse_factors(ring, rows, cols, ops):
     """(L^-1, R^-1) with L^-1 * A * R^-1 = D: each operation applied to identities."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
     Linv, Rinv = _identity_grid(ring, rows), _identity_grid(ring, cols)
     for kind, i, j, t in ops:
         if kind == _SWAP_ROWS:
@@ -134,12 +163,13 @@ def inverse_factors(ring, rows, cols, ops):
             for row in Rinv:
                 row[i], row[j] = row[j], row[i]
         elif kind == _SCALE:  # j is the unit u
-            Linv[i] = [ring.mul(j, x) for x in Linv[i]]
+            Linv[i] = [mul(j, x) for x in Linv[i]]
         elif kind == _ADD_ROW:
-            Linv[i] = [ring.add(x, ring.mul(t, y)) for x, y in zip(Linv[i], Linv[j])]
+            Linv[i] = [x if y == zero else add(x, mul(t, y)) for x, y in zip(Linv[i], Linv[j])]
         else:
             for row in Rinv:
-                row[i] = ring.add(row[i], ring.mul(t, row[j]))
+                if row[j] != zero:
+                    row[i] = add(row[i], mul(t, row[j]))
     return Linv, Rinv
 
 
@@ -151,8 +181,8 @@ def diagonalize(A: Matrix) -> DiagonalForm:
     return DiagonalForm(
         exponents=tuple(exponents),
         zero_count=min(A.rows, A.cols) - len(exponents),
-        left=Matrix(ring, L),
-        right=Matrix(ring, R),
+        left=Matrix._canonical(ring, L),
+        right=Matrix._canonical(ring, R),
     )
 
 

@@ -3,6 +3,13 @@
 A polynomial is a tuple of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All functions
 take the prime p explicitly.
+
+Arithmetic takes canonical polynomials (coefficients in [0, p), no
+trailing zeros) and returns canonical polynomials without re-reducing
+them: `padd`, `pmul` and `pdivmod` reduce each coefficient once and strip
+trailing zeros only where a leading term can cancel.  Only `pnormalize`,
+and through it `parse_poly` and `pscale`, canonicalizes arbitrary
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -21,35 +28,51 @@ def pnormalize(coeffs, p) -> tuple:
     return tuple(out)
 
 
+def pstrip(out: list) -> tuple:
+    """The tuple of reduced coefficients out, without its trailing zeros."""
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def pdegree(a) -> int:
     """Degree, with deg(0) = -1."""
     return len(a) - 1
 
 
 def padd(a, b, p) -> tuple:
-    m = max(len(a), len(b))
-    out = [0] * m
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return pnormalize(out, p)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % p for x, y in zip(a, b)]
+    if len(a) > len(b):  # the leading term of a survives
+        return tuple(out) + a[len(b) :]
+    return pstrip(out)
 
 
 def pneg(a, p) -> tuple:
-    return tuple((-c) % p for c in a)
+    return tuple([-c % p for c in a])
 
 
-def pmul(a, b, p) -> tuple:
+def pmul(a, b, p, below=None) -> tuple:
+    """The product a * b, or its terms of degree < below when below is given.
+
+    Coefficients are reduced once, after the convolution.  Over the field
+    F_p the full product's leading coefficient is nonzero, so only a
+    truncated product can need stripping.
+    """
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return pnormalize(out, p)
+    size = len(a) + len(b) - 1
+    if below is not None and below < size:
+        size = below
+    out = [0] * size
+    for i, ca in enumerate(a[:size]):
+        if ca:
+            for j, cb in enumerate(b[: size - i], i):
+                out[j] += ca * cb
+    if below is None:
+        return tuple([c % p for c in out])
+    return pstrip([c % p for c in out])
 
 
 def pscale(a, s, p) -> tuple:
@@ -57,23 +80,25 @@ def pscale(a, s, p) -> tuple:
 
 
 def pdivmod(a, b, p) -> tuple:
-    """Quotient and remainder of a by b (b nonzero; coefficients in F_p)."""
+    """Quotient and remainder of a by b (b nonzero; coefficients in F_p).
+
+    The remainder's coefficients are reduced once, at the end; each
+    quotient term reads its coefficient modulo p as it goes.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     lead_inv = pow(b[-1], -1, p)
+    top = len(b) - 1
+    terms = [(i, c) for i, c in enumerate(b[:top]) if c]
     rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * lead_inv) % p
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-    return pnormalize(quo, p), pnormalize(rem, p)
+    quo = [0] * max(0, len(a) - top)
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = rem[shift + top] * lead_inv % p
+        if factor:
+            quo[shift] = factor
+            for i, c in terms:
+                rem[shift + i] -= factor * c
+    return tuple(quo), pstrip([c % p for c in rem[:top]])
 
 
 def pdivides(b, a, p) -> bool:
@@ -83,23 +108,67 @@ def pdivides(b, a, p) -> bool:
     return not pdivmod(a, b, p)[1]
 
 
+def _frobenius(a, f, p) -> tuple:
+    """a^p modulo f.
+
+    Over F_p, a(x)^p = a(x^p): for p <= deg f the coefficients are spread
+    p apart and reduced once; a larger p squares and multiplies.
+    """
+    if p < len(f):
+        spread = [0] * ((len(a) - 1) * p + 1) if a else []
+        spread[::p] = a
+        return pdivmod(tuple(spread), f, p)[1]
+    out, e = (1,), p
+    while e:
+        if e & 1:
+            out = pdivmod(pmul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = pdivmod(pmul(a, a, p), f, p)[1]
+    return out
+
+
+def _pgcd(a, b, p) -> tuple:
+    """A greatest common divisor of a and b (not made monic)."""
+    while b:
+        a, b = b, pdivmod(a, b, p)[1]
+    return a
+
+
+def _prime_factors(k: int) -> list:
+    out, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            out.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
 def is_irreducible(f, p) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    d = pdegree(f)
-    if d <= 0:
+    """Rabin's test: f of degree k >= 2 is irreducible over F_p iff
+    f divides x^(p^k) - x and gcd(x^(p^(k/r)) - x, f) = 1 for each prime
+    r dividing k.  It costs k p-th powers modulo f."""
+    k = pdegree(f)
+    if k <= 0:
         return False
-    if d == 1:
+    if k == 1:
         return True
-    for deg in range(1, d // 2 + 1):
-        for idx in range(p**deg):
-            coeffs, rest = [], idx
-            for _ in range(deg):
-                coeffs.append(rest % p)
-                rest //= p
-            coeffs.append(1)
-            if pdivides(tuple(coeffs), f, p):
-                return False
-    return True
+    if not f[0]:  # x divides f
+        return False
+    x = (0, 1)
+    frobenius = [x]  # x^(p^i) modulo f, for i = 0..k
+    for _ in range(k):
+        frobenius.append(_frobenius(frobenius[-1], f, p))
+    if frobenius[k] != x:
+        return False
+    return all(
+        len(_pgcd(f, padd(frobenius[k // r], (0, p - 1), p), p)) == 1
+        for r in _prime_factors(k)
+    )
 
 
 def min_irreducible(p, k) -> tuple:

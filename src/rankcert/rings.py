@@ -16,6 +16,12 @@ valuation(a) is the largest v with c^v dividing a (n for zero), and
 shift(a, v), for v <= valuation(a), is the canonical a / c^v, so
 mul(shift(a, v), generator_power(v)) == a and shift(a, valuation(a)) is
 a unit.  No floating point is used anywhere.
+
+Values are validated once, at the boundary: `normalize`, `parse` and
+the public `Matrix(...)` / `matrix(...)` canonicalize whatever they are
+given.  Inside that boundary every ring operation takes canonical values
+and returns canonical values without re-reducing them, and matrices the
+library builds from such values skip normalization (`Matrix._canonical`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .polys import (
     pmul,
     pneg,
     pnormalize,
+    pstrip,
 )
 
 
@@ -331,7 +338,7 @@ class TruncatedPolyRing(_LocalRing):
         return pneg(a, self.p)
 
     def mul(self, a, b):
-        return pnormalize(pmul(a, b, self.p)[: self.nil_degree], self.p)
+        return pmul(a, b, self.p, below=self.nil_degree)
 
     def _inverse(self, a):
         # power series inversion of the unit up to degree n-1, in O(n * deg a);
@@ -342,7 +349,7 @@ class TruncatedPolyRing(_LocalRing):
             for k in range(1, self.nil_degree):
                 acc = sum(a[i] * w[k - i] for i in range(1, min(k, len(a) - 1) + 1))
                 w.append(-inv0 * acc % self.p)
-        return self.normalize(w)
+        return pstrip(w)
 
     def parse(self, text):
         return self.normalize(parse_poly(text, self.p, below=self.nil_degree))
@@ -385,13 +392,13 @@ class FieldProductRing(Ring):
         return tuple(out)
 
     def add(self, a, b):
-        return tuple(f.add(x, y) for f, x, y in zip(self.fields, a, b))
+        return tuple([f.add(x, y) for f, x, y in zip(self.fields, a, b)])
 
     def neg(self, a):
-        return tuple(f.neg(x) for f, x in zip(self.fields, a))
+        return tuple([f.neg(x) for f, x in zip(self.fields, a)])
 
     def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.fields, a, b))
+        return tuple([f.mul(x, y) for f, x, y in zip(self.fields, a, b)])
 
     def is_zero(self, a):
         return all(x == 0 for x in a)
@@ -468,13 +475,24 @@ class Matrix:
 
     def __init__(self, ring: Ring, rows):
         entries = tuple(tuple(ring.normalize(x) for x in row) for row in rows)
-        if not entries or any(len(r) == 0 for r in entries):
-            raise PreconditionError("matrices must have at least one row and column")
-        width = len(entries[0])
-        if any(len(r) != width for r in entries):
-            raise PreconditionError("ragged matrix")
+        _check_shape(entries)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _canonical(cls, ring: Ring, rows) -> "Matrix":
+        """A matrix of entries the library computed itself.
+
+        The entries must already be canonical values of ring, and the rows
+        a nonempty rectangle: neither is checked, and nothing is
+        normalized.  Ring arithmetic returns canonical values, so a grid
+        built from them qualifies; anything from outside goes through
+        Matrix(...) or parse_matrix instead.
+        """
+        M = object.__new__(cls)
+        object.__setattr__(M, "ring", ring)
+        object.__setattr__(M, "entries", tuple(map(tuple, rows)))
+        return M
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -511,42 +529,54 @@ class Matrix:
         return f"Matrix({self.ring.spec}, {self.to_strings()})"
 
 
+def _check_shape(entries):
+    if not entries or any(len(r) == 0 for r in entries):
+        raise PreconditionError("matrices must have at least one row and column")
+    width = len(entries[0])
+    if any(len(r) != width for r in entries):
+        raise PreconditionError("ragged matrix")
+
+
 def matrix(ring: Ring, rows) -> Matrix:
     return Matrix(ring, rows)
 
 
 def parse_matrix(ring: Ring, rows_of_strings) -> Matrix:
-    return Matrix(ring, [[ring.parse(s) for s in row] for row in rows_of_strings])
+    entries = tuple(tuple(ring.parse(s) for s in row) for row in rows_of_strings)
+    _check_shape(entries)
+    return Matrix._canonical(ring, entries)
 
 
 def identity(ring: Ring, m: int) -> Matrix:
     if m < 1:
         raise PreconditionError("identity size must be >= 1")
-    return Matrix(
+    return Matrix._canonical(
         ring, [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
     )
 
 
 def zeros(ring: Ring, r: int, c: int) -> Matrix:
-    return Matrix(ring, [[ring.zero] * c for _ in range(r)])
+    if r < 1 or c < 1:
+        raise PreconditionError("matrices must have at least one row and column")
+    return Matrix._canonical(ring, [[ring.zero] * c for _ in range(r)])
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    """A * B, row by row: each nonzero A[i][t] adds A[i][t] * B[t] to row i."""
     if A.ring != B.ring:
         raise PreconditionError("matrix product over different rings")
     if A.cols != B.rows:
         raise PreconditionError(f"cannot multiply {A.shape} by {B.shape}")
     ring = A.ring
+    add, mul, zero = ring.add, ring.mul, ring.zero
     out = []
-    for i in range(A.rows):
-        row = []
-        for j in range(B.cols):
-            acc = ring.zero
-            for t in range(A.cols):
-                acc = ring.add(acc, ring.mul(A.entries[i][t], B.entries[t][j]))
-            row.append(acc)
+    for row_a in A.entries:
+        row = [zero] * B.cols
+        for x, row_b in zip(row_a, B.entries):
+            if x != zero:
+                row = [add(acc, mul(x, y)) for acc, y in zip(row, row_b)]
         out.append(row)
-    return Matrix(ring, out)
+    return Matrix._canonical(ring, out)
 
 
 def block_diag(A: Matrix, B: Matrix) -> Matrix:
@@ -558,7 +588,7 @@ def block_diag(A: Matrix, B: Matrix) -> Matrix:
         out.append(list(row) + [ring.zero] * B.cols)
     for row in B.entries:
         out.append([ring.zero] * A.cols + list(row))
-    return Matrix(ring, out)
+    return Matrix._canonical(ring, out)
 
 
 def block_upper(A: Matrix, C: Matrix, B: Matrix) -> Matrix:
@@ -573,13 +603,13 @@ def block_upper(A: Matrix, C: Matrix, B: Matrix) -> Matrix:
         out.append(list(ra) + list(rc))
     for rb in B.entries:
         out.append([ring.zero] * A.cols + list(rb))
-    return Matrix(ring, out)
+    return Matrix._canonical(ring, out)
 
 
 def stack_vertical(A: Matrix, B: Matrix) -> Matrix:
     if A.ring != B.ring or A.cols != B.cols:
         raise PreconditionError("vertical stack needs equal column counts")
-    return Matrix(A.ring, list(A.entries) + list(B.entries))
+    return Matrix._canonical(A.ring, A.entries + B.entries)
 
 
 def det(M: Matrix):

@@ -117,10 +117,25 @@ def monoid_scale(m: int, a) -> tuple:
 
 
 def check_element(ring, a) -> tuple:
-    a = tuple(int(x) for x in a)
-    if len(a) != monoid_width(ring) or any(x < 0 for x in a):
-        raise PreconditionError(f"bad monoid element {a} for {ring.spec}")
-    return a
+    """a as a monoid element of ring: a tuple of monoid_width(ring) ints >= 0.
+
+    A tuple that already is one is returned as it is, and another iterable
+    of such ints as a tuple.  Anything else (a bool or float entry, a
+    negative entry, the wrong width, a non-iterable) raises
+    PreconditionError.
+    """
+    if type(a) is not tuple:
+        try:
+            a = tuple(a)
+        except TypeError:
+            raise PreconditionError(f"bad monoid element {a!r} for {ring.spec}") from None
+    if len(a) == monoid_width(ring):
+        for x in a:
+            if type(x) is not int or x < 0:
+                break
+        else:
+            return a
+    raise PreconditionError(f"bad monoid element {a} for {ring.spec}")
 
 
 def class_of(A: Matrix) -> tuple:
@@ -147,12 +162,12 @@ def class_representative(ring, a) -> Matrix:
         grid = [[ring.zero] * size for _ in range(size)]
         for t, x in enumerate(diag):
             grid[t][t] = x
-        return Matrix(ring, grid)
+        return Matrix._canonical(ring, grid)
     size = max(1, max(a))
     grid = [[ring.zero] * size for _ in range(size)]
     for t in range(size):
         grid[t][t] = tuple(1 if t < a[i] else 0 for i in range(ring.width))
-    return Matrix(ring, grid)
+    return Matrix._canonical(ring, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +529,7 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
         d_parts.append(_product_through(f, Qb_inv, Qa, r))
 
     def assemble(parts, r, c):
-        return Matrix(
+        return Matrix._canonical(
             ring,
             [
                 [tuple(parts[i][s][t] for i in range(ring.width)) for t in range(c)]

@@ -14,6 +14,8 @@ from rankcert import (
     order_unit,
     rank_profile,
 )
+from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS
+from rankcert.polys import pdegree, pdivides
 from rankcert.semigroup import check_element, monoid_add, monoid_identity, monoid_scale
 
 
@@ -390,3 +392,65 @@ def reference_regular_factor(A, B):
         )
 
     return assemble(c_parts, A.rows, B.rows), assemble(d_parts, B.cols, A.cols), None
+
+
+# ---------------------------------------------------------------------------
+# the irreducibility test and the elimination pivot as they were before the
+# fast paths, kept as oracles for them
+
+
+def reference_is_irreducible(f, p) -> bool:
+    """Trial division by all monic polynomials of degree <= deg(f)/2."""
+    d = pdegree(f)
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    for deg in range(1, d // 2 + 1):
+        for idx in range(p**deg):
+            coeffs, rest = [], idx
+            for _ in range(deg):
+                coeffs.append(rest % p)
+                rest //= p
+            coeffs.append(1)
+            if pdivides(tuple(coeffs), f, p):
+                return False
+    return True
+
+
+def reference_eliminate(ring, grid):
+    """normal_form.eliminate with the pivot taken by min() over the whole block."""
+    n = ring.nil_degree
+    M = [list(row) for row in grid]
+    r, c = len(M), len(M[0])
+    exponents, ops = [], []
+    for d in range(min(r, c)):
+        v, pi, pj = min(
+            (ring.valuation(M[i][j]), i, j) for i in range(d, r) for j in range(d, c)
+        )
+        if v == n:
+            break
+        if pi != d:
+            M[d], M[pi] = M[pi], M[d]
+            ops.append((_SWAP_ROWS, d, pi, None))
+        if pj != d:
+            for row in M[d:]:
+                row[d], row[pj] = row[pj], row[d]
+            ops.append((_SWAP_COLS, d, pj, None))
+        unit = ring.shift(M[d][d], v)
+        if unit != ring.one:
+            u = ring.unit_inverse(unit)
+            M[d] = [ring.mul(u, x) for x in M[d]]
+            ops.append((_SCALE, d, u, unit))
+        for i in range(d + 1, r):
+            x = M[i][d]
+            if not ring.is_zero(x):
+                t = ring.neg(ring.shift(x, v))
+                M[i] = [ring.add(a, ring.mul(t, b)) for a, b in zip(M[i], M[d])]
+                ops.append((_ADD_ROW, i, d, t))
+        for j in range(d + 1, c):
+            x = M[d][j]
+            if not ring.is_zero(x):
+                ops.append((_ADD_COL, j, d, ring.neg(ring.shift(x, v))))
+        exponents.append(v)
+    return exponents, ops

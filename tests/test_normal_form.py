@@ -34,6 +34,7 @@ from helpers import (
     random_matrix,
     reference_class_of,
     reference_diagonalize,
+    reference_eliminate,
     reference_field_paq,
     reference_field_rank,
     reference_regular_factor,
@@ -232,6 +233,14 @@ def test_field_elimination_matches_field_paq(case):
     freeze = lambda pair: tuple(tuple(tuple(row) for row in g) for g in pair)
     assert freeze(factors(field, rows, cols, ops)) == (P, Q)
     assert freeze(inverse_factors(field, rows, cols, ops)) == (Pinv, Qinv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(local_matrices().map(lambda A: (A.ring, A.entries)), field_grids()))
+def test_early_exit_pivot_records_the_min_pivot_operations(case):
+    # the scan stops at the first unit; min() over the whole block picks the same entry
+    ring, grid = case
+    assert eliminate(ring, grid) == reference_eliminate(ring, grid)
 
 
 # (ring, generator of a maximal ideal) for residue pullback ranks

@@ -350,6 +350,34 @@ def test_matrix_shape_validation():
     assert zeros(z, 2, 3).shape == (2, 3)
 
 
+def test_public_constructors_canonicalize_entries():
+    z8, f2x3, f3x = parse_ring("Z/8"), parse_ring("F2[x]/x^3"), parse_ring("F3[x]")
+    for make in (Matrix, matrix):
+        assert make(z8, [[9, -1]]).entries == ((1, 7),)
+        assert make(f2x3, [[[1, 0, 0, 1], [3, 2]]]).entries == (((1,), (1,)),)
+        assert make(f3x, [[[4, 0], 3]]).entries == (((1,), ()),)
+    assert parse_matrix(z8, [["9", "-1"]]).entries == ((1, 7),)
+    assert parse_matrix(f2x3, [["x^3+1", "3+2x"]]).entries == (((1,), (1,)),)
+    assert parse_matrix(f3x, [["4+0x", "3"]]).entries == (((1,), ()),)
+    # the library's own matrices equal the canonicalized public ones
+    A = parse_matrix(z8, [["9", "2"], ["3", "12"]])
+    assert A == matrix(z8, [[1, 2], [3, 4]])
+    assert mat_mul(A, identity(z8, 2)) == Matrix(z8, [[9, 10], [11, 12]])
+
+
+def test_public_constructors_reject_empty_and_ragged_input():
+    z8 = parse_ring("Z/8")
+    for rows in ([], [[]], [[1, 2], [3]], [[1], []]):
+        with pytest.raises(PreconditionError):
+            Matrix(z8, rows)
+        with pytest.raises(PreconditionError):
+            matrix(z8, rows)
+        with pytest.raises(PreconditionError):
+            parse_matrix(z8, [[str(x) for x in row] for row in rows])
+    with pytest.raises(PreconditionError):
+        zeros(z8, 0, 2)
+
+
 def test_product_ring_entry_round_trip():
     ring = parse_ring("F2*F3")
     v = ring.parse("(1,2)")

@@ -37,6 +37,7 @@ from rankcert import (
     verify_formal_certificate,
     witness_chain,
 )
+from rankcert.semigroup import check_element
 
 from helpers import random_matrix
 
@@ -352,3 +353,26 @@ def test_rank_profile_length():
         Fraction(3, 2),
         Fraction(2),
     )
+
+
+def test_check_element_returns_a_valid_tuple_as_it_is():
+    z8, prod = parse_ring("Z/8"), parse_ring("F2*F3")
+    a = (0, 2, 1)
+    assert check_element(z8, a) is a
+    assert check_element(z8, [0, 2, 1]) == a
+    assert check_element(prod, iter([1, 0])) == (1, 0)
+    assert leq(z8, [1, 0, 0], (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(True, 0, 0), (0, False, 1), (-1, 0, 0), [0, -2, 0], (1.0, 0, 0), [0.5, 0, 0],
+     ("1", 0, 0), (0, 0), [0, 0, 0, 0], (), 3, None],
+    ids=["bool", "bool-false", "negative", "negative-list", "float", "float-list",
+         "string", "short", "long", "empty", "int", "none"],
+)
+def test_check_element_rejects_malformed_operands(bad):
+    with pytest.raises(PreconditionError):
+        check_element(parse_ring("Z/8"), bad)
+    with pytest.raises(PreconditionError):
+        leq(parse_ring("Z/8"), bad, (1, 0, 0))

@@ -176,3 +176,34 @@ def test_verify_decides_a_response_over_a_costly_ring_quickly(ring):
         code, _, elapsed = run(["verify"], json.dumps(doc))
         assert code in (1, 2), doc["command"]
         assert elapsed < LIMIT_S, doc["command"]
+
+
+def test_verify_decides_a_regular_response_over_a_large_extension_field_quickly():
+    # building GF(2^32) by trial division took 4.7 s before any check ran;
+    # the README factorization has 0/1 entries, so it holds over this ring too
+    doc = json.loads(responses()[3])
+    assert doc["mode"] == "regular"
+    doc["ring"] = "F4294967296*F2"
+    code, out, elapsed = run(["verify"], json.dumps(doc))
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert elapsed < LIMIT_S
+    doc["certificate"]["c"] = [["(0,0)"]]
+    code, _, elapsed = run(["verify"], json.dumps(doc))
+    assert code in (1, 2)
+    assert elapsed < LIMIT_S
+
+
+def test_verify_canonicalizes_diagonalize_entry_literals():
+    # non-canonical literals of the same Z/8 values verify as before; a
+    # changed value still fails
+    doc = json.loads(responses()[0])
+    edits = {
+        "matrix": [["10", "-7"], ["8", "12"]],
+        "left": [["9", "-8"], ["-4", "17"]],
+        "right": [["-6", "009"], ["1", "0"]],
+    }
+    for key, value in edits.items():
+        code, out, _ = run(["verify"], json.dumps({**doc, key: value}))
+        assert code == 0 and json.loads(out)["verified"] is True, key
+    code, out, _ = run(["verify"], json.dumps({**doc, "matrix": [["10", "-7"], ["8", "13"]]}))
+    assert code == 1 and json.loads(out)["verified"] is False
