@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -25,6 +24,7 @@ from .presentations import (
     psi_group,
     quotient_presentation,
 )
+from .records import record
 from .rings import (
     Matrix,
     block_diag,
@@ -67,7 +67,7 @@ LOCAL_RINGS = ("Z/4", "Z/8", "Z/9", "F2[x]/x^3", "F3[x]/x^2")
 SHIPPED_RINGS = LOCAL_RINGS + ("Z/27", "F2*F3", "F2*F3*F5")
 
 
-@dataclass
+@record
 class CriterionResult:
     number: int
     title: str

@@ -19,15 +19,6 @@ from fractions import Fraction
 
 from .errors import BoundExceededError, ParseError, PreconditionError
 from .normal_form import DiagonalForm, diagonalize, verify_factorization
-from .presentations import (
-    dim,
-    module_basis_labels,
-    phi,
-    presentation,
-    presentations_equivalent,
-    psi,
-    signature,
-)
 from .rings import Matrix, parse_matrix, parse_ring
 from .semigroup import (
     Cancel,
@@ -51,20 +42,9 @@ from .semigroup import (
     verify_formal_certificate,
     witness_chain,
 )
-from .states import (
-    MinorSweep,
-    RkSquareResult,
-    StateRange,
-    StateSpec,
-    check_formal_hypothesis,
-    pullback_rank,
-    rk_for_square,
-    state_extension,
-    state_range,
-    verify_rk_square,
-    verify_state_extension,
-    verify_state_range,
-)
+
+# states and presentations are imported inside the handlers that use
+# them, so the other commands start without loading them
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +130,10 @@ def _int_tuple(value, what) -> tuple:
     return tuple(_typed(x, int, f"an entry of {what}") for x in _typed(value, list, what))
 
 
-def load_spec(gens, values) -> StateSpec:
+def load_spec(gens, values):
     """A state spec from JSON arrays of class vectors and of rationals."""
+    from .states import StateSpec
+
     return StateSpec(
         generators=tuple(_int_tuple(g, "a generator") for g in _typed(gens, list, "generators")),
         values=tuple(parse_fraction(v) for v in _typed(values, list, "values")),
@@ -272,6 +254,8 @@ def _leq_payload(command, args):
     ring = parse_ring(args.ring)
     if args.elem is not None:
         # formal diagonal elements over (Z, elem) or (F_p[x], elem)
+        from .states import check_formal_hypothesis
+
         if ring.is_local or ring.is_product:
             raise ParseError("--elem applies to the Z and F_p[x] families")
         pivot = ring.parse(args.elem)
@@ -337,6 +321,8 @@ def _leq_payload(command, args):
 
 
 def cmd_state_range(args):
+    from .states import state_range
+
     ring = parse_ring(args.ring)
     kind, a = load_operand(ring, args.a)
     vec = class_of(a) if kind == "matrix" else a
@@ -358,6 +344,8 @@ def cmd_state_range(args):
 
 
 def cmd_extend_state(args):
+    from .states import state_extension
+
     ring = parse_ring(args.ring)
     spec = load_spec(load_json(args.generators, "generators"), load_json(args.values, "values"))
     kind, a = load_operand(ring, args.a)
@@ -382,6 +370,8 @@ def cmd_extend_state(args):
 
 
 def cmd_rk_square(args):
+    from .states import rk_for_square
+
     ring = parse_ring(args.ring)
     elem = ring.parse(args.a)
     res = rk_for_square(ring, elem, bound=args.bounds)
@@ -401,6 +391,8 @@ def cmd_rk_square(args):
 
 
 def cmd_dim(args):
+    from .presentations import dim, presentation
+
     ring = parse_ring(args.ring)
     kind, A = load_operand(ring, args.relations)
     if kind != "matrix":
@@ -417,6 +409,8 @@ def cmd_dim(args):
 
 
 def _load_presentation(ring, text):
+    from .presentations import presentation
+
     data = load_json(text, "presentation payload")
     if not isinstance(data, dict) or "gens" not in data or "relations" not in data:
         raise ParseError('presentation must look like {"gens": m, "relations": [[..]]}')
@@ -430,6 +424,8 @@ def _signature_payload(sig):
 
 
 def cmd_equiv(args):
+    from .presentations import presentations_equivalent, signature
+
     ring = parse_ring(args.ring)
     P1 = _load_presentation(ring, args.p1)
     P2 = _load_presentation(ring, args.p2)
@@ -445,6 +441,8 @@ def cmd_equiv(args):
 
 
 def cmd_phi(args):
+    from .presentations import phi
+
     ring = parse_ring(args.ring)
     P = _load_presentation(ring, args.presentation)
     g = phi(P)
@@ -459,6 +457,8 @@ def cmd_phi(args):
 
 
 def cmd_psi(args):
+    from .presentations import module_basis_labels, psi
+
     ring = parse_ring(args.ring)
     kind, A = load_operand(ring, args.a)
     if kind != "matrix":
@@ -474,6 +474,7 @@ def cmd_psi(args):
 
 def cmd_axioms_check(args):
     from . import acceptance  # only this command and selftest use the suite
+    from .states import pullback_rank
 
     ring = parse_ring(args.ring)
     rng = random.Random(args.seed)
@@ -520,11 +521,13 @@ def cmd_verify(args):
     return {"command": "verify", "verified": ok, "of": command}, (0 if ok else 1)
 
 
-def _load_state_range(data, fields) -> StateRange:
+def _load_state_range(data, fields):
     """A state-range or extend-state response; witness fields b and c are vectors.
 
     Only a state-range response carries the `exact` interval.
     """
+    from .states import StateRange
+
     p_w, q_w = (
         tuple(_int_tuple(w.get(f), f) if f in ("b", "c") else _get(w, f, int) for f in fields)
         for w in (_get(data, "p_witness", dict), _get(data, "q_witness", dict))
@@ -549,6 +552,8 @@ def _verify_response(command, data) -> bool:
                 return False
             cert = load_certificate(data["certificate"])
             if mode == "formal":
+                from .states import check_formal_hypothesis
+
                 a, b = _int_tuple(data.get("a"), "a"), _int_tuple(data.get("b"), "b")
                 bound = max(_get(data, "depth", int) - 1, *a, *b)
                 check_formal_hypothesis(ring, ring.parse(_get(data, "elem", str)), bound)
@@ -561,21 +566,28 @@ def _verify_response(command, data) -> bool:
         if mode == "regular":
             A = load_matrix(ring, data.get("a_matrix"))
             B = load_matrix(ring, data.get("b_matrix"))
+            a = _int_tuple(data.get("a_class"), "a_class")
+            b = _int_tuple(data.get("b_class"), "b_class")
             cert = _get(data, "certificate", dict)
             kind = cert.get("kind")
             if kind == "factorization":
                 C, D = load_matrix(ring, cert.get("c")), load_matrix(ring, cert.get("d"))
-                return result is True and verify_factor(A, B, FactorResult(C, D, None))
-            if kind == "negative-component":
+                ok = result is True and verify_factor(A, B, FactorResult(C, D, None))
+            elif kind == "negative-component":
                 i = _get(cert, "component", int)
                 claimed = (_get(cert, "lhs", int), _get(cert, "rhs", int))
-                return (
+                ok = (
                     result is False
                     and verify_factor(A, B, FactorResult(None, None, i))
                     and claimed == (class_of(A)[i], class_of(B)[i])
                 )
+            else:
+                return False
+            return ok and (a, b) == (class_of(A), class_of(B))
         return False
     if command == "rk-square":
+        from .states import MinorSweep, RkSquareResult, verify_rk_square
+
         lower = _get(data, "lower", dict)
         res = RkSquareResult(
             value=parse_fraction(data.get("value")),
@@ -584,10 +596,14 @@ def _verify_response(command, data) -> bool:
         )
         return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)
     if command == "state-range":
+        from .states import verify_state_range
+
         sr = _load_state_range(data, _RANGE_WITNESS)
         a = _int_tuple(data.get("a"), "a")
         return verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
     if command == "extend-state":
+        from .states import verify_state_extension
+
         spec = load_spec(data.get("generators"), data.get("values"))
         sr = _load_state_range(data, _EXTENSION_WITNESS)
         a = _int_tuple(data.get("a"), "a")

@@ -17,9 +17,8 @@ reads the exponents, a rank counts them, and `diagonalize` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
+from .records import record
 from .rings import Matrix, det, mat_mul
 
 # Recorded operations, in the order they were applied to the working copy:
@@ -31,7 +30,7 @@ from .rings import Matrix, det, mat_mul
 _SWAP_ROWS, _SWAP_COLS, _SCALE, _ADD_ROW, _ADD_COL = range(5)
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalForm:
     exponents: tuple  # valuations of the nonzero diagonal entries, ascending
     zero_count: int

@@ -16,17 +16,17 @@ are mutually inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .normal_form import eliminate
+from .records import record
 from .rings import Matrix, block_diag, stack_vertical, zeros
 from .semigroup import class_of, monoid_width, order_unit, rk
 from .states import GroupElement, cone_member, group_diff, group_element
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     gens: int
     relations: Matrix
@@ -55,13 +55,13 @@ def quotient_presentation(P: Presentation, extra: Matrix) -> Presentation:
     return presentation(P.gens, stack_vertical(P.relations, extra))
 
 
-@dataclass(frozen=True)
+@record
 class LocalSignature:
     torsion: tuple  # exponents >= 1, sorted
     free_rank: int
 
 
-@dataclass(frozen=True)
+@record
 class RegularSignature:
     multiplicities: tuple
 

@@ -18,11 +18,11 @@ nothing.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SearchBudgetError
 from .normal_form import eliminate, factors, inverse_factors
+from .records import record
 from .rings import Matrix, identity, mat_mul
 
 
@@ -30,7 +30,7 @@ from .rings import Matrix, identity, mat_mul
 # certificate vocabulary
 
 
-@dataclass(frozen=True)
+@record
 class PowerSwap:
     """Replace e_{j1} + e_{j2} by e_{j1+1} + e_{j2-1} (j1 < j2)."""
 
@@ -38,35 +38,35 @@ class PowerSwap:
     j2: int
 
 
-@dataclass(frozen=True)
+@record
 class ExponentIncrease:
     """Replace e_i by e_{i+1}."""
 
     i: int
 
 
-@dataclass(frozen=True)
+@record
 class Drop:
     """Delete one copy of e_i."""
 
     i: int
 
 
-@dataclass(frozen=True)
+@record
 class Cancel:
     """Remove a common copy of e_i from both sides (order additivity)."""
 
     i: int
 
 
-@dataclass(frozen=True)
+@record
 class Positive:
     """Chain of moves transforming the right element down to the left one."""
 
     moves: tuple
 
 
-@dataclass(frozen=True)
+@record
 class NegativeRank:
     """rk_k(lhs original element) > rk_k(rhs), refuting lhs <= rhs."""
 
@@ -75,7 +75,7 @@ class NegativeRank:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class NegativeMinor:
     """Minimal k-minor valuation dropped: lhs < rhs (None means +infinity)."""
 
@@ -488,7 +488,7 @@ def verify_formal_certificate(e_a, e_b, cert) -> bool:
 # product-of-fields factorizations
 
 
-@dataclass(frozen=True)
+@record
 class FactorResult:
     C: object
     D: object

@@ -31,7 +31,6 @@ computed once per element on operands validated once at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
@@ -39,6 +38,7 @@ from .errors import BoundExceededError, PreconditionError
 from .fields import ExtensionField, PrimeField, is_prime
 from .normal_form import eliminate
 from .polys import is_irreducible, pdivmod, pscale
+from .records import record
 from .rings import IntegerRing, Matrix, PolyRing
 from .semigroup import (
     Positive,
@@ -59,7 +59,7 @@ from .semigroup import (
 # Grothendieck group elements and the positive cone
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     """[pos] - [neg], componentwise reduced so min(pos_i, neg_i) = 0."""
 
@@ -102,7 +102,7 @@ def cone_member(ring, g: GroupElement) -> bool:
     return leq(ring, check_element(ring, g.neg), check_element(ring, g.pos))
 
 
-@dataclass(frozen=True)
+@record
 class GroupLawReport:
     closure_ok: bool
     antisymmetry_ok: bool
@@ -157,7 +157,7 @@ def _vectors_up_to(width: int, norm: int):
 # state ranges against the order-unit
 
 
-@dataclass(frozen=True)
+@record
 class StateRange:
     p_lb: Fraction
     q_ub: Fraction
@@ -255,7 +255,7 @@ def verify_state_range(ring, a, result: StateRange, n_bound: int, m_bound: int) 
 # state extension from a finitely generated subsemigroup
 
 
-@dataclass(frozen=True)
+@record
 class StateSpec:
     generators: tuple  # monoid elements
     values: tuple  # Fractions, one per generator
@@ -509,7 +509,7 @@ def verify_state_extension(
 # the square-zero endpoint: sup of rk(a) among states killing a^2
 
 
-@dataclass(frozen=True)
+@record
 class MinorSweep:
     """Record of the refutation of all sub-1/2 relations up to a bound.
 
@@ -528,7 +528,7 @@ class MinorSweep:
         return self.candidates == self.refuted
 
 
-@dataclass(frozen=True)
+@record
 class RkSquareResult:
     value: Fraction
     upper: Positive  # chain certifying 2<a> <= <1> + <a^2>

@@ -19,6 +19,11 @@ from rankcert.polys import pdegree, pdivides
 from rankcert.semigroup import check_element, monoid_add, monoid_identity, monoid_scale
 
 
+def replace(record, **changes):
+    """A copy of a frozen record with some fields changed."""
+    return type(record)(**{**vars(record), **changes})
+
+
 def random_value(ring, rng):
     if ring.spec == "Z":
         return rng.randrange(-6, 7)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,7 @@ EXTEND_STATE = (
 )
 STATE_RANGE = ("state-range", "--ring", "Z/8", "--a", "[0,1,0]")
 REGULAR_LEQ = ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]')
+REGULAR_REFUTATION = ("leq", "--ring", "F2*F3", "--a", "[1,2]", "--b", "[2,1]")
 LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
 RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
@@ -303,6 +305,13 @@ EDITED_RESPONSES = [
         edit(lambda d: d["certificate"].update(c=[["(1,0)", "(0,0)"]])),
         {1},
         id="factor-shape",
+    ),
+    # the claimed classes must be those of the matrices, whatever the certificate
+    pytest.param(REGULAR_LEQ, edit(lambda d: d.update(a_class=[1, 1])), {1}, id="a-class"),
+    pytest.param(REGULAR_LEQ, edit(lambda d: d.update(b_class=[1, 1, 0])), {1}, id="b-class"),
+    pytest.param(REGULAR_LEQ, edit(lambda d: d.pop("a_class")), {2}, id="no-a-class"),
+    pytest.param(
+        REGULAR_REFUTATION, edit(lambda d: d.update(b_class=[1, 2])), {1}, id="refuted-b-class"
     ),
     pytest.param(
         LOCAL_CHAIN, edit(lambda d: d["certificate"]["moves"][0].pop("j1")), {2}, id="no-j1"
@@ -398,3 +407,72 @@ def test_cli_import_leaves_acceptance_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "False"
+
+
+def _imported(*argv):
+    """Modules a fresh `python -X importtime *argv` imports, site's included."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rankcert.__file__).resolve().parents[1])}
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, check=True,
+        env=env,
+    ).stderr
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
+
+
+def test_cli_commands_import_only_what_they_use():
+    # each command imports the modules it uses; records need no dataclasses
+    startup = _imported("-c", "pass")
+    loaded = _imported("-m", "rankcert", "normalize", "--ring", "Z/8", "--value", "6") - startup
+    assert "rankcert.cli" in loaded
+    unused = {"dataclasses", "inspect", "rankcert.states", "rankcert.presentations"}
+    assert not loaded & (unused | {"rankcert.acceptance"})
+    loaded = _imported("-m", "rankcert", *LOCAL_CHAIN)
+    assert "rankcert.semigroup" in loaded
+    assert not loaded & {"rankcert.states", "rankcert.presentations"}
+    loaded = _imported("-c", "import rankcert")
+    assert {m for m in loaded if m.startswith("rankcert")} == {"rankcert"}
+
+
+# rankcert.__all__ before its names were loaded on first use
+PUBLIC_NAMES = """
+BoundExceededError Cancel DiagonalForm Drop ExponentIncrease FactorResult GroupElement
+GroupLawReport LocalSignature Matrix MinorSweep NegativeMinor NegativeRank ParseError Positive
+PowerSwap PreconditionError Presentation PullbackRank RankcertError RegularSignature
+RkSquareResult SearchBudgetError StateRange StateSpec UNKNOWN block_diag block_upper
+check_states_exist class_of class_representative cone_member det diagonal_matrix diagonalize
+dim direct_sum errors fields free_presentation group_add group_diff group_element group_neg
+group_props_check group_sub has_rank_function identity image_signature is_invertible leq
+leq_necessary leq_provable mat_mul matrix minor minor_profile minor_refutation minors_in_ideal
+module_basis_labels module_class module_coeffs_sub module_cone_member module_leq normal_form
+order_unit parse_matrix parse_ring phi phi_group polys presentation presentations
+presentations_equivalent psi psi_group pullback_rank quotient_presentation rank_profile
+regular_factor rings rk rk_for_square semigroup signature stack_vertical state_extension
+state_range states verify_certificate verify_factor verify_factorization verify_formal_certificate
+verify_rk_square verify_state_extension verify_state_range witness_chain zeros
+""".split()
+
+
+def test_public_names_are_unchanged_and_resolve():
+    assert rankcert.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(rankcert, name)
+        if isinstance(value, types.ModuleType):
+            assert value.__name__ == f"rankcert.{name}"
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        rankcert.no_such_name
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [f"F{2**128}", f"F{2**256}", f"F{1000003**4}", f"F2*F{3**21}"],
+    ids=["2^128", "2^256", "1000003^4", "3^21-component"],
+)
+def test_extension_fields_beyond_the_cap_are_parse_errors(capsys, ring):
+    # finding the modulus took 0.45 s for 2^128, 13.6 s for 2^256, and over
+    # 100 s for 1000003^4
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, "normalize", "--ring", ring, "--value", "0")
+    assert code == 2 and "up to order 4294967296" in err
+    assert time.monotonic() - start < 0.1

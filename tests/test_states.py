@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +34,7 @@ from rankcert import (
 from rankcert.acceptance import brute_square_sweep
 from rankcert.polys import min_irreducible
 
-from helpers import random_matrix, reference_state_extension, reference_state_range
+from helpers import random_matrix, reference_state_extension, reference_state_range, replace
 
 Z8 = parse_ring("Z/8")
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
