@@ -20,31 +20,9 @@ from fractions import Fraction
 from .errors import BoundExceededError, ParseError, PreconditionError
 from .normal_form import DiagonalForm, diagonalize, verify_factorization
 from .rings import Matrix, parse_matrix, parse_ring
-from .semigroup import (
-    Cancel,
-    Drop,
-    ExponentIncrease,
-    FactorResult,
-    NegativeMinor,
-    NegativeRank,
-    Positive,
-    PowerSwap,
-    UNKNOWN,
-    check_element,
-    class_of,
-    class_representative,
-    leq,
-    leq_provable,
-    regular_factor,
-    rk,
-    verify_certificate,
-    verify_factor,
-    verify_formal_certificate,
-    witness_chain,
-)
 
-# states and presentations are imported inside the handlers that use
-# them, so the other commands start without loading them
+# semigroup, states and presentations are imported inside the handlers
+# that use them, so the other commands start without loading them
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +64,8 @@ def load_operand(ring, text: str):
     if isinstance(data, list) and data and all(isinstance(r, list) for r in data):
         return "matrix", load_matrix(ring, data)
     if isinstance(data, list) and all(isinstance(x, int) for x in data):
+        from .semigroup import check_element
+
         return "vector", check_element(ring, data)
     raise ParseError(f"operand must be a matrix or a vector: {text!r}")
 
@@ -97,18 +77,24 @@ def load_exponents(text: str):
     return tuple(sorted(data))
 
 
-_MOVES = {
-    "power-swap": (PowerSwap, ("j1", "j2")),
-    "exponent-increase": (ExponentIncrease, ("i",)),
-    "drop": (Drop, ("i",)),
-    "cancel": (Cancel, ("i",)),
-}
+@functools.cache
+def _moves():
+    """Each move's payload name, with its class and fields."""
+    from .semigroup import Cancel, Drop, ExponentIncrease, PowerSwap
+
+    return {
+        "power-swap": (PowerSwap, ("j1", "j2")),
+        "exponent-increase": (ExponentIncrease, ("i",)),
+        "drop": (Drop, ("i",)),
+        "cancel": (Cancel, ("i",)),
+    }
+
 _RANGE_WITNESS = ("n", "k", "m")
 _EXTENSION_WITNESS = ("b", "c", "m", "mbar")
 
 
 def move_payload(mv):
-    for name, (cls, fields) in _MOVES.items():
+    for name, (cls, fields) in _moves().items():
         if isinstance(mv, cls):
             return {"move": name, **{f: getattr(mv, f) for f in fields}}
     raise ParseError(f"unknown move {mv!r}")
@@ -142,9 +128,9 @@ def load_spec(gens, values):
 
 def load_move(data):
     kind = _get(data, "move", str)
-    if kind not in _MOVES:
+    if kind not in _moves():
         raise ParseError(f"unknown move payload {data!r}")
-    cls, fields = _MOVES[kind]
+    cls, fields = _moves()[kind]
     return cls(*(_get(data, f, int) for f in fields))
 
 
@@ -157,6 +143,8 @@ def _get_inf_or_int(data, key):
 
 
 def certificate_payload(cert):
+    from .semigroup import NegativeMinor, NegativeRank, Positive
+
     if isinstance(cert, Positive):
         return {"kind": "positive", "moves": [move_payload(m) for m in cert.moves]}
     if isinstance(cert, NegativeRank):
@@ -177,6 +165,8 @@ def certificate_payload(cert):
 
 
 def load_certificate(data):
+    from .semigroup import NegativeMinor, NegativeRank, Positive
+
     kind = _get(data, "kind", str)
     if kind == "positive":
         return Positive(tuple(load_move(m) for m in _get(data, "moves", list)))
@@ -225,6 +215,8 @@ def cmd_diagonalize(args):
 
 
 def cmd_class(args):
+    from .semigroup import class_of
+
     ring = parse_ring(args.ring)
     kind, A = load_operand(ring, args.a)
     if kind != "matrix":
@@ -238,6 +230,8 @@ def cmd_class(args):
 
 
 def cmd_rank(args):
+    from .semigroup import class_of, rk
+
     ring = parse_ring(args.ring)
     kind, value = load_operand(ring, args.a)
     vec = class_of(value) if kind == "matrix" else value
@@ -251,6 +245,20 @@ def cmd_rank(args):
 
 
 def _leq_payload(command, args):
+    from .semigroup import (
+        UNKNOWN,
+        Positive,
+        class_of,
+        class_representative,
+        leq,
+        leq_provable,
+        regular_factor,
+        verify_certificate,
+        verify_factor,
+        verify_formal_certificate,
+        witness_chain,
+    )
+
     ring = parse_ring(args.ring)
     if args.elem is not None:
         # formal diagonal elements over (Z, elem) or (F_p[x], elem)
@@ -321,6 +329,7 @@ def _leq_payload(command, args):
 
 
 def cmd_state_range(args):
+    from .semigroup import class_of
     from .states import state_range
 
     ring = parse_ring(args.ring)
@@ -344,6 +353,7 @@ def cmd_state_range(args):
 
 
 def cmd_extend_state(args):
+    from .semigroup import class_of
     from .states import state_extension
 
     ring = parse_ring(args.ring)
@@ -474,6 +484,7 @@ def cmd_psi(args):
 
 def cmd_axioms_check(args):
     from . import acceptance  # only this command and selftest use the suite
+    from .semigroup import class_of, rk
     from .states import pullback_rank
 
     ring = parse_ring(args.ring)
@@ -541,6 +552,15 @@ def _load_state_range(data, fields):
 
 def _verify_response(command, data) -> bool:
     """Decode a response into library types and re-check it with its verifier."""
+    from .semigroup import (
+        FactorResult,
+        Positive,
+        class_of,
+        verify_certificate,
+        verify_factor,
+        verify_formal_certificate,
+    )
+
     if command not in ("leq", "chain", "rk-square", "state-range", "extend-state", "diagonalize"):
         raise ParseError(f"verify does not support command {command!r}")
     ring = parse_ring(_get(data, "ring", str))
@@ -633,115 +653,126 @@ def cmd_selftest(args):
 # parser
 
 
-def build_parser():
+def _flag(name, **options):
+    return name, options
+
+
+_RING = _flag("--ring", required=True, help="ring spec, e.g. Z/8 or F2*F3")
+_A = _flag("--a", required=True)
+_LEQ = [
+    _RING,
+    _A,
+    _flag("--b", required=True),
+    _flag("--elem", help="pivot element for formal mode over Z / F_p[x]"),
+    _flag("--depth", type=int, default=8),
+]
+# each command's help text, handler and flags, in the order --help lists them
+_COMMANDS = {
+    "normalize": (
+        "canonicalize a ring element literal", cmd_normalize,
+        [_RING, _flag("--value", required=True)],
+    ),
+    "diagonalize": (
+        "diagonal form with invertible factors", cmd_diagonalize,
+        [_RING, _flag("--matrix", required=True)],
+    ),
+    "class": ("monoid class of a matrix", cmd_class, [_RING, _A]),
+    "rank": (
+        "rk_k of a matrix or class vector", cmd_rank,
+        [_RING, _A, _flag("--k", type=int, required=True)],
+    ),
+    "leq": ("order decision with certificate", functools.partial(_leq_payload, "leq"), _LEQ),
+    "chain": (
+        "order decision with certificate (alias emphasizing the chain)",
+        functools.partial(_leq_payload, "chain"), _LEQ,
+    ),
+    "state-range": (
+        "certified state range of a class", cmd_state_range,
+        [_RING, _A, _flag("--N", type=int, default=12), _flag("--M", type=int, default=12)],
+    ),
+    "extend-state": (
+        "extension interval from a subsemigroup", cmd_extend_state,
+        [
+            _RING,
+            _flag("--generators", required=True, help="JSON list of class vectors"),
+            _flag("--values", required=True, help='JSON list of rationals, e.g. ["1/1","0/1"]'),
+            _A,
+            _flag("--ball", type=int, default=12),
+            _flag("--M", type=int, default=12),
+            _flag("--shifted", action="store_true"),
+        ],
+    ),
+    "rk-square": (
+        "sup rk(a) among rank functions killing a^2", cmd_rk_square,
+        [_RING, _A, _flag("--bounds", type=int, default=6)],
+    ),
+    "dim": (
+        "dimension of a presented module", cmd_dim,
+        [
+            _RING,
+            _flag("--gens", type=int, required=True),
+            _flag("--relations", required=True),
+            _flag("--k", type=int, required=True),
+        ],
+    ),
+    "equiv": (
+        "isomorphism test for presentations", cmd_equiv,
+        [_RING, _flag("--p1", required=True), _flag("--p2", required=True)],
+    ),
+    "phi": (
+        "matrix-side group image of a presentation", cmd_phi,
+        [_RING, _flag("--presentation", required=True)],
+    ),
+    "psi": ("module-side group image of a matrix", cmd_psi, [_RING, _A]),
+    "axioms-check": (
+        "random Sylvester axiom suite", cmd_axioms_check,
+        [
+            _RING,
+            _flag("--count", type=int, default=200),
+            _flag("--seed", type=int, default=0),
+            _flag("--pi", help="prime element (or 0) for Z / F_p[x]"),
+        ],
+    ),
+    "verify": (
+        "re-check an emitted response", cmd_verify,
+        [_flag("--file", help="response JSON (default: stdin)")],
+    ),
+    "selftest": (
+        "run the acceptance suite", cmd_selftest,
+        [_flag("--only", type=int, nargs="*", help="criterion numbers to run")],
+    ),
+}
+
+
+def build_parser(argv=None):
+    """The CLI parser; when argv names a command first, with that subparser alone."""
     parser = argparse.ArgumentParser(
         prog="rankcert",
         description="Exact order and rank certificates for desk-scale rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def ring_flag(p):
-        p.add_argument("--ring", required=True, help="ring spec, e.g. Z/8 or F2*F3")
-
-    p = sub.add_parser("normalize", help="canonicalize a ring element literal")
-    ring_flag(p)
-    p.add_argument("--value", required=True)
-    p.set_defaults(handler=cmd_normalize)
-
-    p = sub.add_parser("diagonalize", help="diagonal form with invertible factors")
-    ring_flag(p)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=cmd_diagonalize)
-
-    p = sub.add_parser("class", help="monoid class of a matrix")
-    ring_flag(p)
-    p.add_argument("--a", required=True)
-    p.set_defaults(handler=cmd_class)
-
-    p = sub.add_parser("rank", help="rk_k of a matrix or class vector")
-    ring_flag(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=cmd_rank)
-
-    for name, help_text in (
-        ("leq", "order decision with certificate"),
-        ("chain", "order decision with certificate (alias emphasizing the chain)"),
-    ):
+    if argv and argv[0] in _COMMANDS:
+        # keeps the usage line naming every command; argparse would also name
+        # the positional by it in a missing- or unknown-command error, which
+        # cannot arise here
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = argv[:1]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    for name in names:
+        help_text, handler, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        ring_flag(p)
-        p.add_argument("--a", required=True)
-        p.add_argument("--b", required=True)
-        p.add_argument("--elem", help="pivot element for formal mode over Z / F_p[x]")
-        p.add_argument("--depth", type=int, default=8)
-        p.set_defaults(handler=functools.partial(_leq_payload, name))
-
-    p = sub.add_parser("state-range", help="certified state range of a class")
-    ring_flag(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--N", type=int, default=12)
-    p.add_argument("--M", type=int, default=12)
-    p.set_defaults(handler=cmd_state_range)
-
-    p = sub.add_parser("extend-state", help="extension interval from a subsemigroup")
-    ring_flag(p)
-    p.add_argument("--generators", required=True, help="JSON list of class vectors")
-    p.add_argument("--values", required=True, help='JSON list of rationals, e.g. ["1/1","0/1"]')
-    p.add_argument("--a", required=True)
-    p.add_argument("--ball", type=int, default=12)
-    p.add_argument("--M", type=int, default=12)
-    p.add_argument("--shifted", action="store_true")
-    p.set_defaults(handler=cmd_extend_state)
-
-    p = sub.add_parser("rk-square", help="sup rk(a) among rank functions killing a^2")
-    ring_flag(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--bounds", type=int, default=6)
-    p.set_defaults(handler=cmd_rk_square)
-
-    p = sub.add_parser("dim", help="dimension of a presented module")
-    ring_flag(p)
-    p.add_argument("--gens", type=int, required=True)
-    p.add_argument("--relations", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=cmd_dim)
-
-    p = sub.add_parser("equiv", help="isomorphism test for presentations")
-    ring_flag(p)
-    p.add_argument("--p1", required=True)
-    p.add_argument("--p2", required=True)
-    p.set_defaults(handler=cmd_equiv)
-
-    p = sub.add_parser("phi", help="matrix-side group image of a presentation")
-    ring_flag(p)
-    p.add_argument("--presentation", required=True)
-    p.set_defaults(handler=cmd_phi)
-
-    p = sub.add_parser("psi", help="module-side group image of a matrix")
-    ring_flag(p)
-    p.add_argument("--a", required=True)
-    p.set_defaults(handler=cmd_psi)
-
-    p = sub.add_parser("axioms-check", help="random Sylvester axiom suite")
-    ring_flag(p)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pi", help="prime element (or 0) for Z / F_p[x]")
-    p.set_defaults(handler=cmd_axioms_check)
-
-    p = sub.add_parser("verify", help="re-check an emitted response")
-    p.add_argument("--file", help="response JSON (default: stdin)")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--only", type=int, nargs="*", help="criterion numbers to run")
-    p.set_defaults(handler=cmd_selftest)
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

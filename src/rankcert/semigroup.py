@@ -17,7 +17,7 @@ nothing.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import PreconditionError, SearchBudgetError
@@ -380,52 +380,150 @@ def leq_necessary(e_a, e_b) -> bool:
     return minor_refutation(e_a, e_b) is None
 
 
-def _formal_moves(cur, tgt, cap):
-    """Canonical move list from a (current, target) multiset pair."""
-    common = sorted((Counter(cur) & Counter(tgt)).elements())
-    if common:
-        return [Cancel(common[0])]
-    moves = []
+def _without(seq, v):
+    """The sorted tuple seq less one copy of v, or None when v is absent."""
+    k = bisect_left(seq, v)
+    if k < len(seq) and seq[k] == v:
+        return seq[:k] + seq[k + 1 :]
+    return None
+
+
+def _with(seq, v):
+    """The sorted tuple seq with one more copy of v."""
+    k = bisect_left(seq, v)
+    return seq[:k] + (v,) + seq[k:]
+
+
+def _formal_successors(cur, tgt):
+    """(move class, move fields, next state) for each canonical move from a state.
+
+    A state whose sides share a value has one move, the Cancel of the
+    least shared value.  Otherwise the moves are every PowerSwap of two
+    distinct values, every ExponentIncrease, then every Drop, by
+    ascending values; a swap of adjacent values gives the state back and
+    is left out.
+    """
+    i = j = 0
+    while i < len(cur) and j < len(tgt):
+        x, t = cur[i], tgt[j]
+        if x == t:
+            yield Cancel, (x,), (cur[:i] + cur[i + 1 :], tgt[:j] + tgt[j + 1 :])
+            return
+        if x < t:
+            i += 1
+        else:
+            j += 1
     values = sorted(set(cur))
-    for i, j1 in enumerate(values):
-        for j2 in values[i + 1 :]:
-            if j1 + 1 <= cap:
-                moves.append(PowerSwap(j1, j2))
+    for k, j1 in enumerate(values):
+        raised = _with(_without(cur, j1), j1 + 1)
+        for j2 in values[k + 1 :]:
+            if j2 > j1 + 1:
+                yield PowerSwap, (j1, j2), (_with(_without(raised, j2), j2 - 1), tgt)
     for v in values:
-        if v + 1 <= cap:
-            moves.append(ExponentIncrease(v))
+        yield ExponentIncrease, (v,), (_with(_without(cur, v), v + 1), tgt)
     for v in values:
-        moves.append(Drop(v))
-    return moves
+        yield Drop, (v,), (_without(cur, v), tgt)
 
 
 def _formal_apply(cur, tgt, mv):
-    c = Counter(cur)
-    t = Counter(tgt)
+    """The state after move mv from (cur, tgt), or None when mv does not apply."""
     if isinstance(mv, Cancel):
-        if not (c[mv.i] and t[mv.i]):
+        cur, tgt = _without(cur, mv.i), _without(tgt, mv.i)
+        return None if cur is None or tgt is None else (cur, tgt)
+    if isinstance(mv, PowerSwap):
+        if not mv.j1 < mv.j2:
             return None
-        c[mv.i] -= 1
-        t[mv.i] -= 1
-    elif isinstance(mv, PowerSwap):
-        if not (mv.j1 < mv.j2 and c[mv.j1] and c[mv.j2]):
-            return None
-        c[mv.j1] -= 1
-        c[mv.j2] -= 1
-        c[mv.j1 + 1] += 1
-        c[mv.j2 - 1] += 1
-    elif isinstance(mv, ExponentIncrease):
-        if not c[mv.i]:
-            return None
-        c[mv.i] -= 1
-        c[mv.i + 1] += 1
-    elif isinstance(mv, Drop):
-        if not c[mv.i]:
-            return None
-        c[mv.i] -= 1
-    else:
+        rest = _without(cur, mv.j1)
+        rest = None if rest is None else _without(rest, mv.j2)
+        return None if rest is None else (_with(_with(rest, mv.j1 + 1), mv.j2 - 1), tgt)
+    if isinstance(mv, ExponentIncrease):
+        rest = _without(cur, mv.i)
+        return None if rest is None else (_with(rest, mv.i + 1), tgt)
+    if isinstance(mv, Drop):
+        rest = _without(cur, mv.i)
+        return None if rest is None else (rest, tgt)
+    return None
+
+
+def _formal_bound(cur, tgt):
+    """A lower bound on the moves from state (cur, tgt) to equal sides.
+
+    None when the minor test refutes tgt <= cur, so that no chain exists.
+    See leq_provable for the bound and its proof.
+    """
+    if cur == tgt:
+        return 0
+    size_c, size_t = len(cur), len(tgt)
+    if size_t > size_c:
         return None
-    return tuple(sorted(c.elements())), tuple(sorted(t.elements()))
+    sum_c = sum_t = 0
+    for x, t in zip(cur, tgt):
+        sum_c += x
+        sum_t += t
+        if sum_t < sum_c:
+            return None
+    xs, ts = [], []
+    i = j = 0
+    while i < size_c and j < size_t:
+        x, t = cur[i], tgt[j]
+        if x == t:
+            i += 1
+            j += 1
+        elif x < t:
+            xs.append(x)
+            i += 1
+        else:
+            ts.append(t)
+            j += 1
+    xs.extend(cur[i:])
+    ts.extend(tgt[j:])
+    n, m = len(xs), len(ts)
+    common = size_c - n
+    # up[j] (down[j]): the least sum of (t - x)+ ((x - t)+) over matchings
+    # of ts[:j] in order into the values of xs read so far
+    up, down = [0], [0]
+    for x in xs:
+        top = len(up) - 1
+        if top < m:
+            d = ts[top] - x
+            up.append(up[-1] + max(d, 0))
+            down.append(down[-1] + max(-d, 0))
+        for j in range(top, 0, -1):
+            d = ts[j - 1] - x
+            if d > 0:
+                up[j] = min(up[j], up[j - 1] + d)
+                down[j] = min(down[j], down[j - 1])
+            else:
+                up[j] = min(up[j], up[j - 1])
+                down[j] = min(down[j], down[j - 1] - d)
+    return common + n + max(up[m], down[m]) - min(m, 2)
+
+
+def _bounded_search(start, bound):
+    """The first chain of at most bound moves that BFS from start finds, or None.
+
+    A state generated at level L is enqueued only when L plus its
+    _formal_bound is at most bound.
+    """
+    parent = {start: None}
+    frontier = [start]
+    for level in range(1, bound + 1):
+        enqueued = []
+        for state in frontier:
+            for kind, fields, nxt in _formal_successors(*state):
+                if nxt[0] == nxt[1]:
+                    moves = [kind(*fields)]
+                    while parent[state] is not None:
+                        state, kind, fields = parent[state]
+                        moves.append(kind(*fields))
+                    return tuple(reversed(moves))
+                if nxt not in parent:
+                    parent[nxt] = (state, kind, fields)
+                    h = _formal_bound(*nxt)
+                    if h is not None and level + h <= bound:
+                        enqueued.append(nxt)
+        frontier = enqueued
+    return None
 
 
 def leq_provable(e_a, e_b, depth: int = 8):
@@ -433,6 +531,50 @@ def leq_provable(e_a, e_b, depth: int = 8):
 
     Returns a Positive chain, a NegativeMinor refutation, or UNKNOWN.
     Sound in all three answers but incomplete: UNKNOWN decides nothing.
+
+    The chain is the first one that breadth-first search over canonical
+    moves (_formal_successors) finds from the state (current, target) =
+    (e_b, e_a), so it is a shortest one; UNKNOWN means that no canonical
+    chain has at most depth moves.
+
+    The search is pruned by a lower bound h on the moves still needed
+    from a state (C, T), C the current and T the target multiset.  The
+    minor test for T <= C asks |T| <= |C| and, for each k <= |T|, that
+    the k least values of T sum to at least the k least of C.  A move
+    keeps it passing backwards (an increase or a swap raises those sums
+    of C, a drop deletes a value of C, a cancel keeps each inequality),
+    and it passes when C = T; so where it fails no chain exists, and h is
+    unreachable.  h is 0 when C = T.  Otherwise let c be the number of
+    common values, n and m the sizes of C and T with them removed, and
+    P* (N*) the least sum of (t - x)+ ((x - t)+) over the m-subsets of
+    C, matched in sorted order to T; then
+    h = c + n + max(P*, N*) - min(m, 2).
+
+    Proof.  Only a drop changes |C| - |T|, so a chain has n - m drops.
+    T loses values only to cancels.  A cancel leaves unequal sides
+    unequal, so the last move is not one: it starts from a state without
+    common values (they would force a cancel) and creates at most two
+    values (a swap two, an increase one, a drop none).  So at most
+    min(m, 2) values of T are never cancelled, and a chain has at least
+    c + m - min(m, 2) cancels.  Follow each value of C to the value of T
+    it is cancelled against or completes, or to its drop.  The m kept
+    values rise by at least P* and fall by at least N* in total, since
+    for a fixed subset the sorted matching minimizes each sum (t -> t+
+    is convex).  An increase raises one value by one and a swap raises
+    one and lowers another, so increases and swaps number at least
+    max(P*, N*).
+
+    The search runs the same BFS for bound = h(start), ..., depth, and
+    enqueues a state generated at level L only when L + h <= bound.  A
+    round returns only chains of at most bound moves, so no round before
+    bound = d, the least chain length, returns one; if d > depth none
+    does, and the answer is UNKNOWN, as without pruning.  In round d, a
+    state at level L of a shortest chain has L + h <= d.  By induction on
+    L, each such state is reached at level L, from the same first parent
+    and in the same order among such states as in the unpruned BFS,
+    because every state that generates it at level L - 1 lies on a
+    shortest chain too.  The states that complete a chain at level d - 1
+    are such states, so the first chain found is the unpruned search's.
     """
     ea = tuple(sorted(int(e) for e in e_a))
     eb = tuple(sorted(int(e) for e in e_b))
@@ -443,24 +585,10 @@ def leq_provable(e_a, e_b, depth: int = 8):
         return refutation
     if ea == eb:
         return Positive(())
-    cap = max(ea + eb, default=0) + depth + 1
-    start = (eb, ea)
-    queue = deque([(start, ())])
-    seen = {start}
-    while queue:
-        (cur, tgt), moves = queue.popleft()
-        if len(moves) >= depth:
-            continue
-        for mv in _formal_moves(cur, tgt, cap):
-            nxt = _formal_apply(cur, tgt, mv)
-            if nxt is None:
-                continue
-            chain = moves + (mv,)
-            if nxt[0] == nxt[1]:
-                return Positive(chain)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, chain))
+    for bound in range(_formal_bound(eb, ea), depth + 1):
+        chain = _bounded_search((eb, ea), bound)
+        if chain is not None:
+            return Positive(chain)
     return UNKNOWN
 
 

@@ -1,16 +1,24 @@
 """Shared random generators and reference implementations for the test suite."""
 
+from collections import Counter, deque
 from fractions import Fraction
 
 from rankcert import (
+    UNKNOWN,
     BoundExceededError,
+    Cancel,
     DiagonalForm,
+    Drop,
+    ExponentIncrease,
     Matrix,
+    Positive,
+    PowerSwap,
     PreconditionError,
     StateRange,
     identity,
     is_invertible,
     leq,
+    minor_refutation,
     order_unit,
     rank_profile,
 )
@@ -459,3 +467,92 @@ def reference_eliminate(ring, grid):
                 ops.append((_ADD_COL, j, d, ring.neg(ring.shift(x, v))))
         exponents.append(v)
     return exponents, ops
+
+
+# ---------------------------------------------------------------------------
+# the formal-order search as it was before the pruned search over sorted
+# tuples: Counter moves, an unpruned queue; kept as the oracle for it
+
+
+def _formal_moves(cur, tgt, cap):
+    """Canonical move list from a (current, target) multiset pair."""
+    common = sorted((Counter(cur) & Counter(tgt)).elements())
+    if common:
+        return [Cancel(common[0])]
+    moves = []
+    values = sorted(set(cur))
+    for i, j1 in enumerate(values):
+        for j2 in values[i + 1 :]:
+            if j1 + 1 <= cap:
+                moves.append(PowerSwap(j1, j2))
+    for v in values:
+        if v + 1 <= cap:
+            moves.append(ExponentIncrease(v))
+    for v in values:
+        moves.append(Drop(v))
+    return moves
+
+
+def _formal_apply(cur, tgt, mv):
+    c = Counter(cur)
+    t = Counter(tgt)
+    if isinstance(mv, Cancel):
+        if not (c[mv.i] and t[mv.i]):
+            return None
+        c[mv.i] -= 1
+        t[mv.i] -= 1
+    elif isinstance(mv, PowerSwap):
+        if not (mv.j1 < mv.j2 and c[mv.j1] and c[mv.j2]):
+            return None
+        c[mv.j1] -= 1
+        c[mv.j2] -= 1
+        c[mv.j1 + 1] += 1
+        c[mv.j2 - 1] += 1
+    elif isinstance(mv, ExponentIncrease):
+        if not c[mv.i]:
+            return None
+        c[mv.i] -= 1
+        c[mv.i + 1] += 1
+    elif isinstance(mv, Drop):
+        if not c[mv.i]:
+            return None
+        c[mv.i] -= 1
+    else:
+        return None
+    return tuple(sorted(c.elements())), tuple(sorted(t.elements()))
+
+
+def reference_leq_provable(e_a, e_b, depth: int = 8):
+    """Bounded search for a chain proving diag(a^{e_a}) <= diag(a^{e_b}).
+
+    Returns a Positive chain, a NegativeMinor refutation, or UNKNOWN.
+    Sound in all three answers but incomplete: UNKNOWN decides nothing.
+    """
+    ea = tuple(sorted(int(e) for e in e_a))
+    eb = tuple(sorted(int(e) for e in e_b))
+    if any(e < 0 for e in ea + eb):
+        raise PreconditionError("exponents must be nonnegative")
+    refutation = minor_refutation(ea, eb)
+    if refutation is not None:
+        return refutation
+    if ea == eb:
+        return Positive(())
+    cap = max(ea + eb, default=0) + depth + 1
+    start = (eb, ea)
+    queue = deque([(start, ())])
+    seen = {start}
+    while queue:
+        (cur, tgt), moves = queue.popleft()
+        if len(moves) >= depth:
+            continue
+        for mv in _formal_moves(cur, tgt, cap):
+            nxt = _formal_apply(cur, tgt, mv)
+            if nxt is None:
+                continue
+            chain = moves + (mv,)
+            if nxt[0] == nxt[1]:
+                return Positive(chain)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, chain))
+    return UNKNOWN

@@ -425,12 +425,89 @@ def test_cli_commands_import_only_what_they_use():
     loaded = _imported("-m", "rankcert", "normalize", "--ring", "Z/8", "--value", "6") - startup
     assert "rankcert.cli" in loaded
     unused = {"dataclasses", "inspect", "rankcert.states", "rankcert.presentations"}
-    assert not loaded & (unused | {"rankcert.acceptance"})
+    assert not loaded & (unused | {"rankcert.acceptance", "rankcert.semigroup"})
     loaded = _imported("-m", "rankcert", *LOCAL_CHAIN)
     assert "rankcert.semigroup" in loaded
     assert not loaded & {"rankcert.states", "rankcert.presentations"}
     loaded = _imported("-c", "import rankcert")
     assert {m for m in loaded if m.startswith("rankcert")} == {"rankcert"}
+
+
+# usage, help and error text as printed when every subparser was built in
+# every process, at 80 columns
+TOP_USAGE = """usage: rankcert [-h]
+                {normalize,diagonalize,class,rank,leq,chain,state-range,extend-state,rk-square,dim,equiv,phi,psi,axioms-check,verify,selftest}
+                ...
+"""
+TOP_HELP = TOP_USAGE + """
+Exact order and rank certificates for desk-scale rings.
+
+positional arguments:
+  {normalize,diagonalize,class,rank,leq,chain,state-range,extend-state,rk-square,dim,equiv,phi,psi,axioms-check,verify,selftest}
+    normalize           canonicalize a ring element literal
+    diagonalize         diagonal form with invertible factors
+    class               monoid class of a matrix
+    rank                rk_k of a matrix or class vector
+    leq                 order decision with certificate
+    chain               order decision with certificate (alias emphasizing the
+                        chain)
+    state-range         certified state range of a class
+    extend-state        extension interval from a subsemigroup
+    rk-square           sup rk(a) among rank functions killing a^2
+    dim                 dimension of a presented module
+    equiv               isomorphism test for presentations
+    phi                 matrix-side group image of a presentation
+    psi                 module-side group image of a matrix
+    axioms-check        random Sylvester axiom suite
+    verify              re-check an emitted response
+    selftest            run the acceptance suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+LEQ_USAGE = "usage: rankcert leq [-h] --ring RING --a A --b B [--elem ELEM] [--depth DEPTH]\n"
+LEQ_HELP = LEQ_USAGE + """
+options:
+  -h, --help     show this help message and exit
+  --ring RING    ring spec, e.g. Z/8 or F2*F3
+  --a A
+  --b B
+  --elem ELEM    pivot element for formal mode over Z / F_p[x]
+  --depth DEPTH
+"""
+COMMANDS = (
+    "{normalize,diagonalize,class,rank,leq,chain,state-range,extend-state,rk-square,dim,equiv,"
+    "phi,psi,axioms-check,verify,selftest}"
+)
+CHOICES = ", ".join(f"'{name}'" for name in COMMANDS[1:-1].split(","))
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, TOP_HELP, ""),
+        (["leq", "--help"], 0, LEQ_HELP, ""),
+        (
+            ["frobnicate"], 2, "",
+            TOP_USAGE + "rankcert: error: argument command: invalid choice: 'frobnicate' "
+            f"(choose from {CHOICES})\n",
+        ),
+        (
+            ["leq", "--ring", "Z", "--a", "[1]"], 2, "",
+            LEQ_USAGE + "rankcert leq: error: the following arguments are required: --b\n",
+        ),
+        (
+            ["normalize", "--ring", "Z", "--value", "1", "extra"], 2, "",
+            TOP_USAGE + "rankcert: error: unrecognized arguments: extra\n",
+        ),
+        ([], 2, "", TOP_USAGE + "rankcert: error: the following arguments are required: command\n"),
+    ],
+    ids=["help", "leq-help", "unknown-command", "missing-flag", "extra-argument", "no-command"],
+)
+def test_parser_text_is_unchanged(capsys, monkeypatch, argv, code, out, err):
+    # a named command builds only its own subparser; the text stays the same
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (code, out, err)
 
 
 # rankcert.__all__ before its names were loaded on first use

@@ -21,6 +21,7 @@ from rankcert import (
     zeros,
 )
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
+from rankcert.polys import DEGREE_CAP
 
 SMALL_FINITE = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4", "F2*F3"]
 
@@ -58,6 +59,15 @@ def test_truncated_parse_drops_terms_beyond_the_ring():
     start = time.monotonic()
     assert ring.parse("x^3000000+x^2+1") == (1, 0, 1)
     assert time.monotonic() - start < 0.1
+
+
+def test_polynomial_literals_are_parsed_up_to_the_degree_cap():
+    ring = parse_ring("F2[x]")
+    assert len(ring.parse(f"x^{DEGREE_CAP}+1")) == DEGREE_CAP + 1
+    with pytest.raises(ParseError, match="degree above"):
+        ring.parse(f"x^{DEGREE_CAP + 1}+1")
+    # a truncated ring drops the terms it cannot hold before the cap is read
+    assert parse_ring("F2[x]/x^3").parse(f"x^{DEGREE_CAP + 1}+x") == (0, 1)
 
 
 def test_normalize_truncated_poly():

@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcert import (
     UNKNOWN,
@@ -27,6 +30,7 @@ from rankcert import (
     mat_mul,
     matrix,
     minor_profile,
+    minor_refutation,
     order_unit,
     parse_ring,
     rank_profile,
@@ -37,9 +41,9 @@ from rankcert import (
     verify_formal_certificate,
     witness_chain,
 )
-from rankcert.semigroup import check_element
+from rankcert.semigroup import _formal_apply, _formal_bound, check_element
 
-from helpers import random_matrix
+from helpers import random_matrix, reference_leq_provable
 
 Z8 = parse_ring("Z/8")
 
@@ -249,6 +253,81 @@ def test_leq_provable_drop_and_cancel():
 def test_leq_provable_unknown_stays_unknown():
     # equal profiles but no chain at depth 0 is reported as unknown
     assert leq_provable((1,), (0, 2), depth=0) is UNKNOWN
+
+
+def multisets(size, top):
+    """Every sorted tuple of at most size entries in 0..top."""
+    return [
+        c for k in range(size + 1) for c in combinations_with_replacement(range(top + 1), k)
+    ]
+
+
+GRID = [(a, b) for a in multisets(3, 4) for b in multisets(3, 4)]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 4, 8])
+def test_leq_provable_matches_the_unpruned_search_on_a_grid(depth):
+    for a, b in GRID:
+        assert leq_provable(a, b, depth) == reference_leq_provable(a, b, depth), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=4),
+    st.lists(st.integers(0, 6), max_size=4),
+    st.integers(0, 10),
+)
+def test_leq_provable_matches_the_unpruned_search(a, b, depth):
+    assert leq_provable(a, b, depth) == reference_leq_provable(a, b, depth)
+
+
+def test_formal_bound_is_a_lower_bound_on_the_shortest_chain():
+    # at every state of the unpruned search's chain, h is at most the moves left
+    for a, b in GRID:
+        start = (b, a)
+        h = _formal_bound(*start)
+        assert (h is None) == (minor_refutation(a, b) is not None), (a, b)
+        assert (h == 0) == (a == b), (a, b)
+        chain = reference_leq_provable(a, b, 8)
+        if not isinstance(chain, Positive):
+            continue
+        state = start
+        for done, mv in enumerate(chain.moves):
+            assert _formal_bound(*state) <= len(chain.moves) - done, (a, b, done)
+            state = _formal_apply(*state, mv)
+        assert state[0] == state[1]
+
+
+# the chains the unpruned search returned, which took it 1.2 s and 13 ms
+CHAIN_18 = (
+    PowerSwap(0, 12), PowerSwap(0, 11), PowerSwap(0, 10), PowerSwap(1, 9), PowerSwap(1, 8),
+    PowerSwap(1, 7), PowerSwap(2, 6), Cancel(5), PowerSwap(2, 13), PowerSwap(2, 12),
+    PowerSwap(3, 11), PowerSwap(3, 10), PowerSwap(3, 9), PowerSwap(4, 8), Cancel(5),
+    PowerSwap(4, 7), Cancel(5), PowerSwap(4, 6),
+)
+CHAIN_9 = (
+    PowerSwap(0, 12), PowerSwap(0, 11), PowerSwap(1, 10), PowerSwap(1, 9), PowerSwap(2, 8),
+    PowerSwap(2, 7), PowerSwap(3, 6), Cancel(4), PowerSwap(3, 5),
+)
+
+
+@pytest.mark.parametrize(
+    "a, b, depth, expected",
+    [
+        ((5, 5, 5, 5, 5), (0, 0, 0, 12, 13), 18, Positive(CHAIN_18)),
+        # the unpruned search answered this after 18.4 s
+        ((6,) * 6, (0, 0, 0, 0, 18, 18), 26, UNKNOWN),
+        ((4, 4, 4), (0, 0, 12), 8, UNKNOWN),
+        ((4, 4, 4), (0, 0, 12), 14, Positive(CHAIN_9)),
+    ],
+    ids=["18-moves", "six-6s", "9-moves-at-depth-8", "9-moves"],
+)
+def test_long_formal_chains_are_quick(a, b, depth, expected):
+    start = time.monotonic()
+    assert leq_provable(a, b, depth) == expected
+    assert time.monotonic() - start < 0.5
+    if expected is not UNKNOWN:
+        assert verify_formal_certificate(a, b, expected)
 
 
 def test_formal_verify_rejects_bad_moves():

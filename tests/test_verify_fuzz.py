@@ -178,6 +178,16 @@ def test_verify_decides_a_response_over_a_costly_ring_quickly(ring):
         assert elapsed < LIMIT_S, doc["command"]
 
 
+def test_verify_refuses_a_polynomial_beyond_the_degree_cap_quickly():
+    # parsing x^3000000 over F2[x] built its dense coefficient list first
+    doc = json.loads(responses()[7])
+    assert doc["command"] == "rk-square"
+    doc.update(ring="F2[x]", elem="x^3000000")
+    code, _, elapsed = run(["verify"], json.dumps(doc))
+    assert code == 2
+    assert elapsed < LIMIT_S
+
+
 def test_verify_decides_a_regular_response_over_a_large_extension_field_quickly():
     # building GF(2^32) by trial division took 4.7 s before any check ran;
     # the README factorization has 0/1 entries, so it holds over this ring too
