@@ -32,6 +32,7 @@ from itertools import combinations, product
 from .errors import ParseError, PreconditionError
 from .fields import factor_prime_power, is_prime, make_field
 from .polys import (
+    DEGREE_CAP,
     format_poly,
     padd,
     parse_poly,
@@ -311,6 +312,9 @@ class TruncatedPolyRing(_LocalRing):
             raise ParseError(f"{p} is not prime")
         if n < 1:
             raise ParseError("exponent must be >= 1")
+        if n > DEGREE_CAP:
+            # arithmetic costs O(n) in the nil degree that a spec names
+            raise ParseError(f"nil degree above {DEGREE_CAP} in F{p}[x]/x^{n}")
         self.p = p
         self.nil_degree = n
         self.spec = f"F{p}[x]/x^{n}"

@@ -499,11 +499,12 @@ def _formal_bound(cur, tgt):
     return common + n + max(up[m], down[m]) - min(m, 2)
 
 
-def _bounded_search(start, bound):
+def _bounded_search(start, bound, bounds):
     """The first chain of at most bound moves that BFS from start finds, or None.
 
     A state generated at level L is enqueued only when L plus its
-    _formal_bound is at most bound.
+    _formal_bound is at most bound.  bounds memoizes _formal_bound across
+    the rounds of one leq_provable call.
     """
     parent = {start: None}
     frontier = [start]
@@ -519,7 +520,10 @@ def _bounded_search(start, bound):
                     return tuple(reversed(moves))
                 if nxt not in parent:
                     parent[nxt] = (state, kind, fields)
-                    h = _formal_bound(*nxt)
+                    if nxt in bounds:
+                        h = bounds[nxt]
+                    else:
+                        h = bounds[nxt] = _formal_bound(*nxt)
                     if h is not None and level + h <= bound:
                         enqueued.append(nxt)
         frontier = enqueued
@@ -585,8 +589,9 @@ def leq_provable(e_a, e_b, depth: int = 8):
         return refutation
     if ea == eb:
         return Positive(())
+    bounds = {}
     for bound in range(_formal_bound(eb, ea), depth + 1):
-        chain = _bounded_search((eb, ea), bound)
+        chain = _bounded_search((eb, ea), bound, bounds)
         if chain is not None:
             return Positive(chain)
     return UNKNOWN

@@ -21,9 +21,12 @@ and c only through P(b) - P(c), and additive values make its worth
 depend only on v(b) - v(c).  Removing the common part of the coefficient
 vectors of b and c changes neither and keeps both in the ball, so the
 optimum over all pairs is reached on pairs of disjoint support, and for
-each such pair the best m is read off in closed form.  The witness is
-the first relation in sorted (b, c, m) order worth the optimum, found in
-a second pass that looks c up by its value.
+each such pair the best m is read off in closed form.  A pair is read
+only with v(b) >= v(c) (both ways when equal): p >= 0 is reached at b =
+c, and an upper relation with v(b) < v(c) puts c <= b, a monotonicity
+conflict.  The witness, the first relation in sorted (b, c, m) order
+worth the optimum, is kept by the same pass: a nonzero generator g
+shared by b and c gives the earlier witness (b - g, c - g, m).
 
 Each order decision compares integer order profiles (semigroup._profile),
 computed once per element on operands validated once at the boundary.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, lcm
+from operator import add, sub
 
 from .errors import BoundExceededError, PreconditionError
 from .fields import ExtensionField, PrimeField, is_prime
@@ -264,130 +268,111 @@ class StateSpec:
 def _span_with_values(ring, spec: StateSpec, ball: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
-    Returns ({element: value numerator}, denominator, {support: elements}):
-    every value is an integer over one common denominator, and a support
-    is the bitmask of the generators with a nonzero coefficient in some
-    combination reaching the element.  The first additivity conflict, in
-    lexicographic order of the coefficients, is rejected.
+    Returns ({element: value numerator}, {element: profile}, denominator,
+    {support: elements}): every value is an integer over one common
+    denominator, and a support is the bitmask of the generators with a
+    nonzero coefficient in some combination reaching the element.  Each
+    step of the walk adds a generator's profile, value and norm, as the
+    profile is additive.  The first additivity conflict, in lexicographic
+    order of the coefficients, is rejected.
     """
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
     denom = lcm(*(v.denominator for v in vals))
-    combos = [(monoid_identity(ring), 0, 0)]
+    zero = monoid_identity(ring)
+    combos = [(zero, zero, 0, 0, 0)]
     for i, (g, v) in enumerate(zip(gens, vals)):
-        gv, grown = v.numerator * (denom // v.denominator), []
-        for elt, val, support in combos:
-            t = 0  # a zero generator still gets t = 1, to expose its value
-            while sum(elt) <= ball and (t < 2 or any(g)):
-                grown.append((elt, val, support | (t > 0) << i))
-                elt, val, t = monoid_add(elt, g), val + gv, t + 1
+        pg, ng, gv = _profile(ring, g), sum(g), v.numerator * (denom // v.denominator)
+        grown = []
+        for combo in combos:
+            grown.append(combo)
+            elt, prof, val, support, norm = combo
+            support |= 1 << i
+            while norm + ng <= ball:
+                elt, prof = tuple(map(add, elt, g)), tuple(map(add, prof, pg))
+                val, norm = val + gv, norm + ng
+                grown.append((elt, prof, val, support, norm))
+                if not ng:  # a zero generator is taken once, to expose its value
+                    break
         combos = grown
-    elems, supports = {}, {}
-    for elt, val, support in combos:
+    elems, profiles, supports = {}, {}, {}
+    for elt, prof, val, support, _ in combos:
         prev = elems.setdefault(elt, val)
         if prev != val:
             raise PreconditionError(
                 f"state spec is inconsistent: element {elt} gets values "
                 f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
             )
+        profiles[elt] = prof
         supports.setdefault(support, set()).add(elt)
-    return elems, denom, supports
+    return elems, profiles, denom, supports
 
 
-def _extension_optima(supports, values, profiles, pa, m_bound: int):
-    """Best (d, m) for both endpoints over pairs of disjoint support, and monotonicity.
+def _extension_optima(elems, profiles, supports, pa, m_bound: int):
+    """Best (d, m, witness) for p and for q, or None at a monotonicity conflict.
 
     For a pair b, c with D = P(b) - P(c) and d = v(b) - v(c), b <= c +
     m<a> iff D <= m P(a): it holds for every m >= least = max_i
     ceil(D_i / P(a)_i), provided D_i <= 0 wherever P(a)_i = 0; likewise
     b >= c + m<a> holds for every m <= most = min_i floor(D_i / P(a)_i),
-    provided D_i >= 0 there.  So a pair is worth d / max(1, least) for p
-    and d / min(m_bound, most) for q.  That is its best ratio when d >= 0;
-    a pair with d < 0 never decides either: p >= 0 is reached at b = c,
-    and an upper relation with d < 0 puts c <= b with v(c) > v(b).  That
-    m = 0 case is monotonicity: d > 0 with D <= 0 is a conflict.
-
-    Profiles are scaled by s / P(a)_i with s = lcm of the positive P(a)_i,
-    so least and most are the ceiling and floor of one max and one min of
-    the scaled differences over s (_pair_relations).  Returns (best_p,
-    best_q, monotone), a best being None when no pair has a relation.
+    provided D_i >= 0 there.  Profiles are scaled by s / P(a)_i, s the lcm
+    of the positive P(a)_i, so least and most come from the ends of the
+    sorted scaled difference; reversing the pair gives -most and -least.
+    With d >= 0, a pair is worth d / max(1, least) for p and d / min(M,
+    most) for q, at the least m worth it (1 for q when d = 0), and d > 0
+    with least <= 0 is a conflict.  q's witness is None when no pair has
+    an upper relation; b = c always has a lower one.
     """
-    scale = lcm(*(z for z in pa if z > 0))
-
-    def row(x):
-        px = profiles[x]
-        scaled = [y * (scale // z) for y, z in zip(px, pa) if z > 0]
-        return scaled, [y for y, z in zip(px, pa) if z == 0], values[x]
-
-    groups = [(support, [row(x) for x in xs]) for support, xs in supports.items()]
-    best_p = best_q = None
-    monotone = True
-    for d, least, most in _pair_relations(groups, scale, m_bound * scale):
-        if d > 0 and least <= 0:
-            monotone = False
-        low, high = max(1, least), min(m_bound, most)
-        if low <= m_bound and (best_p is None or d * best_p[1] > best_p[0] * low):
-            best_p = (d, low)
-        if high >= 1 and (best_q is None or d * best_q[1] < best_q[0] * high):
-            best_q = (d, high)
-    return best_p, best_q, monotone
-
-
-def _pair_relations(groups, scale: int, cap: int):
-    """(d, least, most) for both orders of every pair of disjoint support.
-
-    Each unordered pair is read once, for both orders, since floor(-x) =
-    -ceil(x).  cap stands in for an empty max or min over the scaled coordinates,
-    which happens when P(a) = 0: then every m is allowed.  A coordinate
-    where P(a) is 0 bars the lower relation when D is positive there and
-    the upper one when D is negative, by an infinite least or most.
-    """
+    scale = lcm(*(z for z in pa if z))
+    factors = [(i, scale // z) for i, z in enumerate(pa) if z]
+    zero = [i for i, z in enumerate(pa) if not z]
+    rows = {
+        x: (x, [px[i] * f for i, f in factors], [px[i] for i in zero], elems[x])
+        for x, px in profiles.items()
+    }
+    groups = [(support, [rows[x] for x in xs]) for support, xs in supports.items()]
+    # ratios as (d, m): -1/0 and 1/0 stand below and above every ratio
+    p_d, p_m, p_w = -1, 0, None
+    q_d, q_m, q_w = 1, 0, None
     for i, (sb, bs) in enumerate(groups):
         for sc, cs in groups[i:]:
             if sb & sc:
                 continue
-            for pb, zb, vb in bs:
-                for pc, zc, vc in cs:
-                    diff = [x - y for x, y in zip(pb, pc)]
-                    least = -(-max(diff, default=-cap) // scale)
-                    most = min(diff, default=cap) // scale
-                    if zb:
-                        zd = [x - y for x, y in zip(zb, zc)]
-                        above, below = max(zd) > 0, min(zd) < 0
-                        yield vb - vc, inf if above else least, -inf if below else most
-                        yield vc - vb, inf if below else -most, -inf if above else -least
+            for x, px, zx, vx in bs:
+                for y, py, zy, vy in cs:
+                    if factors:
+                        diff = sorted(map(sub, px, py))
+                        least, most = -(-diff[-1] // scale), diff[0] // scale
+                    else:  # P(a) = 0: every m or none
+                        least, most = -inf, inf
+                    if zero:
+                        diff = sorted(map(sub, zx, zy))
+                        least = inf if diff[-1] > 0 else least
+                        most = -inf if diff[0] < 0 else most
+                    d = vx - vy
+                    if d > 0:
+                        orients = ((x, y, d, least, most),)
+                    elif d < 0:
+                        orients = ((y, x, -d, -most, -least),)
                     else:
-                        yield vb - vc, least, most
-                        yield vc - vb, -most, -least
-
-
-def _first_witness(ordered, by_value, pa, m_bound: int, best, lower: bool):
-    """The first (b, c, m, 0) in (b, c, m) order whose ratio is the optimum best.
-
-    For each b in sorted order and each m with an integer v(c) = v(b) -
-    opt * m, the elements of that value are searched in sorted order for
-    the least c whose relation holds; the least (c, m) of the first b
-    with any is the witness.
-    """
-    opt = Fraction(*best)
-    steps = [
-        (m, m // opt.denominator * opt.numerator, [m * z for z in pa])
-        for m in range(opt.denominator, m_bound + 1, opt.denominator)
-    ]
-    for b, vb, pb in ordered:
-        hits = []
-        for m, dv, ma in steps:
-            for c, pc in by_value.get(vb - dv, ()):
-                if all(
-                    (x <= y + z) if lower else (x >= y + z) for x, y, z in zip(pb, pc, ma)
-                ):
-                    hits.append((c, m))
-                    break
-        if hits:
-            c, m = min(hits)
-            return (b, c, m, 0)
+                        orients = ((x, y, 0, least, most), (y, x, 0, -most, -least))
+                    for b, c, d, least, most in orients:
+                        if least <= 0 < d:
+                            return None
+                        low = least if least > 1 else 1
+                        if low <= m_bound:
+                            s, t = d * p_m, p_d * low
+                            if s > t or s == t and (b, c, low) < p_w:
+                                p_d, p_m, p_w = d, low, (b, c, low)
+                        if most >= 1:
+                            high = most if most < m_bound else m_bound
+                            s, t = d * q_m, q_d * high
+                            m = high if d else 1
+                            if s < t or s == t and (b, c, m) < q_w:
+                                q_d, q_m, q_w = d, high, (b, c, m)
+    return (p_d, p_m, p_w), (q_d, q_m, q_w)
 
 
 def state_extension(
@@ -401,10 +386,11 @@ def state_extension(
     """Extension interval of the state fixed on a subsemigroup, at a.
 
     Relations b + t<a> <= c + (m + t)<a> with b, c in the span are
-    enumerated for 1 <= m <= m_bound.  Without `shifted` only t = 0 is
-    allowed.  The order is cancellative, so a shifted relation holds iff
-    b <= c + m<a> does: every relation is decided at t = 0, and the
-    witness (b, c, m, t) always has t = 0 either way.
+    enumerated for 1 <= m <= m_bound (ball >= 0 and m_bound >= 1 are
+    required).  Without `shifted` only t = 0 is allowed.  The order is
+    cancellative, so a shifted relation holds iff b <= c + m<a> does:
+    every relation is decided at t = 0, and the witness (b, c, m, t)
+    always has t = 0 either way.
 
     The spec is checked first for additivity (_span_with_values), then
     for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
@@ -413,19 +399,29 @@ def state_extension(
     part of two coefficient vectors changes neither and keeps both in
     the ball.  So pairs of disjoint support reach every optimum and every
     monotonicity conflict (_extension_optima), and the first conflicting
-    pair in sorted order is searched for only once one is known.  The
-    witness is the first (b, c, m) in sorted order reaching the optimum,
-    recovered by looking up c by its value (_first_witness).
+    pair in sorted order is searched for only once one is known.
+
+    One orientation per pair: a pair (b, c) with d = v(b) - v(c) < 0
+    decides nothing.  Its ratio for p is negative, and p >= 0 is reached
+    at b = c; for q, b >= c + m<a> with m >= 1 puts c <= b (P(a) >= 0),
+    so the reversed pair, with d > 0 and least <= 0, is a monotonicity
+    conflict.  The witness, the first (b, c, m) in sorted order worth the
+    optimum, is kept by the same pass, which visits it: if combinations
+    reaching b and c share a generator g, then b - g and c - g are in the
+    span and the ball with the same P(b) - P(c) and v(b) - v(c), so (b -
+    g, c - g, m) is a witness, and it comes first unless g = 0, which
+    then just drops out of both combinations.
     """
     a = check_element(ring, a)
+    if ball < 0:
+        raise PreconditionError("ball must be >= 0")
+    if m_bound < 1:
+        raise PreconditionError("M must be >= 1")
     check_states_exist(ring)
-    v = order_unit(ring)
-    elems, denom, supports = _span_with_values(ring, spec, ball)
-    profiles = {x: _profile(ring, x) for x in elems}
-    pa = _profile(ring, a)
-    best_p, best_q, monotone = _extension_optima(supports, elems, profiles, pa, m_bound)
-    ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
-    if not monotone:
+    elems, profiles, denom, supports = _span_with_values(ring, spec, ball)
+    optima = _extension_optima(elems, profiles, supports, _profile(ring, a), m_bound)
+    if optima is None:
+        ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
         for x, vx, px in ordered:
             for y, vy, py in ordered:
                 if vx > vy and all(s <= t for s, t in zip(px, py)):
@@ -433,22 +429,20 @@ def state_extension(
                         f"state spec is inconsistent: {x} <= {y} but value "
                         f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
                     )
-    if elems.get(v) != denom:
+    if elems.get(order_unit(ring)) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"
         )
-    if best_p is None or best_q is None:
+    (p_d, p_m, p_w), (q_d, q_m, q_w) = optima
+    if q_w is None:
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
-    by_value = {}
-    for x, vx, px in ordered:
-        by_value.setdefault(vx, []).append((x, px))
     return StateRange(
-        p_lb=Fraction(best_p[0], best_p[1] * denom),
-        q_ub=Fraction(best_q[0], best_q[1] * denom),
-        p_witness=_first_witness(ordered, by_value, pa, m_bound, best_p, True),
-        q_witness=_first_witness(ordered, by_value, pa, m_bound, best_q, False),
+        p_lb=Fraction(p_d, p_m * denom),
+        q_ub=Fraction(q_d, q_m * denom),
+        p_witness=(*p_w, 0),
+        q_witness=(*q_w, 0),
         exact=None,
     )
 
@@ -600,9 +594,11 @@ def rk_for_square(ring, a, bound: int = 6) -> RkSquareResult:
     at 1/2.  Lower side: every grid relation c + m<a> <= b that would
     push the infimum below 1/2 is refuted by the minor index k = m1 + m
     (see _square_sweep), so the lower certificate is that lemma together
-    with the number of relations it covers.
+    with the number of relations it covers, for a bound >= 0.
     """
     check_formal_hypothesis(ring, a, bound)
+    if bound < 0:
+        raise PreconditionError("bounds must be >= 0")
     return RkSquareResult(Fraction(1, 2), Positive((PowerSwap(0, 2),)), _square_sweep(bound))
 
 
@@ -611,7 +607,8 @@ def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
 
     The lower certificate is checked by the refuting-index lemma: it
     must claim every candidate refuted, and its candidate count is
-    compared with the closed form, in constant time.
+    compared with the closed form, in constant time.  A bound below 0
+    covers no relation, so it certifies nothing.
     """
     try:
         check_formal_hypothesis(ring, a, result.lower.bound)
@@ -622,7 +619,8 @@ def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
     if not verify_formal_certificate((1, 1), (0, 2), result.upper):
         return False
     lower = result.lower
-    return lower.refuted == lower.candidates == _square_candidates(lower.bound)
+    candidates = _square_candidates(lower.bound)
+    return lower.bound >= 0 and lower.refuted == lower.candidates == candidates
 
 
 # ---------------------------------------------------------------------------

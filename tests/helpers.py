@@ -2,6 +2,7 @@
 
 from collections import Counter, deque
 from fractions import Fraction
+from math import inf, lcm
 
 from rankcert import (
     UNKNOWN,
@@ -15,6 +16,8 @@ from rankcert import (
     PowerSwap,
     PreconditionError,
     StateRange,
+    StateSpec,
+    check_states_exist,
     identity,
     is_invertible,
     leq,
@@ -24,7 +27,13 @@ from rankcert import (
 )
 from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS
 from rankcert.polys import pdegree, pdivides
-from rankcert.semigroup import check_element, monoid_add, monoid_identity, monoid_scale
+from rankcert.semigroup import (
+    _profile,
+    check_element,
+    monoid_add,
+    monoid_identity,
+    monoid_scale,
+)
 
 
 def replace(record, **changes):
@@ -556,3 +565,202 @@ def reference_leq_provable(e_a, e_b, depth: int = 8):
                 seen.add(nxt)
                 queue.append((nxt, chain))
     return UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# the state-extension kernel as it was before the one-pass kernel: profiles
+# computed per element, both orders of every pair (_pair_relations), the
+# witness recovered by a second scan (_first_witness); kept as the fast
+# oracle for state_extension at balls beyond SPAN_CAP
+
+
+def _span_with_values(ring, spec: StateSpec, ball: int):
+    """Elements of the generated subsemigroup with ||.||_1 <= ball.
+
+    Returns ({element: value numerator}, denominator, {support: elements}):
+    every value is an integer over one common denominator, and a support
+    is the bitmask of the generators with a nonzero coefficient in some
+    combination reaching the element.  The first additivity conflict, in
+    lexicographic order of the coefficients, is rejected.
+    """
+    gens = [check_element(ring, g) for g in spec.generators]
+    vals = [Fraction(v) for v in spec.values]
+    if len(gens) != len(vals):
+        raise PreconditionError("generator/value length mismatch")
+    denom = lcm(*(v.denominator for v in vals))
+    combos = [(monoid_identity(ring), 0, 0)]
+    for i, (g, v) in enumerate(zip(gens, vals)):
+        gv, grown = v.numerator * (denom // v.denominator), []
+        for elt, val, support in combos:
+            t = 0  # a zero generator still gets t = 1, to expose its value
+            while sum(elt) <= ball and (t < 2 or any(g)):
+                grown.append((elt, val, support | (t > 0) << i))
+                elt, val, t = monoid_add(elt, g), val + gv, t + 1
+        combos = grown
+    elems, supports = {}, {}
+    for elt, val, support in combos:
+        prev = elems.setdefault(elt, val)
+        if prev != val:
+            raise PreconditionError(
+                f"state spec is inconsistent: element {elt} gets values "
+                f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
+            )
+        supports.setdefault(support, set()).add(elt)
+    return elems, denom, supports
+
+
+def _extension_optima(supports, values, profiles, pa, m_bound: int):
+    """Best (d, m) for both endpoints over pairs of disjoint support, and monotonicity.
+
+    For a pair b, c with D = P(b) - P(c) and d = v(b) - v(c), b <= c +
+    m<a> iff D <= m P(a): it holds for every m >= least = max_i
+    ceil(D_i / P(a)_i), provided D_i <= 0 wherever P(a)_i = 0; likewise
+    b >= c + m<a> holds for every m <= most = min_i floor(D_i / P(a)_i),
+    provided D_i >= 0 there.  So a pair is worth d / max(1, least) for p
+    and d / min(m_bound, most) for q.  That is its best ratio when d >= 0;
+    a pair with d < 0 never decides either: p >= 0 is reached at b = c,
+    and an upper relation with d < 0 puts c <= b with v(c) > v(b).  That
+    m = 0 case is monotonicity: d > 0 with D <= 0 is a conflict.
+
+    Profiles are scaled by s / P(a)_i with s = lcm of the positive P(a)_i,
+    so least and most are the ceiling and floor of one max and one min of
+    the scaled differences over s (_pair_relations).  Returns (best_p,
+    best_q, monotone), a best being None when no pair has a relation.
+    """
+    scale = lcm(*(z for z in pa if z > 0))
+
+    def row(x):
+        px = profiles[x]
+        scaled = [y * (scale // z) for y, z in zip(px, pa) if z > 0]
+        return scaled, [y for y, z in zip(px, pa) if z == 0], values[x]
+
+    groups = [(support, [row(x) for x in xs]) for support, xs in supports.items()]
+    best_p = best_q = None
+    monotone = True
+    for d, least, most in _pair_relations(groups, scale, m_bound * scale):
+        if d > 0 and least <= 0:
+            monotone = False
+        low, high = max(1, least), min(m_bound, most)
+        if low <= m_bound and (best_p is None or d * best_p[1] > best_p[0] * low):
+            best_p = (d, low)
+        if high >= 1 and (best_q is None or d * best_q[1] < best_q[0] * high):
+            best_q = (d, high)
+    return best_p, best_q, monotone
+
+
+def _pair_relations(groups, scale: int, cap: int):
+    """(d, least, most) for both orders of every pair of disjoint support.
+
+    Each unordered pair is read once, for both orders, since floor(-x) =
+    -ceil(x).  cap stands in for an empty max or min over the scaled coordinates,
+    which happens when P(a) = 0: then every m is allowed.  A coordinate
+    where P(a) is 0 bars the lower relation when D is positive there and
+    the upper one when D is negative, by an infinite least or most.
+    """
+    for i, (sb, bs) in enumerate(groups):
+        for sc, cs in groups[i:]:
+            if sb & sc:
+                continue
+            for pb, zb, vb in bs:
+                for pc, zc, vc in cs:
+                    diff = [x - y for x, y in zip(pb, pc)]
+                    least = -(-max(diff, default=-cap) // scale)
+                    most = min(diff, default=cap) // scale
+                    if zb:
+                        zd = [x - y for x, y in zip(zb, zc)]
+                        above, below = max(zd) > 0, min(zd) < 0
+                        yield vb - vc, inf if above else least, -inf if below else most
+                        yield vc - vb, inf if below else -most, -inf if above else -least
+                    else:
+                        yield vb - vc, least, most
+                        yield vc - vb, -most, -least
+
+
+def _first_witness(ordered, by_value, pa, m_bound: int, best, lower: bool):
+    """The first (b, c, m, 0) in (b, c, m) order whose ratio is the optimum best.
+
+    For each b in sorted order and each m with an integer v(c) = v(b) -
+    opt * m, the elements of that value are searched in sorted order for
+    the least c whose relation holds; the least (c, m) of the first b
+    with any is the witness.
+    """
+    opt = Fraction(*best)
+    steps = [
+        (m, m // opt.denominator * opt.numerator, [m * z for z in pa])
+        for m in range(opt.denominator, m_bound + 1, opt.denominator)
+    ]
+    for b, vb, pb in ordered:
+        hits = []
+        for m, dv, ma in steps:
+            for c, pc in by_value.get(vb - dv, ()):
+                if all(
+                    (x <= y + z) if lower else (x >= y + z) for x, y, z in zip(pb, pc, ma)
+                ):
+                    hits.append((c, m))
+                    break
+        if hits:
+            c, m = min(hits)
+            return (b, c, m, 0)
+
+
+def fast_state_extension(
+    ring,
+    spec: StateSpec,
+    a,
+    ball: int = 12,
+    m_bound: int = 12,
+    shifted: bool = False,
+) -> StateRange:
+    """Extension interval of the state fixed on a subsemigroup, at a.
+
+    Relations b + t<a> <= c + (m + t)<a> with b, c in the span are
+    enumerated for 1 <= m <= m_bound.  Without `shifted` only t = 0 is
+    allowed.  The order is cancellative, so a shifted relation holds iff
+    b <= c + m<a> does: every relation is decided at t = 0, and the
+    witness (b, c, m, t) always has t = 0 either way.
+
+    The spec is checked first for additivity (_span_with_values), then
+    for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
+    <1> with value 1.  A relation depends only on P(b) - P(c), and with
+    additive values the ratio only on v(b) - v(c); removing the common
+    part of two coefficient vectors changes neither and keeps both in
+    the ball.  So pairs of disjoint support reach every optimum and every
+    monotonicity conflict (_extension_optima), and the first conflicting
+    pair in sorted order is searched for only once one is known.  The
+    witness is the first (b, c, m) in sorted order reaching the optimum,
+    recovered by looking up c by its value (_first_witness).
+    """
+    a = check_element(ring, a)
+    check_states_exist(ring)
+    v = order_unit(ring)
+    elems, denom, supports = _span_with_values(ring, spec, ball)
+    profiles = {x: _profile(ring, x) for x in elems}
+    pa = _profile(ring, a)
+    best_p, best_q, monotone = _extension_optima(supports, elems, profiles, pa, m_bound)
+    ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
+    if not monotone:
+        for x, vx, px in ordered:
+            for y, vy, py in ordered:
+                if vx > vy and all(s <= t for s, t in zip(px, py)):
+                    raise PreconditionError(
+                        f"state spec is inconsistent: {x} <= {y} but value "
+                        f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
+                    )
+    if elems.get(v) != denom:
+        raise PreconditionError(
+            "state spec must contain the order-unit <1> with value 1"
+        )
+    if best_p is None or best_q is None:
+        raise BoundExceededError(
+            f"no witness relation found within bounds ({ball}, {m_bound})"
+        )
+    by_value = {}
+    for x, vx, px in ordered:
+        by_value.setdefault(vx, []).append((x, px))
+    return StateRange(
+        p_lb=Fraction(best_p[0], best_p[1] * denom),
+        q_ub=Fraction(best_q[0], best_q[1] * denom),
+        p_witness=_first_witness(ordered, by_value, pa, m_bound, best_p, True),
+        q_witness=_first_witness(ordered, by_value, pa, m_bound, best_q, False),
+        exact=None,
+    )

@@ -258,10 +258,11 @@ def test_selftest_fast_subset(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
-EXTEND_STATE = (
+EXTEND_STATE_ARGS = (
     "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,0,1]]",
-    "--values", '["1/1","0/1"]', "--a", "[0,1,0]", "--ball", "12", "--M", "12",
+    "--values", '["1/1","0/1"]', "--a", "[0,1,0]",
 )
+EXTEND_STATE = EXTEND_STATE_ARGS + ("--ball", "12", "--M", "12")
 STATE_RANGE = ("state-range", "--ring", "Z/8", "--a", "[0,1,0]")
 REGULAR_LEQ = ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]')
 REGULAR_REFUTATION = ("leq", "--ring", "F2*F3", "--a", "[1,2]", "--b", "[2,1]")
@@ -333,6 +334,13 @@ EDITED_RESPONSES = [
     pytest.param(
         RK_SQUARE_POLY, edit(lambda d: d.update(elem="x^1000000000000")), {2}, id="elem-memory"
     ),
+    # a bound below 0 covers no relation: 0 candidates, all refuted, certified nothing
+    pytest.param(
+        RK_SQUARE_POLY,
+        edit(lambda d: d["lower"].update(bound=-1, candidates=0, refuted=0)),
+        {1},
+        id="negative-bound",
+    ),
     # the square of a prime near 10^7: trial division up to p took about 1.5 s
     pytest.param(
         LOCAL_CHAIN,
@@ -352,6 +360,39 @@ def test_verify_edited_response_is_decided_quickly(capsys, tmp_path, argv, chang
     code, _, err = run_cli(capsys, "verify", "--file", str(path))
     assert code in codes, err
     assert time.monotonic() - start < 1.0
+
+
+# (argv, exit code, stderr text): a bound out of its range, or a nil
+# degree above the cap, is refused at the boundary by a message naming it;
+# extend-state once exited 4 for --M -2 and 3 for --ball -1 with "must
+# contain the order-unit", and rk-square printed value 1/2 over 0
+# candidates for --bounds -1
+OUT_OF_RANGE = [
+    pytest.param(
+        EXTEND_STATE_ARGS + ("--ball", "-1", "--M", "12"), 3, "ball must be >= 0", id="ball"
+    ),
+    pytest.param(EXTEND_STATE_ARGS + ("--ball", "12", "--M", "-2"), 3, "M must be >= 1", id="M"),
+    pytest.param(EXTEND_STATE_ARGS + ("--ball", "12", "--M", "0"), 3, "M must be >= 1", id="M-0"),
+    pytest.param(
+        ("rk-square", "--ring", "Z", "--a", "1", "--bounds", "-1"), 3, "bounds must be >= 0",
+        id="rk-square-unit",
+    ),
+    pytest.param(
+        ("rk-square", "--ring", "F2[x]", "--a", "x", "--bounds", "-1"), 3, "bounds must be >= 0",
+        id="rk-square",
+    ),
+    pytest.param(
+        ("normalize", "--ring", "F3[x]/x^65537", "--value", "1"), 2, "nil degree above 65536",
+        id="nil-degree",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", OUT_OF_RANGE)
+def test_out_of_range_options_are_refused_by_name(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_verify_certifies_state_range_exact(capsys, tmp_path):

@@ -165,9 +165,14 @@ def test_numbers_past_the_caps_are_parse_errors():
 
 
 def test_parse_ring_cost_does_not_grow_with_the_nil_degree():
+    # nil degrees are capped like literal degrees: F3[x]/x^10000000 once
+    # parsed, and inverting 1 + x over F3[x]/x^1000000 took 1.2 s
     start = time.monotonic()
-    ring = parse_ring("F3[x]/x^10000000")
+    ring = parse_ring(f"F3[x]/x^{DEGREE_CAP}")
     assert ring.unit_inverse((2,)) == (2,)
+    for n in (DEGREE_CAP + 1, 10**7):
+        with pytest.raises(ParseError, match=f"nil degree above {DEGREE_CAP}"):
+            parse_ring(f"F3[x]/x^{n}")
     assert time.monotonic() - start < 0.1
 
 

@@ -41,6 +41,7 @@ from rankcert import (
     verify_formal_certificate,
     witness_chain,
 )
+import rankcert.semigroup as semigroup
 from rankcert.semigroup import _formal_apply, _formal_bound, check_element
 
 from helpers import random_matrix, reference_leq_provable
@@ -328,6 +329,21 @@ def test_long_formal_chains_are_quick(a, b, depth, expected):
     assert time.monotonic() - start < 0.5
     if expected is not UNKNOWN:
         assert verify_formal_certificate(a, b, expected)
+
+
+@pytest.mark.parametrize("a, b", [((1, 1), (0, 0)), ((0, 2, 2), (0, 1, 1)), ((4, 4, 4), (0, 0, 12))])
+def test_leq_provable_bounds_each_state_once_per_call(monkeypatch, a, b):
+    # the rounds for bound = h(start), ..., depth regenerate the same states;
+    # (0, 0) -> (1, 1) takes 3 moves where h = 2, so it takes two rounds
+    calls = []
+
+    def counted(cur, tgt):
+        calls.append((cur, tgt))
+        return _formal_bound(cur, tgt)
+
+    monkeypatch.setattr(semigroup, "_formal_bound", counted)
+    assert leq_provable(a, b, 14) == reference_leq_provable(a, b, 14)
+    assert len(calls) == len(set(calls)) > 0
 
 
 def test_formal_verify_rejects_bad_moves():

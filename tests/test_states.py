@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rankcert import (
     BoundExceededError,
+    MinorSweep,
     Positive,
     PowerSwap,
     PreconditionError,
@@ -34,7 +35,13 @@ from rankcert import (
 from rankcert.acceptance import brute_square_sweep
 from rankcert.polys import min_irreducible
 
-from helpers import random_matrix, reference_state_extension, reference_state_range, replace
+from helpers import (
+    fast_state_extension,
+    random_matrix,
+    reference_state_extension,
+    reference_state_range,
+    replace,
+)
 
 Z8 = parse_ring("Z/8")
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -250,6 +257,20 @@ def test_extension_requires_order_unit():
         state_extension(Z8, spec, E1, ball=6, m_bound=4)
 
 
+def test_extension_bounds_are_checked_before_the_spec():
+    # ball -1 once emptied the span ("must contain the order-unit"), and M 0
+    # or below ended in a bound overflow
+    spec = StateSpec(generators=(E0, E2), values=(Fraction(1), Fraction(0)))
+    with pytest.raises(PreconditionError, match="ball must be >= 0"):
+        state_extension(Z8, spec, E1, ball=-1)
+    for m_bound in (0, -2):
+        with pytest.raises(PreconditionError, match="M must be >= 1"):
+            state_extension(Z8, spec, E1, m_bound=m_bound)
+    # ball 0 and M 1 pass: the span {0} then lacks the unit
+    with pytest.raises(PreconditionError, match="order-unit"):
+        state_extension(Z8, spec, E1, ball=0, m_bound=1)
+
+
 # ---------------------------------------------------------------------------
 # the integer-profile enumerations against the Fraction/leq reference loops
 
@@ -364,6 +385,36 @@ def test_state_extension_matches_reference(case):
     assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
 
 
+# the fast oracle's pair loop and witness scan cost about |span|^2 * M, so
+# the ball is lowered until the span holds at most this many elements
+WIDE_SPAN_CAP = 150
+
+
+@st.composite
+def wide_extension_cases(draw):
+    """extension_cases at balls 8 to 16, beyond SPAN_CAP, and M up to 12.
+
+    The specs keep up to 4 generators, copied, summed or zero ones among
+    them, and values that give many pairs d = 0; a has zero entries, so
+    P(a) has zero lanes, and is 0 one time in five, so P(a) = 0.
+    """
+    ring, spec, a, _, _, shifted = draw(extension_cases())
+    if draw(st.integers(0, 4)) == 0:
+        a = (0,) * len(a)
+    ball = draw(st.integers(8, 16))
+    while span_size(spec.generators, ball) > WIDE_SPAN_CAP:
+        ball -= 1
+    return ring, spec, a, ball, draw(st.integers(1, 12)), shifted
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_extension_cases())
+def test_state_extension_matches_the_two_pass_kernel(case):
+    # optima, witnesses and errors, against the kernel that read both orders
+    # of every pair and found the witness in a second scan
+    assert outcome(state_extension, *case) == outcome(fast_state_extension, *case)
+
+
 def test_state_extension_cost_grows_slowly_with_ball():
     # the README spec: pairs of disjoint support number O(ball^2) here
     spec = StateSpec(generators=(E0, E2), values=(Fraction(1), Fraction(0)))
@@ -452,6 +503,16 @@ def test_rk_for_square_hypothesis_enforced():
         rk_for_square(z, 0, bound=4)
     with pytest.raises(PreconditionError):
         rk_for_square(parse_ring("Z/8"), 2, bound=4)
+
+
+def test_rk_for_square_refuses_a_negative_bound():
+    # bound -1 covered 0 candidates and certified nothing, yet verified
+    z = parse_ring("Z")
+    with pytest.raises(PreconditionError, match="bounds must be >= 0"):
+        rk_for_square(z, 1, bound=-1)  # a unit, whose hypothesis fails at m = 0
+    res = rk_for_square(z, 2, bound=0)
+    assert res.lower == MinorSweep(0, 0, 0) and verify_rk_square(z, 2, res)
+    assert not verify_rk_square(z, 2, replace(res, lower=MinorSweep(-1, 0, 0)))
 
 
 def test_rk_for_square_hypothesis_decided_at_any_bound():
