@@ -15,13 +15,14 @@ from importlib import import_module
 _EXPORTS = {
     "errors": """BoundExceededError ParseError PreconditionError RankcertError
         SearchBudgetError""",
-    "normal_form": "DiagonalForm diagonal_matrix diagonalize is_invertible verify_factorization",
+    "normal_form": """DiagonalForm det diagonal_matrix diagonalize is_invertible minor
+        minors_in_ideal verify_factorization""",
     "presentations": """LocalSignature Presentation RegularSignature dim direct_sum
         free_presentation image_signature module_basis_labels module_class
         module_coeffs_sub module_cone_member module_leq phi phi_group presentation
         presentations_equivalent psi psi_group quotient_presentation signature""",
-    "rings": """Matrix block_diag block_upper det identity mat_mul matrix minor
-        minors_in_ideal parse_matrix parse_ring stack_vertical zeros""",
+    "rings": """Matrix block_diag block_upper identity mat_mul matrix parse_matrix
+        parse_ring stack_vertical zeros""",
     "semigroup": """UNKNOWN Cancel Drop ExponentIncrease FactorResult NegativeMinor
         NegativeRank Positive PowerSwap class_of class_representative
         has_rank_function leq leq_necessary leq_provable minor_profile

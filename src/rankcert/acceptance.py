@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .normal_form import diagonalize, is_invertible, verify_factorization
+from .normal_form import diagonalize, is_invertible, minors_in_ideal, verify_factorization
 from .presentations import (
     module_class,
     module_coeffs_sub,
@@ -32,7 +32,6 @@ from .rings import (
     identity,
     mat_mul,
     matrix,
-    minors_in_ideal,
     parse_ring,
     zeros,
 )

@@ -487,6 +487,8 @@ def cmd_axioms_check(args):
     from .semigroup import class_of, rk
     from .states import pullback_rank
 
+    if args.count < 1:
+        raise PreconditionError("count must be >= 1")
     ring = parse_ring(args.ring)
     rng = random.Random(args.seed)
     report = {}

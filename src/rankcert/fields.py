@@ -107,6 +107,8 @@ def factor_prime_power(q: int):
 class _FieldBase:
     """A field as a local ring with radical generator c = 0 (nil degree 1)."""
 
+    is_local = True
+    is_product = False
     nil_degree = 1
     zero = 0
     one = 1

@@ -1,4 +1,4 @@
-"""Diagonalization over the Artinian local families and finite fields.
+"""Elimination: diagonal forms, determinants, minors and invertibility.
 
 Every matrix A over Z/p^n or F_p[x]/x^n factors as A = left * D * right
 with left, right invertible and D = diag(c^e1, ..., c^el, 0, ..., 0)
@@ -13,13 +13,30 @@ unit of valuation 0), so the same kernel gives the ranks of the field
 components of a product ring.  Callers read only what they need: a class
 reads the exponents, a rank counts them, and `diagonalize` and
 `semigroup.regular_factor` replay the operations into their factors.
+
+The determinant is read off the same elimination.  A transvection keeps
+it, a row or column swap negates it, and scaling by a unit u multiplies
+it by u, so det A = (-1)^swaps * (the units scaled away) * c^(e1+...+el),
+and it is 0 when there are fewer exponents than rows.  Over a field c = 0
+and every exponent is 0; over a product of fields det is componentwise.
+Z and F_p[x] are not local: there `bareiss` eliminates fraction-free
+(Bareiss 1968).  After the pivot step at row r every entry below and
+right of the pivot is an (r + 1)-minor (Sylvester's identity), so the
+new entries divide exactly by the previous pivot and stay as large as
+the minors.  The pivots count the rank over the fraction field, and for
+a square matrix of full rank the last pivot, negated once per row swap,
+is det.  A matrix is invertible iff it is square with a unit det, and a
+minor is the det of a sub-grid: every family takes the same path.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import PreconditionError
+from .polys import pdivmod
 from .records import record
-from .rings import Matrix, det, mat_mul
+from .rings import IntegerRing, Matrix, mat_mul
 
 # Recorded operations, in the order they were applied to the working copy:
 #   (_SWAP_ROWS, i, j, None)   swap rows i and j
@@ -185,25 +202,95 @@ def diagonalize(A: Matrix) -> DiagonalForm:
     )
 
 
-def is_invertible(M: Matrix) -> bool:
-    """Square with a unit determinant.
+def bareiss(ring, grid):
+    """(rank, pivot): the rank of a grid over Z or F_p[x] and its last
+    pivot, negated once per row swap; // and pdivmod divide exactly."""
+    if isinstance(ring, IntegerRing):
+        divide = int.__floordiv__
+    else:
+        divide = lambda x, d: pdivmod(x, d, ring.p)[0]
+    M = [list(row) for row in grid]
+    nrows, ncols = len(M), len(M[0])
+    rank, prev, swaps = 0, ring.one, 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if not ring.is_zero(M[r][col])), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            swaps += 1
+        top, pval = M[rank], M[rank][col]
+        for row in M[rank + 1 :]:
+            x = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = divide(ring.sub(ring.mul(pval, row[j]), ring.mul(x, top[j])), prev)
+        prev = pval
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, ring.neg(prev) if swaps % 2 else prev
 
-    Over a local ring or a product of fields, that is an elimination
-    with M.rows exponents, all 0, in O(n^3); over Z and F_p[x] it is the
-    cofactor determinant.
-    """
+
+def _det(ring, grid):
+    """det of a square grid of canonical values of ring (a field is local)."""
+    if ring.is_product:
+        return tuple(
+            _det(f, [[x[i] for x in row] for row in grid]) for i, f in enumerate(ring.fields)
+        )
+    if not ring.is_local:
+        rank, pivot = bareiss(ring, grid)
+        return pivot if rank == len(grid) else ring.zero
+    exponents, ops = eliminate(ring, grid)
+    e = sum(exponents)
+    if len(exponents) < len(grid) or e >= ring.nil_degree:
+        return ring.zero
+    d = ring.generator_power(e) if e else ring.one
+    for kind, _, _, t in ops:
+        if kind == _SCALE:  # t is the unit scaled away
+            d = ring.mul(d, t)
+        elif kind == _SWAP_ROWS or kind == _SWAP_COLS:
+            d = ring.neg(d)
+    return d
+
+
+def det(M: Matrix):
+    if M.rows != M.cols:
+        raise PreconditionError("determinant of a non-square matrix")
+    return _det(M.ring, M.entries)
+
+
+def minor(M: Matrix, rows, cols):
+    """Determinant of the submatrix with the given row/column index sets."""
+    rows = sorted(rows)
+    cols = sorted(cols)
+    k = len(rows)
+    if k == 0 or k != len(cols):
+        raise PreconditionError("minor needs equal nonempty row and column sets")
+    if len(set(rows)) != k or len(set(cols)) != k:
+        raise PreconditionError("minor index sets must not repeat")
+    if rows[0] < 0 or rows[-1] >= M.rows or cols[0] < 0 or cols[-1] >= M.cols:
+        raise PreconditionError("minor index out of range")
+    return _det(M.ring, [[M.entries[i][j] for j in cols] for i in rows])
+
+
+def minors_in_ideal(M: Matrix, k: int, gen) -> bool:
+    """True iff every k x k minor of M lies in the ideal generated by gen."""
+    if not 1 <= k <= min(M.rows, M.cols):
+        raise PreconditionError(f"minor size {k} outside [1, {min(M.rows, M.cols)}]")
+    ring = M.ring
+    gen = ring.normalize(gen)
+    for rows in combinations(M.entries, k):
+        for cols in combinations(range(M.cols), k):
+            if not ring.ideal_member(_det(ring, [[row[j] for j in cols] for row in rows]), gen):
+                return False
+    return True
+
+
+def is_invertible(M: Matrix) -> bool:
+    """Square with a unit determinant."""
     if M.rows != M.cols:
         raise PreconditionError("invertibility needs a square matrix")
-    ring = M.ring
-    if ring.is_local:
-        exponents = eliminate(ring, M.entries)[0]
-        return len(exponents) == M.rows and not any(exponents)
-    if ring.is_product:
-        return all(
-            len(eliminate(f, ring.component_grid(M, i))[0]) == M.rows
-            for i, f in enumerate(ring.fields)
-        )
-    return ring.is_unit(det(M))
+    return M.ring.is_unit(_det(M.ring, M.entries))
 
 
 def verify_factorization(A: Matrix, form: DiagonalForm) -> bool:

@@ -27,7 +27,7 @@ library builds from such values skip normalization (`Matrix._canonical`).
 from __future__ import annotations
 
 import re
-from itertools import combinations, product
+from itertools import product
 
 from .errors import ParseError, PreconditionError
 from .fields import factor_prime_power, is_prime, make_field
@@ -614,61 +614,4 @@ def stack_vertical(A: Matrix, B: Matrix) -> Matrix:
     if A.ring != B.ring or A.cols != B.cols:
         raise PreconditionError("vertical stack needs equal column counts")
     return Matrix._canonical(A.ring, A.entries + B.entries)
-
-
-def det(M: Matrix):
-    if M.rows != M.cols:
-        raise PreconditionError("determinant of a non-square matrix")
-    return _det_grid(M.ring, M.entries)
-
-
-def _det_grid(ring: Ring, grid):
-    """Cofactor expansion along the first row; valid over any commutative ring."""
-    n = len(grid)
-    memo = {}
-
-    def rec(cols):
-        r = n - len(cols)
-        if not cols:
-            return ring.one
-        if cols in memo:
-            return memo[cols]
-        acc = ring.zero
-        for idx, c in enumerate(cols):
-            x = grid[r][c]
-            if ring.is_zero(x):
-                continue
-            term = ring.mul(x, rec(cols[:idx] + cols[idx + 1 :]))
-            acc = ring.add(acc, term) if idx % 2 == 0 else ring.sub(acc, term)
-        memo[cols] = acc
-        return acc
-
-    return rec(tuple(range(n)))
-
-
-def minor(M: Matrix, rows, cols):
-    """Determinant of the submatrix with the given row/column index sets."""
-    rows = sorted(rows)
-    cols = sorted(cols)
-    k = len(rows)
-    if k == 0 or k != len(cols):
-        raise PreconditionError("minor needs equal nonempty row and column sets")
-    if len(set(rows)) != k or len(set(cols)) != k:
-        raise PreconditionError("minor index sets must not repeat")
-    if rows[0] < 0 or rows[-1] >= M.rows or cols[0] < 0 or cols[-1] >= M.cols:
-        raise PreconditionError("minor index out of range")
-    grid = tuple(tuple(M.entries[i][j] for j in cols) for i in rows)
-    return _det_grid(M.ring, grid)
-
-
-def minors_in_ideal(M: Matrix, k: int, gen) -> bool:
-    """True iff every k x k minor of M lies in the ideal generated by gen."""
-    if not 1 <= k <= min(M.rows, M.cols):
-        raise PreconditionError(f"minor size {k} outside [1, {min(M.rows, M.cols)}]")
-    gen = M.ring.normalize(gen)
-    for rows in combinations(range(M.rows), k):
-        for cols in combinations(range(M.cols), k):
-            if not M.ring.ideal_member(minor(M, rows, cols), gen):
-                return False
-    return True
 

@@ -584,6 +584,8 @@ def leq_provable(e_a, e_b, depth: int = 8):
     eb = tuple(sorted(int(e) for e in e_b))
     if any(e < 0 for e in ea + eb):
         raise PreconditionError("exponents must be nonnegative")
+    if depth < 0:
+        raise PreconditionError("depth must be >= 0")
     refutation = minor_refutation(ea, eb)
     if refutation is not None:
         return refutation

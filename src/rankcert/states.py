@@ -39,8 +39,8 @@ from math import inf, lcm
 from operator import add, sub
 
 from .errors import BoundExceededError, PreconditionError
-from .fields import ExtensionField, PrimeField, is_prime
-from .normal_form import eliminate
+from .fields import FIELD_CAP, ExtensionField, PrimeField, is_prime
+from .normal_form import bareiss, eliminate
 from .polys import is_irreducible, pdivmod, pscale
 from .records import record
 from .rings import IntegerRing, Matrix, PolyRing
@@ -650,13 +650,16 @@ class PullbackRank:
             self.field = PrimeField(p)
             self._reduce = lambda x: x % p
         else:
+            degree = len(self.pi) - 1  # p^degree > FIELD_CAP from FIELD_CAP.bit_length() on
+            if degree >= 2 and ring.p ** min(degree, FIELD_CAP.bit_length()) > FIELD_CAP:
+                raise PreconditionError(f"pi gives a residue field above order {FIELD_CAP}")
             if not is_irreducible(self.pi, ring.p):
                 raise PreconditionError(
                     f"{ring.format(self.pi)} is not irreducible in {ring.spec}"
                 )
             lead_inv = pow(self.pi[-1], -1, ring.p)
             monic = pscale(self.pi, lead_inv, ring.p)
-            field = ExtensionField(ring.p, len(monic) - 1, monic)
+            field = ExtensionField(ring.p, degree, monic)
             self.field = field
             self._reduce = lambda x: field.encode(pdivmod(x, monic, ring.p)[1])
         self.description = f"rank over {ring.spec} modulo ({ring.format(self.pi)})"
@@ -665,7 +668,7 @@ class PullbackRank:
         if M.ring != self.ring:
             raise PreconditionError("matrix is over a different ring")
         if self.field is None:
-            return Fraction(_fraction_field_rank(self.ring, M))
+            return Fraction(bareiss(self.ring, M.entries)[0])
         grid = [[self._reduce(x) for x in row] for row in M.entries]
         return Fraction(len(eliminate(self.field, grid)[0]))
 
@@ -673,37 +676,3 @@ class PullbackRank:
 def pullback_rank(ring, pi) -> PullbackRank:
     return PullbackRank(ring, pi)
 
-
-def _fraction_field_rank(ring, M: Matrix) -> int:
-    """Rank over the fraction field, by Bareiss fraction-free elimination.
-
-    After the pivot step at row r every entry below and right of the
-    pivot is an (r + 1)-minor of M (Sylvester's identity), so the new
-    entries divide exactly by the previous pivot: with // over Z and
-    with a zero-remainder pdivmod over F_p[x].  The entries stay as
-    large as the minors of M (Bareiss 1968).
-    """
-    if isinstance(ring, IntegerRing):
-        divide = int.__floordiv__
-    else:
-        divide = lambda x, d: pdivmod(x, d, ring.p)[0]
-    grid = [list(row) for row in M.entries]
-    nrows, ncols = M.rows, M.cols
-    rank, prev = 0, ring.one
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, nrows) if not ring.is_zero(grid[r][col])), None
-        )
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        top, pval = grid[rank], grid[rank][col]
-        for row in grid[rank + 1 :]:
-            x = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = divide(ring.sub(ring.mul(pval, row[j]), ring.mul(x, top[j])), prev)
-        prev = pval
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

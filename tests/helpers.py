@@ -2,6 +2,7 @@
 
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import permutations
 from math import inf, lcm
 
 from rankcert import (
@@ -62,6 +63,21 @@ def random_invertible(ring, rng, size, attempts=300):
         if is_invertible(M):
             return M
     raise AssertionError(f"no invertible {size}x{size} over {ring.spec} found")
+
+
+def reference_det(ring, M):
+    """The determinant by the Leibniz permutation expansion; valid over any commutative ring."""
+    n = M.rows
+    total = ring.zero
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = ring.one
+        for i in range(n):
+            term = ring.mul(term, M.entry(i, perm[i]))
+        total = ring.add(total, term) if inversions % 2 == 0 else ring.sub(total, term)
+    return total
 
 
 def random_monoid_element(ring, rng, max_norm):

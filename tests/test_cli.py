@@ -270,7 +270,8 @@ LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
 RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
 _rng = random.Random(18)
-# an 18 x 18 form, whose factors a cofactor determinant would test in about 2 s
+# an 18 x 18 form: its factors have 2^18 column subsets, so a verifier must
+# test their invertibility by elimination, in O(n^3), to decide it quickly
 DIAGONALIZE_18 = (
     "diagonalize", "--ring", "Z/8",
     "--matrix", json.dumps([[str(_rng.randrange(8)) for _ in range(18)] for _ in range(18)]),
@@ -384,6 +385,16 @@ OUT_OF_RANGE = [
     pytest.param(
         ("normalize", "--ring", "F3[x]/x^65537", "--value", "1"), 2, "nil degree above 65536",
         id="nil-degree",
+    ),
+    pytest.param(
+        ("axioms-check", "--ring", "Z/8", "--count", "-3"), 3, "count must be >= 1", id="count"
+    ),
+    pytest.param(FORMAL_REFUTATION + ("--depth", "-5"), 3, "depth must be >= 0", id="depth"),
+    pytest.param(
+        # refused by its residue field order, before the irreducibility test,
+        # whose cost grows about cubically with the degree
+        ("axioms-check", "--ring", "F2[x]", "--pi", "+".join(f"x^{i}" for i in range(1025))),
+        3, "pi gives a residue field above order 4294967296", id="pi-degree",
     ),
 ]
 

@@ -1,6 +1,5 @@
 import random
 import time
-from itertools import permutations
 
 import pytest
 
@@ -22,6 +21,8 @@ from rankcert import (
 )
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
 from rankcert.polys import DEGREE_CAP
+
+from helpers import random_matrix, reference_det
 
 SMALL_FINITE = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4", "F2*F3"]
 
@@ -277,20 +278,6 @@ def test_ideal_member_agrees_with_brute_force():
                 assert ring.ideal_member(x, gen) == (x in reachable), (spec, x, gen)
 
 
-def _det_by_permutations(ring, M):
-    n = M.rows
-    total = ring.zero
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        term = ring.one
-        for i in range(n):
-            term = ring.mul(term, M.entry(i, perm[i]))
-        total = ring.add(total, term) if inversions % 2 == 0 else ring.sub(total, term)
-    return total
-
-
 def test_minor_examples():
     z = parse_ring("Z")
     assert minor(identity(z, 2), [0, 1], [0, 1]) == 1
@@ -310,15 +297,43 @@ def test_minor_index_errors():
         minor(A, [0, 0], [0, 1])
 
 
+# every family, with products of prime and extension fields
+DET_RINGS = [
+    "Z", "F2[x]", "F3[x]", "Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2",
+    "F2*F3", "F4", "F8", "F4*F9",
+]
+
+
 def test_det_matches_permutation_expansion():
     rng = random.Random(11)
-    for spec in ["Z", "Z/8", "F2[x]/x^3"]:
+    for spec in DET_RINGS:
         ring = parse_ring(spec)
-        for _ in range(40):
-            A = matrix(
-                ring, [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
-            )
-            assert det(A) == _det_by_permutations(ring, A)
+        for size in range(1, 6):
+            for _ in range(30):
+                A = random_matrix(ring, rng, size, size)
+                assert det(A) == reference_det(ring, A), (spec, A)
+                k = rng.randrange(1, size + 1)
+                rows = rng.sample(range(size), k)
+                cols = rng.sample(range(size), k)
+                sub = Matrix(ring, [[A.entry(i, j) for j in sorted(cols)] for i in sorted(rows)])
+                assert minor(A, rows, cols) == reference_det(ring, sub), (spec, A, rows, cols)
+
+
+def test_det_is_fast_over_z_and_polynomials():
+    import sympy
+
+    # 2^16 column subsets: an expansion over them would take over a second
+    rng = random.Random(40)
+    B = random_matrix(parse_ring("F3[x]"), rng, 16, 16)
+    start = time.perf_counter()
+    det(B)
+    assert time.perf_counter() - start < 0.5
+    rows = [[rng.randrange(-6, 7) for _ in range(40)] for _ in range(40)]
+    A = matrix(parse_ring("Z"), rows)
+    start = time.perf_counter()
+    value = det(A)
+    assert time.perf_counter() - start < 0.1
+    assert value == sympy.Matrix(rows).det()
 
 
 def test_minor_multilinearity_and_alternation():
