@@ -6,6 +6,13 @@ strings.  Output is byte-stable for a fixed request.  Exit codes:
 0 success, 1 failed verification/selftest, 2 parse error, 3 precondition
 violation, 4 bound overflow.  `verify` is total: it exits 0, 1 or 2 and
 never prints a traceback.
+
+`main` is the request boundary: it parses `--ring` and writes the
+`command` and `ring` keys of every response.  Each verifiable command
+has one decode-and-check function in `_VERIFIERS`.  `verify` runs it on
+the response it reads, and `main` runs it on a response about to be
+printed that carries a `verified` field, so a printed verdict is the one
+`verify` gives on the printed bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .rings import Matrix, parse_matrix, parse_ring
 
 
 # ---------------------------------------------------------------------------
-# encoding helpers
+# decoding and encoding
 
 
 def fmt_fraction(x) -> str:
@@ -48,58 +55,6 @@ def load_json(text: str, what: str):
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
 
 
-def matrix_payload(M: Matrix):
-    return M.to_strings()
-
-
-def load_matrix(ring, data) -> Matrix:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ParseError("matrix payload must be a nonempty array of arrays")
-    return parse_matrix(ring, [[str(e) for e in row] for row in data])
-
-
-def load_operand(ring, text: str):
-    """A JSON matrix (nested arrays) or monoid vector (flat int array)."""
-    data = load_json(text, "operand")
-    if isinstance(data, list) and data and all(isinstance(r, list) for r in data):
-        return "matrix", load_matrix(ring, data)
-    if isinstance(data, list) and all(isinstance(x, int) for x in data):
-        from .semigroup import check_element
-
-        return "vector", check_element(ring, data)
-    raise ParseError(f"operand must be a matrix or a vector: {text!r}")
-
-
-def load_exponents(text: str):
-    data = load_json(text, "exponent list")
-    if not isinstance(data, list) or not all(isinstance(x, int) and x >= 0 for x in data):
-        raise ParseError("exponent multiset must be a list of nonnegative ints")
-    return tuple(sorted(data))
-
-
-@functools.cache
-def _moves():
-    """Each move's payload name, with its class and fields."""
-    from .semigroup import Cancel, Drop, ExponentIncrease, PowerSwap
-
-    return {
-        "power-swap": (PowerSwap, ("j1", "j2")),
-        "exponent-increase": (ExponentIncrease, ("i",)),
-        "drop": (Drop, ("i",)),
-        "cancel": (Cancel, ("i",)),
-    }
-
-_RANGE_WITNESS = ("n", "k", "m")
-_EXTENSION_WITNESS = ("b", "c", "m", "mbar")
-
-
-def move_payload(mv):
-    for name, (cls, fields) in _moves().items():
-        if isinstance(mv, cls):
-            return {"move": name, **{f: getattr(mv, f) for f in fields}}
-    raise ParseError(f"unknown move {mv!r}")
-
-
 def _typed(value, kind, what):
     """value if it has type kind (an int is never a bool); else ParseError."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
@@ -116,6 +71,35 @@ def _int_tuple(value, what) -> tuple:
     return tuple(_typed(x, int, f"an entry of {what}") for x in _typed(value, list, what))
 
 
+def load_matrix(ring, data) -> Matrix:
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+        raise ParseError("matrix payload must be a nonempty array of arrays")
+    return parse_matrix(ring, [[str(e) for e in row] for row in data])
+
+
+def load_matrix_operand(ring, text: str) -> Matrix:
+    """A matrix operand: a JSON array of rows."""
+    return load_matrix(ring, load_json(text, "operand"))
+
+
+def load_class_operand(ring, text: str):
+    """A matrix or class vector operand, as (matrix or None, class vector)."""
+    from .semigroup import check_element, class_of
+
+    data = load_json(text, "operand")
+    if isinstance(data, list) and data and isinstance(data[0], list):
+        A = load_matrix(ring, data)
+        return A, class_of(A)
+    return None, check_element(ring, _int_tuple(data, "the operand"))
+
+
+def load_exponents(text: str) -> tuple:
+    exponents = _int_tuple(load_json(text, "exponent list"), "the exponent list")
+    if any(e < 0 for e in exponents):
+        raise ParseError("exponent multiset must be a list of nonnegative ints")
+    return tuple(sorted(exponents))
+
+
 def load_spec(gens, values):
     """A state spec from JSON arrays of class vectors and of rationals."""
     from .states import StateSpec
@@ -126,67 +110,85 @@ def load_spec(gens, values):
     )
 
 
-def load_move(data):
-    kind = _get(data, "move", str)
-    if kind not in _moves():
-        raise ParseError(f"unknown move payload {data!r}")
-    cls, fields = _moves()[kind]
-    return cls(*(_get(data, f, int) for f in fields))
+# a field codec: (encode a field value, decode a payload value described as `what`)
+_INT = (lambda x: x, lambda value, what: _typed(value, int, what))
+_FRACTION = (fmt_fraction, lambda value, what: parse_fraction(value))
+_INT_OR_INF = (  # None stands for +infinity
+    lambda x: "inf" if x is None else x,
+    lambda value, what: None if value == "inf" else _typed(value, int, what),
+)
+_MOVES = (
+    lambda moves: [record_payload(mv) for mv in moves],
+    lambda value, what: tuple(load_record(mv, "move") for mv in _typed(value, list, what)),
+)
 
 
-def _inf_or_int(x):
-    return "inf" if x is None else x
+@functools.cache
+def _codecs():
+    """Each move and order certificate by payload name: class, tag key, field codecs."""
+    from .semigroup import (
+        Cancel,
+        Drop,
+        ExponentIncrease,
+        NegativeMinor,
+        NegativeRank,
+        Positive,
+        PowerSwap,
+    )
+
+    return {
+        "power-swap": (PowerSwap, "move", {"j1": _INT, "j2": _INT}),
+        "exponent-increase": (ExponentIncrease, "move", {"i": _INT}),
+        "drop": (Drop, "move", {"i": _INT}),
+        "cancel": (Cancel, "move", {"i": _INT}),
+        "positive": (Positive, "kind", {"moves": _MOVES}),
+        "negative-rank": (NegativeRank, "kind", {"k": _INT, "lhs": _FRACTION, "rhs": _FRACTION}),
+        "negative-minor": (
+            NegativeMinor, "kind", {"k": _INT, "lhs": _INT_OR_INF, "rhs": _INT_OR_INF},
+        ),
+    }
 
 
-def _get_inf_or_int(data, key):
-    return None if data.get(key) == "inf" else _get(data, key, int)
+def record_payload(rec) -> dict:
+    """The payload of a move or an order certificate."""
+    for name, (cls, tag, fields) in _codecs().items():
+        if type(rec) is cls:
+            return {tag: name, **{f: encode(getattr(rec, f)) for f, (encode, _) in fields.items()}}
+    raise TypeError(f"no payload format for {rec!r}")
 
 
-def certificate_payload(cert):
-    from .semigroup import NegativeMinor, NegativeRank, Positive
-
-    if isinstance(cert, Positive):
-        return {"kind": "positive", "moves": [move_payload(m) for m in cert.moves]}
-    if isinstance(cert, NegativeRank):
-        return {
-            "kind": "negative-rank",
-            "k": cert.k,
-            "lhs": fmt_fraction(cert.lhs),
-            "rhs": fmt_fraction(cert.rhs),
-        }
-    if isinstance(cert, NegativeMinor):
-        return {
-            "kind": "negative-minor",
-            "k": cert.k,
-            "lhs": _inf_or_int(cert.lhs),
-            "rhs": _inf_or_int(cert.rhs),
-        }
-    raise ParseError(f"unknown certificate {cert!r}")
+def load_record(data, tag: str):
+    """The move (tag "move") or order certificate (tag "kind") a payload encodes."""
+    cls, its_tag, fields = _codecs().get(_get(data, tag, str), (None, None, None))
+    if its_tag != tag:
+        raise ParseError(f"unknown {tag} payload {data!r}")
+    return cls(*(decode(data.get(f), f"payload field {f!r}") for f, (_, decode) in fields.items()))
 
 
-def load_certificate(data):
-    from .semigroup import NegativeMinor, NegativeRank, Positive
+_RANGE_WITNESS = ("n", "k", "m")
+_EXTENSION_WITNESS = ("b", "c", "m", "mbar")
 
-    kind = _get(data, "kind", str)
-    if kind == "positive":
-        return Positive(tuple(load_move(m) for m in _get(data, "moves", list)))
-    if kind == "negative-rank":
-        lhs, rhs = parse_fraction(data.get("lhs")), parse_fraction(data.get("rhs"))
-        return NegativeRank(_get(data, "k", int), lhs, rhs)
-    if kind == "negative-minor":
-        lhs, rhs = _get_inf_or_int(data, "lhs"), _get_inf_or_int(data, "rhs")
-        return NegativeMinor(_get(data, "k", int), lhs, rhs)
-    raise ParseError(f"unknown certificate payload {data!r}")
+# a handler returns "verified": _PENDING to have main fill in verify's
+# verdict on the response it prints
+_PENDING = None
+
+
+def _check_hypothesis(ring, pivot, depth, a, b):
+    """The formal hypothesis for a decision of a <= b searched to depth."""
+    from .states import check_formal_hypothesis
+
+    # minor certificates need the hypothesis up to every exponent they use
+    check_formal_hypothesis(ring, pivot, max((depth - 1, *a, *b)))
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each gets the parsed ring and the arguments, and returns
+# the response without its "command" and "ring" keys
 
 
-def cmd_normalize(args):
-    ring = parse_ring(args.ring)
+def cmd_normalize(ring, args):
     value = ring.parse(args.value)
-    payload = {"command": "normalize", "ring": ring.spec, "value": ring.format(value)}
+    payload = {"value": ring.format(value)}
     if ring.is_local:
         payload["zero"] = ring.is_zero(value)
         if not ring.is_zero(value):
@@ -196,150 +198,109 @@ def cmd_normalize(args):
     return payload
 
 
-def cmd_diagonalize(args):
-    ring = parse_ring(args.ring)
-    kind, A = load_operand(ring, args.matrix)
-    if kind != "matrix":
-        raise ParseError("diagonalize needs a matrix operand")
+def cmd_diagonalize(ring, args):
+    A = load_matrix_operand(ring, args.matrix)
     form = diagonalize(A)
     return {
-        "command": "diagonalize",
-        "ring": ring.spec,
-        "matrix": matrix_payload(A),
+        "matrix": A.to_strings(),
         "exponents": list(form.exponents),
         "zero_count": form.zero_count,
-        "left": matrix_payload(form.left),
-        "right": matrix_payload(form.right),
-        "verified": verify_factorization(A, form),
+        "left": form.left.to_strings(),
+        "right": form.right.to_strings(),
+        "verified": _PENDING,
     }
 
 
-def cmd_class(args):
+def cmd_class(ring, args):
     from .semigroup import class_of
 
-    ring = parse_ring(args.ring)
-    kind, A = load_operand(ring, args.a)
-    if kind != "matrix":
-        raise ParseError("class needs a matrix operand")
+    A = load_matrix_operand(ring, args.a)
     return {
-        "command": "class",
-        "ring": ring.spec,
-        "matrix": matrix_payload(A),
+        "matrix": A.to_strings(),
         "class": list(class_of(A)),
     }
 
 
-def cmd_rank(args):
-    from .semigroup import class_of, rk
+def cmd_rank(ring, args):
+    from .semigroup import rk
 
-    ring = parse_ring(args.ring)
-    kind, value = load_operand(ring, args.a)
-    vec = class_of(value) if kind == "matrix" else value
+    _, a = load_class_operand(ring, args.a)
     return {
-        "command": "rank",
-        "ring": ring.spec,
         "k": args.k,
-        "class": list(vec),
-        "rank": fmt_fraction(rk(ring, args.k, vec)),
+        "class": list(a),
+        "rank": fmt_fraction(rk(ring, args.k, a)),
     }
 
 
-def _leq_payload(command, args):
-    from .semigroup import (
-        UNKNOWN,
-        Positive,
-        class_of,
-        class_representative,
-        leq,
-        leq_provable,
-        regular_factor,
-        verify_certificate,
-        verify_factor,
-        verify_formal_certificate,
-        witness_chain,
-    )
+def cmd_leq(ring, args):
+    """leq and chain: an order decision with its certificate."""
+    from .semigroup import class_representative, leq, regular_factor, witness_chain
 
-    ring = parse_ring(args.ring)
     if args.elem is not None:
-        # formal diagonal elements over (Z, elem) or (F_p[x], elem)
-        from .states import check_formal_hypothesis
-
-        if ring.is_local or ring.is_product:
-            raise ParseError("--elem applies to the Z and F_p[x] families")
-        pivot = ring.parse(args.elem)
-        ea, eb = load_exponents(args.a), load_exponents(args.b)
-        # minor certificates need the hypothesis up to every exponent they use
-        check_formal_hypothesis(ring, pivot, max(args.depth - 1, *ea, *eb))
-        cert = leq_provable(ea, eb, depth=args.depth)
-        result = "unknown" if cert is UNKNOWN else isinstance(cert, Positive)
-        payload = {
-            "command": command,
-            "ring": ring.spec,
-            "mode": "formal",
-            "elem": ring.format(pivot),
-            "depth": args.depth,
-            "a": list(ea),
-            "b": list(eb),
-            "result": result,
-        }
-        if cert is not UNKNOWN:
-            payload["certificate"] = certificate_payload(cert)
-            payload["verified"] = verify_formal_certificate(ea, eb, cert)
-        return payload
-
-    kind_a, a = load_operand(ring, args.a)
-    kind_b, b = load_operand(ring, args.b)
-    vec_a = class_of(a) if kind_a == "matrix" else a
-    vec_b = class_of(b) if kind_b == "matrix" else b
+        return _formal_leq(ring, args)
+    A, a = load_class_operand(ring, args.a)
+    B, b = load_class_operand(ring, args.b)
     payload = {
-        "command": command,
-        "ring": ring.spec,
-        "a_class": list(vec_a),
-        "b_class": list(vec_b),
-        "result": leq(ring, vec_a, vec_b),
+        "a_class": list(a),
+        "b_class": list(b),
+        "result": leq(ring, a, b),
+        "verified": _PENDING,
     }
     if ring.is_local:
         payload["mode"] = "local"
-        cert = witness_chain(ring, vec_a, vec_b)
-        payload["certificate"] = certificate_payload(cert)
-        payload["verified"] = verify_certificate(ring, vec_a, vec_b, cert)
+        payload["certificate"] = record_payload(witness_chain(ring, a, b))
+        return payload
+    A = class_representative(ring, a) if A is None else A
+    B = class_representative(ring, b) if B is None else B
+    payload.update(mode="regular", a_matrix=A.to_strings(), b_matrix=B.to_strings())
+    res = regular_factor(A, B)
+    if res.ok:
+        payload["certificate"] = {
+            "kind": "factorization",
+            "c": res.C.to_strings(),
+            "d": res.D.to_strings(),
+        }
     else:
-        payload["mode"] = "regular"
-        A = a if kind_a == "matrix" else class_representative(ring, vec_a)
-        B = b if kind_b == "matrix" else class_representative(ring, vec_b)
-        payload["a_matrix"] = matrix_payload(A)
-        payload["b_matrix"] = matrix_payload(B)
-        res = regular_factor(A, B)
-        if res.ok:
-            payload["certificate"] = {
-                "kind": "factorization",
-                "c": matrix_payload(res.C),
-                "d": matrix_payload(res.D),
-            }
-        else:
-            i = res.failing_component
-            payload["certificate"] = {
-                "kind": "negative-component",
-                "component": i,
-                "lhs": vec_a[i],
-                "rhs": vec_b[i],
-            }
-        payload["verified"] = verify_factor(A, B, res)
+        i = res.failing_component
+        payload["certificate"] = {
+            "kind": "negative-component",
+            "component": i,
+            "lhs": a[i],
+            "rhs": b[i],
+        }
     return payload
 
 
-def cmd_state_range(args):
-    from .semigroup import class_of
+def _formal_leq(ring, args):
+    """Formal diagonal elements over (Z, elem) or (F_p[x], elem)."""
+    from .semigroup import UNKNOWN, Positive, leq_provable
+
+    if ring.is_local or ring.is_product:
+        raise ParseError("--elem applies to the Z and F_p[x] families")
+    pivot = ring.parse(args.elem)
+    a, b = load_exponents(args.a), load_exponents(args.b)
+    _check_hypothesis(ring, pivot, args.depth, a, b)
+    cert = leq_provable(a, b, depth=args.depth)
+    payload = {
+        "mode": "formal",
+        "elem": ring.format(pivot),
+        "depth": args.depth,
+        "a": list(a),
+        "b": list(b),
+        "result": "unknown" if cert is UNKNOWN else isinstance(cert, Positive),
+    }
+    if cert is not UNKNOWN:
+        payload.update(certificate=record_payload(cert), verified=_PENDING)
+    return payload
+
+
+def cmd_state_range(ring, args):
     from .states import state_range
 
-    ring = parse_ring(args.ring)
-    kind, a = load_operand(ring, args.a)
-    vec = class_of(a) if kind == "matrix" else a
-    sr = state_range(ring, vec, args.N, args.M)
+    _, a = load_class_operand(ring, args.a)
+    sr = state_range(ring, a, args.N, args.M)
     payload = {
-        "command": "state-range",
-        "ring": ring.spec,
-        "a": list(vec),
+        "a": list(a),
         "N": args.N,
         "M": args.M,
         "p_lb": fmt_fraction(sr.p_lb),
@@ -352,23 +313,16 @@ def cmd_state_range(args):
     return payload
 
 
-def cmd_extend_state(args):
-    from .semigroup import class_of
+def cmd_extend_state(ring, args):
     from .states import state_extension
 
-    ring = parse_ring(args.ring)
     spec = load_spec(load_json(args.generators, "generators"), load_json(args.values, "values"))
-    kind, a = load_operand(ring, args.a)
-    vec = class_of(a) if kind == "matrix" else a
-    sr = state_extension(
-        ring, spec, vec, ball=args.ball, m_bound=args.M, shifted=args.shifted
-    )
+    _, a = load_class_operand(ring, args.a)
+    sr = state_extension(ring, spec, a, ball=args.ball, m_bound=args.M, shifted=args.shifted)
     return {
-        "command": "extend-state",
-        "ring": ring.spec,
         "generators": [list(g) for g in spec.generators],
         "values": [fmt_fraction(v) for v in spec.values],
-        "a": list(vec),
+        "a": list(a),
         "ball": args.ball,
         "M": args.M,
         "shifted": args.shifted,
@@ -379,19 +333,16 @@ def cmd_extend_state(args):
     }
 
 
-def cmd_rk_square(args):
+def cmd_rk_square(ring, args):
     from .states import rk_for_square
 
-    ring = parse_ring(args.ring)
     elem = ring.parse(args.a)
     res = rk_for_square(ring, elem, bound=args.bounds)
     return {
-        "command": "rk-square",
-        "ring": ring.spec,
         "elem": ring.format(elem),
         "bounds": args.bounds,
         "value": fmt_fraction(res.value),
-        "upper": certificate_payload(res.upper),
+        "upper": record_payload(res.upper),
         "lower": {
             "bound": res.lower.bound,
             "candidates": res.lower.candidates,
@@ -400,19 +351,14 @@ def cmd_rk_square(args):
     }
 
 
-def cmd_dim(args):
+def cmd_dim(ring, args):
     from .presentations import dim, presentation
 
-    ring = parse_ring(args.ring)
-    kind, A = load_operand(ring, args.relations)
-    if kind != "matrix":
-        raise ParseError("dim needs a relations matrix")
+    A = load_matrix_operand(ring, args.relations)
     P = presentation(args.gens, A)
     return {
-        "command": "dim",
-        "ring": ring.spec,
         "gens": args.gens,
-        "relations": matrix_payload(A),
+        "relations": A.to_strings(),
         "k": args.k,
         "dim": fmt_fraction(dim(args.k, P)),
     }
@@ -433,15 +379,12 @@ def _signature_payload(sig):
     return {"torsion": list(sig.torsion), "free_rank": sig.free_rank}
 
 
-def cmd_equiv(args):
+def cmd_equiv(ring, args):
     from .presentations import presentations_equivalent, signature
 
-    ring = parse_ring(args.ring)
     P1 = _load_presentation(ring, args.p1)
     P2 = _load_presentation(ring, args.p2)
     return {
-        "command": "equiv",
-        "ring": ring.spec,
         "equivalent": presentations_equivalent(P1, P2),
         "signatures": [
             _signature_payload(signature(P1)),
@@ -450,46 +393,37 @@ def cmd_equiv(args):
     }
 
 
-def cmd_phi(args):
+def cmd_phi(ring, args):
     from .presentations import phi
 
-    ring = parse_ring(args.ring)
     P = _load_presentation(ring, args.presentation)
     g = phi(P)
     return {
-        "command": "phi",
-        "ring": ring.spec,
         "gens": P.gens,
-        "relations": matrix_payload(P.relations),
+        "relations": P.relations.to_strings(),
         "pos": list(g.pos),
         "neg": list(g.neg),
     }
 
 
-def cmd_psi(args):
+def cmd_psi(ring, args):
     from .presentations import module_basis_labels, psi
 
-    ring = parse_ring(args.ring)
-    kind, A = load_operand(ring, args.a)
-    if kind != "matrix":
-        raise ParseError("psi needs a matrix operand")
+    A = load_matrix_operand(ring, args.a)
     return {
-        "command": "psi",
-        "ring": ring.spec,
-        "matrix": matrix_payload(A),
+        "matrix": A.to_strings(),
         "coeffs": list(psi(A)),
         "basis": list(module_basis_labels(ring)),
     }
 
 
-def cmd_axioms_check(args):
+def cmd_axioms_check(ring, args):
     from . import acceptance  # only this command and selftest use the suite
     from .semigroup import class_of, rk
     from .states import pullback_rank
 
     if args.count < 1:
         raise PreconditionError("count must be >= 1")
-    ring = parse_ring(args.ring)
     rng = random.Random(args.seed)
     report = {}
     if ring.is_local:
@@ -506,13 +440,15 @@ def cmd_axioms_check(args):
             "axioms-check needs a local ring, or Z/F_p[x] with --pi"
         )
     return {
-        "command": "axioms-check",
-        "ring": ring.spec,
         "count": args.count,
         "seed": args.seed,
         "violations": report,
         "passed": not any(report.values()),
     }
+
+
+# ---------------------------------------------------------------------------
+# verification: one decode-and-check function per verifiable response
 
 
 def cmd_verify(args):
@@ -526,12 +462,90 @@ def cmd_verify(args):
         raise ParseError(f"verify payload is unreadable: {exc}") from None
     data = load_json(text, "verify payload")
     command = _get(data, "command", str)
+    if command not in _VERIFIERS:
+        raise ParseError(f"verify does not support command {command!r}")
+    ok = _verdict(command, parse_ring(_get(data, "ring", str)), data)
+    return {"verified": ok, "of": command}, (0 if ok else 1)
+
+
+def _verdict(command, ring, data) -> bool:
+    """Decode a response of command into library types and re-check it."""
     try:
-        ok = _verify_response(command, data)
+        return _VERIFIERS[command](ring, data)
     except PreconditionError:
         # a certificate outside a library precondition certifies nothing
-        ok = False
-    return {"command": "verify", "verified": ok, "of": command}, (0 if ok else 1)
+        return False
+
+
+def _verify_diagonalize(ring, data) -> bool:
+    A = load_matrix(ring, data.get("matrix"))
+    form = DiagonalForm(
+        exponents=_int_tuple(data.get("exponents"), "exponents"),
+        zero_count=_get(data, "zero_count", int),
+        left=load_matrix(ring, data.get("left")),
+        right=load_matrix(ring, data.get("right")),
+    )
+    return verify_factorization(A, form)
+
+
+def _verify_order(ring, data) -> bool:
+    """A leq or chain response, in its formal, local or regular mode."""
+    from .semigroup import Positive, verify_certificate, verify_formal_certificate
+
+    mode, result = data.get("mode"), data.get("result")
+    if mode == "regular":
+        return _verify_regular(ring, data, result)
+    if mode not in ("formal", "local") or "certificate" not in data:
+        return False  # a formal search may end unknown, with no certificate
+    cert = load_record(data["certificate"], "kind")
+    if mode == "formal":
+        a, b = _int_tuple(data.get("a"), "a"), _int_tuple(data.get("b"), "b")
+        pivot = ring.parse(_get(data, "elem", str))
+        _check_hypothesis(ring, pivot, _get(data, "depth", int), a, b)
+        ok = verify_formal_certificate(a, b, cert)
+    else:
+        a = _int_tuple(data.get("a_class"), "a_class")
+        b = _int_tuple(data.get("b_class"), "b_class")
+        ok = verify_certificate(ring, a, b, cert)
+    return ok and result is isinstance(cert, Positive)
+
+
+def _verify_regular(ring, data, result) -> bool:
+    from .semigroup import FactorResult, class_of, verify_factor
+
+    A = load_matrix(ring, data.get("a_matrix"))
+    B = load_matrix(ring, data.get("b_matrix"))
+    a = _int_tuple(data.get("a_class"), "a_class")
+    b = _int_tuple(data.get("b_class"), "b_class")
+    cert = _get(data, "certificate", dict)
+    kind = cert.get("kind")
+    if kind == "factorization":
+        C, D = load_matrix(ring, cert.get("c")), load_matrix(ring, cert.get("d"))
+        ok = result is True and verify_factor(A, B, FactorResult(C, D, None))
+    elif kind == "negative-component":
+        i = _get(cert, "component", int)
+        claimed = (_get(cert, "lhs", int), _get(cert, "rhs", int))
+        ok = (
+            result is False
+            and verify_factor(A, B, FactorResult(None, None, i))
+            and claimed == (class_of(A)[i], class_of(B)[i])
+        )
+    else:
+        return False
+    # the claimed classes must be those of the matrices, whatever the certificate
+    return ok and (a, b) == (class_of(A), class_of(B))
+
+
+def _verify_rk_square(ring, data) -> bool:
+    from .states import MinorSweep, RkSquareResult, verify_rk_square
+
+    lower = _get(data, "lower", dict)
+    res = RkSquareResult(
+        value=parse_fraction(data.get("value")),
+        upper=load_record(data.get("upper"), "kind"),
+        lower=MinorSweep(*(_get(lower, k, int) for k in ("bound", "candidates", "refuted"))),
+    )
+    return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)
 
 
 def _load_state_range(data, fields):
@@ -552,93 +566,32 @@ def _load_state_range(data, fields):
     return StateRange(p_lb, q_ub, p_w, q_w, exact)
 
 
-def _verify_response(command, data) -> bool:
-    """Decode a response into library types and re-check it with its verifier."""
-    from .semigroup import (
-        FactorResult,
-        Positive,
-        class_of,
-        verify_certificate,
-        verify_factor,
-        verify_formal_certificate,
-    )
+def _verify_state_range(ring, data) -> bool:
+    from .states import verify_state_range
 
-    if command not in ("leq", "chain", "rk-square", "state-range", "extend-state", "diagonalize"):
-        raise ParseError(f"verify does not support command {command!r}")
-    ring = parse_ring(_get(data, "ring", str))
-    result = data.get("result")
-    if command in ("leq", "chain"):
-        mode = data.get("mode")
-        if mode in ("formal", "local"):
-            if "certificate" not in data:  # a formal search may end unknown
-                return False
-            cert = load_certificate(data["certificate"])
-            if mode == "formal":
-                from .states import check_formal_hypothesis
+    sr = _load_state_range(data, _RANGE_WITNESS)
+    a = _int_tuple(data.get("a"), "a")
+    return verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
 
-                a, b = _int_tuple(data.get("a"), "a"), _int_tuple(data.get("b"), "b")
-                bound = max(_get(data, "depth", int) - 1, *a, *b)
-                check_formal_hypothesis(ring, ring.parse(_get(data, "elem", str)), bound)
-                ok = verify_formal_certificate(a, b, cert)
-            else:
-                a = _int_tuple(data.get("a_class"), "a_class")
-                b = _int_tuple(data.get("b_class"), "b_class")
-                ok = verify_certificate(ring, a, b, cert)
-            return ok and result == isinstance(cert, Positive)
-        if mode == "regular":
-            A = load_matrix(ring, data.get("a_matrix"))
-            B = load_matrix(ring, data.get("b_matrix"))
-            a = _int_tuple(data.get("a_class"), "a_class")
-            b = _int_tuple(data.get("b_class"), "b_class")
-            cert = _get(data, "certificate", dict)
-            kind = cert.get("kind")
-            if kind == "factorization":
-                C, D = load_matrix(ring, cert.get("c")), load_matrix(ring, cert.get("d"))
-                ok = result is True and verify_factor(A, B, FactorResult(C, D, None))
-            elif kind == "negative-component":
-                i = _get(cert, "component", int)
-                claimed = (_get(cert, "lhs", int), _get(cert, "rhs", int))
-                ok = (
-                    result is False
-                    and verify_factor(A, B, FactorResult(None, None, i))
-                    and claimed == (class_of(A)[i], class_of(B)[i])
-                )
-            else:
-                return False
-            return ok and (a, b) == (class_of(A), class_of(B))
-        return False
-    if command == "rk-square":
-        from .states import MinorSweep, RkSquareResult, verify_rk_square
 
-        lower = _get(data, "lower", dict)
-        res = RkSquareResult(
-            value=parse_fraction(data.get("value")),
-            upper=load_certificate(data.get("upper")),
-            lower=MinorSweep(*(_get(lower, k, int) for k in ("bound", "candidates", "refuted"))),
-        )
-        return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)
-    if command == "state-range":
-        from .states import verify_state_range
+def _verify_extend_state(ring, data) -> bool:
+    from .states import verify_state_extension
 
-        sr = _load_state_range(data, _RANGE_WITNESS)
-        a = _int_tuple(data.get("a"), "a")
-        return verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
-    if command == "extend-state":
-        from .states import verify_state_extension
+    spec = load_spec(data.get("generators"), data.get("values"))
+    sr = _load_state_range(data, _EXTENSION_WITNESS)
+    a = _int_tuple(data.get("a"), "a")
+    bounds = (_get(data, "ball", int), _get(data, "M", int), _get(data, "shifted", bool))
+    return verify_state_extension(ring, spec, a, sr, *bounds)
 
-        spec = load_spec(data.get("generators"), data.get("values"))
-        sr = _load_state_range(data, _EXTENSION_WITNESS)
-        a = _int_tuple(data.get("a"), "a")
-        bounds = (_get(data, "ball", int), _get(data, "M", int), _get(data, "shifted", bool))
-        return verify_state_extension(ring, spec, a, sr, *bounds)
-    A = load_matrix(ring, data.get("matrix"))
-    form = DiagonalForm(
-        exponents=_int_tuple(data.get("exponents"), "exponents"),
-        zero_count=_get(data, "zero_count", int),
-        left=load_matrix(ring, data.get("left")),
-        right=load_matrix(ring, data.get("right")),
-    )
-    return verify_factorization(A, form)
+
+_VERIFIERS = {
+    "diagonalize": _verify_diagonalize,
+    "leq": _verify_order,
+    "chain": _verify_order,
+    "rk-square": _verify_rk_square,
+    "state-range": _verify_state_range,
+    "extend-state": _verify_extend_state,
+}
 
 
 def cmd_selftest(args):
@@ -668,7 +621,8 @@ _LEQ = [
     _flag("--elem", help="pivot element for formal mode over Z / F_p[x]"),
     _flag("--depth", type=int, default=8),
 ]
-# each command's help text, handler and flags, in the order --help lists them
+# each command's help text, handler and flags, in the order --help lists them;
+# the handler of a command with --ring also gets the parsed ring
 _COMMANDS = {
     "normalize": (
         "canonicalize a ring element literal", cmd_normalize,
@@ -683,11 +637,8 @@ _COMMANDS = {
         "rk_k of a matrix or class vector", cmd_rank,
         [_RING, _A, _flag("--k", type=int, required=True)],
     ),
-    "leq": ("order decision with certificate", functools.partial(_leq_payload, "leq"), _LEQ),
-    "chain": (
-        "order decision with certificate (alias emphasizing the chain)",
-        functools.partial(_leq_payload, "chain"), _LEQ,
-    ),
+    "leq": ("order decision with certificate", cmd_leq, _LEQ),
+    "chain": ("order decision with certificate (alias emphasizing the chain)", cmd_leq, _LEQ),
     "state-range": (
         "certified state range of a class", cmd_state_range,
         [_RING, _A, _flag("--N", type=int, default=12), _flag("--M", type=int, default=12)],
@@ -780,7 +731,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        out = args.handler(args)
+        if "ring" in args:
+            ring = parse_ring(args.ring)
+            payload, code = {"ring": ring.spec, **args.handler(ring, args)}, 0
+            if "verified" in payload:
+                payload["verified"] = _verdict(args.command, ring, payload)
+        else:  # verify and selftest
+            payload, code = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -790,9 +747,8 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"bound overflow: {exc}", file=sys.stderr)
         return 4
-    payload, code = out if isinstance(out, tuple) else (out, 0)
     if payload is not None:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps({"command": args.command, **payload}, sort_keys=True, indent=2))
     return code
 
 

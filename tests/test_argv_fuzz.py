@@ -1,0 +1,64 @@
+"""Every command is total: mutations of each README command exit 0-4, fast.
+
+Each example takes one README command (the CLI block, `verify --file`
+and `selftest --only 2`), and replaces the values of one or two of its
+flags by short, mostly invalid values, or drops a flag.  It runs the
+command in-process; an exception escaping `main` is what would print a
+traceback.  Large values stay out: `state-range --M 2147483648` and
+`axioms-check --count 100000` run for seconds by design.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from test_verify_fuzz import LIMIT_S, responses, run
+
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "cli_readme.json"
+RESPONSE = "<README response>"  # stands for the path of a file holding one
+README_COMMANDS = tuple(
+    tuple(inv["argv"]) for inv in json.loads(FIXTURES.read_text())["invocations"]
+) + (("verify", "--file", RESPONSE), ("selftest", "--only", "2"))
+VALUES = (
+    "", "[]", "{}", "x", "-1", "0", "1.5", "[[]]", "null", "[1]", "[[1]]", "[-1]", "true",
+    '["1/0"]', '[["x"]]', "2", "[0,0]",
+)
+# without --only, selftest runs the whole acceptance suite, about a minute
+KEPT = {("selftest", "--only")}
+FORMAL = ("leq", "--ring", "Z", "--elem", "2")
+
+
+@st.composite
+def mutated_commands(draw):
+    argv = list(draw(st.sampled_from(README_COMMANDS)))
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    chosen = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2, unique=True))
+    for i in sorted(chosen, reverse=True):  # every README flag takes one value
+        drop = () if (argv[0], argv[i]) in KEPT else (None,)
+        value = draw(st.sampled_from(VALUES + drop))
+        if value is None:
+            del argv[i : i + 2]
+        else:
+            argv[i + 1] = value
+    return argv
+
+
+@pytest.fixture(scope="module")
+def response_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "response.json"
+    path.write_text(responses()[1])
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_commands())
+# the hypothesis bound of empty exponents once raised TypeError
+@example([*FORMAL, "--a", "[]", "--b", "[]"])
+def test_every_command_is_total_on_mutated_readme_argv(response_file, argv):
+    argv = [response_file if token == RESPONSE else token for token in argv]
+    code, _, elapsed = run(argv, stdin=responses()[1])
+    assert code in (0, 1, 2, 3, 4)
+    assert elapsed < LIMIT_S

@@ -6,12 +6,22 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rankcert
-from rankcert.cli import main
+from rankcert.cli import load_record, main, record_payload
+from rankcert.semigroup import (
+    Cancel,
+    Drop,
+    ExponentIncrease,
+    NegativeMinor,
+    NegativeRank,
+    Positive,
+    PowerSwap,
+)
 
 
 def run_cli(capsys, *argv):
@@ -319,11 +329,16 @@ EDITED_RESPONSES = [
         LOCAL_CHAIN, edit(lambda d: d["certificate"]["moves"][0].pop("j1")), {2}, id="no-j1"
     ),
     pytest.param(LOCAL_CHAIN, lambda d: [d], {2}, id="top-level-list"),
+    # a JSON 1 is not true, as for the regular mode
+    pytest.param(LOCAL_CHAIN, edit(lambda d: d.update(result=1)), {1}, id="result-one"),
+    pytest.param(FORMAL_REFUTATION, edit(lambda d: d.update(result=0)), {1}, id="result-zero"),
     # diag(u) <= diag(u^2) for a unit u, and diag(0) <= diag(0): the refutation is false
     pytest.param(FORMAL_REFUTATION, edit(lambda d: d.update(elem="1")), {1}, id="unit-pivot"),
     pytest.param(
         FORMAL_REFUTATION, edit(lambda d: d.update(elem="0", depth=0)), {1}, id="zero-pivot"
     ),
+    # the hypothesis bound of empty exponents once raised TypeError in verify
+    pytest.param(FORMAL_REFUTATION, edit(lambda d: d.update(a=[], b=[])), {1}, id="no-exponents"),
     pytest.param(DIAGONALIZE_18, edit(lambda d: None), {0}, id="diagonalize-18x18"),
     # beyond int()'s digit limit, beyond an index-sized int, beyond memory
     pytest.param(
@@ -429,6 +444,90 @@ def test_formal_hypothesis_is_decided_at_any_depth(capsys):
     # diag(0) <= diag(0): the hypothesis must hold up to the exponents, whatever the depth
     argv = ("leq", "--ring", "Z", "--elem", "0", "--a", "[1]", "--b", "[2]", "--depth", "1")
     assert run_cli(capsys, *argv)[0] == 3
+
+
+def test_formal_leq_of_empty_exponents_is_decided_and_verifies(capsys, tmp_path):
+    # the hypothesis bound max(depth - 1, *a, *b) once raised TypeError here
+    data = run_json(capsys, "leq", "--ring", "Z", "--elem", "2", "--a", "[]", "--b", "[]")
+    assert data["result"] is True and data["verified"] is True
+    assert data["certificate"] == {"kind": "positive", "moves": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert run_json(capsys, "verify", "--file", str(path))["verified"] is True
+
+
+# a JSON boolean is not an int, and a matrix operand must be an array of
+# rows; the exit code each request gave before is noted after it
+INVALID_OPERANDS = {
+    "formal-bool": ("leq", "--ring", "Z", "--elem", "2", "--a", "[true]", "--b", "[true,0]"),  # 0
+    "class-bool": ("rank", "--ring", "Z/8", "--a", "[true,0,0]", "--k", "2"),  # 3
+    "leq-bool": ("leq", "--ring", "Z/8", "--a", "[0,1,0]", "--b", "[0,false,0]"),  # 3
+    "diagonalize": ("diagonalize", "--ring", "Z/8", "--matrix", "[0,1]"),  # 3
+    "diagonalize-width": ("diagonalize", "--ring", "Z/8", "--matrix", "[0,1,0]"),  # 2
+    "class": ("class", "--ring", "Z/8", "--a", "[0,1]"),  # 3
+    "dim": ("dim", "--ring", "Z/8", "--gens", "1", "--relations", "[0]", "--k", "2"),  # 3
+    "psi": ("psi", "--ring", "Z/8", "--a", "[]"),  # 3
+    # the ring is parsed before any other option is checked
+    "ring-and-count": ("axioms-check", "--ring", "Q", "--count", "0"),  # 3
+}
+
+
+@pytest.mark.parametrize("argv", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS)
+def test_invalid_operands_are_parse_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("parse error: ")
+
+
+# (record, its payload as printed before the codecs shared one table)
+CODEC_CASES = [
+    (PowerSwap(0, 2), {"j1": 0, "j2": 2, "move": "power-swap"}),
+    (ExponentIncrease(1), {"i": 1, "move": "exponent-increase"}),
+    (Drop(0), {"i": 0, "move": "drop"}),
+    (Cancel(2), {"i": 2, "move": "cancel"}),
+    (
+        Positive((PowerSwap(0, 2), Drop(1))),
+        {
+            "kind": "positive",
+            "moves": [{"j1": 0, "j2": 2, "move": "power-swap"}, {"i": 1, "move": "drop"}],
+        },
+    ),
+    (
+        NegativeRank(2, Fraction(1, 2), Fraction(0)),
+        {"k": 2, "kind": "negative-rank", "lhs": "1/2", "rhs": "0/1"},
+    ),
+    (NegativeMinor(1, 0, None), {"k": 1, "kind": "negative-minor", "lhs": 0, "rhs": "inf"}),
+]
+
+
+@pytest.mark.parametrize(
+    "record, payload", CODEC_CASES, ids=[type(r).__name__ for r, _ in CODEC_CASES]
+)
+def test_codec_round_trip(record, payload):
+    assert record_payload(record) == payload
+    tag = "move" if "move" in payload else "kind"
+    assert load_record(json.loads(json.dumps(payload)), tag) == record
+
+
+def test_negative_minor_to_infinity_is_emitted_and_verified(capsys):
+    data = run_json(capsys, "leq", "--ring", "Z", "--elem", "2", "--a", "[0]", "--b", "[]")
+    assert data["result"] is False and data["verified"] is True
+    assert data["certificate"] == CODEC_CASES[-1][1]
+
+
+@pytest.mark.parametrize(
+    "payload, tag",
+    [
+        ({"kind": "drop", "i": 0}, "kind"),
+        ({"move": "positive", "moves": []}, "move"),
+        ({"move": "drop", "i": True}, "move"),
+        ({"kind": "negative-minor", "k": 1, "lhs": "inf", "rhs": 1.5}, "kind"),
+        ([], "kind"),
+    ],
+    ids=["move-as-certificate", "certificate-as-move", "bool-field", "float-field", "not-a-dict"],
+)
+def test_codec_refuses_malformed_payloads(payload, tag):
+    with pytest.raises(rankcert.ParseError):
+        load_record(payload, tag)
 
 
 README_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "cli_readme.json"

@@ -207,6 +207,14 @@ def test_chain_moves_respect_index_convention():
     assert any(isinstance(m, PowerSwap) and m.j2 == 3 for m in cert.moves)
 
 
+def test_verify_certificate_replays_exponent_increase():
+    # e_0 -> e_1 gives (0,1,0) <= (1,0,0); e_2 -> e_3, the zero class, gives
+    # 0 <= (0,0,1); there is no e_3 to raise
+    assert verify_certificate(Z8, (0, 1, 0), (1, 0, 0), Positive((ExponentIncrease(0),)))
+    assert verify_certificate(Z8, (0, 0, 0), (0, 0, 1), Positive((ExponentIncrease(2),)))
+    assert not verify_certificate(Z8, (0, 0, 0), (0, 0, 1), Positive((ExponentIncrease(3),)))
+
+
 # ---------------------------------------------------------------------------
 # minor profiles and the formal bounded search
 
