@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -600,7 +601,7 @@ def cmd_selftest(args):
     numbers = set(args.only) if args.only else None
     results = acceptance.run_all(numbers)
     for res in results:
-        print(res.line())
+        _emit(res.line())
     return None, (0 if all(r.passed for r in results) else 1)
 
 
@@ -722,6 +723,20 @@ def build_parser(argv=None):
     return parser
 
 
+def _emit(text):
+    """Print a line of stdout; once its reader has gone, stdout goes to os.devnull.
+
+    A closed pipe is not an error of the command, which keeps its own exit
+    code, and the redirect keeps the flush at shutdown quiet.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -748,7 +763,7 @@ def main(argv=None) -> int:
         print(f"bound overflow: {exc}", file=sys.stderr)
         return 4
     if payload is not None:
-        print(json.dumps({"command": args.command, **payload}, sort_keys=True, indent=2))
+        _emit(json.dumps({"command": args.command, **payload}, sort_keys=True, indent=2))
     return code
 
 

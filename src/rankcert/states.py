@@ -7,9 +7,9 @@ best order relations against the order-unit v = <1> over a bounded grid:
     p = sup { (n - k)/m : n * v <= m * a + k * v }
     q = inf { (n - k)/m : n * v >= m * a + k * v }
 
-computed in closed form (a floor and a ceiling for each m, see
-state_range), and every returned endpoint carries the witness relation
-that achieves it.
+Floor is monotone, so p (q) is the best approximation to the least
+(greatest) profile ratio from below (above) within the grid, found by a
+Stern-Brocot descent; each endpoint carries the witness that achieves it.
 
 Extension intervals come from relations b <= c + m * a (and >=) between
 elements b, c of a finitely generated subsemigroup with prescribed
@@ -176,11 +176,39 @@ def check_states_exist(ring):
         raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
 
-def _exact_interval(ring, a):
-    if ring.is_local:
-        ranks = [Fraction(x, k) for k, x in enumerate(_profile(ring, a), 1)]
-        return (min(ranks), max(ranks))
-    return (Fraction(min(a)), Fraction(max(a)))
+def _extremes(pa, pv):
+    """(r, R): the least and the greatest P(a)_i / P(<1>)_i, as integer pairs."""
+    low = high = (pa[0], pv[0])
+    for x, y in zip(pa, pv):
+        low = (x, y) if x * low[1] < low[0] * y else low
+        high = (x, y) if x * high[1] > high[0] * y else high
+    return low, high
+
+
+def _best_below(a, b, n_cap, d_cap):
+    """The largest u/w <= a/b with 0 <= u <= n_cap and 1 <= w <= d_cap, as (u, w).
+
+    A Stern-Brocot descent from the Farey neighbours L = 0/1 and H = 1/0
+    keeps L <= a/b < H and L in the box, each run of equal moves in one
+    division.  It stops at L = a/b, or when L + H leaves the box.  Then no
+    fraction of the box lies in (L, H), which holds a/b, since every
+    fraction strictly between Farey neighbours is (i L.num + j H.num)/
+    (i L.den + j H.den) with i, j >= 1; so u/w = L.  Fractions along the
+    descent grow like Fibonacci numbers, so it takes O(log(N + M)) runs.
+    """
+    ln, ld, hn, hd = 0, 1, 1, 0
+    while below := a * ld - b * ln:  # b ld (a/b - L), 0 once L = a/b
+        above = b * hn - a * hd  # > 0, as H > a/b
+        if below < above:  # the mediant exceeds a/b: H + j L > a/b
+            j = (above - 1) // below
+            hn, hd = hn + j * ln, hd + j * ld
+            continue
+        k = below // above  # L + k H <= a/b
+        cap = min(k, (n_cap - ln) // hn, (d_cap - ld) // hd if hd else k)
+        ln, ld = ln + cap * hn, ld + cap * hd
+        if cap < k:
+            break
+    return ln, ld
 
 
 def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
@@ -188,13 +216,17 @@ def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
 
     The grid holds the relations n v <= m a + k v (for p) and
     n v >= m a + k v (for q) with n, k in [0, N] and m in [1, M], each
-    worth d/m for d = n - k.  By the profile, n v <= m a + k v iff
-    d P(v) <= m P(a), and P(v) > 0 in every component, so for each m the
-    lower relation holds exactly for d <= min_i floor(m P(a)_i / P(v)_i)
-    and the upper one for d >= max_i ceil(m P(a)_i / P(v)_i).  Both are
-    >= 0, and d ranges over [-N, N]: p is the max over m of the lower
-    bound capped at N, and q the min of the upper bound over the m where
-    it is <= N.  The cost is O(M * width), whatever N is.
+    worth d/m for d = n - k.  Let r and R be the least and the greatest
+    P(a)_i / P(v)_i, the exact interval (P(v) is (1..n) or (1..1)).  By
+    the profile, n v <= m a + k v iff d P(v) <= m P(a), and P(v) > 0, so
+    for each m the lower relation holds exactly for d <= min_i floor(m
+    P(a)_i / P(v)_i) = floor(m r), as floor is monotone, and the upper
+    one for d >= ceil(m R).  P(a) >= 0 and d ranges over [-N, N], so p is
+    the largest d/m <= r and q the least d/m >= R with 0 <= d <= N and
+    1 <= m <= M: p = _best_below(r), and q = 0 if R = 0, else the
+    reciprocal of _best_below(1/R) with the bounds swapped, whose
+    numerator 0 means that no q exists.  The cost is O(width + log(N +
+    M)), whatever N and M are.
 
     Whether a relation holds depends only on its ratio d/m, so every
     grid triple worth an optimal u/w (in lowest terms) is a witness.
@@ -204,25 +236,19 @@ def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
     if n_bound < 1 or m_bound < 1:
         raise PreconditionError("bounds must be >= 1")
     check_states_exist(ring)
-    pv = _profile(ring, order_unit(ring))
-    pa = _profile(ring, a)
-    lows, highs = [], []
-    for m in range(1, m_bound + 1):
-        lows.append(Fraction(min(n_bound, *(m * x // y for x, y in zip(pa, pv))), m))
-        d = max(-(-m * x // y) for x, y in zip(pa, pv))
-        if d <= n_bound:
-            highs.append(Fraction(d, m))
-    if not highs:
+    low, high = _extremes(_profile(ring, a), _profile(ring, order_unit(ring)))
+    p = _best_below(*low, n_bound, m_bound)
+    q = _best_below(high[1], high[0], m_bound, n_bound)[::-1] if high[0] else (0, 1)
+    if not q[1]:
         raise BoundExceededError(
             f"no witness relation found within bounds ({n_bound}, {m_bound})"
         )
-    p, q = max(lows), min(highs)
     return StateRange(
-        p_lb=p,
-        q_ub=q,
-        p_witness=(p.numerator, 0, p.denominator),
-        q_witness=(q.numerator, 0, q.denominator),
-        exact=_exact_interval(ring, a),
+        p_lb=Fraction(*p),
+        q_ub=Fraction(*q),
+        p_witness=(p[0], 0, p[1]),
+        q_witness=(q[0], 0, q[1]),
+        exact=(Fraction(*low), Fraction(*high)),
     )
 
 
@@ -237,14 +263,16 @@ def verify_state_range(ring, a, result: StateRange, n_bound: int, m_bound: int) 
 
     A witness (n, k, m) must lie in the enumerated grid and relate n v to
     m a + k v as its endpoint (n - k)/m claims, in constant time; the
-    exact interval is recomputed, in time linear in the width.
+    exact interval is read off the profiles (_extremes), in time linear in
+    the width.
     """
     try:
         a = check_element(ring, a)
         v, pa = order_unit(ring), _profile(ring, a)
     except PreconditionError:
         return False
-    if result.exact != _exact_interval(ring, a):
+    low, high = _extremes(pa, _profile(ring, v))
+    if result.exact != (Fraction(*low), Fraction(*high)):
         return False
     ends = []
     for (n, k, m), lower in ((result.p_witness, True), (result.q_witness, False)):

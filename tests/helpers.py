@@ -131,6 +131,40 @@ def reference_state_range(ring, a, n_bound=12, m_bound=12):
     return StateRange(best_p[0], best_q[0], best_p[1], best_q[1], exact)
 
 
+def scan_state_range(ring, a, n_bound=12, m_bound=12):
+    """The per-m scan: a floor and a ceiling of the profile ratios for each m.
+
+    For each m in [1, M] the best lower d is min(N, min_i floor(m P(a)_i /
+    P(v)_i)) and the best upper d is max_i ceil(m P(a)_i / P(v)_i) when it
+    is <= N, so the scan costs O(M * width), whatever N is.
+    """
+    a = check_element(ring, a)
+    if n_bound < 1 or m_bound < 1:
+        raise PreconditionError("bounds must be >= 1")
+    check_states_exist(ring)
+    pv = _profile(ring, order_unit(ring))
+    pa = _profile(ring, a)
+    lows, highs = [], []
+    for m in range(1, m_bound + 1):
+        lows.append(Fraction(min(n_bound, *(m * x // y for x, y in zip(pa, pv))), m))
+        d = max(-(-m * x // y) for x, y in zip(pa, pv))
+        if d <= n_bound:
+            highs.append(Fraction(d, m))
+    if not highs:
+        raise BoundExceededError(
+            f"no witness relation found within bounds ({n_bound}, {m_bound})"
+        )
+    p, q = max(lows), min(highs)
+    if ring.is_local:
+        ranks = [Fraction(x, k) for k, x in enumerate(pa, 1)]
+        exact = (min(ranks), max(ranks))
+    else:
+        exact = (Fraction(min(a)), Fraction(max(a)))
+    return StateRange(
+        p, q, (p.numerator, 0, p.denominator), (q.numerator, 0, q.denominator), exact
+    )
+
+
 def reference_span_with_values(ring, spec, ball):
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [Fraction(v) for v in spec.values]

@@ -23,6 +23,8 @@ from rankcert.semigroup import (
     PowerSwap,
 )
 
+from test_verify_fuzz import LIMIT_S, run
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -431,6 +433,39 @@ def test_verify_certifies_state_range_exact(capsys, tmp_path):
     ]:
         path.write_text(json.dumps(response))
         assert run_cli(capsys, "verify", "--file", str(path))[0] == code
+
+
+LARGE = "2147483648"
+
+
+# the state range descends the Stern-Brocot tree, and the extension's best m
+# per pair is a closed form, so neither costs time in M
+@pytest.mark.parametrize(
+    "argv", [STATE_RANGE + ("--N", LARGE, "--M", LARGE), EXTEND_STATE_ARGS + ("--M", LARGE)]
+)
+def test_large_bounds_are_answered_quickly_and_verify(argv):
+    code, out, elapsed = run(argv)
+    assert code == 0 and elapsed < LIMIT_S
+    assert run(["verify"], out)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [("normalize", "--ring", "Z/8", "--value", "6"), ("selftest", "--only", "2")]
+)
+def test_closed_stdout_prints_no_traceback(argv):
+    # the read end is closed before the command starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(rankcert.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankcert", *argv], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in range(5)
 
 
 def test_formal_hypothesis_is_decided_at_any_depth(capsys):

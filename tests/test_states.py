@@ -1,9 +1,10 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankcert import (
@@ -34,6 +35,7 @@ from rankcert import (
 
 from rankcert.acceptance import brute_square_sweep
 from rankcert.polys import min_irreducible
+from rankcert.states import _best_below
 
 from helpers import (
     fast_state_extension,
@@ -41,6 +43,7 @@ from helpers import (
     reference_state_extension,
     reference_state_range,
     replace,
+    scan_state_range,
 )
 
 Z8 = parse_ring("Z/8")
@@ -377,6 +380,42 @@ def test_state_range_cost_does_not_grow_with_n_bound():
     sr = state_range(Z8, E1, 10**6, 12)
     assert time.perf_counter() - start < 1
     assert sr == state_range(Z8, E1, 12, 12)
+
+
+def test_state_range_cost_does_not_grow_with_m_bound():
+    for bound in (2**31, 10**18):
+        start = time.perf_counter()
+        sr = state_range(Z8, E1, bound, bound)
+        assert time.perf_counter() - start < 0.01
+        assert sr == state_range(Z8, E1, 12, 12)
+
+
+@st.composite
+def scan_cases(draw):
+    ring = parse_ring(draw(st.sampled_from(REFERENCE_RINGS)))
+    width = ring.nil_degree if ring.is_local else ring.width
+    a = draw(vectors(width, 40))
+    return ring, a, draw(st.integers(0, 300)), draw(st.integers(0, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example((Z8, (0, 0, 0), 12, 12))  # a = 0: r = R = 0
+@example((Z8, E0, 12, 12))  # a = <1>: r = R = 1
+@example((Z8, (9, 4, 0), 5, 3))  # r = 9 > N: p stops at N/1, and R = 35/3 leaves no q
+@example((Z8, (0, 0, 40), 12, 12))  # r = 0 and R = 40/3 > N: no q
+@example((parse_ring("Z/32"), (19, 0, 0, 0, 3), 97, 89))  # R = 98/5, q = 59/3
+def test_state_range_matches_the_per_m_scan(case):
+    assert outcome(state_range, *case) == outcome(scan_state_range, *case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), st.integers(1, 60), st.integers(0, 40), st.integers(1, 40))
+def test_best_below_is_the_best_fraction_in_the_box(a, b, n_cap, d_cap):
+    u, w = _best_below(a, b, n_cap, d_cap)
+    assert 0 <= u <= n_cap and 1 <= w <= d_cap and u * b <= a * w and gcd(u, w) == 1
+    best = max(Fraction(min(n_cap, a * m // b), m) for m in range(1, d_cap + 1))
+    assert Fraction(u, w) == best
 
 
 @settings(max_examples=150, deadline=None)
