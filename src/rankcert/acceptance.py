@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 from .normal_form import diagonalize, is_invertible, minors_in_ideal, verify_factorization
 from .presentations import (
@@ -27,6 +28,7 @@ from .presentations import (
 from .records import record
 from .rings import (
     Matrix,
+    ModPrimePowerRing,
     block_diag,
     block_upper,
     identity,
@@ -84,11 +86,26 @@ class CriterionResult:
 
 
 def _random_value(ring, rng):
+    """A random value; over a finite ring, the draw of rng.choice(ring.elements()).
+
+    choice(seq) spends the bits of randrange(len(seq)), so the index is
+    drawn that way and its element is built without the list: over Z/p^n
+    the residue itself, otherwise the digits of the index in the radices
+    of the elements() order, most significant first (the coefficients from
+    degree 0 up over F_p[x]/x^n, the components over a product).
+    """
     if ring.spec == "Z":
         return rng.randrange(-4, 5)
-    if ring.is_finite:
-        return rng.choice(ring.elements())
-    return ring.normalize([rng.randrange(ring.p) for _ in range(rng.randrange(3))])
+    if isinstance(ring, ModPrimePowerRing):
+        return rng.randrange(ring.modulus)
+    if not ring.is_finite:
+        return ring.normalize([rng.randrange(ring.p) for _ in range(rng.randrange(3))])
+    radices = ring.orders if ring.is_product else (ring.p,) * ring.nil_degree
+    index, digits = rng.randrange(prod(radices)), []
+    for q in reversed(radices):
+        index, d = divmod(index, q)
+        digits.append(d)
+    return ring.normalize(digits[::-1])
 
 
 def _random_matrix(ring, rng, rows, cols):

@@ -418,6 +418,11 @@ def cmd_psi(ring, args):
     }
 
 
+# axioms-check draws count instances per rank function, so a request would
+# choose its own cost without a cap; 10000 is 20 times the README's 500
+AXIOMS_COUNT_CAP = 10_000
+
+
 def cmd_axioms_check(ring, args):
     from . import acceptance  # only this command and selftest use the suite
     from .semigroup import class_of, rk
@@ -425,6 +430,8 @@ def cmd_axioms_check(ring, args):
 
     if args.count < 1:
         raise PreconditionError("count must be >= 1")
+    if args.count > AXIOMS_COUNT_CAP:
+        raise PreconditionError(f"count must be <= {AXIOMS_COUNT_CAP}")
     rng = random.Random(args.seed)
     report = {}
     if ring.is_local:
@@ -599,6 +606,12 @@ def cmd_selftest(args):
     from . import acceptance
 
     numbers = set(args.only) if args.only else None
+    unknown = sorted((numbers or set()) - set(range(1, len(acceptance.CRITERIA) + 1)))
+    if unknown:
+        raise PreconditionError(
+            f"unknown criteria {', '.join(map(str, unknown))}; they are numbered "
+            f"1 to {len(acceptance.CRITERIA)}"
+        )
     results = acceptance.run_all(numbers)
     for res in results:
         _emit(res.line())

@@ -1,14 +1,14 @@
-"""Finite fields GF(q).
+"""Finite fields GF(p^k) = F_p[x]/(f), and the primality tests behind ring specs.
 
-Field elements are plain ints.  For GF(p) they are residues in [0, p);
-for GF(p^k) they encode coefficient vectors base p (lowest degree in the
-least significant digit), reduced modulo the lexicographically least
-monic irreducible of degree k.  Arithmetic takes and returns these
-canonical ints: addition and negation work digitwise on the encoding
-(XOR when p = 2), and nothing is re-reduced.  A field also presents
-itself as a local ring with c = 0 (nil degree 1), so
-`normal_form.eliminate` computes ranks and factorizations over it; this
-module does no linear algebra.
+A prime field is Z/p, the local family `rings.ModPrimePowerRing` with
+n = 1; GF(p^k) presents the same interface.  Its elements are plain ints
+encoding coefficient vectors base p (lowest degree in the least
+significant digit), reduced modulo the lexicographically least monic
+irreducible of degree k.  Arithmetic takes and returns these canonical
+ints: addition and negation work digitwise on the encoding (XOR when
+p = 2), and nothing is re-reduced.  As a local ring with c = 0 (nil
+degree 1) the field is eliminated by `normal_form.eliminate`, like every
+other field component; this module does no linear algebra.
 """
 
 from __future__ import annotations
@@ -104,67 +104,14 @@ def factor_prime_power(q: int):
     return p, k
 
 
-class _FieldBase:
-    """A field as a local ring with radical generator c = 0 (nil degree 1)."""
+class ExtensionField:
+    """GF(p^k) as F_p[x] modulo a monic irreducible of degree k; a local ring with c = 0."""
 
     is_local = True
     is_product = False
     nil_degree = 1
     zero = 0
     one = 1
-
-    def is_zero(self, a):
-        return a == 0
-
-    def valuation(self, a) -> int:
-        return 1 if a == 0 else 0
-
-    def shift(self, a, v: int):
-        return a
-
-    def unit_inverse(self, a):
-        return self.inv(a)
-
-
-class PrimeField(_FieldBase):
-    """GF(p) with residue arithmetic."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.size = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
-
-    def elements(self):
-        return range(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class ExtensionField(_FieldBase):
-    """GF(p^k) as F_p[x] modulo a monic irreducible of degree k."""
 
     def __init__(self, p: int, k: int, modulus=None):
         self.p = p
@@ -219,9 +166,18 @@ class ExtensionField(_FieldBase):
         prod = pmul(self.decode(a), self.decode(b), self.p)
         return self.encode(pdivmod(prod, self.modulus, self.p)[1])
 
-    def inv(self, a):
+    def is_zero(self, a):
+        return a == 0
+
+    def valuation(self, a) -> int:
+        return 1 if a == 0 else 0
+
+    def shift(self, a, v: int):
+        return a
+
+    def unit_inverse(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of 0")
+            raise PreconditionError(f"0 is not a unit in {self!r}")
         # a^(q-2) = a^(-1) in GF(q)
         result, base, e = 1, a, self.size - 2
         while e:
@@ -230,9 +186,6 @@ class ExtensionField(_FieldBase):
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def elements(self):
-        return range(self.size)
 
     def __eq__(self, other):
         return (
@@ -245,10 +198,3 @@ class ExtensionField(_FieldBase):
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
-
-
-def make_field(q: int):
-    p, k = factor_prime_power(q)
-    if k > 1 and q > FIELD_CAP:
-        raise ParseError(f"extension fields are supported only up to order {FIELD_CAP}")
-    return PrimeField(p) if k == 1 else ExtensionField(p, k)

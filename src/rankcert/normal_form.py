@@ -7,10 +7,11 @@ entry after unit scaling, so plain unimodular row/column elimination
 (unit scalings, transvections, swaps) reaches the diagonal form.
 
 One kernel, `eliminate`, does that elimination and records its
-operations in order instead of mirroring them into factors.  A finite
-field is a local ring with c = 0 (nil degree 1: every nonzero entry is a
-unit of valuation 0), so the same kernel gives the ranks of the field
-components of a product ring.  Callers read only what they need: a class
+operations in order instead of mirroring them into factors.  A prime
+field is Z/p, the local family with n = 1, and GF(p^k) presents the same
+interface: c = 0, and every nonzero entry is a unit of valuation 0.  So
+the same kernel gives the ranks of the field components of a product
+ring and of a residue field.  Callers read only what they need: a class
 reads the exponents, a rank counts them, and `diagonalize` and
 `semigroup.regular_factor` replay the operations into their factors.
 
@@ -232,7 +233,7 @@ def bareiss(ring, grid):
 
 
 def _det(ring, grid):
-    """det of a square grid of canonical values of ring (a field is local)."""
+    """det of a square grid of canonical values of ring (a field is local, n = 1)."""
     if ring.is_product:
         return tuple(
             _det(f, [[x[i] for x in row] for row in grid]) for i, f in enumerate(ring.fields)

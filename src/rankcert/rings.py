@@ -15,7 +15,9 @@ The local families read the radical generator c off that form on demand:
 valuation(a) is the largest v with c^v dividing a (n for zero), and
 shift(a, v), for v <= valuation(a), is the canonical a / c^v, so
 mul(shift(a, v), generator_power(v)) == a and shift(a, valuation(a)) is
-a unit.  No floating point is used anywhere.
+a unit.  In a product of fields a prime field is Z/p, the local family
+with n = 1; GF(p^k) presents the same interface (c = 0, nil degree 1).
+No floating point is used anywhere.
 
 Values are validated once, at the boundary: `normalize`, `parse` and
 the public `Matrix(...)` / `matrix(...)` canonicalize whatever they are
@@ -30,7 +32,7 @@ import re
 from itertools import product
 
 from .errors import ParseError, PreconditionError
-from .fields import factor_prime_power, is_prime, make_field
+from .fields import FIELD_CAP, ExtensionField, factor_prime_power, is_prime
 from .polys import (
     DEGREE_CAP,
     format_poly,
@@ -277,7 +279,7 @@ class ModPrimePowerRing(_LocalRing):
         return v
 
     def shift(self, a, v):
-        return a // self.p**v
+        return a // self.p**v if v else a
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -365,6 +367,14 @@ class TruncatedPolyRing(_LocalRing):
         return [pnormalize(c, self.p) for c in product(range(self.p), repeat=self.nil_degree)]
 
 
+def make_field(q: int):
+    """GF(q): Z/p when q is prime, else GF(p^k) from `fields`."""
+    p, k = factor_prime_power(q)
+    if k > 1 and q > FIELD_CAP:
+        raise ParseError(f"extension fields are supported only up to order {FIELD_CAP}")
+    return ModPrimePowerRing(p, 1) if k == 1 else ExtensionField(p, k)
+
+
 class FieldProductRing(Ring):
     """Finite product of finite fields; values are tuples of field encodings."""
 
@@ -388,10 +398,10 @@ class FieldProductRing(Ring):
         if not isinstance(raw, (list, tuple)) or len(raw) != self.width:
             raise ParseError(f"bad product literal {raw!r}")
         out = []
-        for c, f in zip(raw, self.fields):
+        for c, q in zip(raw, self.orders):
             c = int(c)
-            if not 0 <= c < f.size:
-                raise ParseError(f"component {c} out of range for {f!r}")
+            if not 0 <= c < q:
+                raise ParseError(f"component {c} out of range for F{q}")
             out.append(c)
         return tuple(out)
 
@@ -413,7 +423,7 @@ class FieldProductRing(Ring):
     def unit_inverse(self, a):
         if not self.is_unit(a):
             raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
-        return tuple(f.inv(x) for f, x in zip(self.fields, a))
+        return tuple(f.unit_inverse(x) for f, x in zip(self.fields, a))
 
     def ideal_member(self, x, gen):
         return all(g != 0 or c == 0 for c, g in zip(x, gen))
@@ -434,7 +444,7 @@ class FieldProductRing(Ring):
         return "(" + ",".join(str(c) for c in a) + ")"
 
     def elements(self):
-        return [tuple(t) for t in product(*(range(f.size) for f in self.fields))]
+        return [tuple(t) for t in product(*(range(q) for q in self.orders))]
 
     def component_grid(self, M: "Matrix", i: int):
         """Entries of M projected to the i-th field, as tuple-of-tuples."""

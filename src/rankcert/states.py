@@ -39,11 +39,11 @@ from math import inf, lcm
 from operator import add, sub
 
 from .errors import BoundExceededError, PreconditionError
-from .fields import FIELD_CAP, ExtensionField, PrimeField, is_prime
+from .fields import FIELD_CAP, ExtensionField, is_prime
 from .normal_form import bareiss, eliminate
 from .polys import is_irreducible, pdivmod, pscale
 from .records import record
-from .rings import IntegerRing, Matrix, PolyRing
+from .rings import IntegerRing, Matrix, ModPrimePowerRing, PolyRing
 from .semigroup import (
     Positive,
     PowerSwap,
@@ -659,7 +659,9 @@ class PullbackRank:
     """Rank through a quotient or fraction field of Z or F_p[x].
 
     pi = 0 gives the rank over the fraction field; a prime pi gives the
-    rank over the residue field modulo pi.  Both are exact.
+    rank over the residue field modulo pi.  Both are exact.  A prime field
+    is Z/p, the local family with n = 1; GF(p^k) presents the same
+    interface, so `eliminate` counts the residue rank either way.
     """
 
     def __init__(self, ring, pi):
@@ -675,8 +677,8 @@ class PullbackRank:
             p = abs(self.pi)
             if not is_prime(p):
                 raise PreconditionError(f"{self.pi} is not prime in Z")
-            self.field = PrimeField(p)
-            self._reduce = lambda x: x % p
+            self.field = ModPrimePowerRing(p, 1)
+            self._reduce = self.field.normalize
         else:
             degree = len(self.pi) - 1  # p^degree > FIELD_CAP from FIELD_CAP.bit_length() on
             if degree >= 2 and ring.p ** min(degree, FIELD_CAP.bit_length()) > FIELD_CAP:

@@ -328,7 +328,7 @@ def reference_field_rank(field, rows) -> int:
         if pivot is None:
             continue
         M[rank], M[pivot] = M[pivot], M[rank]
-        inv = field.inv(M[rank][col])
+        inv = field.unit_inverse(M[rank][col])
         M[rank] = [field.mul(inv, x) for x in M[rank]]
         for r in range(nrows):
             if r != rank and M[r][col] != 0:
@@ -368,7 +368,7 @@ def reference_field_paq(field, rows):
         Q[i], Q[j] = Q[j], Q[i]
 
     def scale_row(i, s):
-        s_inv = field.inv(s)
+        s_inv = field.unit_inverse(s)
         M[i] = [field.mul(s, x) for x in M[i]]
         Pinv[i] = [field.mul(s, x) for x in Pinv[i]]
         for row in P:
@@ -402,7 +402,7 @@ def reference_field_paq(field, rows):
         if j != d:
             swap_cols(d, j)
         if M[d][d] != 1:
-            scale_row(d, field.inv(M[d][d]))
+            scale_row(d, field.unit_inverse(M[d][d]))
         for r in range(d + 1, m):
             if M[r][d] != 0:
                 add_row(r, d, field.neg(M[r][d]))

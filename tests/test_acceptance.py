@@ -4,7 +4,11 @@ Each test prints one PASS/FAIL line; run with `pytest -s tests/test_acceptance.p
 to see them, or `python -m rankcert selftest` for the same checks.
 """
 
-from rankcert import acceptance
+import random
+
+import pytest
+
+from rankcert import acceptance, parse_ring
 
 
 def _run(fn):
@@ -12,6 +16,21 @@ def _run(fn):
     print(res.line())
     assert res.passed, res.line()
     return res
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z/2", "Z/8", "Z/9", "F2[x]/x^3", "F3[x]/x^2", "F5[x]/x^3", "F2*F3*F5", "F4*F9"]
+)
+def test_random_value_is_the_draw_from_the_element_list(spec):
+    # the suite's draws, and so every selftest and axioms-check answer, stay
+    # those of rng.choice(ring.elements()), random state included
+    ring = parse_ring(spec)
+    elements = ring.elements()
+    for seed in range(3):
+        rng, listed = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert acceptance._random_value(ring, rng) == listed.choice(elements)
+        assert rng.getstate() == listed.getstate()
 
 
 def test_criterion_01_local_order_equivalence():

@@ -4,8 +4,8 @@ Each example takes one README command (the CLI block, `verify --file`
 and `selftest --only 2`), and replaces the values of one or two of its
 flags by short, mostly invalid values, or drops a flag.  It runs the
 command in-process; an exception escaping `main` is what would print a
-traceback.  Large values stay out: `axioms-check --count 100000` runs
-for seconds by design.
+traceback.  Large values stay out: `extend-state --ball` and `--depth`
+still cost time that grows with their value.
 """
 
 import json

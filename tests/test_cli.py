@@ -406,6 +406,14 @@ OUT_OF_RANGE = [
     pytest.param(
         ("axioms-check", "--ring", "Z/8", "--count", "-3"), 3, "count must be >= 1", id="count"
     ),
+    pytest.param(
+        ("axioms-check", "--ring", "Z/8", "--count", "10001"), 3, "count must be <= 10000",
+        id="count-cap",
+    ),
+    pytest.param(("selftest", "--only", "99"), 3, "unknown criteria 99;", id="selftest-99"),
+    pytest.param(
+        ("selftest", "--only", "0", "-3", "2"), 3, "unknown criteria -3, 0;", id="selftest-0-3"
+    ),
     pytest.param(FORMAL_REFUTATION + ("--depth", "-5"), 3, "depth must be >= 0", id="depth"),
     pytest.param(
         # refused by its residue field order, before the irreducibility test,
@@ -447,6 +455,35 @@ def test_large_bounds_are_answered_quickly_and_verify(argv):
     code, out, elapsed = run(argv)
     assert code == 0 and elapsed < LIMIT_S
     assert run(["verify"], out)[0] == 0
+
+
+AXIOMS_OUT = """{
+  "command": "axioms-check",
+  "count": %s,
+  "passed": true,
+  "ring": "%s",
+  "seed": 0,
+  "violations": {
+%s
+  }
+}
+"""
+
+
+# an entry is drawn by its index, not from a list of the whole ring, so the
+# ring's order does not set the cost; the text is the one printed when every
+# draw built that list (3.4 s and 4.6 s as processes on a 2-core VM)
+@pytest.mark.parametrize("ring, count, n", [("Z/1000003", 5, 1), ("F2[x]/x^12", 2, 12)])
+def test_axioms_check_cost_does_not_grow_with_the_ring(ring, count, n):
+    code, out, elapsed = run(("axioms-check", "--ring", ring, "--count", str(count)))
+    report = ",\n".join(f'    "{key}": 0' for key in sorted(f"rk_{k}" for k in range(1, n + 1)))
+    assert code == 0 and elapsed < LIMIT_S
+    assert out == AXIOMS_OUT % (count, ring, report)
+
+
+def test_axioms_check_count_above_the_cap_is_refused_at_once():
+    code, out, elapsed = run(("axioms-check", "--ring", "Z/8", "--count", LARGE))
+    assert code == 3 and out == "" and elapsed < LIMIT_S
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankcert import (
     Matrix,
@@ -17,6 +19,7 @@ from rankcert import (
     minors_in_ideal,
     parse_matrix,
     parse_ring,
+    pullback_rank,
     zeros,
 )
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
@@ -319,6 +322,37 @@ def test_det_matches_permutation_expansion():
                 assert minor(A, rows, cols) == reference_det(ring, sub), (spec, A, rows, cols)
 
 
+@st.composite
+def product_squares(draw):
+    """(A, rows, cols): a square A over a product of fields, and a minor's index sets."""
+    # a zero-biased draw, so that singular components are common
+    ring = parse_ring(draw(st.sampled_from(("F2*F3*F5", "F4*F9"))))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(ring.zero), st.tuples(*(st.integers(0, q - 1) for q in ring.orders)))
+    A = Matrix(ring, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    k = draw(st.integers(1, n))
+    return A, draw(st.permutations(range(n)))[:k], draw(st.permutations(range(n)))[:k]
+
+
+def square_6x6(spec, entry):
+    ring = parse_ring(spec)
+    return Matrix(ring, [[entry(i, j) for j in range(6)] for i in range(6)]), [1, 3, 4], [5, 0, 2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_squares())
+@example(square_6x6("F2*F3*F5", lambda i, j: ((i * j + 1) % 2, (i + 2 * j) % 3, (i * i + j) % 5)))
+@example(square_6x6("F4*F9", lambda i, j: ((i + j * j) % 4, (3 * i * j + i + 1) % 9)))
+def test_det_minor_and_invertibility_over_products_match_the_expansion(case):
+    A, rows, cols = case
+    ring = A.ring
+    expected = reference_det(ring, A)
+    assert det(A) == expected
+    assert is_invertible(A) == ring.is_unit(expected)
+    sub = Matrix(ring, [[A.entry(i, j) for j in sorted(cols)] for i in sorted(rows)])
+    assert minor(A, rows, cols) == reference_det(ring, sub)
+
+
 def test_det_is_fast_over_z_and_polynomials():
     import sympy
 
@@ -420,6 +454,18 @@ def test_product_ring_entry_round_trip():
     assert A.rows == 2 and A.cols == 2
 
 
+def test_prime_field_components_are_the_residue_rings():
+    z2, z3, z5 = (parse_ring(f"Z/{p}") for p in (2, 3, 5))
+    assert parse_ring("F2*F3*F5").fields == (z2, z3, z5)
+    assert pullback_rank(parse_ring("Z"), 3).field == parse_ring("Z/3")
+    assert pullback_rank(parse_ring("Z"), -5).field == parse_ring("Z/5")
+    with pytest.raises(ParseError, match="component 3 out of range for F3"):
+        parse_ring("F2*F3").normalize((1, 3))
+    for field in parse_ring("F5*F9").fields:
+        with pytest.raises(PreconditionError):
+            field.unit_inverse(0)
+
+
 def test_extension_field_component():
     ring = parse_ring("F4")
     # GF(4) multiplication: x * (x+1) = x^2 + x = 1 with modulus x^2 + x + 1
@@ -428,4 +474,4 @@ def test_extension_field_component():
     assert f.mul(2, 3) == 1
     assert sorted(f.mul(a, b) for a, b in [(2, 2), (3, 3)]) == [2, 3]
     for a in range(1, 4):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, f.unit_inverse(a)) == 1
