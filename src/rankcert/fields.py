@@ -105,7 +105,7 @@ def factor_prime_power(q: int):
 
 
 class ExtensionField:
-    """GF(p^k) as F_p[x] modulo a monic irreducible of degree k; a local ring with c = 0."""
+    """GF(p^k), k >= 2, as F_p[x] modulo a monic irreducible of degree k; a local ring with c = 0."""
 
     is_local = True
     is_product = False
@@ -114,6 +114,8 @@ class ExtensionField:
     one = 1
 
     def __init__(self, p: int, k: int, modulus=None):
+        if k < 2:  # GF(p) is Z/p, `rings.ModPrimePowerRing(p, 1)`
+            raise PreconditionError(f"an extension field needs degree k >= 2, not {k}")
         self.p = p
         self.k = k
         self.size = p**k

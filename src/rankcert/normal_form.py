@@ -15,6 +15,14 @@ ring and of a residue field.  Callers read only what they need: a class
 reads the exponents, a rank counts them, and `diagonalize` and
 `semigroup.regular_factor` replay the operations into their factors.
 
+Each `Matrix` is eliminated at most once.  `eliminated(A)`, or
+`eliminated(A, i)` for the i-th field component of a product ring, runs
+`eliminate` on first use and keeps the result on A as tuples: immutable,
+and shared by the class, the module signature, the diagonal form and the
+regular factorization of that matrix.  `eliminate` itself takes a grid
+and returns fresh lists, for callers that hold no matrix (determinants,
+minors, pullback ranks).
+
 The determinant is read off the same elimination.  A transvection keeps
 it, a row or column swap negates it, and scaling by a unit u multiplies
 it by u, so det A = (-1)^swaps * (the units scaled away) * c^(e1+...+el),
@@ -122,6 +130,28 @@ def eliminate(ring, grid):
     return exponents, ops
 
 
+def eliminated(A: Matrix, component=None):
+    """(exponents, ops) of A, or of its component-th field component, as tuples.
+
+    component must be given over a product ring and None over a local one.
+    The first call per (matrix, component) runs `eliminate` and keeps the
+    result on A; every later call returns that same immutable pair.
+    """
+    cache = A._eliminated
+    if cache is None:
+        cache = {}
+        object.__setattr__(A, "_eliminated", cache)
+    result = cache.get(component)
+    if result is None:
+        ring = A.ring
+        if component is None:
+            exponents, ops = eliminate(ring, A.entries)
+        else:
+            exponents, ops = eliminate(ring.fields[component], ring.component_grid(A, component))
+        result = cache[component] = (tuple(exponents), tuple(ops))
+    return result
+
+
 def _pivot(valuation, M, d, c, n):
     """(v, i, j): the first entry row-major of least valuation v in the
     block below and right of (d, d), with v = n when the block is zero."""
@@ -193,10 +223,10 @@ def inverse_factors(ring, rows, cols, ops):
 def diagonalize(A: Matrix) -> DiagonalForm:
     ring = A.ring
     _require_local(ring)
-    exponents, ops = eliminate(ring, A.entries)
+    exponents, ops = eliminated(A)
     L, R = factors(ring, A.rows, A.cols, ops)
     return DiagonalForm(
-        exponents=tuple(exponents),
+        exponents=exponents,
         zero_count=min(A.rows, A.cols) - len(exponents),
         left=Matrix._canonical(ring, L),
         right=Matrix._canonical(ring, R),

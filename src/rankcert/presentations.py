@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .normal_form import eliminate
+from .normal_form import eliminated
 from .records import record
 from .rings import Matrix, block_diag, stack_vertical, zeros
 from .semigroup import class_of, monoid_width, order_unit, rk
@@ -69,7 +69,7 @@ class RegularSignature:
 def signature(P: Presentation):
     ring = P.relations.ring
     if ring.is_local:
-        exps = eliminate(ring, P.relations.entries)[0]
+        exps = eliminated(P.relations)[0]
         return LocalSignature(
             torsion=tuple(sorted(e for e in exps if e >= 1)),
             free_rank=P.gens - len(exps),

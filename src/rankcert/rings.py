@@ -358,7 +358,8 @@ class TruncatedPolyRing(_LocalRing):
         return pstrip(w)
 
     def parse(self, text):
-        return self.normalize(parse_poly(text, self.p, below=self.nil_degree))
+        # parse_poly already reduces mod p and drops terms of degree >= n
+        return parse_poly(text, self.p, below=self.nil_degree)
 
     def format(self, a):
         return format_poly(a)
@@ -483,15 +484,23 @@ def parse_ring(text: str) -> Ring:
 
 
 class Matrix:
-    """Immutable rectangular matrix of normalized ring values."""
+    """Immutable rectangular matrix of normalized ring values.
 
-    __slots__ = ("ring", "entries")
+    Each matrix is eliminated at most once: `normal_form.eliminated`
+    keeps the immutable (exponents, ops) of the matrix, or of each field
+    component, in the private `_eliminated` slot, filled on first use and
+    shared by every later caller.  The slot takes no part in ==, hash or
+    repr, and it lives and dies with the matrix.
+    """
+
+    __slots__ = ("ring", "entries", "_eliminated")
 
     def __init__(self, ring: Ring, rows):
         entries = tuple(tuple(ring.normalize(x) for x in row) for row in rows)
         _check_shape(entries)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_eliminated", None)
 
     @classmethod
     def _canonical(cls, ring: Ring, rows) -> "Matrix":
@@ -506,6 +515,7 @@ class Matrix:
         M = object.__new__(cls)
         object.__setattr__(M, "ring", ring)
         object.__setattr__(M, "entries", tuple(map(tuple, rows)))
+        object.__setattr__(M, "_eliminated", None)
         return M
 
     def __setattr__(self, *_):

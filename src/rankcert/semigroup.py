@@ -21,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import PreconditionError, SearchBudgetError
-from .normal_form import eliminate, factors, inverse_factors
+from .normal_form import eliminated, factors, inverse_factors
 from .records import record
 from .rings import Matrix, identity, mat_mul
 
@@ -143,13 +143,11 @@ def class_of(A: Matrix) -> tuple:
     ring = A.ring
     if ring.is_local:
         vec = [0] * ring.nil_degree
-        for e in eliminate(ring, A.entries)[0]:
+        for e in eliminated(A)[0]:
             vec[e] += 1
         return tuple(vec)
     if ring.is_product:
-        return tuple(
-            len(eliminate(f, ring.component_grid(A, i))[0]) for i, f in enumerate(ring.fields)
-        )
+        return tuple(len(eliminated(A, i)[0]) for i in range(ring.width))
     raise PreconditionError(f"{ring.spec} has no computed class monoid")
 
 
@@ -643,10 +641,7 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
     ring = A.ring
     if not ring.is_product or B.ring != ring:
         raise PreconditionError("regular_factor needs matrices over one product ring")
-    eliminations = [
-        (eliminate(f, ring.component_grid(A, i)), eliminate(f, ring.component_grid(B, i)))
-        for i, f in enumerate(ring.fields)
-    ]
+    eliminations = [(eliminated(A, i), eliminated(B, i)) for i in range(ring.width)]
     for i, ((exps_a, _), (exps_b, _)) in enumerate(eliminations):
         if len(exps_a) > len(exps_b):
             return FactorResult(None, None, i)

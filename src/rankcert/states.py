@@ -422,12 +422,15 @@ def state_extension(
 
     The spec is checked first for additivity (_span_with_values), then
     for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
-    <1> with value 1.  A relation depends only on P(b) - P(c), and with
-    additive values the ratio only on v(b) - v(c); removing the common
-    part of two coefficient vectors changes neither and keeps both in
-    the ball.  So pairs of disjoint support reach every optimum and every
-    monotonicity conflict (_extension_optima), and the first conflicting
-    pair in sorted order is searched for only once one is known.
+    <1> with value 1.  A monotonicity conflict can lie outside the ball;
+    when it shows only as p_lb > q_ub, no state extends the spec either,
+    and the crossed bounds are refused with both witnesses.  A relation
+    depends only on P(b) - P(c), and with additive values the ratio only
+    on v(b) - v(c); removing the common part of two coefficient vectors
+    changes neither and keeps both in the ball.  So pairs of disjoint
+    support reach every optimum and every monotonicity conflict
+    (_extension_optima), and the first conflicting pair in sorted order
+    is searched for only once one is known.
 
     One orientation per pair: a pair (b, c) with d = v(b) - v(c) < 0
     decides nothing.  Its ratio for p is negative, and p >= 0 is reached
@@ -466,9 +469,16 @@ def state_extension(
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
+    p_lb, q_ub = Fraction(p_d, p_m * denom), Fraction(q_d, q_m * denom)
+    if p_d * q_m > q_d * p_m:  # p_lb > q_ub, with p_m, q_m >= 1
+        # every extending state s has p_lb <= s(a) <= q_ub, so none exists
+        raise PreconditionError(
+            f"state spec admits no state: witness {p_w} gives p_lb = {p_lb}, "
+            f"above q_ub = {q_ub} from witness {q_w}"
+        )
     return StateRange(
-        p_lb=Fraction(p_d, p_m * denom),
-        q_ub=Fraction(q_d, q_m * denom),
+        p_lb=p_lb,
+        q_ub=q_ub,
         p_witness=(*p_w, 0),
         q_witness=(*q_w, 0),
         exact=None,
@@ -501,7 +511,8 @@ def verify_state_extension(
     m_bound and mbar = 0 unless shifted; its relation is decided at t = 0.
     Values come from the span below b and c, so the cost is bounded by
     the witness, not the ball.  An inconsistent spec admits no state, so
-    the emitter's consistency scan is not repeated.
+    the emitter's consistency scan is not repeated; a result whose p_lb
+    exceeds its q_ub proves the same and is refused.
     """
 
     def endpoint(witness, lower):
@@ -524,7 +535,11 @@ def verify_state_extension(
         ends = (endpoint(result.p_witness, True), endpoint(result.q_witness, False))
     except PreconditionError:
         return False
-    return len(gens) == len(spec.values) and ends == (result.p_lb, result.q_ub)
+    if len(gens) != len(spec.values) or ends != (result.p_lb, result.q_ub):
+        return False
+    # a refused witness reads None; crossed bounds prove that no state extends the spec
+    p_lb, q_ub = ends
+    return p_lb is not None and q_ub is not None and p_lb <= q_ub
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +673,13 @@ def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
 class PullbackRank:
     """Rank through a quotient or fraction field of Z or F_p[x].
 
-    pi = 0 gives the rank over the fraction field; a prime pi gives the
-    rank over the residue field modulo pi.  Both are exact.  A prime field
-    is Z/p, the local family with n = 1; GF(p^k) presents the same
-    interface, so `eliminate` counts the residue rank either way.
+    pi = 0 gives the rank over the fraction field, by `bareiss`; a prime
+    pi gives the rank over the residue field modulo pi, counted by
+    `eliminate`.  Both are exact.  A residue field of prime order is Z/p,
+    the local family with n = 1: over Z an entry is reduced mod |pi|, and
+    over F_p[x] a pi of degree 1 reduces an entry by evaluation at its
+    root.  Only a pi of degree k >= 2 over F_p[x] gives GF(p^k), which
+    presents the same local interface (c = 0, nil degree 1).
     """
 
     def __init__(self, ring, pi):
@@ -687,11 +705,16 @@ class PullbackRank:
                 raise PreconditionError(
                     f"{ring.format(self.pi)} is not irreducible in {ring.spec}"
                 )
-            lead_inv = pow(self.pi[-1], -1, ring.p)
-            monic = pscale(self.pi, lead_inv, ring.p)
-            field = ExtensionField(ring.p, degree, monic)
-            self.field = field
-            self._reduce = lambda x: field.encode(pdivmod(x, monic, ring.p)[1])
+            p = ring.p
+            lead_inv = pow(self.pi[-1], -1, p)
+            monic = pscale(self.pi, lead_inv, p)
+            if degree == 1:
+                self.field = ModPrimePowerRing(p, 1)
+                self._reduce = lambda x: _evaluate(x, -monic[0] % p, p)
+            else:
+                field = ExtensionField(p, degree, monic)
+                self.field = field
+                self._reduce = lambda x: field.encode(pdivmod(x, monic, p)[1])
         self.description = f"rank over {ring.spec} modulo ({ring.format(self.pi)})"
 
     def __call__(self, M: Matrix) -> Fraction:
@@ -701,6 +724,14 @@ class PullbackRank:
             return Fraction(bareiss(self.ring, M.entries)[0])
         grid = [[self._reduce(x) for x in row] for row in M.entries]
         return Fraction(len(eliminate(self.field, grid)[0]))
+
+
+def _evaluate(a, root, p) -> int:
+    """a(root) mod p, by Horner's rule: a mod (x - root) in Z/p."""
+    acc = 0
+    for coeff in reversed(a):
+        acc = (acc * root + coeff) % p
+    return acc
 
 
 def pullback_rank(ring, pi) -> PullbackRank:

@@ -228,7 +228,17 @@ def reference_state_extension(ring, spec, a, ball=12, m_bound=12, shifted=False)
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
-    return StateRange(best_p[0], best_q[0], best_p[1], best_q[1], None)
+    return refuse_crossed(StateRange(best_p[0], best_q[0], best_p[1], best_q[1], None))
+
+
+def refuse_crossed(sr):
+    """sr, unless p_lb > q_ub: then no state extends the spec, as in the library."""
+    if sr.p_lb > sr.q_ub:
+        raise PreconditionError(
+            f"state spec admits no state: witness {sr.p_witness[:3]} gives p_lb = {sr.p_lb}, "
+            f"above q_ub = {sr.q_ub} from witness {sr.q_witness[:3]}"
+        )
+    return sr
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +817,10 @@ def fast_state_extension(
     by_value = {}
     for x, vx, px in ordered:
         by_value.setdefault(vx, []).append((x, px))
-    return StateRange(
+    return refuse_crossed(StateRange(
         p_lb=Fraction(best_p[0], best_p[1] * denom),
         q_ub=Fraction(best_q[0], best_q[1] * denom),
         p_witness=_first_witness(ordered, by_value, pa, m_bound, best_p, True),
         q_witness=_first_witness(ordered, by_value, pa, m_bound, best_q, False),
         exact=None,
-    )
+    ))

@@ -443,6 +443,35 @@ def test_verify_certifies_state_range_exact(capsys, tmp_path):
         assert run_cli(capsys, "verify", "--file", str(path))[0] == code
 
 
+# p_lb 4/5 > q_ub 1/10: the conflict (0,3,0) <= (2,0,0) lies outside ball 2,
+# and the crossed bounds prove that no state extends the spec; this once
+# exited 0, and verify accepted the response
+CROSSED_EXTENSION = {
+    "command": "extend-state", "ring": "Z/8", "generators": [[1, 0, 0], [0, 1, 0]],
+    "values": ["1/1", "9/10"], "a": [0, 0, 1], "ball": 2, "M": 12, "shifted": False,
+    "p_lb": "4/5", "q_ub": "1/10",
+    "p_witness": {"b": [0, 2, 0], "c": [1, 0, 0], "m": 1, "mbar": 0},
+    "q_witness": {"b": [1, 0, 0], "c": [0, 1, 0], "m": 1, "mbar": 0},
+}
+
+
+def test_crossed_extension_is_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,1,0]]",
+        "--values", '["1/1","9/10"]', "--a", "[0,0,1]", "--ball", "2", "--M", "12",
+    )
+    assert (code, out) == (3, "")
+    assert "admits no state" in err and "p_lb = 4/5" in err and "q_ub = 1/10" in err
+    assert "((0, 2, 0), (1, 0, 0), 1)" in err and "((1, 0, 0), (0, 1, 0), 1)" in err
+
+
+def test_verify_refuses_a_crossed_extension(capsys, tmp_path):
+    path = tmp_path / "crossed.json"
+    path.write_text(json.dumps(CROSSED_EXTENSION))
+    code, out, _ = run_cli(capsys, "verify", "--file", str(path))
+    assert code == 1 and json.loads(out)["verified"] is False
+
+
 LARGE = "2147483648"
 
 

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from rankcert import (
     DiagonalForm,
@@ -12,19 +15,27 @@ from rankcert import (
     class_of,
     diagonal_matrix,
     diagonalize,
+    dim,
     identity,
     is_invertible,
     mat_mul,
     matrix,
     minor,
     parse_ring,
+    phi,
+    presentation,
+    presentations_equivalent,
+    psi,
     pullback_rank,
     regular_factor,
+    signature,
     verify_factor,
     verify_factorization,
     zeros,
 )
-from rankcert.normal_form import eliminate, factors, inverse_factors
+from rankcert import normal_form
+from rankcert.fields import ExtensionField
+from rankcert.normal_form import eliminate, eliminated, factors, inverse_factors
 from rankcert.polys import pdivmod, pscale
 
 from helpers import (
@@ -262,6 +273,33 @@ def test_residue_pullback_rank_matches_reference(residue, rows, cols, rng):
     assert rank(M) == reference_field_rank(rank.field, grid)
 
 
+# (ring, pi of degree 1): the residue field is Z/p, reached by evaluation at the root
+LINEAR_RESIDUES = (("F2[x]", "x"), ("F2[x]", "x+1"), ("F5[x]", "x+1"), ("F5[x]", "3x+2"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LINEAR_RESIDUES), st.integers(1, 6), st.integers(1, 6), st.randoms())
+def test_linear_residue_rank_matches_sympy_over_gf_p(residue, rows, cols, rng):
+    ring = parse_ring(residue[0])
+    pi = ring.parse(residue[1])
+    rank = pullback_rank(ring, pi)
+    assert rank.field == parse_ring(f"Z/{ring.p}")
+    p = ring.p
+    root = next(r for r in range(p) if sum(c * r**i for i, c in enumerate(pi)) % p == 0)
+    M = random_matrix(ring, rng, rows, cols)
+    K = GF(p)
+    grid = [[K(sum(c * root**i for i, c in enumerate(x))) for x in row] for row in M.entries]
+    assert rank(M) == DomainMatrix(grid, (rows, cols), K).rank()
+
+
+def test_extension_field_needs_degree_two():
+    # GF(p) is Z/p; only a proper extension is an ExtensionField
+    for k, modulus in ((0, (1,)), (1, (1, 1))):
+        with pytest.raises(PreconditionError, match="degree k >= 2"):
+            ExtensionField(5, k, modulus)
+    assert ExtensionField(2, 2).size == 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(ORACLE_LOCAL + ORACLE_PRODUCT + ("Z", "F2[x]")),
@@ -273,3 +311,135 @@ def test_is_invertible_matches_determinant(spec, size, rng):
     M = random_matrix(ring, rng, size, size)
     assert is_invertible(M) == ring.is_unit(reference_det(ring, M))
     assert is_invertible(identity(ring, size))
+
+
+# ---------------------------------------------------------------------------
+# each matrix is eliminated at most once
+
+
+CACHE_LOCAL = ("Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4")
+CACHE_PRODUCT = ("F2*F3", "F4*F9")
+
+
+def _cold(A):
+    """A copy of A with nothing computed on it yet."""
+    return Matrix._canonical(A.ring, A.entries)
+
+
+def _cached_ops(ring):
+    """Every reader of the elimination, by name, as a function of (A, B)."""
+    ops = {
+        "class_of": lambda A, B: class_of(A),
+        "signature": lambda A, B: signature(presentation(A.cols, A)),
+        "phi": lambda A, B: phi(presentation(A.cols, A)),
+        "psi": lambda A, B: psi(A),
+    }
+    if ring.is_local:
+        ops["diagonalize"] = lambda A, B: diagonalize(A)
+        for k in range(1, ring.nil_degree + 1):
+            ops[f"dim_{k}"] = lambda A, B, k=k: dim(k, presentation(A.cols, A))
+    else:
+        ops["regular_factor"] = lambda A, B: regular_factor(A, B)
+        ops["class_of_b"] = lambda A, B: class_of(B)
+    return ops
+
+
+@st.composite
+def cache_cases(draw):
+    ring = parse_ring(draw(st.sampled_from(CACHE_LOCAL + CACHE_PRODUCT)))
+    A = draw(matrices(ring, draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    B = draw(matrices(ring, draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    return A, B
+
+
+def _reference_exponents(A):
+    """Exponents of A, or of each field component, by the reference elimination."""
+    ring = A.ring
+    if ring.is_local:
+        return tuple(reference_eliminate(ring, A.entries)[0])
+    return tuple(
+        tuple(reference_eliminate(f, ring.component_grid(A, i))[0])
+        for i, f in enumerate(ring.fields)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cache_cases(), st.data())
+def test_cached_elimination_answers_as_a_cold_matrix_in_any_order(case, data):
+    A, B = case
+    ring = A.ring
+    ops = _cached_ops(ring)
+    cold = {name: op(_cold(A), _cold(B)) for name, op in ops.items()}
+    order = data.draw(st.permutations(sorted(ops)))
+    warm = {name: ops[name](A, B) for name in order}
+    assert warm == cold
+    # a second round reads the filled cache and still answers the same
+    assert {name: ops[name](A, B) for name in reversed(order)} == cold
+    exponents = _reference_exponents(A)
+    if ring.is_local:
+        assert eliminated(A) == tuple(map(tuple, reference_eliminate(ring, A.entries)))
+        assert warm["diagonalize"].exponents == exponents
+        assert warm["class_of"] == tuple(exponents.count(e) for e in range(ring.nil_degree))
+        assert verify_factorization(A, warm["diagonalize"])
+    else:
+        assert warm["class_of"] == tuple(map(len, exponents))
+        assert warm["class_of_b"] == tuple(map(len, _reference_exponents(B)))
+        assert verify_factor(A, B, warm["regular_factor"])
+
+
+def test_filled_cache_leaves_identity_and_immutability_alone():
+    ring = parse_ring("Z/8")
+    A = matrix(ring, [[2, 4], [6, 3]])
+    cold = _cold(A)
+    before = (hash(A), repr(A))
+    diagonalize(A)
+    class_of(A)
+    assert eliminated(A) is eliminated(A)
+    assert A == cold and cold == A
+    assert (hash(A), repr(A)) == before == (hash(cold), repr(cold))
+    for name in ("ring", "entries", "_eliminated", "other"):
+        with pytest.raises(AttributeError):
+            setattr(A, name, None)
+    exponents, ops = eliminated(A)
+    assert isinstance(exponents, tuple) and isinstance(ops, tuple)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counter of (ring, grid) for each call of normal_form.eliminate."""
+    calls = Counter()
+    kernel = normal_form.eliminate
+
+    def counted(ring, grid):
+        calls[ring, tuple(map(tuple, grid))] += 1
+        return kernel(ring, grid)
+
+    monkeypatch.setattr(normal_form, "eliminate", counted)
+    return calls
+
+
+def test_a_presentation_is_eliminated_once(eliminations):
+    ring = parse_ring("Z/27")
+    A1 = matrix(ring, [[3, 9, 1], [0, 3, 6], [9, 0, 3]])
+    A2 = matrix(ring, [[9, 0, 0], [0, 3, 0]])
+    P1, P2 = presentation(3, A1), presentation(3, A2)
+    for k in range(1, ring.nil_degree + 1):
+        dim(k, P1)
+    presentations_equivalent(P1, P2)
+    phi(P1)
+    psi(A1)
+    assert eliminations == Counter({(ring, A1.entries): 1, (ring, A2.entries): 1})
+
+
+def test_regular_requests_eliminate_each_component_once(eliminations):
+    ring = parse_ring("F4*F9")
+    rng = random.Random(5)
+    A, B = random_matrix(ring, rng, 3, 4), identity(ring, 3)
+    class_of(A)
+    class_of(B)
+    result = regular_factor(A, B)
+    assert result.ok and verify_factor(A, B, result)
+    assert eliminations == Counter(
+        {(f, ring.component_grid(M, i)): 1 for M in (A, B) for i, f in enumerate(ring.fields)}
+    )
+    assert len(eliminations) == 2 * ring.width

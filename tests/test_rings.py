@@ -23,7 +23,7 @@ from rankcert import (
     zeros,
 )
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
-from rankcert.polys import DEGREE_CAP
+from rankcert.polys import DEGREE_CAP, parse_poly
 
 from helpers import random_matrix, reference_det
 
@@ -475,3 +475,33 @@ def test_extension_field_component():
     assert sorted(f.mul(a, b) for a, b in [(2, 2), (3, 3)]) == [2, 3]
     for a in range(1, 4):
         assert f.mul(a, f.unit_inverse(a)) == 1
+
+
+@st.composite
+def truncated_literals(draw):
+    """A ring F_p[x]/x^n and a literal with terms of any sign up to degree n + 3.
+
+    Terms repeat, cancel and overflow the modulus, so one literal exercises
+    reduction mod p, merging, and dropping the degrees >= n.
+    """
+    ring = parse_ring(draw(st.sampled_from(["F2[x]/x^3", "F3[x]/x^2", "F5[x]/x^4", "F2[x]/x^1"])))
+    terms = draw(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(0, ring.nil_degree + 3)), min_size=1)
+    )
+    text = ""
+    for coef, exp in terms:
+        body = f"{abs(coef)}" + ("" if exp == 0 else "x" if exp == 1 else f"x^{exp}")
+        text += ("-" if coef < 0 else "+") + body
+    return ring, text.lstrip("+")
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncated_literals())
+@example((parse_ring("F2[x]/x^3"), "x^5+x^2-3x+4x^3"))
+def test_truncated_parse_is_one_normalization(case):
+    ring, text = case
+    value = ring.parse(text)
+    assert value == ring.normalize(parse_poly(text, ring.p, below=ring.nil_degree))
+    # the untruncated parse, cut below n: an oracle that keeps every term
+    assert value == ring.normalize(parse_poly(text, ring.p))
+    assert ring.normalize(value) == value

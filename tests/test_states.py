@@ -13,6 +13,7 @@ from rankcert import (
     Positive,
     PowerSwap,
     PreconditionError,
+    StateRange,
     StateSpec,
     check_states_exist,
     cone_member,
@@ -254,6 +255,24 @@ def test_extension_rejects_conflict_below_one_multiple_of_a():
     assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
 
 
+# the conflict (0, 3, 0) <= (2, 0, 0) lies outside ball 2, where the bounds
+# cross: p_lb 4/5 > q_ub 1/10
+CROSSED = (Z8, StateSpec((E0, E1), (Fraction(1), Fraction(9, 10))), E2, 2, 12, False)
+
+
+def test_crossed_extension_is_refused_and_does_not_verify():
+    # crossed bounds prove that no state extends the spec; ball 3 finds the conflict itself
+    with pytest.raises(PreconditionError, match=r"admits no state: witness \(\(0, 2, 0\)"):
+        state_extension(*CROSSED)
+    with pytest.raises(PreconditionError, match=r"\(0, 3, 0\) <= \(2, 0, 0\)"):
+        state_extension(Z8, CROSSED[1], E2, 3, 12)
+    crossed = StateRange(
+        Fraction(4, 5), Fraction(1, 10), ((0, 2, 0), E0, 1, 0), (E0, E1, 1, 0), None
+    )
+    ring, spec, a, ball, m_bound, shifted = CROSSED
+    assert not verify_state_extension(ring, spec, a, crossed, ball, m_bound, shifted)
+
+
 def test_extension_requires_order_unit():
     spec = StateSpec(generators=(E2,), values=(Fraction(0),))
     with pytest.raises(PreconditionError):
@@ -420,6 +439,7 @@ def test_best_below_is_the_best_fraction_in_the_box(a, b, n_cap, d_cap):
 
 @settings(max_examples=150, deadline=None)
 @given(extension_cases())
+@example(CROSSED)
 def test_state_extension_matches_reference(case):
     assert outcome(state_extension, *case) == outcome(reference_state_extension, *case)
 
@@ -448,6 +468,7 @@ def wide_extension_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(wide_extension_cases())
+@example(CROSSED)
 def test_state_extension_matches_the_two_pass_kernel(case):
     # optima, witnesses and errors, against the kernel that read both orders
     # of every pair and found the witness in a second scan
