@@ -23,8 +23,8 @@ _EXPORTS = {
         presentations_equivalent psi psi_group quotient_presentation signature""",
     "rings": """Matrix block_diag block_upper identity mat_mul matrix parse_matrix
         parse_ring stack_vertical zeros""",
-    "semigroup": """UNKNOWN Cancel Drop ExponentIncrease FactorResult NegativeMinor
-        NegativeRank Positive PowerSwap class_of class_representative
+    "semigroup": """UNKNOWN Cancel Drop ExponentIncrease FactorResult NegativeComponent
+        NegativeMinor NegativeRank Positive PowerSwap class_of class_representative
         has_rank_function leq leq_necessary leq_provable minor_profile
         minor_refutation order_unit rank_profile regular_factor rk verify_certificate
         verify_factor verify_formal_certificate witness_chain""",

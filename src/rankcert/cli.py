@@ -111,26 +111,31 @@ def load_spec(gens, values):
     )
 
 
-# a field codec: (encode a field value, decode a payload value described as `what`)
-_INT = (lambda x: x, lambda value, what: _typed(value, int, what))
-_FRACTION = (fmt_fraction, lambda value, what: parse_fraction(value))
+# a field codec: (encode a field value, decode a payload value described as
+# `what` over a ring, which only a matrix reads)
+_INT = (lambda x: x, lambda value, what, ring: _typed(value, int, what))
+_FRACTION = (fmt_fraction, lambda value, what, ring: parse_fraction(value))
 _INT_OR_INF = (  # None stands for +infinity
     lambda x: "inf" if x is None else x,
-    lambda value, what: None if value == "inf" else _typed(value, int, what),
+    lambda value, what, ring: None if value == "inf" else _typed(value, int, what),
 )
 _MOVES = (
     lambda moves: [record_payload(mv) for mv in moves],
-    lambda value, what: tuple(load_record(mv, "move") for mv in _typed(value, list, what)),
+    lambda value, what, ring: tuple(load_record(mv, "move") for mv in _typed(value, list, what)),
 )
+_MATRIX = (Matrix.to_strings, lambda value, what, ring: load_matrix(ring, value))
 
 
 @functools.cache
 def _codecs():
-    """Each move and order certificate by payload name: class, tag key, field codecs."""
+    """Each move and order certificate by payload name: class, tag key, and a
+    codec per payload key, paired with the class's fields in order."""
     from .semigroup import (
         Cancel,
         Drop,
         ExponentIncrease,
+        FactorResult,
+        NegativeComponent,
         NegativeMinor,
         NegativeRank,
         Positive,
@@ -147,23 +152,28 @@ def _codecs():
         "negative-minor": (
             NegativeMinor, "kind", {"k": _INT, "lhs": _INT_OR_INF, "rhs": _INT_OR_INF},
         ),
+        "factorization": (FactorResult, "kind", {"c": _MATRIX, "d": _MATRIX}),
+        "negative-component": (
+            NegativeComponent, "kind", {"component": _INT, "lhs": _INT, "rhs": _INT},
+        ),
     }
 
 
 def record_payload(rec) -> dict:
     """The payload of a move or an order certificate."""
-    for name, (cls, tag, fields) in _codecs().items():
+    for name, (cls, tag, keys) in _codecs().items():
         if type(rec) is cls:
-            return {tag: name, **{f: encode(getattr(rec, f)) for f, (encode, _) in fields.items()}}
+            fields = zip(keys.items(), cls._fields)
+            return {tag: name, **{k: encode(getattr(rec, f)) for (k, (encode, _)), f in fields}}
     raise TypeError(f"no payload format for {rec!r}")
 
 
-def load_record(data, tag: str):
+def load_record(data, tag: str, ring=None):
     """The move (tag "move") or order certificate (tag "kind") a payload encodes."""
-    cls, its_tag, fields = _codecs().get(_get(data, tag, str), (None, None, None))
+    cls, its_tag, keys = _codecs().get(_get(data, tag, str), (None, None, None))
     if its_tag != tag:
         raise ParseError(f"unknown {tag} payload {data!r}")
-    return cls(*(decode(data.get(f), f"payload field {f!r}") for f, (_, decode) in fields.items()))
+    return cls(*(dec(data.get(k), f"payload field {k!r}", ring) for k, (_, dec) in keys.items()))
 
 
 _RANGE_WITNESS = ("n", "k", "m")
@@ -234,47 +244,29 @@ def cmd_rank(ring, args):
 
 
 def cmd_leq(ring, args):
-    """leq and chain: an order decision with its certificate."""
-    from .semigroup import class_representative, leq, regular_factor, witness_chain
+    """leq and chain: an order decision read off its certificate."""
+    from .semigroup import class_representative, regular_factor, witness_chain
 
     if args.elem is not None:
         return _formal_leq(ring, args)
     A, a = load_class_operand(ring, args.a)
     B, b = load_class_operand(ring, args.b)
-    payload = {
-        "a_class": list(a),
-        "b_class": list(b),
-        "result": leq(ring, a, b),
-        "verified": _PENDING,
-    }
+    payload = {"a_class": list(a), "b_class": list(b), "verified": _PENDING}
     if ring.is_local:
         payload["mode"] = "local"
-        payload["certificate"] = record_payload(witness_chain(ring, a, b))
-        return payload
-    A = class_representative(ring, a) if A is None else A
-    B = class_representative(ring, b) if B is None else B
-    payload.update(mode="regular", a_matrix=A.to_strings(), b_matrix=B.to_strings())
-    res = regular_factor(A, B)
-    if res.ok:
-        payload["certificate"] = {
-            "kind": "factorization",
-            "c": res.C.to_strings(),
-            "d": res.D.to_strings(),
-        }
+        cert = witness_chain(ring, a, b)
     else:
-        i = res.failing_component
-        payload["certificate"] = {
-            "kind": "negative-component",
-            "component": i,
-            "lhs": a[i],
-            "rhs": b[i],
-        }
+        A = class_representative(ring, a) if A is None else A
+        B = class_representative(ring, b) if B is None else B
+        payload.update(mode="regular", a_matrix=A.to_strings(), b_matrix=B.to_strings())
+        cert = regular_factor(A, B)
+    payload.update(result=cert.ok, certificate=record_payload(cert))
     return payload
 
 
 def _formal_leq(ring, args):
     """Formal diagonal elements over (Z, elem) or (F_p[x], elem)."""
-    from .semigroup import UNKNOWN, Positive, leq_provable
+    from .semigroup import UNKNOWN, leq_provable
 
     if ring.is_local or ring.is_product:
         raise ParseError("--elem applies to the Z and F_p[x] families")
@@ -288,7 +280,7 @@ def _formal_leq(ring, args):
         "depth": args.depth,
         "a": list(a),
         "b": list(b),
-        "result": "unknown" if cert is UNKNOWN else isinstance(cert, Positive),
+        "result": "unknown" if cert is UNKNOWN else cert.ok,
     }
     if cert is not UNKNOWN:
         payload.update(certificate=record_payload(cert), verified=_PENDING)
@@ -419,8 +411,12 @@ def cmd_psi(ring, args):
 
 
 # axioms-check draws count instances per rank function, so a request would
-# choose its own cost without a cap; 10000 is 20 times the README's 500
+# choose its own cost without a cap; 10000 is 20 times the README's 500.
+# Over a local ring of nil degree n it runs n rank functions on matrices of
+# entries with n coefficients, about count * n^3 work, capped at 20 times
+# the README's 500 * 3^3 (n = 1 for a pullback rank)
 AXIOMS_COUNT_CAP = 10_000
+AXIOMS_WORK_CAP = 270_000
 
 
 def cmd_axioms_check(ring, args):
@@ -432,6 +428,12 @@ def cmd_axioms_check(ring, args):
         raise PreconditionError("count must be >= 1")
     if args.count > AXIOMS_COUNT_CAP:
         raise PreconditionError(f"count must be <= {AXIOMS_COUNT_CAP}")
+    n = ring.nil_degree if ring.is_local else 1
+    if args.count * n**3 > AXIOMS_WORK_CAP:
+        raise PreconditionError(
+            f"count * n^3 must be <= {AXIOMS_WORK_CAP}, with count = {args.count} "
+            f"and nil degree n = {n}"
+        )
     rng = random.Random(args.seed)
     report = {}
     if ring.is_local:
@@ -498,14 +500,12 @@ def _verify_diagonalize(ring, data) -> bool:
 
 def _verify_order(ring, data) -> bool:
     """A leq or chain response, in its formal, local or regular mode."""
-    from .semigroup import Positive, verify_certificate, verify_formal_certificate
+    from .semigroup import class_of, verify_certificate, verify_factor, verify_formal_certificate
 
     mode, result = data.get("mode"), data.get("result")
-    if mode == "regular":
-        return _verify_regular(ring, data, result)
-    if mode not in ("formal", "local") or "certificate" not in data:
+    if mode not in ("formal", "local", "regular") or "certificate" not in data:
         return False  # a formal search may end unknown, with no certificate
-    cert = load_record(data["certificate"], "kind")
+    cert = load_record(data["certificate"], "kind", ring)
     if mode == "formal":
         a, b = _int_tuple(data.get("a"), "a"), _int_tuple(data.get("b"), "b")
         pivot = ring.parse(_get(data, "elem", str))
@@ -514,34 +514,14 @@ def _verify_order(ring, data) -> bool:
     else:
         a = _int_tuple(data.get("a_class"), "a_class")
         b = _int_tuple(data.get("b_class"), "b_class")
-        ok = verify_certificate(ring, a, b, cert)
-    return ok and result is isinstance(cert, Positive)
-
-
-def _verify_regular(ring, data, result) -> bool:
-    from .semigroup import FactorResult, class_of, verify_factor
-
-    A = load_matrix(ring, data.get("a_matrix"))
-    B = load_matrix(ring, data.get("b_matrix"))
-    a = _int_tuple(data.get("a_class"), "a_class")
-    b = _int_tuple(data.get("b_class"), "b_class")
-    cert = _get(data, "certificate", dict)
-    kind = cert.get("kind")
-    if kind == "factorization":
-        C, D = load_matrix(ring, cert.get("c")), load_matrix(ring, cert.get("d"))
-        ok = result is True and verify_factor(A, B, FactorResult(C, D, None))
-    elif kind == "negative-component":
-        i = _get(cert, "component", int)
-        claimed = (_get(cert, "lhs", int), _get(cert, "rhs", int))
-        ok = (
-            result is False
-            and verify_factor(A, B, FactorResult(None, None, i))
-            and claimed == (class_of(A)[i], class_of(B)[i])
-        )
-    else:
-        return False
-    # the claimed classes must be those of the matrices, whatever the certificate
-    return ok and (a, b) == (class_of(A), class_of(B))
+        if mode == "local":
+            ok = verify_certificate(ring, a, b, cert)
+        else:
+            A = load_matrix(ring, data.get("a_matrix"))
+            B = load_matrix(ring, data.get("b_matrix"))
+            # the claimed classes must be those of the matrices, whatever the certificate
+            ok = verify_factor(A, B, cert) and (a, b) == (class_of(A), class_of(B))
+    return ok and result is cert.ok
 
 
 def _verify_rk_square(ring, data) -> bool:
@@ -550,7 +530,7 @@ def _verify_rk_square(ring, data) -> bool:
     lower = _get(data, "lower", dict)
     res = RkSquareResult(
         value=parse_fraction(data.get("value")),
-        upper=load_record(data.get("upper"), "kind"),
+        upper=load_record(data.get("upper"), "kind", ring),
         lower=MinorSweep(*(_get(lower, k, int) for k in ("bound", "candidates", "refuted"))),
     )
     return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)

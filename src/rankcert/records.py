@@ -33,5 +33,6 @@ def record(cls):
     for name, fn in namespace.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
+    cls._fields = fields  # the field names, in order
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import PreconditionError, SearchBudgetError
-from .normal_form import eliminated, factors, inverse_factors
+from .normal_form import diagonal_matrix, eliminated, factors, inverse_factors
 from .records import record
 from .rings import Matrix, identity, mat_mul
 
@@ -64,6 +64,7 @@ class Positive:
     """Chain of moves transforming the right element down to the left one."""
 
     moves: tuple
+    ok = True  # each order certificate's class says whether it proves lhs <= rhs
 
 
 @record
@@ -73,6 +74,7 @@ class NegativeRank:
     k: int
     lhs: Fraction
     rhs: Fraction
+    ok = False
 
 
 @record
@@ -82,6 +84,7 @@ class NegativeMinor:
     k: int
     lhs: object
     rhs: object
+    ok = False
 
 
 class _Unknown:
@@ -156,11 +159,7 @@ def class_representative(ring, a) -> Matrix:
     a = check_element(ring, a)
     if ring.is_local:
         size = max(1, sum(a))
-        diag = [ring.generator_power(i) for i in range(len(a)) for _ in range(a[i])]
-        grid = [[ring.zero] * size for _ in range(size)]
-        for t, x in enumerate(diag):
-            grid[t][t] = x
-        return Matrix._canonical(ring, grid)
+        return diagonal_matrix(ring, size, size, [i for i, m in enumerate(a) for _ in range(m)])
     size = max(1, max(a))
     grid = [[ring.zero] * size for _ in range(size)]
     for t in range(size):
@@ -623,20 +622,28 @@ def verify_formal_certificate(e_a, e_b, cert) -> bool:
 
 @record
 class FactorResult:
-    C: object
-    D: object
-    failing_component: object
+    """A = C * B * D, certifying A <= B over a product of fields."""
 
-    @property
-    def ok(self) -> bool:
-        return self.failing_component is None
+    C: Matrix
+    D: Matrix
+    ok = True
 
 
-def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
+@record
+class NegativeComponent:
+    """Rank lhs of A > rank rhs of B in one field component, refuting A <= B."""
+
+    failing_component: int
+    lhs: int
+    rhs: int
+    ok = False
+
+
+def regular_factor(A: Matrix, B: Matrix) -> FactorResult | NegativeComponent:
     """Explicit C, D with A = C * B * D over a product of fields.
 
     When the componentwise rank comparison fails, returns the first
-    failing component index instead.
+    failing component with its two ranks instead.
     """
     ring = A.ring
     if not ring.is_product or B.ring != ring:
@@ -644,9 +651,9 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
     eliminations = [(eliminated(A, i), eliminated(B, i)) for i in range(ring.width)]
     for i, ((exps_a, _), (exps_b, _)) in enumerate(eliminations):
         if len(exps_a) > len(exps_b):
-            return FactorResult(None, None, i)
+            return NegativeComponent(i, len(exps_a), len(exps_b))
     if A == B:
-        return FactorResult(identity(ring, A.rows), identity(ring, A.cols), None)
+        return FactorResult(identity(ring, A.rows), identity(ring, A.cols))
 
     # A = Pa E Qa and B = Pb E' Qb with E, E' 0/1 diagonal and rank(A) = r <= rank(B),
     # so A = (Pa[:, :r] Pb^-1[:r, :]) B (Qb^-1[:, :r] Qa[:r, :]).
@@ -671,7 +678,7 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult:
     D = assemble(d_parts, B.cols, A.cols)
     if mat_mul(mat_mul(C, B), D) != A:
         raise SearchBudgetError("regular factorization failed to verify; this is a bug")
-    return FactorResult(C, D, None)
+    return FactorResult(C, D)
 
 
 def _product_through(f, X, Y, r):
@@ -688,16 +695,19 @@ def _product_through(f, X, Y, r):
     return out
 
 
-def verify_factor(A: Matrix, B: Matrix, result: FactorResult) -> bool:
+def verify_factor(A: Matrix, B: Matrix, result) -> bool:
     """Re-check a regular_factor result; False on mismatched rings or shapes."""
     ring = A.ring
     if not ring.is_product or B.ring != ring:
         return False
-    if not result.ok:
+    if isinstance(result, NegativeComponent):
         i = result.failing_component
         if not isinstance(i, int) or not 0 <= i < ring.width:
             return False
-        return class_of(A)[i] > class_of(B)[i]
+        lhs, rhs = class_of(A)[i], class_of(B)[i]
+        return (result.lhs, result.rhs) == (lhs, rhs) and lhs > rhs
+    if not isinstance(result, FactorResult):
+        return False
     C, D = result.C, result.D
     if (C.ring, C.shape, D.ring, D.shape) != (ring, (A.rows, B.rows), ring, (B.cols, A.cols)):
         return False

@@ -12,11 +12,15 @@ from pathlib import Path
 import pytest
 
 import rankcert
-from rankcert.cli import load_record, main, record_payload
+from rankcert import semigroup
+from rankcert.cli import _codecs, load_record, main, record_payload
+from rankcert.rings import matrix, parse_ring
 from rankcert.semigroup import (
     Cancel,
     Drop,
     ExponentIncrease,
+    FactorResult,
+    NegativeComponent,
     NegativeMinor,
     NegativeRank,
     Positive,
@@ -278,6 +282,7 @@ EXTEND_STATE = EXTEND_STATE_ARGS + ("--ball", "12", "--M", "12")
 STATE_RANGE = ("state-range", "--ring", "Z/8", "--a", "[0,1,0]")
 REGULAR_LEQ = ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]')
 REGULAR_REFUTATION = ("leq", "--ring", "F2*F3", "--a", "[1,2]", "--b", "[2,1]")
+REGULAR_REFUSAL = ("leq", "--ring", "F2*F3", "--a", '[["(1,1)"]]', "--b", '[["(1,0)"]]')
 LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
 RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
@@ -326,6 +331,28 @@ EDITED_RESPONSES = [
     pytest.param(REGULAR_LEQ, edit(lambda d: d.pop("a_class")), {2}, id="no-a-class"),
     pytest.param(
         REGULAR_REFUTATION, edit(lambda d: d.update(b_class=[1, 2])), {1}, id="refuted-b-class"
+    ),
+    pytest.param(
+        REGULAR_REFUTATION, edit(lambda d: d["certificate"].update(lhs=3)), {1}, id="refuted-lhs"
+    ),
+    # a well-formed refusal of a true relation, with the result to match
+    pytest.param(
+        REGULAR_LEQ,
+        edit(lambda d: d.update(
+            result=False,
+            certificate={"kind": "negative-component", "component": 1, "lhs": 0, "rhs": 1},
+        )),
+        {1},
+        id="kind-swapped",
+    ),
+    pytest.param(
+        REGULAR_LEQ,
+        edit(lambda d: d.update(certificate={"kind": "positive", "moves": []})),
+        {1},
+        id="regular-positive",
+    ),
+    pytest.param(
+        REGULAR_LEQ, edit(lambda d: d["certificate"].update(c="x")), {2}, id="c-not-matrix"
     ),
     pytest.param(
         LOCAL_CHAIN, edit(lambda d: d["certificate"]["moves"][0].pop("j1")), {2}, id="no-j1"
@@ -409,6 +436,16 @@ OUT_OF_RANGE = [
     pytest.param(
         ("axioms-check", "--ring", "Z/8", "--count", "10001"), 3, "count must be <= 10000",
         id="count-cap",
+    ),
+    # the work grows as count * n^3 in the nil degree n; n = 256 at count 1
+    # once took 23.9 s
+    pytest.param(
+        ("axioms-check", "--ring", "F2[x]/x^256", "--count", "1"), 3,
+        "count * n^3 must be <= 270000, with count = 1 and nil degree n = 256", id="work-cap",
+    ),
+    pytest.param(
+        ("axioms-check", "--ring", "F2[x]/x^64", "--count", "2"), 3,
+        "count * n^3 must be <= 270000, with count = 2 and nil degree n = 64", id="work-cap-64",
     ),
     pytest.param(("selftest", "--only", "99"), 3, "unknown criteria 99;", id="selftest-99"),
     pytest.param(
@@ -579,7 +616,9 @@ def test_invalid_operands_are_parse_errors(capsys, argv):
     assert (code, out) == (2, "") and err.startswith("parse error: ")
 
 
-# (record, its payload as printed before the codecs shared one table)
+F2F3 = parse_ring("F2*F3")
+# (record, its payload as printed before the codecs shared one table; the
+# regular certificates as the README F2*F3 command and REGULAR_REFUSAL print them)
 CODEC_CASES = [
     (PowerSwap(0, 2), {"j1": 0, "j2": 2, "move": "power-swap"}),
     (ExponentIncrease(1), {"i": 1, "move": "exponent-increase"}),
@@ -596,6 +635,14 @@ CODEC_CASES = [
         NegativeRank(2, Fraction(1, 2), Fraction(0)),
         {"k": 2, "kind": "negative-rank", "lhs": "1/2", "rhs": "0/1"},
     ),
+    (
+        FactorResult(matrix(F2F3, [[(1, 0)]]), matrix(F2F3, [[(1, 0)]])),
+        {"c": [["(1,0)"]], "d": [["(1,0)"]], "kind": "factorization"},
+    ),
+    (
+        NegativeComponent(1, 1, 0),
+        {"component": 1, "kind": "negative-component", "lhs": 1, "rhs": 0},
+    ),
     (NegativeMinor(1, 0, None), {"k": 1, "kind": "negative-minor", "lhs": 0, "rhs": "inf"}),
 ]
 
@@ -606,7 +653,7 @@ CODEC_CASES = [
 def test_codec_round_trip(record, payload):
     assert record_payload(record) == payload
     tag = "move" if "move" in payload else "kind"
-    assert load_record(json.loads(json.dumps(payload)), tag) == record
+    assert load_record(json.loads(json.dumps(payload)), tag, F2F3) == record
 
 
 def test_negative_minor_to_infinity_is_emitted_and_verified(capsys):
@@ -649,6 +696,35 @@ def test_readme_command_bytes(capsys, monkeypatch, inv):
         monkeypatch.setattr(sys, "stdin", io.StringIO(out))
         code, out, _ = run_cli(capsys, "verify")
         assert (out, code) == (inv["verify"]["stdout"], inv["verify"]["exit"])
+
+
+def test_every_certificate_kind_round_trips_through_its_codec(capsys):
+    # each certificate a README response prints, the regular refusal and a
+    # formal refutation; a kind printed without a codec entry fails to load
+    # here, and a codec entry that no such response prints fails the kind count
+    responses = [json.loads(inv["stdout"]) for inv in README_INVOCATIONS if inv["exit"] == 0]
+    responses += [run_json(capsys, *argv) for argv in (REGULAR_REFUSAL, FORMAL_REFUTATION)]
+    certificates = [
+        (parse_ring(r["ring"]), value)
+        for r in responses
+        for value in r.values()
+        if isinstance(value, dict) and "kind" in value
+    ]
+    for ring, cert in certificates:
+        assert record_payload(load_record(cert, "kind", ring)) == cert
+    kinds = {name for name, (_, tag, _) in _codecs().items() if tag == "kind"}
+    assert {cert["kind"] for _, cert in certificates} == kinds
+
+
+def test_readme_order_commands_decide_once(capsys, monkeypatch):
+    # the result is read off the certificate, not decided again by leq
+    calls = []
+    monkeypatch.setattr(semigroup, "leq", lambda *args: calls.append(args))
+    orders = [inv for inv in README_INVOCATIONS if inv["argv"][0] in ("leq", "chain")]
+    assert len(orders) == 4
+    for inv in orders:
+        assert run_cli(capsys, *inv["argv"])[:2] == (inv["exit"], inv["stdout"])
+    assert calls == []
 
 
 def test_cli_import_leaves_acceptance_unloaded():
@@ -762,10 +838,12 @@ def test_parser_text_is_unchanged(capsys, monkeypatch, argv, code, out, err):
     assert run_cli(capsys, *argv) == (code, out, err)
 
 
-# rankcert.__all__ before its names were loaded on first use
+# rankcert.__all__ before its names were loaded on first use, and
+# NegativeComponent, the regular refusal record
 PUBLIC_NAMES = """
 BoundExceededError Cancel DiagonalForm Drop ExponentIncrease FactorResult GroupElement
-GroupLawReport LocalSignature Matrix MinorSweep NegativeMinor NegativeRank ParseError Positive
+GroupLawReport LocalSignature Matrix MinorSweep NegativeComponent NegativeMinor NegativeRank
+ParseError Positive
 PowerSwap PreconditionError Presentation PullbackRank RankcertError RegularSignature
 RkSquareResult SearchBudgetError StateRange StateSpec UNKNOWN block_diag block_upper
 check_states_exist class_of class_representative cone_member det diagonal_matrix diagonalize

@@ -11,6 +11,7 @@ from rankcert import (
     DiagonalForm,
     FactorResult,
     Matrix,
+    NegativeComponent,
     PreconditionError,
     class_of,
     diagonal_matrix,
@@ -216,11 +217,13 @@ def test_regular_factor_matches_reference(pair):
     A, B = pair
     assert class_of(A) == reference_class_of(A)
     res = regular_factor(A, B)
-    assert (res.C, res.D, res.failing_component) == reference_regular_factor(A, B)
-    assert verify_factor(A, B, res)
     ranks_a, ranks_b = reference_class_of(A), reference_class_of(B)
+    C, D, i = reference_regular_factor(A, B)
+    expected = FactorResult(C, D) if i is None else NegativeComponent(i, ranks_a[i], ranks_b[i])
+    assert res == expected
+    assert verify_factor(A, B, res)
     for i in range(A.ring.width):
-        claim = FactorResult(None, None, i)
+        claim = NegativeComponent(i, ranks_a[i], ranks_b[i])
         assert verify_factor(A, B, claim) == (ranks_a[i] > ranks_b[i])
 
 

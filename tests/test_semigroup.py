@@ -13,6 +13,7 @@ from rankcert import (
     Drop,
     ExponentIncrease,
     FactorResult,
+    NegativeComponent,
     NegativeMinor,
     NegativeRank,
     Positive,
@@ -416,12 +417,31 @@ def test_verify_factor_rejects_mismatched_shapes_and_rings():
     B = matrix(ring, [[(1, 1)]])
     res = regular_factor(A, B)
     wide = matrix(ring, [[(1, 0), (0, 0)]])
-    assert not verify_factor(A, B, FactorResult(wide, res.D, None))
-    assert not verify_factor(A, B, FactorResult(res.C, wide, None))
+    assert not verify_factor(A, B, FactorResult(wide, res.D))
+    assert not verify_factor(A, B, FactorResult(res.C, wide))
     z8 = parse_ring("Z/8")
     one = identity(z8, 1)
-    assert not verify_factor(one, one, FactorResult(None, None, 0))
-    assert not verify_factor(A, one, FactorResult(None, None, 0))
+    assert not verify_factor(one, one, NegativeComponent(0, 1, 0))
+    assert not verify_factor(A, one, NegativeComponent(0, 1, 0))
+
+
+def test_verify_factor_checks_every_field_of_a_refusal():
+    ring = parse_ring("F2*F3")
+    A = identity(ring, 2)
+    B = matrix(ring, [[(1, 1), (0, 0)], [(0, 0), (1, 0)]])  # ranks (2, 1)
+    refusal = regular_factor(A, B)
+    assert refusal == NegativeComponent(1, 2, 1) and verify_factor(A, B, refusal)
+    edited = [
+        NegativeComponent(1, 3, 1),  # lhs
+        NegativeComponent(1, 2, 0),  # rhs
+        NegativeComponent(0, 2, 2),  # the true ranks, lhs == rhs
+        NegativeComponent(2, 2, 1),  # index beyond the width
+        NegativeComponent(-1, 2, 1),
+    ]
+    for claim in edited:
+        assert not verify_factor(A, B, claim), claim
+    assert not verify_factor(B, A, NegativeComponent(1, 1, 2))  # lhs < rhs
+    assert not verify_factor(A, B, Positive(()))
 
 
 # ---------------------------------------------------------------------------
