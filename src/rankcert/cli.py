@@ -18,15 +18,16 @@ printed that carries a `verified` field, so a printed verdict is the one
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 
+import rankcert
+
 from .errors import BoundExceededError, ParseError, PreconditionError
-from .normal_form import DiagonalForm, diagonalize, verify_factorization
+from .normal_form import diagonalize, verify_factorization
 from .rings import Matrix, parse_matrix, parse_ring
 
 # semigroup, states and presentations are imported inside the handlers
@@ -114,7 +115,12 @@ def load_spec(gens, values):
 # a field codec: (encode a field value, decode a payload value described as
 # `what` over a ring, which only a matrix reads)
 _INT = (lambda x: x, lambda value, what, ring: _typed(value, int, what))
+_INTS = (list, lambda value, what, ring: _int_tuple(value, what))
 _FRACTION = (fmt_fraction, lambda value, what, ring: parse_fraction(value))
+_FRACTIONS = (
+    lambda xs: [fmt_fraction(x) for x in xs],
+    lambda value, what, ring: tuple(parse_fraction(x) for x in _typed(value, list, what)),
+)
 _INT_OR_INF = (  # None stands for +infinity
     lambda x: "inf" if x is None else x,
     lambda value, what, ring: None if value == "inf" else _typed(value, int, what),
@@ -123,61 +129,116 @@ _MOVES = (
     lambda moves: [record_payload(mv) for mv in moves],
     lambda value, what, ring: tuple(load_record(mv, "move") for mv in _typed(value, list, what)),
 )
+_CERTIFICATE = (
+    lambda cert: record_payload(cert),
+    lambda value, what, ring: load_record(value, "kind", ring),
+)
 _MATRIX = (Matrix.to_strings, lambda value, what, ring: load_matrix(ring, value))
 
 
-@functools.cache
-def _codecs():
-    """Each move and order certificate by payload name: class, tag key, and a
-    codec per payload key, paired with the class's fields in order."""
-    from .semigroup import (
-        Cancel,
-        Drop,
-        ExponentIncrease,
-        FactorResult,
-        NegativeComponent,
-        NegativeMinor,
-        NegativeRank,
-        Positive,
-        PowerSwap,
+def _keyed(keys):
+    """The codec of a tuple printed as an object, a codec per key."""
+    return (
+        lambda t: _encode(keys, t),
+        lambda value, what, ring: _decode(keys, value, what, ring),
     )
 
-    return {
-        "power-swap": (PowerSwap, "move", {"j1": _INT, "j2": _INT}),
-        "exponent-increase": (ExponentIncrease, "move", {"i": _INT}),
-        "drop": (Drop, "move", {"i": _INT}),
-        "cancel": (Cancel, "move", {"i": _INT}),
-        "positive": (Positive, "kind", {"moves": _MOVES}),
-        "negative-rank": (NegativeRank, "kind", {"k": _INT, "lhs": _FRACTION, "rhs": _FRACTION}),
-        "negative-minor": (
-            NegativeMinor, "kind", {"k": _INT, "lhs": _INT_OR_INF, "rhs": _INT_OR_INF},
-        ),
-        "factorization": (FactorResult, "kind", {"c": _MATRIX, "d": _MATRIX}),
-        "negative-component": (
-            NegativeComponent, "kind", {"component": _INT, "lhs": _INT, "rhs": _INT},
-        ),
-    }
+
+def _nested(name):
+    """The codec of a record printed as an object in payload format name."""
+    return (
+        lambda rec: record_payload(rec, name),
+        lambda value, what, ring: load_fields(_typed(value, dict, what), name, ring),
+    )
 
 
-def record_payload(rec) -> dict:
-    """The payload of a move or an order certificate."""
-    for name, (cls, tag, keys) in _codecs().items():
-        if type(rec) is cls:
-            fields = zip(keys.items(), cls._fields)
-            return {tag: name, **{k: encode(getattr(rec, f)) for (k, (encode, _)), f in fields}}
-    raise TypeError(f"no payload format for {rec!r}")
+_RANGE_WITNESS = _keyed({"n": _INT, "k": _INT, "m": _INT})
+_EXTENSION_WITNESS = _keyed({"b": _INTS, "c": _INTS, "m": _INT, "mbar": _INT})
+
+# Every record the CLI prints, by payload format name: the public name of its
+# class, the key that carries the format name in the payload (None for a
+# record printed as fields of the response or of an object), and a codec per
+# payload key, paired with the class's fields in order.  A field after the
+# last key decodes to None.  A class's first entry is its default format.
+_CODECS = {
+    "power-swap": ("PowerSwap", "move", {"j1": _INT, "j2": _INT}),
+    "exponent-increase": ("ExponentIncrease", "move", {"i": _INT}),
+    "drop": ("Drop", "move", {"i": _INT}),
+    "cancel": ("Cancel", "move", {"i": _INT}),
+    "positive": ("Positive", "kind", {"moves": _MOVES}),
+    "negative-rank": ("NegativeRank", "kind", {"k": _INT, "lhs": _FRACTION, "rhs": _FRACTION}),
+    "negative-minor": (
+        "NegativeMinor", "kind", {"k": _INT, "lhs": _INT_OR_INF, "rhs": _INT_OR_INF},
+    ),
+    "factorization": ("FactorResult", "kind", {"c": _MATRIX, "d": _MATRIX}),
+    "negative-component": (
+        "NegativeComponent", "kind", {"component": _INT, "lhs": _INT, "rhs": _INT},
+    ),
+    "diagonal-form": (
+        "DiagonalForm", None,
+        {"exponents": _INTS, "zero_count": _INT, "left": _MATRIX, "right": _MATRIX},
+    ),
+    "state-range": (
+        "StateRange", None,
+        {
+            "p_lb": _FRACTION, "q_ub": _FRACTION,
+            "p_witness": _RANGE_WITNESS, "q_witness": _RANGE_WITNESS, "exact": _FRACTIONS,
+        },
+    ),
+    "extension": (  # an extend-state interval: no exact extremes
+        "StateRange", None,
+        {
+            "p_lb": _FRACTION, "q_ub": _FRACTION,
+            "p_witness": _EXTENSION_WITNESS, "q_witness": _EXTENSION_WITNESS,
+        },
+    ),
+    "minor-sweep": ("MinorSweep", None, {"bound": _INT, "candidates": _INT, "refuted": _INT}),
+    "rk-square": (
+        "RkSquareResult", None,
+        {"value": _FRACTION, "upper": _CERTIFICATE, "lower": _nested("minor-sweep")},
+    ),
+    "group-element": ("GroupElement", None, {"pos": _INTS, "neg": _INTS}),
+    "local-signature": ("LocalSignature", None, {"torsion": _INTS, "free_rank": _INT}),
+    "regular-signature": ("RegularSignature", None, {"multiplicities": _INTS}),
+}
+_DEFAULT_FORMAT = {cls: name for name, (cls, _, _) in reversed(_CODECS.items())}
+
+
+def _encode(keys, values) -> dict:
+    return {k: encode(v) for (k, (encode, _)), v in zip(keys.items(), values)}
+
+
+def _decode(keys, data, what, ring) -> tuple:
+    data = _typed(data, dict, what)
+    return tuple(dec(data.get(k), f"payload field {k!r}", ring) for k, (_, dec) in keys.items())
+
+
+def record_payload(rec, name=None) -> dict:
+    """The payload of a record, in format name (default: its class's first)."""
+    if name is None:
+        name = _DEFAULT_FORMAT.get(type(rec).__name__)
+        if name is None:
+            raise TypeError(f"no payload format for {rec!r}")
+    _, tag, keys = _CODECS[name]
+    fields = _encode(keys, (getattr(rec, f) for f in rec._fields))
+    return fields if tag is None else {tag: name, **fields}
+
+
+def load_fields(data, name: str, ring=None):
+    """The record that the keys of data encode in payload format name."""
+    cls_name, _, keys = _CODECS[name]
+    cls = getattr(rankcert, cls_name)  # loads the class's module on first use
+    values = _decode(keys, data, "the record payload", ring)
+    return cls(*values, *(None,) * (len(cls._fields) - len(values)))
 
 
 def load_record(data, tag: str, ring=None):
     """The move (tag "move") or order certificate (tag "kind") a payload encodes."""
-    cls, its_tag, keys = _codecs().get(_get(data, tag, str), (None, None, None))
-    if its_tag != tag:
+    name = _get(data, tag, str)
+    if _CODECS.get(name, (None, None))[1] != tag:
         raise ParseError(f"unknown {tag} payload {data!r}")
-    return cls(*(dec(data.get(k), f"payload field {k!r}", ring) for k, (_, dec) in keys.items()))
+    return load_fields(data, name, ring)
 
-
-_RANGE_WITNESS = ("n", "k", "m")
-_EXTENSION_WITNESS = ("b", "c", "m", "mbar")
 
 # a handler returns "verified": _PENDING to have main fill in verify's
 # verdict on the response it prints
@@ -211,15 +272,7 @@ def cmd_normalize(ring, args):
 
 def cmd_diagonalize(ring, args):
     A = load_matrix_operand(ring, args.matrix)
-    form = diagonalize(A)
-    return {
-        "matrix": A.to_strings(),
-        "exponents": list(form.exponents),
-        "zero_count": form.zero_count,
-        "left": form.left.to_strings(),
-        "right": form.right.to_strings(),
-        "verified": _PENDING,
-    }
+    return {"matrix": A.to_strings(), **record_payload(diagonalize(A)), "verified": _PENDING}
 
 
 def cmd_class(ring, args):
@@ -292,18 +345,7 @@ def cmd_state_range(ring, args):
 
     _, a = load_class_operand(ring, args.a)
     sr = state_range(ring, a, args.N, args.M)
-    payload = {
-        "a": list(a),
-        "N": args.N,
-        "M": args.M,
-        "p_lb": fmt_fraction(sr.p_lb),
-        "q_ub": fmt_fraction(sr.q_ub),
-        "p_witness": dict(zip(_RANGE_WITNESS, sr.p_witness)),
-        "q_witness": dict(zip(_RANGE_WITNESS, sr.q_witness)),
-    }
-    if sr.exact is not None:
-        payload["exact"] = [fmt_fraction(sr.exact[0]), fmt_fraction(sr.exact[1])]
-    return payload
+    return {"a": list(a), "N": args.N, "M": args.M, **record_payload(sr)}
 
 
 def cmd_extend_state(ring, args):
@@ -319,10 +361,7 @@ def cmd_extend_state(ring, args):
         "ball": args.ball,
         "M": args.M,
         "shifted": args.shifted,
-        "p_lb": fmt_fraction(sr.p_lb),
-        "q_ub": fmt_fraction(sr.q_ub),
-        "p_witness": dict(zip(_EXTENSION_WITNESS, sr.p_witness)),
-        "q_witness": dict(zip(_EXTENSION_WITNESS, sr.q_witness)),
+        **record_payload(sr, "extension"),
     }
 
 
@@ -331,17 +370,7 @@ def cmd_rk_square(ring, args):
 
     elem = ring.parse(args.a)
     res = rk_for_square(ring, elem, bound=args.bounds)
-    return {
-        "elem": ring.format(elem),
-        "bounds": args.bounds,
-        "value": fmt_fraction(res.value),
-        "upper": record_payload(res.upper),
-        "lower": {
-            "bound": res.lower.bound,
-            "candidates": res.lower.candidates,
-            "refuted": res.lower.refuted,
-        },
-    }
+    return {"elem": ring.format(elem), "bounds": args.bounds, **record_payload(res)}
 
 
 def cmd_dim(ring, args):
@@ -366,12 +395,6 @@ def _load_presentation(ring, text):
     return presentation(_get(data, "gens", int), load_matrix(ring, data["relations"]))
 
 
-def _signature_payload(sig):
-    if hasattr(sig, "multiplicities"):
-        return {"multiplicities": list(sig.multiplicities)}
-    return {"torsion": list(sig.torsion), "free_rank": sig.free_rank}
-
-
 def cmd_equiv(ring, args):
     from .presentations import presentations_equivalent, signature
 
@@ -379,10 +402,7 @@ def cmd_equiv(ring, args):
     P2 = _load_presentation(ring, args.p2)
     return {
         "equivalent": presentations_equivalent(P1, P2),
-        "signatures": [
-            _signature_payload(signature(P1)),
-            _signature_payload(signature(P2)),
-        ],
+        "signatures": [record_payload(signature(P1)), record_payload(signature(P2))],
     }
 
 
@@ -390,13 +410,7 @@ def cmd_phi(ring, args):
     from .presentations import phi
 
     P = _load_presentation(ring, args.presentation)
-    g = phi(P)
-    return {
-        "gens": P.gens,
-        "relations": P.relations.to_strings(),
-        "pos": list(g.pos),
-        "neg": list(g.neg),
-    }
+    return {"gens": P.gens, "relations": P.relations.to_strings(), **record_payload(phi(P))}
 
 
 def cmd_psi(ring, args):
@@ -489,13 +503,7 @@ def _verdict(command, ring, data) -> bool:
 
 def _verify_diagonalize(ring, data) -> bool:
     A = load_matrix(ring, data.get("matrix"))
-    form = DiagonalForm(
-        exponents=_int_tuple(data.get("exponents"), "exponents"),
-        zero_count=_get(data, "zero_count", int),
-        left=load_matrix(ring, data.get("left")),
-        right=load_matrix(ring, data.get("right")),
-    )
-    return verify_factorization(A, form)
+    return verify_factorization(A, load_fields(data, "diagonal-form", ring))
 
 
 def _verify_order(ring, data) -> bool:
@@ -525,39 +533,16 @@ def _verify_order(ring, data) -> bool:
 
 
 def _verify_rk_square(ring, data) -> bool:
-    from .states import MinorSweep, RkSquareResult, verify_rk_square
+    from .states import verify_rk_square
 
-    lower = _get(data, "lower", dict)
-    res = RkSquareResult(
-        value=parse_fraction(data.get("value")),
-        upper=load_record(data.get("upper"), "kind", ring),
-        lower=MinorSweep(*(_get(lower, k, int) for k in ("bound", "candidates", "refuted"))),
-    )
+    res = load_fields(data, "rk-square", ring)
     return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)
-
-
-def _load_state_range(data, fields):
-    """A state-range or extend-state response; witness fields b and c are vectors.
-
-    Only a state-range response carries the `exact` interval.
-    """
-    from .states import StateRange
-
-    p_w, q_w = (
-        tuple(_int_tuple(w.get(f), f) if f in ("b", "c") else _get(w, f, int) for f in fields)
-        for w in (_get(data, "p_witness", dict), _get(data, "q_witness", dict))
-    )
-    p_lb, q_ub = parse_fraction(data.get("p_lb")), parse_fraction(data.get("q_ub"))
-    exact = None
-    if fields is _RANGE_WITNESS:
-        exact = tuple(parse_fraction(x) for x in _typed(data.get("exact"), list, "exact"))
-    return StateRange(p_lb, q_ub, p_w, q_w, exact)
 
 
 def _verify_state_range(ring, data) -> bool:
     from .states import verify_state_range
 
-    sr = _load_state_range(data, _RANGE_WITNESS)
+    sr = load_fields(data, "state-range", ring)
     a = _int_tuple(data.get("a"), "a")
     return verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
 
@@ -566,7 +551,7 @@ def _verify_extend_state(ring, data) -> bool:
     from .states import verify_state_extension
 
     spec = load_spec(data.get("generators"), data.get("values"))
-    sr = _load_state_range(data, _EXTENSION_WITNESS)
+    sr = load_fields(data, "extension", ring)
     a = _int_tuple(data.get("a"), "a")
     bounds = (_get(data, "ball", int), _get(data, "M", int), _get(data, "shifted", bool))
     return verify_state_extension(ring, spec, a, sr, *bounds)

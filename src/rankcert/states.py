@@ -339,7 +339,7 @@ def _span_with_values(ring, spec: StateSpec, ball: int):
 
 
 def _extension_optima(elems, profiles, supports, pa, m_bound: int):
-    """Best (d, m, witness) for p and for q, or None at a monotonicity conflict.
+    """Best (d, m, witness) for p and for q, and the least conflicting pair.
 
     For a pair b, c with D = P(b) - P(c) and d = v(b) - v(c), b <= c +
     m<a> iff D <= m P(a): it holds for every m >= least = max_i
@@ -350,8 +350,9 @@ def _extension_optima(elems, profiles, supports, pa, m_bound: int):
     sorted scaled difference; reversing the pair gives -most and -least.
     With d >= 0, a pair is worth d / max(1, least) for p and d / min(M,
     most) for q, at the least m worth it (1 for q when d = 0), and d > 0
-    with least <= 0 is a conflict.  q's witness is None when no pair has
-    an upper relation; b = c always has a lower one.
+    with least <= 0 is a conflict, b <= c with v(b) > v(c), of which the
+    least (b, c) is returned (None without one).  q's witness is None when
+    no pair has an upper relation; b = c always has a lower one.
     """
     scale = lcm(*(z for z in pa if z))
     factors = [(i, scale // z) for i, z in enumerate(pa) if z]
@@ -364,6 +365,7 @@ def _extension_optima(elems, profiles, supports, pa, m_bound: int):
     # ratios as (d, m): -1/0 and 1/0 stand below and above every ratio
     p_d, p_m, p_w = -1, 0, None
     q_d, q_m, q_w = 1, 0, None
+    conflict = None
     for i, (sb, bs) in enumerate(groups):
         for sc, cs in groups[i:]:
             if sb & sc:
@@ -388,7 +390,8 @@ def _extension_optima(elems, profiles, supports, pa, m_bound: int):
                         orients = ((x, y, 0, least, most), (y, x, 0, -most, -least))
                     for b, c, d, least, most in orients:
                         if least <= 0 < d:
-                            return None
+                            conflict = min(conflict or (b, c), (b, c))
+                            continue
                         low = least if least > 1 else 1
                         if low <= m_bound:
                             s, t = d * p_m, p_d * low
@@ -400,7 +403,7 @@ def _extension_optima(elems, profiles, supports, pa, m_bound: int):
                             m = high if d else 1
                             if s < t or s == t and (b, c, m) < q_w:
                                 q_d, q_m, q_w = d, high, (b, c, m)
-    return (p_d, p_m, p_w), (q_d, q_m, q_w)
+    return (p_d, p_m, p_w), (q_d, q_m, q_w), conflict
 
 
 def state_extension(
@@ -429,8 +432,9 @@ def state_extension(
     on v(b) - v(c); removing the common part of two coefficient vectors
     changes neither and keeps both in the ball.  So pairs of disjoint
     support reach every optimum and every monotonicity conflict
-    (_extension_optima), and the first conflicting pair in sorted order
-    is searched for only once one is known.
+    (_extension_optima): the first conflict (x, y) in sorted order is
+    among them, as a shared generator g would make (x - g, y - g) an
+    earlier one.
 
     One orientation per pair: a pair (b, c) with d = v(b) - v(c) < 0
     decides nothing.  Its ratio for p is negative, and p >= 0 is reached
@@ -450,21 +454,19 @@ def state_extension(
         raise PreconditionError("M must be >= 1")
     check_states_exist(ring)
     elems, profiles, denom, supports = _span_with_values(ring, spec, ball)
-    optima = _extension_optima(elems, profiles, supports, _profile(ring, a), m_bound)
-    if optima is None:
-        ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
-        for x, vx, px in ordered:
-            for y, vy, py in ordered:
-                if vx > vy and all(s <= t for s, t in zip(px, py)):
-                    raise PreconditionError(
-                        f"state spec is inconsistent: {x} <= {y} but value "
-                        f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
-                    )
+    (p_d, p_m, p_w), (q_d, q_m, q_w), conflict = _extension_optima(
+        elems, profiles, supports, _profile(ring, a), m_bound
+    )
+    if conflict is not None:
+        x, y = conflict
+        raise PreconditionError(
+            f"state spec is inconsistent: {x} <= {y} but value "
+            f"{Fraction(elems[x], denom)} > {Fraction(elems[y], denom)}"
+        )
     if elems.get(order_unit(ring)) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"
         )
-    (p_d, p_m, p_w), (q_d, q_m, q_w) = optima
     if q_w is None:
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"

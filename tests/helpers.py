@@ -763,6 +763,23 @@ def _first_witness(ordered, by_value, pa, m_bound: int, best, lower: bool):
             return (b, c, m, 0)
 
 
+def raise_first_conflict(elems, profiles, denom):
+    """Raise at the first x <= y with v(x) > v(y), in sorted order of (x, y).
+
+    A rescan of every ordered pair of the span, O(|span|^2 * width), over
+    the library's elements, profiles and value numerators: the oracle for
+    the least conflict that state_extension keeps in its one pass.
+    """
+    ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
+    for x, vx, px in ordered:
+        for y, vy, py in ordered:
+            if vx > vy and all(s <= t for s, t in zip(px, py)):
+                raise PreconditionError(
+                    f"state spec is inconsistent: {x} <= {y} but value "
+                    f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
+                )
+
+
 def fast_state_extension(
     ring,
     spec: StateSpec,
@@ -797,15 +814,9 @@ def fast_state_extension(
     profiles = {x: _profile(ring, x) for x in elems}
     pa = _profile(ring, a)
     best_p, best_q, monotone = _extension_optima(supports, elems, profiles, pa, m_bound)
-    ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
     if not monotone:
-        for x, vx, px in ordered:
-            for y, vy, py in ordered:
-                if vx > vy and all(s <= t for s, t in zip(px, py)):
-                    raise PreconditionError(
-                        f"state spec is inconsistent: {x} <= {y} but value "
-                        f"{Fraction(vx, denom)} > {Fraction(vy, denom)}"
-                    )
+        raise_first_conflict(elems, profiles, denom)
+    ordered = [(x, elems[x], profiles[x]) for x in sorted(elems)]
     if elems.get(v) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"

@@ -13,7 +13,17 @@ import pytest
 
 import rankcert
 from rankcert import semigroup
-from rankcert.cli import _codecs, load_record, main, record_payload
+from rankcert import (
+    DiagonalForm,
+    GroupElement,
+    LocalSignature,
+    MinorSweep,
+    RegularSignature,
+    RkSquareResult,
+    StateRange,
+    parse_matrix,
+)
+from rankcert.cli import _CODECS, load_fields, load_record, main, record_payload
 from rankcert.rings import matrix, parse_ring
 from rankcert.semigroup import (
     Cancel,
@@ -286,6 +296,13 @@ REGULAR_REFUSAL = ("leq", "--ring", "F2*F3", "--a", '[["(1,1)"]]', "--b", '[["(1
 LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
 RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
+# a chain of the two moves no README command prints
+FORMAL_DROP_CHAIN = ("chain", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[0,2]")
+DIAGONALIZE = ("diagonalize", "--ring", "Z/8", "--matrix", '[["2","1"],["0","4"]]')
+REGULAR_EQUIV = (
+    "equiv", "--ring", "F2*F3",
+    "--p1", '{"gens":1,"relations":[["(1,0)"]]}', "--p2", '{"gens":1,"relations":[["(0,1)"]]}',
+)
 _rng = random.Random(18)
 # an 18 x 18 form: its factors have 2^18 column subsets, so a verifier must
 # test their invertibility by elimination, in O(n^3), to decide it quickly
@@ -386,6 +403,32 @@ EDITED_RESPONSES = [
         {1},
         id="negative-bound",
     ),
+    # malformed fields of the records printed as fields of a response
+    pytest.param(STATE_RANGE, edit(lambda d: d.update(exact="x")), {2}, id="exact-string"),
+    pytest.param(STATE_RANGE, edit(lambda d: d.pop("exact")), {2}, id="no-exact"),
+    pytest.param(
+        STATE_RANGE, edit(lambda d: d.update(p_witness=[0, 0, 1])), {2}, id="witness-list"
+    ),
+    pytest.param(STATE_RANGE, edit(lambda d: d["q_witness"].update(m=True)), {2}, id="m-bool"),
+    pytest.param(STATE_RANGE, edit(lambda d: d.update(exact=["0/1"])), {1}, id="exact-one"),
+    pytest.param(EXTEND_STATE, edit(lambda d: d["p_witness"].update(b="x")), {2}, id="b-string"),
+    pytest.param(EXTEND_STATE, edit(lambda d: d["q_witness"].pop("mbar")), {2}, id="no-mbar"),
+    # an extension has no exact extremes: the key is not read
+    pytest.param(
+        EXTEND_STATE, edit(lambda d: d.update(exact=["0/1", "1/1"])), {0}, id="extension-exact"
+    ),
+    pytest.param(RK_SQUARE_POLY, edit(lambda d: d.pop("lower")), {2}, id="no-lower"),
+    pytest.param(RK_SQUARE_POLY, edit(lambda d: d.update(lower=[6, 0, 0])), {2}, id="lower-list"),
+    pytest.param(
+        RK_SQUARE_POLY, edit(lambda d: d["lower"].update(bound=True)), {2}, id="bound-bool"
+    ),
+    pytest.param(
+        RK_SQUARE_POLY, edit(lambda d: d.update(upper={"move": "drop", "i": 0})), {2},
+        id="upper-move",
+    ),
+    pytest.param(DIAGONALIZE, edit(lambda d: d.update(exponents=[True])), {2}, id="exponent-bool"),
+    pytest.param(DIAGONALIZE, edit(lambda d: d.pop("left")), {2}, id="no-left"),
+    pytest.param(DIAGONALIZE, edit(lambda d: d.update(zero_count="1")), {2}, id="zero-count-str"),
     # the square of a prime near 10^7: trial division up to p took about 1.5 s
     pytest.param(
         LOCAL_CHAIN,
@@ -678,6 +721,68 @@ def test_codec_refuses_malformed_payloads(payload, tag):
         load_record(payload, tag)
 
 
+Z8 = parse_ring("Z/8")
+R8_SWEEP = MinorSweep(6, 9898, 9898)
+# (payload format, record, its payload as the README commands print it, and
+# REGULAR_EQUIV for the regular signature); matrices are over Z/8
+FIELD_CODEC_CASES = [
+    (
+        "diagonal-form",
+        DiagonalForm(
+            (0,), 1, parse_matrix(Z8, [["1", "0"], ["4", "1"]]),
+            parse_matrix(Z8, [["2", "1"], ["1", "0"]]),
+        ),
+        {"exponents": [0], "left": [["1", "0"], ["4", "1"]], "right": [["2", "1"], ["1", "0"]],
+         "zero_count": 1},
+    ),
+    (
+        "state-range",
+        StateRange(
+            Fraction(0), Fraction(2, 3), (0, 0, 1), (2, 0, 3), (Fraction(0), Fraction(2, 3))
+        ),
+        {"exact": ["0/1", "2/3"], "p_lb": "0/1", "p_witness": {"k": 0, "m": 1, "n": 0},
+         "q_ub": "2/3", "q_witness": {"k": 0, "m": 3, "n": 2}},
+    ),
+    (
+        "extension",
+        StateRange(
+            Fraction(0), Fraction(1, 2), ((0, 0, 0), (0, 0, 0), 1, 0),
+            ((1, 0, 1), (0, 0, 0), 2, 0), None,
+        ),
+        {"p_lb": "0/1", "p_witness": {"b": [0, 0, 0], "c": [0, 0, 0], "m": 1, "mbar": 0},
+         "q_ub": "1/2", "q_witness": {"b": [1, 0, 1], "c": [0, 0, 0], "m": 2, "mbar": 0}},
+    ),
+    ("minor-sweep", R8_SWEEP, {"bound": 6, "candidates": 9898, "refuted": 9898}),
+    (
+        "rk-square",
+        RkSquareResult(Fraction(1, 2), Positive((PowerSwap(0, 2),)), R8_SWEEP),
+        {
+            "lower": {"bound": 6, "candidates": 9898, "refuted": 9898},
+            "upper": {"kind": "positive", "moves": [{"j1": 0, "j2": 2, "move": "power-swap"}]},
+            "value": "1/2",
+        },
+    ),
+    ("group-element", GroupElement((1, 0, 0), (0, 1, 0)), {"neg": [0, 1, 0], "pos": [1, 0, 0]}),
+    ("local-signature", LocalSignature((1,), 0), {"free_rank": 0, "torsion": [1]}),
+    ("regular-signature", RegularSignature((0, 1)), {"multiplicities": [0, 1]}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, record, payload", FIELD_CODEC_CASES, ids=[name for name, _, _ in FIELD_CODEC_CASES]
+)
+def test_field_codec_round_trip(name, record, payload):
+    assert record_payload(record, name) == payload
+    assert load_fields(json.loads(json.dumps(payload)), name, Z8) == record
+
+
+def test_a_record_prints_in_its_first_format_by_default():
+    sr = FIELD_CODEC_CASES[1][1]
+    assert record_payload(sr) == record_payload(sr, "state-range")
+    with pytest.raises(TypeError):
+        record_payload(Fraction(1, 2))
+
+
 README_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "cli_readme.json"
 README_INVOCATIONS = json.loads(README_FIXTURES.read_text())["invocations"]
 
@@ -712,8 +817,59 @@ def test_every_certificate_kind_round_trips_through_its_codec(capsys):
     ]
     for ring, cert in certificates:
         assert record_payload(load_record(cert, "kind", ring)) == cert
-    kinds = {name for name, (_, tag, _) in _codecs().items() if tag == "kind"}
+    kinds = {name for name, (_, tag, _) in _CODECS.items() if tag == "kind"}
     assert {cert["kind"] for _, cert in certificates} == kinds
+
+
+# the payload format of the record each command prints as fields of its response
+RESPONSE_FORMATS = {
+    "diagonalize": "diagonal-form",
+    "state-range": "state-range",
+    "extend-state": "extension",
+    "rk-square": "rk-square",
+    "phi": "group-element",
+}
+
+
+def printed_records(response):
+    """(payload format, payload) of each record a response prints, nested ones aside."""
+    command = response["command"]
+    if command in RESPONSE_FORMATS:
+        yield RESPONSE_FORMATS[command], response
+    elif "certificate" in response:
+        yield response["certificate"]["kind"], response["certificate"]
+    for signature in response.get("signatures", ()):
+        yield "local-signature" if "torsion" in signature else "regular-signature", signature
+
+
+def nested_formats(record):
+    """The payload format of each record in the fields of record, at any depth."""
+    for value in (getattr(record, f) for f in record._fields):
+        for item in value if isinstance(value, tuple) else (value,):
+            if hasattr(type(item), "_fields"):
+                (name,) = (n for n, (cls, _, _) in _CODECS.items() if cls == type(item).__name__)
+                yield name
+                yield from nested_formats(item)
+
+
+def test_every_printed_record_round_trips_through_the_table(capsys):
+    # each record a README response prints, and those of the regular refusal,
+    # a formal refutation, a drop chain and a regular signature, reprints its
+    # keys from the record; a record printed without a table entry fails to
+    # load or print, and an entry that no such response prints fails the
+    # format count
+    extras = (REGULAR_REFUSAL, FORMAL_REFUTATION, FORMAL_DROP_CHAIN, REGULAR_EQUIV)
+    responses = [json.loads(inv["stdout"]) for inv in README_INVOCATIONS if inv["exit"] == 0]
+    responses += [run_json(capsys, *argv) for argv in extras]
+    printed = set()
+    for response in responses:
+        ring = parse_ring(response["ring"])
+        for name, payload in printed_records(response):
+            record = load_fields(payload, name, ring)
+            reprinted = record_payload(record, name)
+            assert reprinted == {k: payload[k] for k in reprinted}
+            printed |= {name, *nested_formats(record)}
+    assert printed == set(_CODECS)
 
 
 def test_readme_order_commands_decide_once(capsys, monkeypatch):
@@ -759,6 +915,26 @@ def test_cli_commands_import_only_what_they_use():
     assert not loaded & {"rankcert.states", "rankcert.presentations"}
     loaded = _imported("-c", "import rankcert")
     assert {m for m in loaded if m.startswith("rankcert")} == {"rankcert"}
+
+
+def test_diagonalize_and_its_verify_load_no_order_modules(capsys, tmp_path):
+    # a record decodes through the package's lazy names, which load their
+    # module by importlib.import_module, unseen by -X importtime: so the
+    # modules are read off sys.modules once main returns
+    path = tmp_path / "diag.json"
+    path.write_text(run_cli(capsys, *DIAGONALIZE)[1])
+    code = (
+        "import sys; from rankcert.cli import main; main(sys.argv[1:]); "
+        "print(*sys.modules, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rankcert.__file__).resolve().parents[1])}
+    for argv in (DIAGONALIZE, ("verify", "--file", str(path))):
+        loaded = set(subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+            env=env,
+        ).stderr.split())
+        assert "rankcert.normal_form" in loaded
+        assert not loaded & {"rankcert.semigroup", "rankcert.states"}
 
 
 # usage, help and error text as printed when every subparser was built in

@@ -36,10 +36,11 @@ from rankcert import (
 
 from rankcert.acceptance import brute_square_sweep
 from rankcert.polys import min_irreducible
-from rankcert.states import _best_below
+from rankcert.states import _best_below, _span_with_values
 
 from helpers import (
     fast_state_extension,
+    raise_first_conflict,
     random_matrix,
     reference_state_extension,
     reference_state_range,
@@ -473,6 +474,31 @@ def test_state_extension_matches_the_two_pass_kernel(case):
     # optima, witnesses and errors, against the kernel that read both orders
     # of every pair and found the witness in a second scan
     assert outcome(state_extension, *case) == outcome(fast_state_extension, *case)
+
+
+@st.composite
+def inconsistent_extension_cases(draw):
+    """wide_extension_cases with random values, which most specs do not admit."""
+    ring, spec, a, ball, m_bound, shifted = draw(wide_extension_cases())
+    values = tuple(
+        Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3))) for _ in spec.generators
+    )
+    return ring, StateSpec(spec.generators, values), a, ball, m_bound, shifted
+
+
+@settings(max_examples=200, deadline=None)
+@given(inconsistent_extension_cases())
+def test_monotonicity_conflict_is_the_first_in_sorted_order(case):
+    # the one pass visits pairs of disjoint support only; the first conflict
+    # of all ordered pairs must be among them
+    ring, spec, _, ball, _, _ = case
+    try:
+        elems, profiles, denom, _ = _span_with_values(ring, spec, ball)
+        raise_first_conflict(elems, profiles, denom)
+    except PreconditionError as exc:
+        assert outcome(state_extension, *case) == ("PreconditionError", str(exc))
+    else:
+        assert "is inconsistent" not in str(outcome(state_extension, *case))
 
 
 def test_state_extension_cost_grows_slowly_with_ball():
