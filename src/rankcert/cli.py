@@ -95,11 +95,15 @@ def load_class_operand(ring, text: str):
     return None, check_element(ring, _int_tuple(data, "the operand"))
 
 
-def load_exponents(text: str) -> tuple:
-    exponents = _int_tuple(load_json(text, "exponent list"), "the exponent list")
+def _exponents(value, what) -> tuple:
+    exponents = _int_tuple(value, what)
     if any(e < 0 for e in exponents):
         raise ParseError("exponent multiset must be a list of nonnegative ints")
     return tuple(sorted(exponents))
+
+
+def load_exponents(text: str) -> tuple:
+    return _exponents(load_json(text, "exponent list"), "the exponent list")
 
 
 def load_spec(gens, values):
@@ -515,7 +519,7 @@ def _verify_order(ring, data) -> bool:
         return False  # a formal search may end unknown, with no certificate
     cert = load_record(data["certificate"], "kind", ring)
     if mode == "formal":
-        a, b = _int_tuple(data.get("a"), "a"), _int_tuple(data.get("b"), "b")
+        a, b = _exponents(data.get("a"), "a"), _exponents(data.get("b"), "b")
         pivot = ring.parse(_get(data, "elem", str))
         _check_hypothesis(ring, pivot, _get(data, "depth", int), a, b)
         ok = verify_formal_certificate(a, b, cert)

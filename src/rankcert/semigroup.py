@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import PreconditionError, SearchBudgetError
 from .normal_form import diagonal_matrix, eliminated, factors, inverse_factors
@@ -343,16 +344,24 @@ def verify_certificate(ring, a, b, cert) -> bool:
 # a bounded, sound-but-incomplete order search
 
 
+def check_exponents(exponents) -> tuple:
+    """exponents as a formal element diag(a^e): a sorted tuple of ints >= 0.
+
+    The formal twin of check_element: a bool, float, str or negative
+    entry, or a non-iterable, raises PreconditionError.
+    """
+    try:
+        exps = tuple(sorted(exponents))
+    except TypeError:
+        exps = None
+    if exps is None or any(type(e) is not int or e < 0 for e in exps):
+        raise PreconditionError(f"bad exponent multiset {exponents!r}: entries must be ints >= 0")
+    return exps
+
+
 def minor_profile(exponents) -> tuple:
     """Prefix sums of the sorted exponents: minimal k-minor valuations."""
-    exps = sorted(int(e) for e in exponents)
-    if any(e < 0 for e in exps):
-        raise PreconditionError("exponents must be nonnegative")
-    out, acc = [], 0
-    for e in exps:
-        acc += e
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(check_exponents(exponents)))
 
 
 def profile_value(profile, k):
@@ -362,11 +371,14 @@ def profile_value(profile, k):
 
 def minor_refutation(e_a, e_b):
     """Least k with mu_k(e_a) < mu_k(e_b), as a NegativeMinor; None if sound."""
-    pa, pb = minor_profile(e_a), minor_profile(e_b)
-    for k in range(1, max(len(pa), len(pb)) + 1):
-        va, vb = profile_value(pa, k), profile_value(pb, k)
-        if va is None:
-            continue
+    return _minor_refutation(check_exponents(e_a), check_exponents(e_b))
+
+
+def _minor_refutation(ea, eb):
+    """minor_refutation of two exponent tuples that check_exponents returned."""
+    pb = tuple(accumulate(eb))
+    for k, va in enumerate(accumulate(ea), 1):
+        vb = profile_value(pb, k)
         if vb is None or va < vb:
             return NegativeMinor(k, va, vb)
     return None
@@ -442,6 +454,11 @@ def _formal_apply(cur, tgt, mv):
     return None
 
 
+# fronts seen on requests of up to 8 values of 0-12 hold at most 9 pairs;
+# the cap keeps the bound's DP polynomial when values are spread wide
+_FRONT_CAP = 16
+
+
 def _formal_bound(cur, tgt):
     """A lower bound on the moves from state (cur, tgt) to equal sides.
 
@@ -476,54 +493,56 @@ def _formal_bound(cur, tgt):
     ts.extend(tgt[j:])
     n, m = len(xs), len(ts)
     common = size_c - n
-    # up[j] (down[j]): the least sum of (t - x)+ ((x - t)+) over matchings
-    # of ts[:j] in order into the values of xs read so far
-    up, down = [0], [0]
+    # front[j]: the Pareto-least pairs (sum of (t - x)+, sum of (x - t)+)
+    # over matchings of ts[:j] in order into the values of xs read so far.
+    # A front longer than _FRONT_CAP has each two neighbours replaced by
+    # their componentwise minimum: every matching's pair still dominates a
+    # kept one, so h stays a lower bound, and each kept sum is still some
+    # matching's, so h is never below max(min P_K, min N_K).
+    front = [[(0, 0)]]
     for x in xs:
-        top = len(up) - 1
-        if top < m:
-            d = ts[top] - x
-            up.append(up[-1] + max(d, 0))
-            down.append(down[-1] + max(-d, 0))
-        for j in range(top, 0, -1):
+        if len(front) <= m:
+            front.append([])
+        for j in range(len(front) - 1, 0, -1):
             d = ts[j - 1] - x
-            if d > 0:
-                up[j] = min(up[j], up[j - 1] + d)
-                down[j] = min(down[j], down[j - 1])
-            else:
-                up[j] = min(up[j], up[j - 1])
-                down[j] = min(down[j], down[j - 1] - d)
-    return common + n + max(up[m], down[m]) - min(m, 2)
+            moved = [(p + d, q) if d > 0 else (p, q - d) for p, q in front[j - 1]]
+            least = []
+            for p, q in sorted(front[j] + moved):
+                if not least or q < least[-1][1]:
+                    least.append((p, q))
+            if len(least) > _FRONT_CAP:
+                least = [(p, q) for (p, _), (_, q) in zip(least[::2], least[1::2] + least[-1:])]
+            front[j] = least
+    return common + n + min(max(pair) for pair in front[m]) - min(m, 2)
 
 
 def _bounded_search(start, bound, bounds):
-    """The first chain of at most bound moves that BFS from start finds, or None.
+    """The first chain of at most bound moves that DFS from start finds, or None.
 
-    A state generated at level L is enqueued only when L plus its
-    _formal_bound is at most bound.  bounds memoizes _formal_bound across
-    the rounds of one leq_provable call.
+    The descent walks _formal_successors in order.  It enters a state
+    generated at level L only when it has not entered it at a level <= L,
+    and when L plus its _formal_bound is at most bound.  bounds memoizes
+    _formal_bound across the rounds of one leq_provable call.
     """
-    parent = {start: None}
-    frontier = [start]
-    for level in range(1, bound + 1):
-        enqueued = []
-        for state in frontier:
-            for kind, fields, nxt in _formal_successors(*state):
-                if nxt[0] == nxt[1]:
-                    moves = [kind(*fields)]
-                    while parent[state] is not None:
-                        state, kind, fields = parent[state]
-                        moves.append(kind(*fields))
-                    return tuple(reversed(moves))
-                if nxt not in parent:
-                    parent[nxt] = (state, kind, fields)
-                    if nxt in bounds:
-                        h = bounds[nxt]
-                    else:
-                        h = bounds[nxt] = _formal_bound(*nxt)
-                    if h is not None and level + h <= bound:
-                        enqueued.append(nxt)
-        frontier = enqueued
+    levels = {start: 0}
+    stack = [(None, None, _formal_successors(*start))]
+    while stack:
+        level = len(stack)
+        for kind, fields, nxt in stack[-1][2]:
+            if nxt[0] == nxt[1]:
+                return tuple(k(*f) for k, f, _ in stack[1:]) + (kind(*fields),)
+            # a state left unequal at level bound cannot be finished in time
+            if level < levels.get(nxt, bound):
+                if nxt in bounds:
+                    h = bounds[nxt]
+                else:
+                    h = bounds[nxt] = _formal_bound(*nxt)
+                if h is not None and level + h <= bound:
+                    levels[nxt] = level
+                    stack.append((kind, fields, _formal_successors(*nxt)))
+                    break
+        else:
+            stack.pop()
     return None
 
 
@@ -533,10 +552,12 @@ def leq_provable(e_a, e_b, depth: int = 8):
     Returns a Positive chain, a NegativeMinor refutation, or UNKNOWN.
     Sound in all three answers but incomplete: UNKNOWN decides nothing.
 
-    The chain is the first one that breadth-first search over canonical
-    moves (_formal_successors) finds from the state (current, target) =
-    (e_b, e_a), so it is a shortest one; UNKNOWN means that no canonical
-    chain has at most depth moves.
+    Order the chains of canonical moves (_formal_successors) from the
+    state (current, target) = (e_b, e_a) by length, then by the successor
+    index of each move in turn.  The chain returned is the least one, P*,
+    which breadth-first search over the same moves finds first; so it is
+    a shortest one, and UNKNOWN means that no canonical chain has at most
+    depth moves.
 
     The search is pruned by a lower bound h on the moves still needed
     from a state (C, T), C the current and T the target multiset.  The
@@ -546,10 +567,12 @@ def leq_provable(e_a, e_b, depth: int = 8):
     of C, a drop deletes a value of C, a cancel keeps each inequality),
     and it passes when C = T; so where it fails no chain exists, and h is
     unreachable.  h is 0 when C = T.  Otherwise let c be the number of
-    common values, n and m the sizes of C and T with them removed, and
-    P* (N*) the least sum of (t - x)+ ((x - t)+) over the m-subsets of
-    C, matched in sorted order to T; then
-    h = c + n + max(P*, N*) - min(m, 2).
+    common values, n and m the sizes of C and T with them removed, and,
+    for an m-subset K of C, P_K (N_K) the sum of (t - x)+ ((x - t)+) over
+    K matched in sorted order to T; then
+    h = c + n + min over K of max(P_K, N_K) - min(m, 2).  _formal_bound
+    returns at most h (less where it caps its DP), so it is a lower bound
+    wherever h is.
 
     Proof.  Only a drop changes |C| - |T|, so a chain has n - m drops.
     T loses values only to cancels.  A cancel leaves unequal sides
@@ -558,32 +581,33 @@ def leq_provable(e_a, e_b, depth: int = 8):
     values (a swap two, an increase one, a drop none).  So at most
     min(m, 2) values of T are never cancelled, and a chain has at least
     c + m - min(m, 2) cancels.  Follow each value of C to the value of T
-    it is cancelled against or completes, or to its drop.  The m kept
-    values rise by at least P* and fall by at least N* in total, since
-    for a fixed subset the sorted matching minimizes each sum (t -> t+
-    is convex).  An increase raises one value by one and a swap raises
-    one and lowers another, so increases and swaps number at least
-    max(P*, N*).
+    it is cancelled against or completes, or to its drop.  The kept
+    values K rise by at least P_K and fall by at least N_K, for the same
+    K, since for a fixed subset the sorted matching minimizes each sum
+    (t -> t+ is convex).  An increase raises one value by one and a swap
+    raises one and lowers another, so increases and swaps number at
+    least max(P_K, N_K).
 
-    The search runs the same BFS for bound = h(start), ..., depth, and
-    enqueues a state generated at level L only when L + h <= bound.  A
-    round returns only chains of at most bound moves, so no round before
-    bound = d, the least chain length, returns one; if d > depth none
-    does, and the answer is UNKNOWN, as without pruning.  In round d, a
-    state at level L of a shortest chain has L + h <= d.  By induction on
-    L, each such state is reached at level L, from the same first parent
-    and in the same order among such states as in the unpruned BFS,
-    because every state that generates it at level L - 1 lies on a
-    shortest chain too.  The states that complete a chain at level d - 1
-    are such states, so the first chain found is the unpruned search's.
+    The search runs a depth-first descent for bound = h(start), ...,
+    depth.  It walks the successors in order, enters a state generated at
+    level L only when L + h <= bound and the round has not entered it at
+    a level <= L, and returns the first complete chain it meets.  A round
+    returns only chains of at most bound moves, so no round before
+    bound = d, the length of P*, returns one; if d > depth none does, and
+    the answer is UNKNOWN, as without pruning.  In round d no state of P*
+    is skipped.  Its state at level L has L + h <= d, as h is a lower
+    bound.  It is at distance L from the start, as P* is a shortest
+    chain, so a chain the descent met before P*'s first L moves and that
+    reaches it has L moves and precedes them; followed by the rest of P*
+    it would be a shortest chain before P*.  No complete chain is a
+    prefix of another, so the descent meets them in increasing order, and
+    in round d each has d moves: the first it meets is P*.  The memo only
+    caches h, a function of the state alone.
     """
-    ea = tuple(sorted(int(e) for e in e_a))
-    eb = tuple(sorted(int(e) for e in e_b))
-    if any(e < 0 for e in ea + eb):
-        raise PreconditionError("exponents must be nonnegative")
+    ea, eb = check_exponents(e_a), check_exponents(e_b)
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
-    refutation = minor_refutation(ea, eb)
+    refutation = _minor_refutation(ea, eb)
     if refutation is not None:
         return refutation
     if ea == eb:
@@ -597,9 +621,14 @@ def leq_provable(e_a, e_b, depth: int = 8):
 
 
 def verify_formal_certificate(e_a, e_b, cert) -> bool:
-    """Re-check a leq_provable certificate for multisets e_a <= e_b."""
-    ea = tuple(sorted(int(e) for e in e_a))
-    eb = tuple(sorted(int(e) for e in e_b))
+    """Re-check a leq_provable certificate for multisets e_a <= e_b.
+
+    False when e_a or e_b is not a multiset of ints >= 0.
+    """
+    try:
+        ea, eb = check_exponents(e_a), check_exponents(e_b)
+    except PreconditionError:
+        return False
     if isinstance(cert, Positive):
         state = (eb, ea)
         for mv in cert.moves:
@@ -608,7 +637,7 @@ def verify_formal_certificate(e_a, e_b, cert) -> bool:
                 return False
         return state[0] == state[1]
     if isinstance(cert, NegativeMinor):
-        pa, pb = minor_profile(ea), minor_profile(eb)
+        pa, pb = tuple(accumulate(ea)), tuple(accumulate(eb))
         va, vb = profile_value(pa, cert.k), profile_value(pb, cert.k)
         if (va, vb) != (cert.lhs, cert.rhs):
             return False

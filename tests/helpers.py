@@ -29,6 +29,7 @@ from rankcert import (
 from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS
 from rankcert.polys import pdegree, pdivides
 from rankcert.semigroup import (
+    _formal_successors,
     _profile,
     check_element,
     monoid_add,
@@ -624,6 +625,106 @@ def reference_leq_provable(e_a, e_b, depth: int = 8):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, chain))
+    return UNKNOWN
+
+
+# the formal-order search as it was before the depth-first descent: a
+# breadth-first search in rounds over the library's canonical moves, pruned
+# by the bound with P* and N* minimized separately; kept as the oracle for
+# requests too long for the unpruned search
+
+
+def separate_formal_bound(cur, tgt):
+    """The lower bound c + n + max(P*, N*) - min(m, 2) on the moves from (cur, tgt).
+
+    None when the minor test refutes tgt <= cur.
+    """
+    if cur == tgt:
+        return 0
+    size_c, size_t = len(cur), len(tgt)
+    if size_t > size_c:
+        return None
+    sum_c = sum_t = 0
+    for x, t in zip(cur, tgt):
+        sum_c += x
+        sum_t += t
+        if sum_t < sum_c:
+            return None
+    xs, ts = [], []
+    i = j = 0
+    while i < size_c and j < size_t:
+        x, t = cur[i], tgt[j]
+        if x == t:
+            i += 1
+            j += 1
+        elif x < t:
+            xs.append(x)
+            i += 1
+        else:
+            ts.append(t)
+            j += 1
+    xs.extend(cur[i:])
+    ts.extend(tgt[j:])
+    n, m = len(xs), len(ts)
+    common = size_c - n
+    # up[j] (down[j]): the least sum of (t - x)+ ((x - t)+) over matchings
+    # of ts[:j] in order into the values of xs read so far
+    up, down = [0], [0]
+    for x in xs:
+        top = len(up) - 1
+        if top < m:
+            d = ts[top] - x
+            up.append(up[-1] + max(d, 0))
+            down.append(down[-1] + max(-d, 0))
+        for j in range(top, 0, -1):
+            d = ts[j - 1] - x
+            if d > 0:
+                up[j] = min(up[j], up[j - 1] + d)
+                down[j] = min(down[j], down[j - 1])
+            else:
+                up[j] = min(up[j], up[j - 1])
+                down[j] = min(down[j], down[j - 1] - d)
+    return common + n + max(up[m], down[m]) - min(m, 2)
+
+
+def _bfs_round(start, bound, bounds):
+    """The first chain of at most bound moves that BFS from start finds, or None."""
+    parent = {start: None}
+    frontier = [start]
+    for level in range(1, bound + 1):
+        enqueued = []
+        for state in frontier:
+            for kind, fields, nxt in _formal_successors(*state):
+                if nxt[0] == nxt[1]:
+                    moves = [kind(*fields)]
+                    while parent[state] is not None:
+                        state, kind, fields = parent[state]
+                        moves.append(kind(*fields))
+                    return tuple(reversed(moves))
+                if nxt not in parent:
+                    parent[nxt] = (state, kind, fields)
+                    if nxt not in bounds:
+                        bounds[nxt] = separate_formal_bound(*nxt)
+                    h = bounds[nxt]
+                    if h is not None and level + h <= bound:
+                        enqueued.append(nxt)
+        frontier = enqueued
+    return None
+
+
+def bfs_leq_provable(e_a, e_b, depth: int = 8):
+    """leq_provable by pruned breadth-first search, for sorted exponent tuples."""
+    ea, eb = tuple(sorted(e_a)), tuple(sorted(e_b))
+    refutation = minor_refutation(ea, eb)
+    if refutation is not None:
+        return refutation
+    if ea == eb:
+        return Positive(())
+    bounds = {}
+    for bound in range(separate_formal_bound(eb, ea), depth + 1):
+        chain = _bfs_round((eb, ea), bound, bounds)
+        if chain is not None:
+            return Positive(chain)
     return UNKNOWN
 
 

@@ -4,8 +4,10 @@ Each example takes one README command (the CLI block, `verify --file`
 and `selftest --only 2`), and replaces the values of one or two of its
 flags by short, mostly invalid values, or drops a flag.  It runs the
 command in-process; an exception escaping `main` is what would print a
-traceback.  Large values stay out: `extend-state --ball` and `--depth`
-still cost time that grows with their value.
+traceback.  Large values stay out: `extend-state --ball` still costs time
+that grows with its value, and a formal request whose lists need many
+drops still costs seconds.  The long formal chains pinned below take
+milliseconds at their large `--depth`.
 """
 
 import json
@@ -29,6 +31,7 @@ VALUES = (
 # without --only, selftest runs the whole acceptance suite, about a minute
 KEPT = {("selftest", "--only")}
 FORMAL = ("leq", "--ring", "Z", "--elem", "2")
+SPREAD = [i * 10**7 for i in range(1, 21)]
 
 
 @st.composite
@@ -59,6 +62,14 @@ def response_file(tmp_path_factory):
 @example([*FORMAL, "--a", "[]", "--b", "[]"])
 # axioms-check work grows with the nil degree cubed; this once ran for minutes
 @example(["axioms-check", "--ring", "F2[x]/x^256", "--count", "500"])
+# the breadth-first formal search took 12.8 s on the first and set the cost
+# by the exponents the request chose, whatever --depth was
+@example([*FORMAL, "--a", "[1,2,3,4,5,6,7,8]", "--b", json.dumps([0] * 8 + [9] * 8),
+          "--depth", "100"])
+@example([*FORMAL, "--a", "[1000,1000]", "--b", "[0,2000]", "--depth", "3000"])
+# the bound's DP once kept all 2^20 matchings of these lists
+@example([*FORMAL, "--a", json.dumps(SPREAD), "--b", json.dumps(
+    sorted(x for i, t in enumerate(SPREAD) for x in (t - 2**i, t + 2**i)))])
 def test_every_command_is_total_on_mutated_readme_argv(response_file, argv):
     argv = [response_file if token == RESPONSE else token for token in argv]
     code, _, elapsed = run(argv, stdin=responses()[1])

@@ -385,6 +385,23 @@ EDITED_RESPONSES = [
     ),
     # the hypothesis bound of empty exponents once raised TypeError in verify
     pytest.param(FORMAL_REFUTATION, edit(lambda d: d.update(a=[], b=[])), {1}, id="no-exponents"),
+    # negative exponents were once verified (exit 0), and raised from the
+    # minor profile of a refutation (exit 1); both are refused as unparsable
+    pytest.param(
+        FORMAL_REFUTATION,
+        edit(lambda d: d.update(
+            a=[-1], b=[-2], result=True,
+            certificate={"kind": "positive", "moves": [{"move": "exponent-increase", "i": -2}]},
+        )),
+        {2},
+        id="negative-exponents",
+    ),
+    pytest.param(
+        FORMAL_REFUTATION,
+        edit(lambda d: (d.update(a=[-1]), d["certificate"].update(lhs=-1))),
+        {2},
+        id="refuted-negative-exponent",
+    ),
     pytest.param(DIAGONALIZE_18, edit(lambda d: None), {0}, id="diagonalize-18x18"),
     # beyond int()'s digit limit, beyond an index-sized int, beyond memory
     pytest.param(
@@ -893,46 +910,42 @@ def test_cli_import_leaves_acceptance_unloaded():
     assert out.strip() == "False"
 
 
-def _imported(*argv):
-    """Modules a fresh `python -X importtime *argv` imports, site's included."""
+def _loaded(code, *argv):
+    """sys.modules once a fresh interpreter has run code, with argv as sys.argv[1:].
+
+    It holds the modules that the package's lazy names load by
+    importlib.import_module, which `-X importtime` does not log.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(rankcert.__file__).resolve().parents[1])}
-    err = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, check=True,
-        env=env,
-    ).stderr
-    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
+    return set(subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}; print(*sys.modules, file=sys.stderr)", *argv],
+        capture_output=True, text=True, check=True, env=env,
+    ).stderr.split())
+
+
+MAIN = "from rankcert.cli import main; main(sys.argv[1:])"
 
 
 def test_cli_commands_import_only_what_they_use():
     # each command imports the modules it uses; records need no dataclasses
-    startup = _imported("-c", "pass")
-    loaded = _imported("-m", "rankcert", "normalize", "--ring", "Z/8", "--value", "6") - startup
+    startup = _loaded("pass")
+    loaded = _loaded(MAIN, "normalize", "--ring", "Z/8", "--value", "6") - startup
     assert "rankcert.cli" in loaded
     unused = {"dataclasses", "inspect", "rankcert.states", "rankcert.presentations"}
     assert not loaded & (unused | {"rankcert.acceptance", "rankcert.semigroup"})
-    loaded = _imported("-m", "rankcert", *LOCAL_CHAIN)
+    loaded = _loaded(MAIN, *LOCAL_CHAIN)
     assert "rankcert.semigroup" in loaded
     assert not loaded & {"rankcert.states", "rankcert.presentations"}
-    loaded = _imported("-c", "import rankcert")
+    loaded = _loaded("import rankcert")
     assert {m for m in loaded if m.startswith("rankcert")} == {"rankcert"}
 
 
 def test_diagonalize_and_its_verify_load_no_order_modules(capsys, tmp_path):
-    # a record decodes through the package's lazy names, which load their
-    # module by importlib.import_module, unseen by -X importtime: so the
-    # modules are read off sys.modules once main returns
+    # a record decodes through the package's lazy names
     path = tmp_path / "diag.json"
     path.write_text(run_cli(capsys, *DIAGONALIZE)[1])
-    code = (
-        "import sys; from rankcert.cli import main; main(sys.argv[1:]); "
-        "print(*sys.modules, file=sys.stderr)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(rankcert.__file__).resolve().parents[1])}
     for argv in (DIAGONALIZE, ("verify", "--file", str(path))):
-        loaded = set(subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
-            env=env,
-        ).stderr.split())
+        loaded = _loaded(MAIN, *argv)
         assert "rankcert.normal_form" in loaded
         assert not loaded & {"rankcert.semigroup", "rankcert.states"}
 

@@ -45,7 +45,12 @@ from rankcert import (
 import rankcert.semigroup as semigroup
 from rankcert.semigroup import _formal_apply, _formal_bound, check_element
 
-from helpers import random_matrix, reference_leq_provable
+from helpers import (
+    bfs_leq_provable,
+    random_matrix,
+    reference_leq_provable,
+    separate_formal_bound,
+)
 
 Z8 = parse_ring("Z/8")
 
@@ -308,6 +313,72 @@ def test_formal_bound_is_a_lower_bound_on_the_shortest_chain():
         assert state[0] == state[1]
 
 
+def test_joint_bound_is_at_least_the_separate_one():
+    # min over K of max(P_K, N_K) >= max(min P_K, min N_K)
+    for a, b in GRID:
+        old, new = separate_formal_bound(b, a), _formal_bound(b, a)
+        assert (old is None) == (new is None), (a, b)
+        assert old is None or new >= old, (a, b)
+
+
+def test_capped_fronts_keep_the_bound_and_the_chains(monkeypatch):
+    # a front cut to one pair is the separate DP; a cap only loosens h, and
+    # the chain found does not depend on it
+    exact = {(a, b): (_formal_bound(b, a), leq_provable(a, b, 8)) for a, b in GRID}
+    monkeypatch.setattr(semigroup, "_FRONT_CAP", 1)
+    for a, b in GRID:
+        assert _formal_bound(b, a) == separate_formal_bound(b, a), (a, b)
+    monkeypatch.setattr(semigroup, "_FRONT_CAP", 2)
+    for (a, b), (h, chain) in exact.items():
+        capped = _formal_bound(b, a)
+        assert (capped is None) == (h is None), (a, b)
+        assert h is None or separate_formal_bound(b, a) <= capped <= h, (a, b)
+        assert leq_provable(a, b, 8) == chain, (a, b)
+
+
+def test_formal_bound_is_quick_when_every_matching_is_pareto_least():
+    # t_i = i * 10^7 against t_i -+ 2^(i-1): each matching of T into its own
+    # pair has P + N = 2^m - 1 with a distinct P, so all 2^m pairs are
+    # Pareto-least; the uncapped DP built and sorted them all
+    m = 24
+    tgt = tuple(i * 10**7 for i in range(1, m + 1))
+    cur = tuple(sorted(x for i, t in enumerate(tgt) for x in (t - 2**i, t + 2**i)))
+    start = time.monotonic()
+    h = _formal_bound(cur, tgt)
+    assert leq_provable(tgt, cur, 8) is UNKNOWN
+    assert time.monotonic() - start < 0.5
+    assert separate_formal_bound(cur, tgt) <= h <= 2 * m + 2 ** (m - 1) - 2
+
+
+@st.composite
+def provable_pairs(draw):
+    """(a, b, depth) with a <= b: b is built from a by reversed moves."""
+    a = draw(st.lists(st.integers(0, 12), max_size=6))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 12))):
+        move = draw(st.sampled_from(("lower", "spread", "add")))
+        if move == "add" or not b:
+            if len(b) < 6:
+                b.append(draw(st.integers(0, 12)))
+        elif move == "lower":
+            i = draw(st.integers(0, len(b) - 1))
+            b[i] = max(b[i] - 1, 0)
+        elif len(b) >= 2:  # undo a swap: lower the smaller value, raise the other
+            i, j = sorted(draw(st.lists(st.integers(0, len(b) - 1), min_size=2, max_size=2,
+                                        unique=True)), key=lambda k: b[k])
+            if b[i] > 0:
+                b[i] -= 1
+                b[j] += 1
+    return a, b, draw(st.integers(0, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(provable_pairs())
+def test_leq_provable_matches_the_breadth_first_search(case):
+    a, b, depth = case
+    assert leq_provable(a, b, depth) == bfs_leq_provable(a, b, depth)
+
+
 # the chains the unpruned search returned, which took it 1.2 s and 13 ms
 CHAIN_18 = (
     PowerSwap(0, 12), PowerSwap(0, 11), PowerSwap(0, 10), PowerSwap(1, 9), PowerSwap(1, 8),
@@ -320,6 +391,34 @@ CHAIN_9 = (
     PowerSwap(2, 7), PowerSwap(3, 6), Cancel(4), PowerSwap(3, 5),
 )
 
+# the chains the breadth-first search returned for the cases it took 1.5 s,
+# 5.9 s, 9.2 s, 11.6 s and 2.1 s to answer
+CHAIN_17 = (
+    PowerSwap(0, 9), Cancel(1), PowerSwap(0, 8), PowerSwap(0, 7), PowerSwap(0, 6), Cancel(5),
+    PowerSwap(0, 9), PowerSwap(1, 8), Cancel(2), PowerSwap(1, 7), PowerSwap(1, 6), Drop(1),
+    Drop(2), Drop(9), Drop(9), Drop(9), PowerSwap(2, 5),
+)
+CHAIN_20 = (
+    PowerSwap(0, 9), Cancel(1), PowerSwap(0, 8), PowerSwap(0, 7), Cancel(6), PowerSwap(0, 9),
+    PowerSwap(1, 8), Cancel(2), PowerSwap(1, 7), PowerSwap(1, 9), PowerSwap(2, 8), Cancel(3),
+    PowerSwap(2, 7), Drop(0), Drop(0), Drop(6), Drop(9), Drop(9), Drop(9), PowerSwap(3, 6),
+)
+CHAIN_22 = (
+    PowerSwap(0, 9), Cancel(1), PowerSwap(0, 8), Cancel(7), PowerSwap(0, 9), PowerSwap(0, 8),
+    PowerSwap(1, 7), Cancel(2), Cancel(6), PowerSwap(1, 9), PowerSwap(1, 8), PowerSwap(2, 7),
+    Cancel(3), PowerSwap(2, 9), Drop(0), Drop(0), Drop(0), Drop(8), Drop(9), Drop(9), Drop(9),
+    PowerSwap(3, 6),
+)
+CHAIN_24 = (
+    PowerSwap(0, 9), Cancel(1), Cancel(8), PowerSwap(0, 9), PowerSwap(0, 8), Cancel(7),
+    PowerSwap(0, 9), PowerSwap(1, 8), Cancel(2), PowerSwap(1, 7), Cancel(6), PowerSwap(1, 9),
+    PowerSwap(2, 8), Cancel(3), PowerSwap(2, 7), Drop(0), Drop(0), Drop(0), Drop(0), Drop(9),
+    Drop(9), Drop(9), Drop(9), PowerSwap(3, 6),
+)
+CHAIN_601 = tuple(PowerSwap(k // 2, 900 - k) for k in range(599)) + (
+    Cancel(300), PowerSwap(299, 301),
+)
+
 
 @pytest.mark.parametrize(
     "a, b, depth, expected",
@@ -329,8 +428,14 @@ CHAIN_9 = (
         ((6,) * 6, (0, 0, 0, 0, 18, 18), 26, UNKNOWN),
         ((4, 4, 4), (0, 0, 12), 8, UNKNOWN),
         ((4, 4, 4), (0, 0, 12), 14, Positive(CHAIN_9)),
+        ((1, 2, 3, 4, 5), (0,) * 5 + (9,) * 5, 40, Positive(CHAIN_17)),
+        ((1, 2, 3, 4, 5, 6), (0,) * 6 + (9,) * 6, 40, Positive(CHAIN_20)),
+        ((1, 2, 3, 4, 5, 6, 7), (0,) * 7 + (9,) * 7, 100, Positive(CHAIN_22)),
+        ((1, 2, 3, 4, 5, 6, 7, 8), (0,) * 8 + (9,) * 8, 100, Positive(CHAIN_24)),
+        ((300, 300, 300), (0, 0, 900), 3000, Positive(CHAIN_601)),
     ],
-    ids=["18-moves", "six-6s", "9-moves-at-depth-8", "9-moves"],
+    ids=["18-moves", "six-6s", "9-moves-at-depth-8", "9-moves", "1-to-5", "1-to-6", "1-to-7",
+         "1-to-8", "601-moves"],
 )
 def test_long_formal_chains_are_quick(a, b, depth, expected):
     start = time.monotonic()
@@ -359,6 +464,23 @@ def test_formal_verify_rejects_bad_moves():
     assert not verify_formal_certificate((1, 1), (0, 2), Positive((PowerSwap(2, 0),)))
     assert not verify_formal_certificate((1, 1), (0, 2), Positive((Cancel(1),)))
     assert not verify_formal_certificate((0,), (1,), NegativeMinor(1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [(1.5,), (1.9,), (True,), ("1",), (-1,), (0, -2), 3, None],
+    ids=["float", "float-1.9", "bool", "str", "negative", "negative-second", "int", "none"],
+)
+def test_formal_exponents_are_checked_once(exponents):
+    # a float or bool entry was once read by int(): (1.5,) <= (1,) held, and
+    # a negative entry raised from verify_formal_certificate
+    for call in (lambda: leq_provable(exponents, (1,)), lambda: leq_provable((1,), exponents),
+                 lambda: minor_profile(exponents)):
+        with pytest.raises(PreconditionError):
+            call()
+    for cert in (Positive(()), NegativeMinor(1, -1, 1), NegativeMinor(1, 1, -1)):
+        assert not verify_formal_certificate(exponents, (1,), cert)
+        assert not verify_formal_certificate((1,), exponents, cert)
 
 
 # ---------------------------------------------------------------------------
