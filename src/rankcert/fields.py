@@ -6,13 +6,17 @@ encoding coefficient vectors base p (lowest degree in the least
 significant digit), reduced modulo the lexicographically least monic
 irreducible of degree k.  Arithmetic takes and returns these canonical
 ints: addition and negation work digitwise on the encoding (XOR when
-p = 2), and nothing is re-reduced.  As a local ring with c = 0 (nil
+p = 2), multiplication decodes, multiplies and reduces, and nothing is
+re-reduced.  A field of order at most TABLE_CAP looks add and mul up in
+tables that fill as pairs of canonical ints are met (`tabulated`, which
+`rings.TruncatedPolyRing` shares).  As a local ring with c = 0 (nil
 degree 1) the field is eliminated by `normal_form.eliminate`, like every
 other field component; this module does no linear algebra.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count
 
 from .errors import ParseError, PreconditionError
@@ -26,6 +30,9 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # GF(p^k) with k >= 2 is built only up to this order: finding its modulus
 # costs what the spec names, seconds for 2^128 and minutes for 1000003^4
 FIELD_CAP = 2**32
+# a ring of order q <= TABLE_CAP adds and multiplies by table lookup: at
+# most q^2 = 4096 entries per table, filled as pairs are met
+TABLE_CAP = 64
 
 
 def is_prime(n: int) -> bool:
@@ -104,6 +111,31 @@ def factor_prime_power(q: int):
     return p, k
 
 
+def tabulated(op, p: int, e: int):
+    """op(a, b) on a ring of order p^e, looked up in a table when p^e <= TABLE_CAP.
+
+    The table starts empty; a pair is computed by op the first time it
+    is met and looked up after that, so every entry is op's own result
+    and a ring of order q holds at most q^2 of them, on canonical
+    operands.  The table is the returned function's `table`.  A larger
+    ring gets op itself, and p^e is not computed for an e at which p^e
+    must exceed the cap.
+    """
+    if e >= TABLE_CAP.bit_length() or p**e > TABLE_CAP:
+        return op
+    table = {}
+    get = table.get
+
+    def lookup(a, b):
+        out = get((a, b))
+        if out is None:
+            out = table[a, b] = op(a, b)
+        return out
+
+    lookup.table = table
+    return lookup
+
+
 class ExtensionField:
     """GF(p^k), k >= 2, as F_p[x] modulo a monic irreducible of degree k; a local ring with c = 0."""
 
@@ -138,7 +170,17 @@ class ExtensionField:
             out = out * self.p + c
         return out
 
-    def add(self, a, b):
+    # add and mul are made on first use, so a parsed field that does no
+    # arithmetic allocates no table
+    @cached_property
+    def add(self):
+        return tabulated(self._add, self.p, self.k)
+
+    @cached_property
+    def mul(self):
+        return tabulated(self._mul, self.p, self.k)
+
+    def _add(self, a, b):
         p = self.p
         if p == 2:
             return a ^ b
@@ -164,7 +206,7 @@ class ExtensionField:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         prod = pmul(self.decode(a), self.decode(b), self.p)
         return self.encode(pdivmod(prod, self.modulus, self.p)[1])
 

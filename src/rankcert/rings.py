@@ -24,15 +24,23 @@ the public `Matrix(...)` / `matrix(...)` canonicalize whatever they are
 given.  Inside that boundary every ring operation takes canonical values
 and returns canonical values without re-reducing them, and matrices the
 library builds from such values skip normalization (`Matrix._canonical`).
+So F_p[x]/x^n and GF(p^k) of order at most `fields.TABLE_CAP` = 64 can
+add and multiply by table lookup: each pair of canonical values is
+computed once, the first time it is met, and looked up after that
+(`fields.tabulated`), so a table holds at most 64^2 = 4096 entries, and
+none before the ring's first addition or multiplication.  Whether a ring
+tabulates is read off its spec, never by computing p^n for a large n.
+Z/p^n and prime fields keep their int arithmetic, one step per operation.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property, partial
 from itertools import product
 
 from .errors import ParseError, PreconditionError
-from .fields import FIELD_CAP, ExtensionField, factor_prime_power, is_prime
+from .fields import FIELD_CAP, ExtensionField, factor_prime_power, is_prime, tabulated
 from .polys import (
     DEGREE_CAP,
     format_poly,
@@ -337,14 +345,18 @@ class TruncatedPolyRing(_LocalRing):
     def shift(self, a, v):
         return a[v:]
 
-    def add(self, a, b):
-        return padd(a, b, self.p)
+    # add and mul are made on first use, so a parsed ring that does no
+    # arithmetic allocates no table
+    @cached_property
+    def add(self):
+        return tabulated(partial(padd, p=self.p), self.p, self.nil_degree)
 
     def neg(self, a):
         return pneg(a, self.p)
 
-    def mul(self, a, b):
-        return pmul(a, b, self.p, below=self.nil_degree)
+    @cached_property
+    def mul(self):
+        return tabulated(partial(pmul, p=self.p, below=self.nil_degree), self.p, self.nil_degree)
 
     def _inverse(self, a):
         # power series inversion of the unit up to degree n-1, in O(n * deg a);

@@ -3,11 +3,14 @@
 Polynomial families are checked against sympy's dense F_p[x] routines
 (`sympy.polys.galoistools`, highest degree first), Z/p^n and prime fields
 against plain integer residues.  Irreducibility is checked against trial
-division (tests/helpers.py).
+division (tests/helpers.py).  F_p[x]/x^n and GF(p^k) of order at most
+64 add and multiply by table lookup, so their operations are called twice
+per pair: the first call fills the table, the second reads it.
 """
 
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
@@ -59,13 +62,14 @@ def poly(p, max_len):
 def test_poly_ring_arithmetic_matches_galoistools(p, data):
     ring = parse_ring(f"F{p}[x]")
     a, b = data.draw(poly(p, 7)), data.draw(poly(p, 7))
-    assert ring.add(a, b) == from_gf(gf_add(to_gf(a), to_gf(b), p, ZZ))
-    assert ring.neg(a) == from_gf(gf_neg(to_gf(a), p, ZZ))
-    assert ring.mul(a, b) == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
-    if ring.is_unit(a):
-        inverse = ring.unit_inverse(a)
-        assert inverse == strip(inverse)
-        assert from_gf(gf_mul(to_gf(a), to_gf(inverse), p, ZZ)) == (1,)
+    for _ in range(2):
+        assert ring.add(a, b) == from_gf(gf_add(to_gf(a), to_gf(b), p, ZZ))
+        assert ring.neg(a) == from_gf(gf_neg(to_gf(a), p, ZZ))
+        assert ring.mul(a, b) == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
+        if ring.is_unit(a):
+            inverse = ring.unit_inverse(a)
+            assert inverse == strip(inverse)
+            assert from_gf(gf_mul(to_gf(a), to_gf(inverse), p, ZZ)) == (1,)
 
 
 @settings(max_examples=300, deadline=None)
@@ -76,13 +80,14 @@ def test_truncated_ring_arithmetic_matches_galoistools(pn, data):
     x_n = to_gf((0,) * n + (1,))
     cut = lambda f: from_gf(gf_rem(f, x_n, p, ZZ))
     a, b = data.draw(poly(p, n)), data.draw(poly(p, n))
-    assert ring.add(a, b) == cut(gf_add(to_gf(a), to_gf(b), p, ZZ))
-    assert ring.neg(a) == cut(gf_neg(to_gf(a), p, ZZ))
-    assert ring.mul(a, b) == cut(gf_mul(to_gf(a), to_gf(b), p, ZZ))
-    if a and a[0]:
-        inverse = ring.unit_inverse(a)
-        assert inverse == strip(inverse) and len(inverse) <= n
-        assert cut(gf_mul(to_gf(a), to_gf(inverse), p, ZZ)) == (1,)
+    for _ in range(2):
+        assert ring.add(a, b) == cut(gf_add(to_gf(a), to_gf(b), p, ZZ))
+        assert ring.neg(a) == cut(gf_neg(to_gf(a), p, ZZ))
+        assert ring.mul(a, b) == cut(gf_mul(to_gf(a), to_gf(b), p, ZZ))
+        if a and a[0]:
+            inverse = ring.unit_inverse(a)
+            assert inverse == strip(inverse) and len(inverse) <= n
+            assert cut(gf_mul(to_gf(a), to_gf(inverse), p, ZZ)) == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +103,39 @@ def test_extension_field_arithmetic_matches_galoistools(q, data):
     reduce = lambda f: from_gf(gf_rem(f, modulus, p, ZZ))
     a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
     ga, gb = to_gf(digits(a, p)), to_gf(digits(b, p))
-    assert digits(field.add(a, b), p) == from_gf(gf_add(ga, gb, p, ZZ))
-    assert digits(field.neg(a), p) == from_gf(gf_neg(ga, p, ZZ))
-    assert digits(field.sub(a, b), p) == from_gf(gf_add(ga, gf_neg(gb, p, ZZ), p, ZZ))
-    assert digits(field.mul(a, b), p) == reduce(gf_mul(ga, gb, p, ZZ))
-    if a:
-        inverse = to_gf(digits(field.unit_inverse(a), p))
-        assert reduce(gf_mul(ga, inverse, p, ZZ)) == (1,)
+    for _ in range(2):
+        assert digits(field.add(a, b), p) == from_gf(gf_add(ga, gb, p, ZZ))
+        assert digits(field.neg(a), p) == from_gf(gf_neg(ga, p, ZZ))
+        assert digits(field.sub(a, b), p) == from_gf(gf_add(ga, gf_neg(gb, p, ZZ), p, ZZ))
+        assert digits(field.mul(a, b), p) == reduce(gf_mul(ga, gb, p, ZZ))
+        if a:
+            inverse = to_gf(digits(field.unit_inverse(a), p))
+            assert reduce(gf_mul(ga, inverse, p, ZZ)) == (1,)
+
+
+TABULATED = ("F2[x]/x^2", "F2[x]/x^3", "F2[x]/x^4", "F3[x]/x^2", "F4", "F8", "F9", "F16")
+
+
+@pytest.mark.parametrize("spec", TABULATED)
+def test_tabulated_arithmetic_matches_galoistools_on_every_pair(spec):
+    # every pair twice, in one ring: the first call fills the table, the
+    # second reads the entry back
+    ring = parse_ring(spec)
+    if ring.is_product:
+        ring = ring.fields[0]
+        p, modulus, elements = ring.p, to_gf(ring.modulus), range(ring.size)
+        as_gf = lambda a: to_gf(digits(a, p))
+    else:
+        p, modulus, elements = ring.p, to_gf((0,) * ring.nil_degree + (1,)), ring.elements()
+        as_gf = to_gf
+    reduce = lambda f: gf_rem(f, modulus, p, ZZ)
+    for a in elements:
+        for b in elements:
+            ga, gb = as_gf(a), as_gf(b)
+            total, product = reduce(gf_add(ga, gb, p, ZZ)), reduce(gf_mul(ga, gb, p, ZZ))
+            for _ in range(2):
+                assert as_gf(ring.add(a, b)) == total, (spec, a, b)
+                assert as_gf(ring.mul(a, b)) == product, (spec, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -820,6 +820,22 @@ def test_readme_command_bytes(capsys, monkeypatch, inv):
         assert (out, code) == (inv["verify"]["stdout"], inv["verify"]["exit"])
 
 
+# diagonalize over F2[x]/x^3, regular leq over F4*F9, dim and equiv over
+# F3[x]/x^2: rings that add and multiply by table lookup, recorded before
+# they did
+SMALL_RING_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "cli_small_rings.json"
+SMALL_RING_INVOCATIONS = json.loads(SMALL_RING_FIXTURES.read_text())["invocations"]
+
+
+@pytest.mark.parametrize(
+    "inv",
+    SMALL_RING_INVOCATIONS,
+    ids=[f"{i}-{inv['argv'][0]}" for i, inv in enumerate(SMALL_RING_INVOCATIONS)],
+)
+def test_small_ring_command_bytes(capsys, monkeypatch, inv):
+    test_readme_command_bytes(capsys, monkeypatch, inv)
+
+
 def test_every_certificate_kind_round_trips_through_its_codec(capsys):
     # each certificate a README response prints, the regular refusal and a
     # formal refutation; a kind printed without a codec entry fails to load

@@ -23,7 +23,7 @@ from rankcert import (
     zeros,
 )
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
-from rankcert.polys import DEGREE_CAP, parse_poly
+from rankcert.polys import DEGREE_CAP, padd, parse_poly, pmul
 
 from helpers import random_matrix, reference_det
 
@@ -178,6 +178,46 @@ def test_parse_ring_cost_does_not_grow_with_the_nil_degree():
         with pytest.raises(ParseError, match=f"nil degree above {DEGREE_CAP}"):
             parse_ring(f"F3[x]/x^{n}")
     assert time.monotonic() - start < 0.1
+
+
+def test_small_rings_fill_their_tables_lazily():
+    # parsing makes no table: add and mul, with their tables, are made on
+    # first use, and start empty
+    rings = [parse_ring("F2[x]/x^3"), *parse_ring("F4*F9").fields]
+    for ring in rings:
+        assert "add" not in vars(ring) and "mul" not in vars(ring)
+    for ring in rings:
+        assert ring.add.table == {} and ring.mul.table == {}
+    ring = rings[0]
+    assert ring.mul((1, 1), (1, 1)) == (1, 0, 1)
+    assert ring.mul.table == {((1, 1), (1, 1)): (1, 0, 1)} and ring.add.table == {}
+
+
+def test_rings_above_the_table_cap_never_tabulate():
+    for spec in ("F2[x]/x^7", "F2[x]/x^65536", "F128", "F5[x]/x^3", "F81"):
+        ring = parse_ring(spec)
+        ring = ring.fields[0] if ring.is_product else ring
+        one = ring.one
+        assert ring.mul(ring.add(one, one), one) == ring.add(one, one)
+        assert not hasattr(ring.add, "table") and not hasattr(ring.mul, "table"), spec
+
+
+@pytest.mark.parametrize("spec", ["F2[x]/x^6", "F64"])
+def test_an_order_64_table_holds_every_pair_once(spec):
+    ring = parse_ring(spec)
+    if ring.is_product:
+        ring = ring.fields[0]
+        elements, add, mul = range(64), ring._add, ring._mul
+    else:
+        elements = ring.elements()
+        add, mul = (lambda a, b: padd(a, b, 2)), (lambda a, b: pmul(a, b, 2, below=6))
+    for _ in range(2):
+        for a in elements:
+            for b in elements:
+                ring.add(a, b), ring.mul(a, b)
+    for op, table in ((add, ring.add.table), (mul, ring.mul.table)):
+        assert len(table) == 64**2
+        assert all(out == op(a, b) for (a, b), out in table.items())
 
 
 def _trial_division_prime_power(q):
