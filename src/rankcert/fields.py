@@ -9,9 +9,10 @@ ints: addition and negation work digitwise on the encoding (XOR when
 p = 2), multiplication decodes, multiplies and reduces, and nothing is
 re-reduced.  A field of order at most TABLE_CAP looks add and mul up in
 tables that fill as pairs of canonical ints are met (`tabulated`, which
-`rings.TruncatedPolyRing` shares).  As a local ring with c = 0 (nil
-degree 1) the field is eliminated by `normal_form.eliminate`, like every
-other field component; this module does no linear algebra.
+`rings.TruncatedPolyRing` and `rings.FieldProductRing` share).  As a
+local ring with c = 0 (nil degree 1) the field is eliminated by
+`normal_form.eliminate`, like every other field component; this module
+does no linear algebra.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def tabulated(op, p: int, e: int):
     and a ring of order q holds at most q^2 of them, on canonical
     operands.  The table is the returned function's `table`.  A larger
     ring gets op itself, and p^e is not computed for an e at which p^e
-    must exceed the cap.
+    must exceed the cap.  A product of fields passes its order as p, with
+    e = 1.
     """
     if e >= TABLE_CAP.bit_length() or p**e > TABLE_CAP:
         return op

@@ -24,13 +24,16 @@ the public `Matrix(...)` / `matrix(...)` canonicalize whatever they are
 given.  Inside that boundary every ring operation takes canonical values
 and returns canonical values without re-reducing them, and matrices the
 library builds from such values skip normalization (`Matrix._canonical`).
-So F_p[x]/x^n and GF(p^k) of order at most `fields.TABLE_CAP` = 64 can
-add and multiply by table lookup: each pair of canonical values is
-computed once, the first time it is met, and looked up after that
-(`fields.tabulated`), so a table holds at most 64^2 = 4096 entries, and
-none before the ring's first addition or multiplication.  Whether a ring
-tabulates is read off its spec, never by computing p^n for a large n.
-Z/p^n and prime fields keep their int arithmetic, one step per operation.
+So F_p[x]/x^n, GF(p^k) and finite products of fields (F2*F3, F2*F3*F5,
+F4*F9) of order at most `fields.TABLE_CAP` = 64 can add and multiply by
+table lookup: each pair of canonical values is computed once, the first
+time it is met, and looked up after that (`fields.tabulated`), so a
+table holds at most 64^2 = 4096 entries, and none before the ring's
+first addition or multiplication.  Whether a ring tabulates is read off
+its spec, never by computing p^n for a large n or the order of a long
+product.  Z/p^n and prime fields keep their int arithmetic, one step per
+operation.  `parse_matrix` parses each distinct literal of a matrix once
+per call, and keeps nothing after it returns.
 """
 
 from __future__ import annotations
@@ -40,7 +43,14 @@ from functools import cached_property, partial
 from itertools import product
 
 from .errors import ParseError, PreconditionError
-from .fields import FIELD_CAP, ExtensionField, factor_prime_power, is_prime, tabulated
+from .fields import (
+    FIELD_CAP,
+    TABLE_CAP,
+    ExtensionField,
+    factor_prime_power,
+    is_prime,
+    tabulated,
+)
 from .polys import (
     DEGREE_CAP,
     format_poly,
@@ -418,14 +428,31 @@ class FieldProductRing(Ring):
             out.append(c)
         return tuple(out)
 
-    def add(self, a, b):
-        return tuple([f.add(x, y) for f, x, y in zip(self.fields, a, b)])
+    # add and mul are made on first use, as for the small local rings
+    @cached_property
+    def add(self):
+        return self._tabulated(self._add)
 
     def neg(self, a):
         return tuple([f.neg(x) for f, x in zip(self.fields, a)])
 
-    def mul(self, a, b):
+    @cached_property
+    def mul(self):
+        return self._tabulated(self._mul)
+
+    def _add(self, a, b):
+        return tuple([f.add(x, y) for f, x, y in zip(self.fields, a, b)])
+
+    def _mul(self, a, b):
         return tuple([f.mul(x, y) for f, x, y in zip(self.fields, a, b)])
+
+    def _tabulated(self, op):
+        # the order, clamped above the cap, so a long product of large
+        # fields costs one small step per factor
+        order = 1
+        for q in self.orders:
+            order = min(order * q, TABLE_CAP + 1)
+        return tabulated(op, order, 1)
 
     def is_zero(self, a):
         return all(x == 0 for x in a)
@@ -578,7 +605,23 @@ def matrix(ring: Ring, rows) -> Matrix:
 
 
 def parse_matrix(ring: Ring, rows_of_strings) -> Matrix:
-    entries = tuple(tuple(ring.parse(s) for s in row) for row in rows_of_strings)
+    """The matrix of ring.parse of each entry, parsing each distinct string once.
+
+    The parsed strings are kept in a dict local to this call, so nothing
+    outlives it.  A literal that fails is not kept: it raises ring.parse's
+    own ParseError.  An entry that is not a str goes to ring.parse as it is.
+    """
+    parse, parsed = ring.parse, {}
+
+    def entry(s):
+        if type(s) is not str:
+            return parse(s)
+        out = parsed.get(s)
+        if out is None:  # no ring value is None
+            out = parsed[s] = parse(s)
+        return out
+
+    entries = tuple(tuple(map(entry, row)) for row in rows_of_strings)
     _check_shape(entries)
     return Matrix._canonical(ring, entries)
 

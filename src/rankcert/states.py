@@ -514,7 +514,8 @@ def verify_state_extension(
     Values come from the span below b and c, so the cost is bounded by
     the witness, not the ball.  An inconsistent spec admits no state, so
     the emitter's consistency scan is not repeated; a result whose p_lb
-    exceeds its q_ub proves the same and is refused.
+    exceeds its q_ub proves the same and is refused, and so is a spec
+    whose span does not give the order unit <1> the value 1.
     """
 
     def endpoint(witness, lower):
@@ -538,6 +539,11 @@ def verify_state_extension(
     except PreconditionError:
         return False
     if len(gens) != len(spec.values) or ends != (result.p_lb, result.q_ub):
+        return False
+    # a state gives <1> the value 1; the span below <1> has at most
+    # 2^width elements, whatever the ball
+    unit = order_unit(ring)
+    if _values_below(gens, spec.values, unit).get(unit) != 1:
         return False
     # a refused witness reads None; crossed bounds prove that no state extends the spec
     p_lb, q_ub = ends

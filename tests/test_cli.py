@@ -289,6 +289,10 @@ EXTEND_STATE_ARGS = (
     "--values", '["1/1","0/1"]', "--a", "[0,1,0]",
 )
 EXTEND_STATE = EXTEND_STATE_ARGS + ("--ball", "12", "--M", "12")
+EXTEND_STATE_HALF = (
+    "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,1,0]]",
+    "--values", '["1/1","1/2"]', "--a", "[0,0,1]", "--ball", "6", "--M", "6",
+)
 STATE_RANGE = ("state-range", "--ring", "Z/8", "--a", "[0,1,0]")
 REGULAR_LEQ = ("leq", "--ring", "F2*F3", "--a", '[["(1,0)"]]', "--b", '[["(1,1)"]]')
 REGULAR_REFUTATION = ("leq", "--ring", "F2*F3", "--a", "[1,2]", "--b", "[2,1]")
@@ -453,6 +457,24 @@ EDITED_RESPONSES = [
         {0, 1, 2},
         id="ring-p-squared",
     ),
+    # a spec whose span gives <1> a value other than 1 admits no state; each
+    # of these edits of EXTEND_STATE_HALF, and the generator edit of
+    # EXTEND_STATE, once verified (exit 0)
+    *(
+        pytest.param(
+            argv, edit(lambda d, v=v: d["values"].__setitem__(0, v)), {1}, id=f"{name}-unit-{v}"
+        )
+        for argv, name in ((EXTEND_STATE, "readme"), (EXTEND_STATE_HALF, "half"))
+        for v in ("2/1", "0/1", "1/2")
+    ),
+    *(
+        pytest.param(
+            argv, edit(lambda d: d["generators"].__setitem__(0, [1, 0, 1])), {1},
+            id=f"{name}-unit-generator",
+        )
+        for argv, name in ((EXTEND_STATE, "readme"), (EXTEND_STATE_HALF, "half"))
+    ),
+    pytest.param(EXTEND_STATE_HALF, edit(lambda d: None), {0}, id="half-unedited"),
 ]
 
 

@@ -22,6 +22,7 @@ from rankcert import (
     pullback_rank,
     zeros,
 )
+from rankcert.acceptance import SHIPPED_RINGS
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
 from rankcert.polys import DEGREE_CAP, padd, parse_poly, pmul
 
@@ -183,7 +184,8 @@ def test_parse_ring_cost_does_not_grow_with_the_nil_degree():
 def test_small_rings_fill_their_tables_lazily():
     # parsing makes no table: add and mul, with their tables, are made on
     # first use, and start empty
-    rings = [parse_ring("F2[x]/x^3"), *parse_ring("F4*F9").fields]
+    product = parse_ring("F4*F9")
+    rings = [parse_ring("F2[x]/x^3"), product, *product.fields]
     for ring in rings:
         assert "add" not in vars(ring) and "mul" not in vars(ring)
     for ring in rings:
@@ -191,15 +193,19 @@ def test_small_rings_fill_their_tables_lazily():
     ring = rings[0]
     assert ring.mul((1, 1), (1, 1)) == (1, 0, 1)
     assert ring.mul.table == {((1, 1), (1, 1)): (1, 0, 1)} and ring.add.table == {}
+    assert product.mul((2, 3), (3, 4)) == (1, 5)
+    assert product.mul.table == {((2, 3), (3, 4)): (1, 5)} and product.add.table == {}
 
 
 def test_rings_above_the_table_cap_never_tabulate():
-    for spec in ("F2[x]/x^7", "F2[x]/x^65536", "F128", "F5[x]/x^3", "F81"):
-        ring = parse_ring(spec)
-        ring = ring.fields[0] if ring.is_product else ring
+    rings = [parse_ring(spec) for spec in ("F2[x]/x^7", "F2[x]/x^65536", "F5[x]/x^3")]
+    rings += [parse_ring(spec).fields[0] for spec in ("F128", "F81")]
+    # products of order 77, 128 and 210, whatever their factors do
+    rings += [parse_ring(spec) for spec in ("F7*F11", "F64*F2", "F2*F3*F5*F7")]
+    for ring in rings:
         one = ring.one
         assert ring.mul(ring.add(one, one), one) == ring.add(one, one)
-        assert not hasattr(ring.add, "table") and not hasattr(ring.mul, "table"), spec
+        assert not hasattr(ring.add, "table") and not hasattr(ring.mul, "table"), ring
 
 
 @pytest.mark.parametrize("spec", ["F2[x]/x^6", "F64"])
@@ -218,6 +224,26 @@ def test_an_order_64_table_holds_every_pair_once(spec):
     for op, table in ((add, ring.add.table), (mul, ring.mul.table)):
         assert len(table) == 64**2
         assert all(out == op(a, b) for (a, b), out in table.items())
+
+
+def _untabulated(field, name):
+    # GF(p^k) keeps its untabulated ops as _add/_mul; Z/p never tabulates
+    return getattr(field, "_" + name, getattr(field, name))
+
+
+@pytest.mark.parametrize("spec", ["F2*F3", "F2*F3*F5", "F4*F9"])
+def test_a_product_table_holds_every_pair_once(spec):
+    ring = parse_ring(spec)
+    elements = ring.elements()
+    ops = {name: [_untabulated(f, name) for f in ring.fields] for name in ("add", "mul")}
+    for _ in range(2):
+        for a in elements:
+            for b in elements:
+                for name, components in ops.items():
+                    expected = tuple(op(x, y) for op, x, y in zip(components, a, b))
+                    assert getattr(ring, name)(a, b) == expected
+    for table in (ring.add.table, ring.mul.table):
+        assert len(table) == len(elements) ** 2 <= 64**2
 
 
 def _trial_division_prime_power(q):
@@ -492,6 +518,79 @@ def test_product_ring_entry_round_trip():
         ring.parse("(1,2,0)")
     A = parse_matrix(ring, [["(1,1)", "(0,2)"], ["(1,0)", "(1,1)"]])
     assert A.rows == 2 and A.cols == 2
+
+
+# per ring, literals with repeats and equal-valued spellings: "9" and "1"
+# over Z/8, "x+1" and "1+x", "2x" and "0" over F2, "(1,1)" and " (1, 1) "
+_INTEGER_POOL = ["0", "1", "9", "-7", "2", "10", " 3"]
+_POLY_POOL = ["0", "1", "x", "x+1", "1+x", "x^2", "x^3+x", "2x", "3", "-x"]
+
+
+def _literal_pool(ring):
+    if ring.is_product:
+        spaced_one = " " + ring.format(ring.one).replace(",", ", ") + " "
+        return [ring.format(ring.normalize(n)) for n in range(4)] + [spaced_one]
+    if ring.spec.startswith("Z"):
+        return _INTEGER_POOL
+    return _POLY_POOL
+
+
+PARSE_RINGS = [*SHIPPED_RINGS, "F4*F9", "Z", "F2[x]"]
+
+
+@st.composite
+def literal_grids(draw):
+    ring = parse_ring(draw(st.sampled_from(PARSE_RINGS)))
+    pool = _literal_pool(ring)
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    return ring, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(literal_grids())
+def test_parse_matrix_is_the_grid_of_parsed_entries(case):
+    ring, grid = case
+    A = parse_matrix(ring, grid)
+    assert A.entries == tuple(tuple(ring.parse(s) for s in row) for row in grid)
+
+
+@pytest.mark.parametrize(
+    "spec, bad",
+    [("Z/8", "x"), ("Z", "1/2"), ("F2[x]/x^3", "y"), ("F2[x]", "x^"), ("F2*F3", "(1,3)"),
+     ("F4*F9", "(1,2,3)")],
+)
+def test_a_bad_literal_raises_its_own_error_each_time(spec, bad):
+    ring = parse_ring(spec)
+    with pytest.raises(ParseError) as direct:
+        ring.parse(bad)
+    one = ring.format(ring.one)
+    for grid in ([[bad]], [[one, bad], [bad, one]], [[bad, bad]]):
+        for _ in range(2):
+            with pytest.raises(ParseError) as raised:
+                parse_matrix(ring, grid)
+            assert str(raised.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("spec", ["Z/8", "F2[x]/x^3", "F4*F9"])
+def test_parse_matrix_parses_each_distinct_literal_once_per_call(monkeypatch, spec):
+    ring = parse_ring(spec)
+    calls = []
+    parse = ring.parse
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(ring, "parse", counting)
+    before = dict(vars(ring))
+    one, zero = ring.format(ring.one), ring.format(ring.zero)
+    grid = [[one, zero, one], [zero, one, zero], [one, one, one]]
+    for n in (1, 2):
+        A = parse_matrix(ring, grid)
+        assert A.entries == tuple(tuple(parse(s) for s in row) for row in grid)
+        assert sorted(calls) == sorted([one, zero] * n)
+    assert vars(ring) == before
 
 
 def test_prime_field_components_are_the_residue_rings():
