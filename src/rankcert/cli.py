@@ -512,7 +512,13 @@ def _verify_diagonalize(ring, data) -> bool:
 
 def _verify_order(ring, data) -> bool:
     """A leq or chain response, in its formal, local or regular mode."""
-    from .semigroup import class_of, verify_certificate, verify_factor, verify_formal_certificate
+    from .semigroup import (
+        Positive,
+        class_of,
+        verify_certificate,
+        verify_factor,
+        verify_formal_certificate,
+    )
 
     mode, result = data.get("mode"), data.get("result")
     if mode not in ("formal", "local", "regular") or "certificate" not in data:
@@ -521,7 +527,11 @@ def _verify_order(ring, data) -> bool:
     if mode == "formal":
         a, b = _exponents(data.get("a"), "a"), _exponents(data.get("b"), "b")
         pivot = ring.parse(_get(data, "elem", str))
-        _check_hypothesis(ring, pivot, _get(data, "depth", int), a, b)
+        depth = _get(data, "depth", int)
+        # a chain must fit the depth it was searched to; a refutation needs none
+        if depth < 0 or isinstance(cert, Positive) and len(cert.moves) > depth:
+            return False
+        _check_hypothesis(ring, pivot, depth, a, b)
         ok = verify_formal_certificate(a, b, cert)
     else:
         a = _int_tuple(data.get("a_class"), "a_class")

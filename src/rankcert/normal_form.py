@@ -7,13 +7,14 @@ entry after unit scaling, so plain unimodular row/column elimination
 (unit scalings, transvections, swaps) reaches the diagonal form.
 
 One kernel, `eliminate`, does that elimination and records its
-operations in order instead of mirroring them into factors.  A prime
-field is Z/p, the local family with n = 1, and GF(p^k) presents the same
-interface: c = 0, and every nonzero entry is a unit of valuation 0.  So
-the same kernel gives the ranks of the field components of a product
-ring and of a residue field.  Callers read only what they need: a class
-reads the exponents, a rank counts them, and `diagonalize` and
-`semigroup.regular_factor` replay the operations into their factors.
+operations in order instead of mirroring them into factors.  A field is
+a local ring of nil degree 1: GF(p) is Z/p, the family with n = 1, and
+GF(p^k) is `rings.ExtensionField`; c = 0, and every nonzero entry is a
+unit of valuation 0.  So the same kernel gives the ranks of the field
+components of a product ring and of a residue field.  Callers read only
+what they need: a class reads the exponents, a rank counts them, and
+`diagonalize` and `semigroup.regular_factor` replay the operations into
+their factors.
 
 Each `Matrix` is eliminated at most once.  `eliminated(A)`, or
 `eliminated(A, i)` for the i-th field component of a product ring, runs
@@ -65,7 +66,7 @@ class DiagonalForm:
 
 
 def _require_local(ring):
-    if not getattr(ring, "is_local", False):
+    if not ring.is_local:
         raise PreconditionError(f"{ring.spec} is not an Artinian local family")
 
 
@@ -327,7 +328,7 @@ def is_invertible(M: Matrix) -> bool:
 def verify_factorization(A: Matrix, form: DiagonalForm) -> bool:
     """Re-check left * D * right == A and the invertibility of both factors."""
     ring = A.ring
-    if not getattr(ring, "is_local", False):
+    if not ring.is_local:
         return False
     n = ring.nil_degree
     exps = form.exponents

@@ -15,9 +15,11 @@ The local families read the radical generator c off that form on demand:
 valuation(a) is the largest v with c^v dividing a (n for zero), and
 shift(a, v), for v <= valuation(a), is the canonical a / c^v, so
 mul(shift(a, v), generator_power(v)) == a and shift(a, valuation(a)) is
-a unit.  In a product of fields a prime field is Z/p, the local family
-with n = 1; GF(p^k) presents the same interface (c = 0, nil degree 1).
-No floating point is used anywhere.
+a unit; generator_power(i) is c^i by square-and-multiply (`Ring.power`),
+in O(log i) products.  A field component of a product is local too:
+GF(p) is Z/p, the family with n = 1, and GF(p^k) for k >= 2 is
+`ExtensionField`, with c = 0 and nil degree 1.  No floating point is
+used anywhere.
 
 Values are validated once, at the boundary: `normalize`, `parse` and
 the public `Matrix(...)` / `matrix(...)` canonicalize whatever they are
@@ -26,37 +28,33 @@ and returns canonical values without re-reducing them, and matrices the
 library builds from such values skip normalization (`Matrix._canonical`).
 So F_p[x]/x^n, GF(p^k) and finite products of fields (F2*F3, F2*F3*F5,
 F4*F9) of order at most `fields.TABLE_CAP` = 64 can add and multiply by
-table lookup: each pair of canonical values is computed once, the first
-time it is met, and looked up after that (`fields.tabulated`), so a
-table holds at most 64^2 = 4096 entries, and none before the ring's
-first addition or multiplication.  Whether a ring tabulates is read off
-its spec, never by computing p^n for a large n or the order of a long
-product.  Z/p^n and prime fields keep their int arithmetic, one step per
-operation.  `parse_matrix` parses each distinct literal of a matrix once
-per call, and keeps nothing after it returns.
+table lookup, decided in one place, `Ring.add` and `Ring.mul`: each pair
+of canonical values is computed once, the first time it is met, and
+looked up after that (`tabulated`), so a table holds at most 64^2 = 4096
+entries, and none before the ring's first addition or multiplication.
+Whether a ring tabulates is read off its spec, never by computing p^n
+for a large n or the order of a long product.  Z/p^n and prime fields
+keep their int arithmetic, one step per operation.  `parse_matrix`
+parses each distinct literal of a matrix once per call, and keeps
+nothing after it returns.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property, partial
-from itertools import product
+from itertools import product, repeat
 
 from .errors import ParseError, PreconditionError
-from .fields import (
-    FIELD_CAP,
-    TABLE_CAP,
-    ExtensionField,
-    factor_prime_power,
-    is_prime,
-    tabulated,
-)
+from .fields import FIELD_CAP, TABLE_CAP, factor_prime_power, is_prime
 from .polys import (
     DEGREE_CAP,
     format_poly,
+    min_irreducible,
     padd,
     parse_poly,
     pdivides,
+    pdivmod,
     pmul,
     pneg,
     pnormalize,
@@ -64,28 +62,74 @@ from .polys import (
 )
 
 
+def tabulated(op):
+    """op(a, b), looked up in a table that fills as pairs are met.
+
+    The table starts empty; a pair is computed by op the first time it
+    is met and looked up after that, so every entry is op's own result
+    and a ring of order q holds at most q^2 of them, on canonical
+    operands.  The table is the returned function's `table`.
+    """
+    table = {}
+    get = table.get
+
+    def lookup(a, b):
+        out = get((a, b))
+        if out is None:
+            out = table[a, b] = op(a, b)
+        return out
+
+    lookup.table = table
+    return lookup
+
+
+def _within_table_cap(factors) -> bool:
+    """True iff the product of factors, each >= 2, is at most TABLE_CAP.
+
+    It stops at the first partial product above the cap, so it takes at
+    most TABLE_CAP.bit_length() steps and never forms a large power.
+    """
+    order = 1
+    for q in factors:
+        order *= q
+        if order > TABLE_CAP:
+            return False
+    return True
+
+
 class Ring:
-    """Common interface; concrete families override everything."""
+    """Common interface; concrete families override what they compute.
+
+    Z, F_p[x] and Z/p^n define add and mul themselves.  The other
+    families define _add and _mul, and set `tabulates` when their order
+    is at most TABLE_CAP; then add and mul look _add and _mul up in
+    tables (`tabulated`), and otherwise they are _add and _mul.
+    """
 
     spec = ""
     is_local = False
     is_product = False
     is_finite = False
+    tabulates = False
 
     def normalize(self, raw):
         raise NotImplementedError
 
-    def add(self, a, b):
-        raise NotImplementedError
+    # made on first use, so a parsed ring that does no arithmetic
+    # allocates no table
+    @cached_property
+    def add(self):
+        return tabulated(self._add) if self.tabulates else self._add
+
+    @cached_property
+    def mul(self):
+        return tabulated(self._mul) if self.tabulates else self._mul
 
     def neg(self, a):
         raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -110,9 +154,14 @@ class Ring:
         raise PreconditionError(f"{self.spec} is infinite")
 
     def power(self, a, e: int):
+        """a^e for e >= 0, by square-and-multiply: O(log e) products."""
         out = self.one
-        for _ in range(e):
-            out = self.mul(out, a)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
         return out
 
     def __eq__(self, other):
@@ -223,7 +272,7 @@ class PolyRing(Ring):
 
 
 class _LocalRing(Ring):
-    """Shared logic for the two Artinian local families."""
+    """Shared logic for the Artinian local families: Z/p^n, F_p[x]/x^n and GF(p^k)."""
 
     is_local = True
     is_finite = True
@@ -341,6 +390,9 @@ class TruncatedPolyRing(_LocalRing):
         self.zero = ()
         self.one = (1,)
         self.generator = self.normalize((0, 1))
+        self.tabulates = _within_table_cap(repeat(p, n))
+        self._add = partial(padd, p=p)
+        self._mul = partial(pmul, p=p, below=n)
 
     def normalize(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):
@@ -355,18 +407,8 @@ class TruncatedPolyRing(_LocalRing):
     def shift(self, a, v):
         return a[v:]
 
-    # add and mul are made on first use, so a parsed ring that does no
-    # arithmetic allocates no table
-    @cached_property
-    def add(self):
-        return tabulated(partial(padd, p=self.p), self.p, self.nil_degree)
-
     def neg(self, a):
         return pneg(a, self.p)
-
-    @cached_property
-    def mul(self):
-        return tabulated(partial(pmul, p=self.p, below=self.nil_degree), self.p, self.nil_degree)
 
     def _inverse(self, a):
         # power series inversion of the unit up to degree n-1, in O(n * deg a);
@@ -390,8 +432,91 @@ class TruncatedPolyRing(_LocalRing):
         return [pnormalize(c, self.p) for c in product(range(self.p), repeat=self.nil_degree)]
 
 
+class ExtensionField(_LocalRing):
+    """GF(p^k) = F_p[x]/(f) for a monic irreducible f of degree k >= 2; local with c = 0.
+
+    f defaults to the lexicographically least monic irreducible of
+    degree k.  An element is a plain int encoding its coefficient vector
+    base p, lowest degree in the least significant digit.  Addition and
+    negation work digitwise on the encoding (XOR when p = 2), and
+    multiplication decodes, multiplies and reduces modulo f.  The spec
+    names p and f, so fields with different moduli are unequal.
+    """
+
+    nil_degree = 1
+    generator = 0
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int, k: int, modulus=None):
+        if k < 2:  # GF(p) is Z/p, `ModPrimePowerRing(p, 1)`
+            raise PreconditionError(f"an extension field needs degree k >= 2, not {k}")
+        self.p = p
+        self.k = k
+        self.size = p**k
+        self.modulus = tuple(modulus) if modulus is not None else min_irreducible(p, k)
+        if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
+            raise PreconditionError("modulus must be monic of degree k")
+        self.spec = f"F{p}[x]/({format_poly(self.modulus)})"
+        self.tabulates = self.size <= TABLE_CAP
+
+    def decode(self, a: int) -> tuple:
+        """The coefficient tuple of a canonical element: its base-p digits."""
+        coeffs, rest = [], a
+        while rest:
+            rest, c = divmod(rest, self.p)
+            coeffs.append(c)
+        return tuple(coeffs)
+
+    def encode(self, coeffs) -> int:
+        """The element with these coefficients, each in [0, p)."""
+        out = 0
+        for c in reversed(coeffs):
+            out = out * self.p + c
+        return out
+
+    def _add(self, a, b):
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
+
+    def neg(self, a):
+        p = self.p
+        if p == 2:
+            return a
+        out, place = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += -x % p * place
+            place *= p
+        return out
+
+    def _mul(self, a, b):
+        prod = pmul(self.decode(a), self.decode(b), self.p)
+        return self.encode(pdivmod(prod, self.modulus, self.p)[1])
+
+    def valuation(self, a) -> int:
+        return 1 if a == 0 else 0
+
+    def shift(self, a, v: int):
+        return a
+
+    def _inverse(self, a):
+        return self.power(a, self.size - 2)  # a^(q-2) = a^(-1) in GF(q)
+
+    def format(self, a):
+        return str(a)
+
+
 def make_field(q: int):
-    """GF(q): Z/p when q is prime, else GF(p^k) from `fields`."""
+    """GF(q): Z/p when q is prime, else GF(p^k)."""
     p, k = factor_prime_power(q)
     if k > 1 and q > FIELD_CAP:
         raise ParseError(f"extension fields are supported only up to order {FIELD_CAP}")
@@ -413,6 +538,7 @@ class FieldProductRing(Ring):
         self.spec = "*".join(f"F{q}" for q in self.orders)
         self.zero = (0,) * self.width
         self.one = (1,) * self.width
+        self.tabulates = _within_table_cap(self.orders)
 
     def normalize(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):
@@ -428,31 +554,14 @@ class FieldProductRing(Ring):
             out.append(c)
         return tuple(out)
 
-    # add and mul are made on first use, as for the small local rings
-    @cached_property
-    def add(self):
-        return self._tabulated(self._add)
-
     def neg(self, a):
         return tuple([f.neg(x) for f, x in zip(self.fields, a)])
-
-    @cached_property
-    def mul(self):
-        return self._tabulated(self._mul)
 
     def _add(self, a, b):
         return tuple([f.add(x, y) for f, x, y in zip(self.fields, a, b)])
 
     def _mul(self, a, b):
         return tuple([f.mul(x, y) for f, x, y in zip(self.fields, a, b)])
-
-    def _tabulated(self, op):
-        # the order, clamped above the cap, so a long product of large
-        # fields costs one small step per factor
-        order = 1
-        for q in self.orders:
-            order = min(order * q, TABLE_CAP + 1)
-        return tabulated(op, order, 1)
 
     def is_zero(self, a):
         return all(x == 0 for x in a)

@@ -39,11 +39,11 @@ from math import inf, lcm
 from operator import add, sub
 
 from .errors import BoundExceededError, PreconditionError
-from .fields import FIELD_CAP, ExtensionField, is_prime
+from .fields import FIELD_CAP, is_prime
 from .normal_form import bareiss, eliminate
 from .polys import is_irreducible, pdivmod, pscale
 from .records import record
-from .rings import IntegerRing, Matrix, ModPrimePowerRing, PolyRing
+from .rings import ExtensionField, IntegerRing, Matrix, ModPrimePowerRing, PolyRing
 from .semigroup import (
     Positive,
     PowerSwap,
@@ -686,8 +686,9 @@ class PullbackRank:
     `eliminate`.  Both are exact.  A residue field of prime order is Z/p,
     the local family with n = 1: over Z an entry is reduced mod |pi|, and
     over F_p[x] a pi of degree 1 reduces an entry by evaluation at its
-    root.  Only a pi of degree k >= 2 over F_p[x] gives GF(p^k), which
-    presents the same local interface (c = 0, nil degree 1).
+    root.  Only a pi of degree k >= 2 over F_p[x] gives GF(p^k), a
+    `rings.ExtensionField` modulo the monic pi: local, with c = 0 and nil
+    degree 1.
     """
 
     def __init__(self, ring, pi):

@@ -17,8 +17,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_rem
 
 from rankcert import parse_ring
-from rankcert.fields import ExtensionField
 from rankcert.polys import is_irreducible, min_irreducible
+from rankcert.rings import ExtensionField
 
 from helpers import reference_is_irreducible
 

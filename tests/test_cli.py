@@ -299,10 +299,14 @@ REGULAR_REFUTATION = ("leq", "--ring", "F2*F3", "--a", "[1,2]", "--b", "[2,1]")
 REGULAR_REFUSAL = ("leq", "--ring", "F2*F3", "--a", '[["(1,1)"]]', "--b", '[["(1,0)"]]')
 LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
+FORMAL_CHAIN = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1,1]", "--b", "[0,2]")
 RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
 # a chain of the two moves no README command prints
 FORMAL_DROP_CHAIN = ("chain", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[0,2]")
 DIAGONALIZE = ("diagonalize", "--ring", "Z/8", "--matrix", '[["2","1"],["0","4"]]')
+# c^65535 in a ring of nil degree 65536: c^i once took i products, and
+# diagonalizing x^16000 took 12.6 s, quadratic in the exponent
+DIAGONALIZE_X65535 = ("diagonalize", "--ring", "F3[x]/x^65536", "--matrix", '[["x^65535"]]')
 REGULAR_EQUIV = (
     "equiv", "--ring", "F2*F3",
     "--p1", '{"gens":1,"relations":[["(1,0)"]]}', "--p2", '{"gens":1,"relations":[["(0,1)"]]}',
@@ -475,12 +479,25 @@ EDITED_RESPONSES = [
         for argv, name in ((EXTEND_STATE, "readme"), (EXTEND_STATE_HALF, "half"))
     ),
     pytest.param(EXTEND_STATE_HALF, edit(lambda d: None), {0}, id="half-unedited"),
+    # a chain must fit the depth it was searched to: at depth 0 the command
+    # prints "unknown"; and no search has a depth below 0
+    pytest.param(FORMAL_CHAIN, edit(lambda d: d.update(depth=0)), {1}, id="formal-depth-0"),
+    pytest.param(
+        FORMAL_REFUTATION, edit(lambda d: d.update(depth=-1)), {1}, id="formal-depth-negative"
+    ),
+    pytest.param(DIAGONALIZE_X65535, edit(lambda d: None), {0}, id="diagonalize-x65535"),
+    # the invertibility test of left reads c^30000 off its determinant
+    pytest.param(
+        DIAGONALIZE_X65535, edit(lambda d: d.update(left=[["x^30000"]])), {1}, id="left-x30000"
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, change, codes", EDITED_RESPONSES)
 def test_verify_edited_response_is_decided_quickly(capsys, tmp_path, argv, change, codes):
+    start = time.monotonic()
     data = change(run_json(capsys, *argv))
+    assert time.monotonic() - start < 1.0  # emitting the response is quick too
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
     start = time.monotonic()

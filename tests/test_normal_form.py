@@ -35,9 +35,9 @@ from rankcert import (
     zeros,
 )
 from rankcert import normal_form
-from rankcert.fields import ExtensionField
 from rankcert.normal_form import eliminate, eliminated, factors, inverse_factors
 from rankcert.polys import pdivmod, pscale
+from rankcert.rings import ExtensionField
 
 from helpers import (
     random_invertible,

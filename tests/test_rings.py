@@ -29,6 +29,18 @@ from rankcert.polys import DEGREE_CAP, padd, parse_poly, pmul
 from helpers import random_matrix, reference_det
 
 SMALL_FINITE = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4", "F2*F3"]
+# GF(p^k) is a local ring of nil degree 1: the F4, F8 and F9 components, and
+# a residue field modulo x^2+x+2, which is not the least irreducible of degree 2
+RESIDUE_F9 = pullback_rank(parse_ring("F3[x]"), parse_ring("F3[x]").parse("x^2+x+2")).field
+EXTENSION_FIELDS = [*(parse_ring(spec).fields[0] for spec in ("F4", "F8", "F9")), RESIDUE_F9]
+
+
+def local_rings(specs):
+    """(ring, elements) for each local ring among specs, then for each of EXTENSION_FIELDS."""
+    rings = [parse_ring(spec) for spec in specs]
+    return [(r, r.elements()) for r in rings if r.is_local] + [
+        (field, range(field.size)) for field in EXTENSION_FIELDS
+    ]
 
 
 def test_parse_ring_grammar():
@@ -93,10 +105,9 @@ def test_normalize_idempotent_exhaustively():
 
 def test_local_unit_valuation_unique():
     # every nonzero element is unit * c^val for exactly one normalized pair
-    for spec in ["Z/8", "Z/9", "F2[x]/x^3"]:
-        ring = parse_ring(spec)
+    for ring, elements in local_rings(["Z/8", "Z/9", "F2[x]/x^3"]):
         seen = {}
-        for x in ring.elements():
+        for x in elements:
             if ring.is_zero(x):
                 continue
             val = ring.valuation(x)
@@ -108,17 +119,14 @@ def test_local_unit_valuation_unique():
 
 def test_shift_undoes_generator_power():
     # the local ring contract: x = shift(x, v) * c^v, and shift(x, val(x)) is a unit
-    for spec in SMALL_FINITE:
-        ring = parse_ring(spec)
-        if not ring.is_local:
-            continue
-        for x in ring.elements():
+    for ring, elements in local_rings(SMALL_FINITE):
+        for x in elements:
             if ring.is_zero(x):
                 continue
             val = ring.valuation(x)
             for v in range(val + 1):
-                assert ring.mul(ring.shift(x, v), ring.generator_power(v)) == x, (spec, x, v)
-            assert ring.is_unit(ring.shift(x, val)), (spec, x)
+                assert ring.mul(ring.shift(x, v), ring.generator_power(v)) == x, (ring, x, v)
+            assert ring.is_unit(ring.shift(x, val)), (ring, x)
 
 
 def test_parse_ring_large_prime_is_fast():
@@ -307,11 +315,11 @@ def test_unit_inverse_requires_unit():
 
 def test_local_mul_valuation_law():
     # val(xy) = val(x) + val(y), truncated to "zero" past nil_degree
-    for spec in ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4"]:
-        ring = parse_ring(spec)
+    specs = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4"]
+    for ring, elements in local_rings(specs):
         n = ring.nil_degree
-        for x in ring.elements():
-            for y in ring.elements():
+        for x in elements:
+            for y in elements:
                 z = ring.mul(x, y)
                 expected = min(ring.valuation(x) + ring.valuation(y), n)
                 assert ring.valuation(z) == (n if expected >= n else expected)
@@ -603,6 +611,8 @@ def test_prime_field_components_are_the_residue_rings():
     for field in parse_ring("F5*F9").fields:
         with pytest.raises(PreconditionError):
             field.unit_inverse(0)
+    # the spec of GF(p^k) names its modulus
+    assert RESIDUE_F9 != parse_ring("F9").fields[0]
 
 
 def test_extension_field_component():
