@@ -20,23 +20,28 @@ decided at t = 0.  The profile P is linear, so a relation depends on b
 and c only through P(b) - P(c), and additive values make its worth
 depend only on v(b) - v(c).  Removing the common part of the coefficient
 vectors of b and c changes neither and keeps both in the ball, so the
-optimum over all pairs is reached on pairs of disjoint support, and for
-each such pair the best m is read off in closed form.  A pair is read
-only with v(b) >= v(c) (both ways when equal): p >= 0 is reached at b =
-c, and an upper relation with v(b) < v(c) puts c <= b, a monotonicity
-conflict.  The witness, the first relation in sorted (b, c, m) order
-worth the optimum, is kept by the same pass: a nonzero generator g
-shared by b and c gives the earlier witness (b - g, c - g, m).
+optimum over all pairs is reached on pairs of disjoint support.  A pair
+is read only with v(b) >= v(c) (both ways when equal): p >= 0 is reached
+at b = c, and an upper relation with v(b) < v(c) puts c <= b, a
+monotonicity conflict.  Profiles are packed into one int each, so a
+relation is one test of the lanes' high bits (SWAR): a lane of B =
+bitlen(M max P(a) + width * ball) + 1 bits holds m P(a) + P(c) - P(b),
+biased by 2^(B - 1), exactly for 0 <= m <= M, as no lane of a profile in
+the ball exceeds width * ball.  A pair's best m is searched for only when
+the test at the m that would tie the optimum passes.  The witness, the
+first relation in sorted (b, c, m) order worth the optimum, is kept by
+the same pass: a nonzero generator g shared by b and c gives the earlier
+witness (b - g, c - g, m).
 
-Each order decision compares integer order profiles (semigroup._profile),
-computed once per element on operands validated once at the boundary.
+Each order decision compares integer order profiles (semigroup._profile)
+of operands validated once at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
-from operator import add, sub
+from math import lcm
+from operator import add
 
 from .errors import BoundExceededError, PreconditionError
 from .fields import FIELD_CAP, is_prime
@@ -293,39 +298,46 @@ class StateSpec:
     values: tuple  # Fractions, one per generator
 
 
-def _span_with_values(ring, spec: StateSpec, ball: int):
+def _pack(profile, lane: int) -> int:
+    """A profile as one int, P_i in bits [i lane, (i + 1) lane)."""
+    return sum(z << i * lane for i, z in enumerate(profile))
+
+
+def _span_with_values(ring, spec: StateSpec, ball: int, lane: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
-    Returns ({element: value numerator}, {element: profile}, denominator,
-    {support: elements}): every value is an integer over one common
-    denominator, and a support is the bitmask of the generators with a
-    nonzero coefficient in some combination reaching the element.  Each
-    step of the walk adds a generator's profile, value and norm, as the
-    profile is additive.  The first additivity conflict, in lexicographic
-    order of the coefficients, is rejected.
+    Returns ({element: value numerator}, denominator, {support: {(element,
+    packed profile, value numerator)}}): every value is an integer over
+    one common denominator, a support is the bitmask of the generators
+    with a nonzero coefficient in some combination reaching the element,
+    and profiles are packed in lanes of the given width (_pack).  Each
+    step of the walk adds a generator's packed profile, value and norm:
+    the profile is additive, and no lane of an element in the ball
+    reaches 2^(lane - 1) (state_extension).  The first additivity
+    conflict, in lexicographic order of the coefficients, is rejected.
     """
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
     denom = lcm(*(v.denominator for v in vals))
-    zero = monoid_identity(ring)
-    combos = [(zero, zero, 0, 0, 0)]
+    combos = [(monoid_identity(ring), 0, 0, 0, 0)]
     for i, (g, v) in enumerate(zip(gens, vals)):
-        pg, ng, gv = _profile(ring, g), sum(g), v.numerator * (denom // v.denominator)
+        pg, ng = _pack(_profile(ring, g), lane), sum(g)
+        gv = v.numerator * (denom // v.denominator)
         grown = []
         for combo in combos:
             grown.append(combo)
             elt, prof, val, support, norm = combo
             support |= 1 << i
             while norm + ng <= ball:
-                elt, prof = tuple(map(add, elt, g)), tuple(map(add, prof, pg))
+                elt, prof = tuple(map(add, elt, g)), prof + pg
                 val, norm = val + gv, norm + ng
                 grown.append((elt, prof, val, support, norm))
                 if not ng:  # a zero generator is taken once, to expose its value
                     break
         combos = grown
-    elems, profiles, supports = {}, {}, {}
+    elems, supports = {}, {}
     for elt, prof, val, support, _ in combos:
         prev = elems.setdefault(elt, val)
         if prev != val:
@@ -333,76 +345,70 @@ def _span_with_values(ring, spec: StateSpec, ball: int):
                 f"state spec is inconsistent: element {elt} gets values "
                 f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
             )
-        profiles[elt] = prof
-        supports.setdefault(support, set()).add(elt)
-    return elems, profiles, denom, supports
+        supports.setdefault(support, set()).add((elt, prof, val))
+    return elems, denom, supports
 
 
-def _extension_optima(elems, profiles, supports, pa, m_bound: int):
+def _least(pa, high, e, lo, hi):
+    """The least m in [lo, hi] with every lane of m P(a) + E >= 0, given it holds at hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid * pa + high + e) & high == high:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _extension_optima(supports, pa, high, m_bound: int, zero):
     """Best (d, m, witness) for p and for q, and the least conflicting pair.
 
-    For a pair b, c with D = P(b) - P(c) and d = v(b) - v(c), b <= c +
-    m<a> iff D <= m P(a): it holds for every m >= least = max_i
-    ceil(D_i / P(a)_i), provided D_i <= 0 wherever P(a)_i = 0; likewise
-    b >= c + m<a> holds for every m <= most = min_i floor(D_i / P(a)_i),
-    provided D_i >= 0 there.  Profiles are scaled by s / P(a)_i, s the lcm
-    of the positive P(a)_i, so least and most come from the ends of the
-    sorted scaled difference; reversing the pair gives -most and -least.
-    With d >= 0, a pair is worth d / max(1, least) for p and d / min(M,
-    most) for q, at the least m worth it (1 for q when d = 0), and d > 0
-    with least <= 0 is a conflict, b <= c with v(b) > v(c), of which the
-    least (b, c) is returned (None without one).  q's witness is None when
-    no pair has an upper relation; b = c always has a lower one.
+    For b, c with d = v(b) - v(c) > 0 and packed E = P(c) - P(b), b <= c +
+    m<a> iff no lane of m P(a) + E is negative, b >= c + m<a> iff no lane
+    of -m P(a) - E is, and a lane where P(a) = 0 reads the sign of E for
+    every m.  So the lower relation holds for every m >= least and the
+    upper for every m <= most.  A pair relating at m = 0 is a conflict, b
+    <= c with v(b) > v(c), of which the least (b, c) is returned (None
+    without one); else it is worth d / least for p and d / min(M, most)
+    for q.  p starts at 0 with the least witness (0, 0, 1), so a pair with
+    d = 0 decides q only, at m = 1.  A pair is screened for p at floor(d
+    p_m / p_d), capped at M, and for q at ceil(d q_m / q_d); only if it
+    passes is least, or most = M - the least k with k P(a) - M P(a) - E >=
+    0, found by binary search (_least).  q's witness is None when no pair
+    has an upper relation.
     """
-    scale = lcm(*(z for z in pa if z))
-    factors = [(i, scale // z) for i, z in enumerate(pa) if z]
-    zero = [i for i, z in enumerate(pa) if not z]
-    rows = {
-        x: (x, [px[i] * f for i, f in factors], [px[i] for i in zero], elems[x])
-        for x, px in profiles.items()
-    }
-    groups = [(support, [rows[x] for x in xs]) for support, xs in supports.items()]
-    # ratios as (d, m): -1/0 and 1/0 stand below and above every ratio
-    p_d, p_m, p_w = -1, 0, None
-    q_d, q_m, q_w = 1, 0, None
+    p_d, p_m, p_w = 0, 1, (zero, zero, 1)
+    q_d, q_m, q_w = 1, 0, None  # 1/0 stands above every ratio
     conflict = None
+    groups = list(supports.items())
     for i, (sb, bs) in enumerate(groups):
         for sc, cs in groups[i:]:
             if sb & sc:
                 continue
-            for x, px, zx, vx in bs:
-                for y, py, zy, vy in cs:
-                    if factors:
-                        diff = sorted(map(sub, px, py))
-                        least, most = -(-diff[-1] // scale), diff[0] // scale
-                    else:  # P(a) = 0: every m or none
-                        least, most = -inf, inf
-                    if zero:
-                        diff = sorted(map(sub, zx, zy))
-                        least = inf if diff[-1] > 0 else least
-                        most = -inf if diff[0] < 0 else most
-                    d = vx - vy
-                    if d > 0:
-                        orients = ((x, y, d, least, most),)
-                    elif d < 0:
-                        orients = ((y, x, -d, -most, -least),)
-                    else:
-                        orients = ((x, y, 0, least, most), (y, x, 0, -most, -least))
-                    for b, c, d, least, most in orients:
-                        if least <= 0 < d:
-                            conflict = min(conflict or (b, c), (b, c))
-                            continue
-                        low = least if least > 1 else 1
-                        if low <= m_bound:
-                            s, t = d * p_m, p_d * low
-                            if s > t or s == t and (b, c, low) < p_w:
-                                p_d, p_m, p_w = d, low, (b, c, low)
-                        if most >= 1:
-                            high = most if most < m_bound else m_bound
-                            s, t = d * q_m, q_d * high
-                            m = high if d else 1
-                            if s < t or s == t and (b, c, m) < q_w:
-                                q_d, q_m, q_w = d, high, (b, c, m)
+            for x, px, vx in bs:
+                for y, py, vy in cs:
+                    d, e = vx - vy, py - px
+                    if not d:
+                        for w, e in (((x, y, 1), e), ((y, x, 1), -e)):
+                            if (q_d or w < q_w) and (high - pa - e) & high == high:
+                                q_d, q_m, q_w = 0, 1, w
+                        continue
+                    b, c = x, y
+                    if d < 0:
+                        b, c, d, e = y, x, -d, -e
+                    if (high + e) & high == high:
+                        conflict = min(conflict or (b, c), (b, c))
+                        continue
+                    m = min(d * p_m // p_d, m_bound) if p_d else m_bound
+                    if m and (m * pa + high + e) & high == high:
+                        m = _least(pa, high, e, 1, m)
+                        if d * p_m > p_d * m or (b, c, m) < p_w:
+                            p_d, p_m, p_w = d, m, (b, c, m)
+                    m = max(-(-d * q_m // q_d), 1) if q_d else m_bound + 1
+                    if m <= m_bound and (high - m * pa - e) & high == high:
+                        m = m_bound - _least(pa, high, -e - m_bound * pa, 0, m_bound - m)
+                        if d * q_m < q_d * m or (b, c, m) < q_w:
+                            q_d, q_m, q_w = d, m, (b, c, m)
     return (p_d, p_m, p_w), (q_d, q_m, q_w), conflict
 
 
@@ -427,25 +433,24 @@ def state_extension(
     for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
     <1> with value 1.  A monotonicity conflict can lie outside the ball;
     when it shows only as p_lb > q_ub, no state extends the spec either,
-    and the crossed bounds are refused with both witnesses.  A relation
-    depends only on P(b) - P(c), and with additive values the ratio only
-    on v(b) - v(c); removing the common part of two coefficient vectors
-    changes neither and keeps both in the ball.  So pairs of disjoint
-    support reach every optimum and every monotonicity conflict
+    and the crossed bounds are refused with both witnesses.  Pairs of
+    disjoint support reach every optimum and every monotonicity conflict
     (_extension_optima): the first conflict (x, y) in sorted order is
     among them, as a shared generator g would make (x - g, y - g) an
-    earlier one.
+    earlier one.  A pair (b, c) with d = v(b) - v(c) < 0 decides nothing:
+    its ratio for p is negative, and b >= c + m<a> puts c <= b (P(a) >=
+    0), so the reversed pair is a conflict.  The witness, the first (b, c,
+    m) in sorted order worth the optimum, is visited by the same pass: a
+    generator g shared by combinations reaching b and c gives the witness
+    (b - g, c - g, m), earlier unless g = 0, which drops out of both.
 
-    One orientation per pair: a pair (b, c) with d = v(b) - v(c) < 0
-    decides nothing.  Its ratio for p is negative, and p >= 0 is reached
-    at b = c; for q, b >= c + m<a> with m >= 1 puts c <= b (P(a) >= 0),
-    so the reversed pair, with d > 0 and least <= 0, is a monotonicity
-    conflict.  The witness, the first (b, c, m) in sorted order worth the
-    optimum, is kept by the same pass, which visits it: if combinations
-    reaching b and c share a generator g, then b - g and c - g are in the
-    span and the ball with the same P(b) - P(c) and v(b) - v(c), so (b -
-    g, c - g, m) is a witness, and it comes first unless g = 0, which
-    then just drops out of both combinations.
+    Each relation is one test of packed integer profiles (_pack), exact
+    for lanes of B = bitlen(M max P(a) + width * ball) + 1 bits: a
+    profile lane in the ball is at most width * ball, so every lane of
+    m P(a) + P(c) - P(b) with 0 <= m <= M lies in (-2^(B - 1), 2^(B -
+    1)), and biased by 2^(B - 1) it borrows nothing from the next.  A pair
+    costs one subtraction of packed ints and at most three tests, and
+    O(log M) more tests when it passes a screen.
     """
     a = check_element(ring, a)
     if ball < 0:
@@ -453,9 +458,11 @@ def state_extension(
     if m_bound < 1:
         raise PreconditionError("M must be >= 1")
     check_states_exist(ring)
-    elems, profiles, denom, supports = _span_with_values(ring, spec, ball)
+    pa, zero = _profile(ring, a), monoid_identity(ring)
+    lane = (m_bound * max(pa) + len(pa) * ball).bit_length() + 1
+    elems, denom, supports = _span_with_values(ring, spec, ball, lane)
     (p_d, p_m, p_w), (q_d, q_m, q_w), conflict = _extension_optima(
-        elems, profiles, supports, _profile(ring, a), m_bound
+        supports, _pack(pa, lane), _pack([1 << lane - 1] * len(pa), lane), m_bound, zero
     )
     if conflict is not None:
         x, y = conflict

@@ -1,9 +1,13 @@
 """Shared random generators and reference implementations for the test suite."""
 
+import hashlib
+import json
+import random
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import permutations
 from math import inf, lcm
+from operator import add, sub
 
 from rankcert import (
     UNKNOWN,
@@ -24,8 +28,13 @@ from rankcert import (
     leq,
     minor_refutation,
     order_unit,
+    parse_ring,
     rank_profile,
+    rk,
+    state_extension,
 )
+from rankcert.acceptance import SHIPPED_RINGS
+from rankcert.cli import record_payload
 from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS
 from rankcert.polys import pdegree, pdivides
 from rankcert.semigroup import (
@@ -735,7 +744,7 @@ def bfs_leq_provable(e_a, e_b, depth: int = 8):
 # oracle for state_extension at balls beyond SPAN_CAP
 
 
-def _span_with_values(ring, spec: StateSpec, ball: int):
+def span_with_values(ring, spec: StateSpec, ball: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
     Returns ({element: value numerator}, denominator, {support: elements}):
@@ -897,7 +906,7 @@ def fast_state_extension(
     b <= c + m<a> does: every relation is decided at t = 0, and the
     witness (b, c, m, t) always has t = 0 either way.
 
-    The spec is checked first for additivity (_span_with_values), then
+    The spec is checked first for additivity (span_with_values), then
     for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
     <1> with value 1.  A relation depends only on P(b) - P(c), and with
     additive values the ratio only on v(b) - v(c); removing the common
@@ -911,7 +920,7 @@ def fast_state_extension(
     a = check_element(ring, a)
     check_states_exist(ring)
     v = order_unit(ring)
-    elems, denom, supports = _span_with_values(ring, spec, ball)
+    elems, denom, supports = span_with_values(ring, spec, ball)
     profiles = {x: _profile(ring, x) for x in elems}
     pa = _profile(ring, a)
     best_p, best_q, monotone = _extension_optima(supports, elems, profiles, pa, m_bound)
@@ -936,3 +945,241 @@ def fast_state_extension(
         q_witness=_first_witness(ordered, by_value, pa, m_bound, best_q, False),
         exact=None,
     ))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass state-extension kernel before packed profiles: each profile a
+# tuple, scaled by lcm / P(a)_i, and least and most read off the two ends of
+# one sorted difference per pair, with a second sort over the lanes where
+# P(a) = 0; kept as an oracle for the packed-lane kernel whose cost, unlike
+# fast_state_extension's, does not grow with m_bound
+
+
+def _sorted_difference_span(ring, spec: StateSpec, ball: int):
+    """Elements of the generated subsemigroup with ||.||_1 <= ball.
+
+    Returns ({element: value numerator}, {element: profile}, denominator,
+    {support: elements}): every value is an integer over one common
+    denominator, and a support is the bitmask of the generators with a
+    nonzero coefficient in some combination reaching the element.  Each
+    step of the walk adds a generator's profile, value and norm, as the
+    profile is additive.  The first additivity conflict, in lexicographic
+    order of the coefficients, is rejected.
+    """
+    gens = [check_element(ring, g) for g in spec.generators]
+    vals = [Fraction(v) for v in spec.values]
+    if len(gens) != len(vals):
+        raise PreconditionError("generator/value length mismatch")
+    denom = lcm(*(v.denominator for v in vals))
+    zero = monoid_identity(ring)
+    combos = [(zero, zero, 0, 0, 0)]
+    for i, (g, v) in enumerate(zip(gens, vals)):
+        pg, ng, gv = _profile(ring, g), sum(g), v.numerator * (denom // v.denominator)
+        grown = []
+        for combo in combos:
+            grown.append(combo)
+            elt, prof, val, support, norm = combo
+            support |= 1 << i
+            while norm + ng <= ball:
+                elt, prof = tuple(map(add, elt, g)), tuple(map(add, prof, pg))
+                val, norm = val + gv, norm + ng
+                grown.append((elt, prof, val, support, norm))
+                if not ng:  # a zero generator is taken once, to expose its value
+                    break
+        combos = grown
+    elems, profiles, supports = {}, {}, {}
+    for elt, prof, val, support, _ in combos:
+        prev = elems.setdefault(elt, val)
+        if prev != val:
+            raise PreconditionError(
+                f"state spec is inconsistent: element {elt} gets values "
+                f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
+            )
+        profiles[elt] = prof
+        supports.setdefault(support, set()).add(elt)
+    return elems, profiles, denom, supports
+
+
+def _sorted_difference_optima(elems, profiles, supports, pa, m_bound: int):
+    """Best (d, m, witness) for p and for q, and the least conflicting pair.
+
+    For a pair b, c with D = P(b) - P(c) and d = v(b) - v(c), b <= c +
+    m<a> iff D <= m P(a): it holds for every m >= least = max_i
+    ceil(D_i / P(a)_i), provided D_i <= 0 wherever P(a)_i = 0; likewise
+    b >= c + m<a> holds for every m <= most = min_i floor(D_i / P(a)_i),
+    provided D_i >= 0 there.  Profiles are scaled by s / P(a)_i, s the lcm
+    of the positive P(a)_i, so least and most come from the ends of the
+    sorted scaled difference; reversing the pair gives -most and -least.
+    With d >= 0, a pair is worth d / max(1, least) for p and d / min(M,
+    most) for q, at the least m worth it (1 for q when d = 0), and d > 0
+    with least <= 0 is a conflict, b <= c with v(b) > v(c), of which the
+    least (b, c) is returned (None without one).  q's witness is None when
+    no pair has an upper relation; b = c always has a lower one.
+    """
+    scale = lcm(*(z for z in pa if z))
+    factors = [(i, scale // z) for i, z in enumerate(pa) if z]
+    zero = [i for i, z in enumerate(pa) if not z]
+    rows = {
+        x: (x, [px[i] * f for i, f in factors], [px[i] for i in zero], elems[x])
+        for x, px in profiles.items()
+    }
+    groups = [(support, [rows[x] for x in xs]) for support, xs in supports.items()]
+    # ratios as (d, m): -1/0 and 1/0 stand below and above every ratio
+    p_d, p_m, p_w = -1, 0, None
+    q_d, q_m, q_w = 1, 0, None
+    conflict = None
+    for i, (sb, bs) in enumerate(groups):
+        for sc, cs in groups[i:]:
+            if sb & sc:
+                continue
+            for x, px, zx, vx in bs:
+                for y, py, zy, vy in cs:
+                    if factors:
+                        diff = sorted(map(sub, px, py))
+                        least, most = -(-diff[-1] // scale), diff[0] // scale
+                    else:  # P(a) = 0: every m or none
+                        least, most = -inf, inf
+                    if zero:
+                        diff = sorted(map(sub, zx, zy))
+                        least = inf if diff[-1] > 0 else least
+                        most = -inf if diff[0] < 0 else most
+                    d = vx - vy
+                    if d > 0:
+                        orients = ((x, y, d, least, most),)
+                    elif d < 0:
+                        orients = ((y, x, -d, -most, -least),)
+                    else:
+                        orients = ((x, y, 0, least, most), (y, x, 0, -most, -least))
+                    for b, c, d, least, most in orients:
+                        if least <= 0 < d:
+                            conflict = min(conflict or (b, c), (b, c))
+                            continue
+                        low = least if least > 1 else 1
+                        if low <= m_bound:
+                            s, t = d * p_m, p_d * low
+                            if s > t or s == t and (b, c, low) < p_w:
+                                p_d, p_m, p_w = d, low, (b, c, low)
+                        if most >= 1:
+                            high = most if most < m_bound else m_bound
+                            s, t = d * q_m, q_d * high
+                            m = high if d else 1
+                            if s < t or s == t and (b, c, m) < q_w:
+                                q_d, q_m, q_w = d, high, (b, c, m)
+    return (p_d, p_m, p_w), (q_d, q_m, q_w), conflict
+
+
+def sorted_difference_state_extension(
+    ring,
+    spec: StateSpec,
+    a,
+    ball: int = 12,
+    m_bound: int = 12,
+    shifted: bool = False,
+) -> StateRange:
+    """state_extension by the one-pass sorted-difference kernel.
+
+    The same checks, in the same order, as the library: additivity in the
+    span walk, then the least monotonicity conflict, the unit, a missing
+    q witness and crossed bounds.  Its cost does not grow with m_bound.
+    """
+    a = check_element(ring, a)
+    if ball < 0:
+        raise PreconditionError("ball must be >= 0")
+    if m_bound < 1:
+        raise PreconditionError("M must be >= 1")
+    check_states_exist(ring)
+    elems, profiles, denom, supports = _sorted_difference_span(ring, spec, ball)
+    (p_d, p_m, p_w), (q_d, q_m, q_w), conflict = _sorted_difference_optima(
+        elems, profiles, supports, _profile(ring, a), m_bound
+    )
+    if conflict is not None:
+        x, y = conflict
+        raise PreconditionError(
+            f"state spec is inconsistent: {x} <= {y} but value "
+            f"{Fraction(elems[x], denom)} > {Fraction(elems[y], denom)}"
+        )
+    if elems.get(order_unit(ring)) != denom:
+        raise PreconditionError(
+            "state spec must contain the order-unit <1> with value 1"
+        )
+    if q_w is None:
+        raise BoundExceededError(
+            f"no witness relation found within bounds ({ball}, {m_bound})"
+        )
+    p_lb, q_ub = Fraction(p_d, p_m * denom), Fraction(q_d, q_m * denom)
+    if p_d * q_m > q_d * p_m:  # p_lb > q_ub, with p_m, q_m >= 1
+        # every extending state s has p_lb <= s(a) <= q_ub, so none exists
+        raise PreconditionError(
+            f"state spec admits no state: witness {p_w} gives p_lb = {p_lb}, "
+            f"above q_ub = {q_ub} from witness {q_w}"
+        )
+    return StateRange(
+        p_lb=p_lb,
+        q_ub=q_ub,
+        p_witness=(*p_w, 0),
+        q_witness=(*q_w, 0),
+        exact=None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# frozen state_extension answers: a seeded grid of requests whose outcomes
+# tests/fixtures/extension_answers.json pins by sha256
+
+
+def extension_answer_cases(count: int, seed: int = 2309):
+    """count seeded state_extension requests (ring, spec, a, ball, M, shifted).
+
+    Rings come from acceptance.SHIPPED_RINGS in turn, the shifted flag
+    alternates and the spec kind cycles through four: values from one
+    state (rk_k, or a component of a product), so the spec is consistent;
+    one such value moved by a small fraction; random values, which most
+    specs do not admit; and a unit vector worth a tenth more than its
+    greatest state value, at a ball at most two above the unit's norm,
+    where the conflict can lie outside the ball and the bounds cross.  a
+    is 0 one time in six, and M reaches 10**6 and 10**18, so the profile
+    lanes are wide.  The first count cases of a larger grid are this grid.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        ring = parse_ring(SHIPPED_RINGS[i % len(SHIPPED_RINGS)])
+        width = len(order_unit(ring))
+        kind = i // len(SHIPPED_RINGS) % 4
+        gens = [order_unit(ring)] + [
+            tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(rng.randint(1, 2))
+        ]
+        if kind == 3:  # the unit and one unit vector, as in test_states.CROSSED
+            j = rng.randrange(1, width)
+            gens[1:] = [tuple(int(t == j) for t in range(width))]
+        states = [
+            [rk(ring, k, g) if ring.is_local else Fraction(g[k - 1]) for g in gens]
+            for k in range(1, width + 1)
+        ]
+        values = list(rng.choice(states))
+        if kind == 1:
+            values[rng.randrange(len(values))] += Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        elif kind == 2:
+            values = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens]
+        elif kind == 3:
+            values[-1] = max(s[-1] for s in states) + Fraction(1, 10)
+        a = tuple(rng.randint(0, 2) for _ in range(width)) if rng.randrange(6) else (0,) * width
+        norm = sum(gens[0])  # a ball below it lacks the unit
+        ball = norm + rng.randint(0, 2) if kind == 3 else rng.randint(norm - 1, 7)
+        m_bound = rng.choice((1, 2, 3, 4, 6, 12, 10**6, 10**18))
+        yield ring, StateSpec(tuple(gens), tuple(values)), a, ball, m_bound, i % 2 == 1
+
+
+def extension_answers(count: int) -> list:
+    """The outcomes of the first count grid cases, as JSON: ["ok", the
+    extend-state payload (cli.record_payload)] or [error type, text]."""
+    out = []
+    for case in extension_answer_cases(count):
+        try:
+            out.append(["ok", record_payload(state_extension(*case), "extension")])
+        except (PreconditionError, BoundExceededError) as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+
+
+def answers_sha256(outcomes) -> str:
+    return hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()

@@ -1,7 +1,9 @@
+import json
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,9 +38,12 @@ from rankcert import (
 
 from rankcert.acceptance import brute_square_sweep
 from rankcert.polys import min_irreducible
-from rankcert.states import _best_below, _span_with_values
+from rankcert.semigroup import _profile
+from rankcert.states import _best_below
 
 from helpers import (
+    answers_sha256,
+    extension_answers,
     fast_state_extension,
     raise_first_conflict,
     random_matrix,
@@ -46,6 +51,8 @@ from helpers import (
     reference_state_range,
     replace,
     scan_state_range,
+    sorted_difference_state_extension,
+    span_with_values,
 )
 
 Z8 = parse_ring("Z/8")
@@ -493,8 +500,8 @@ def test_monotonicity_conflict_is_the_first_in_sorted_order(case):
     # of all ordered pairs must be among them
     ring, spec, _, ball, _, _ = case
     try:
-        elems, profiles, denom, _ = _span_with_values(ring, spec, ball)
-        raise_first_conflict(elems, profiles, denom)
+        elems, denom, _ = span_with_values(ring, spec, ball)
+        raise_first_conflict(elems, {x: _profile(ring, x) for x in elems}, denom)
     except PreconditionError as exc:
         assert outcome(state_extension, *case) == ("PreconditionError", str(exc))
     else:
@@ -508,6 +515,61 @@ def test_state_extension_cost_grows_slowly_with_ball():
     sr = state_extension(Z8, spec, E1, ball=48, m_bound=12)
     assert time.perf_counter() - start < 1
     assert sr == state_extension(Z8, spec, E1, ball=12, m_bound=12)
+
+
+def test_state_extension_lanes_hold_m_bound_10_18():
+    # the README spec at ball 48: a lane holds M max P(a) + width * ball, here
+    # 2 * 10**18 + 144 at a = e1, and the answers verify at the same bounds
+    spec = StateSpec(generators=(E0, E2), values=(Fraction(1), Fraction(0)))
+    start = time.perf_counter()
+    sr = state_extension(Z8, spec, E1, ball=48, m_bound=10**18)
+    assert time.perf_counter() - start < 1
+    assert sr == state_extension(Z8, spec, E1, ball=12, m_bound=12)
+    assert verify_state_extension(Z8, spec, E1, sr, 48, 10**18, False)
+    # every state gives <1> the value 1; p's first test reads <1> <= 0 + M<1>
+    unit = state_extension(Z8, spec, E0, ball=48, m_bound=10**18)
+    assert (unit.p_lb, unit.q_ub) == (1, 1)
+    assert verify_state_extension(Z8, spec, E0, unit, 48, 10**18, False)
+
+
+@st.composite
+def packed_lane_cases(draw):
+    """wide_extension_cases, or their inconsistent variant, with M up to 10**18 one time in two."""
+    ring, spec, a, ball, m_bound, shifted = draw(
+        st.one_of(wide_extension_cases(), inconsistent_extension_cases())
+    )
+    if draw(st.booleans()):
+        m_bound = draw(st.integers(1, 10**18))
+    return ring, spec, a, ball, m_bound, shifted
+
+
+Z2, F2F3 = parse_ring("Z/2"), parse_ring("F2*F3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_lane_cases())
+@example(CROSSED)
+# one lane: a zero generator, and an additivity conflict
+@example((Z2, StateSpec(((1,), (0,), (2,)), (1, 0, 2)), (1,), 9, 10**18, False))
+@example((Z2, StateSpec(((1,), (0,), (3,)), (1, 0, 2)), (1,), 9, 10**18, True))
+# a zero lane of P(a) over F2*F3: a zero generator, and the conflict (1, 0) <= (1, 1)
+@example((F2F3, StateSpec(((1, 1), (0, 1), (0, 0)), (1, 0, 0)), (1, 0), 12, 10**18, False))
+@example((F2F3, StateSpec(((1, 1), (1, 0)), (1, 2)), (0, 1), 12, 10**18, True))
+def test_state_extension_matches_the_sorted_difference_kernel(case):
+    # the packed-lane tests against the kernel they replaced, whose cost does
+    # not grow with M
+    assert outcome(state_extension, *case) == outcome(sorted_difference_state_extension, *case)
+
+
+FROZEN = json.loads((Path(__file__).parent / "fixtures" / "extension_answers.json").read_text())
+
+
+def test_state_extension_answers_are_frozen():
+    # outcomes recorded with the sorted-difference kernel, on a seeded grid over
+    # the shipped rings (helpers.extension_answer_cases)
+    answers = extension_answers(FROZEN["cases"])
+    assert answers[: len(FROZEN["first"])] == FROZEN["first"]
+    assert answers_sha256(answers) == FROZEN["sha256"]
 
 
 @settings(max_examples=150, deadline=None)
