@@ -27,11 +27,10 @@ from fractions import Fraction
 import rankcert
 
 from .errors import BoundExceededError, ParseError, PreconditionError
-from .normal_form import diagonalize, verify_factorization
 from .rings import Matrix, parse_matrix, parse_ring
 
-# semigroup, states and presentations are imported inside the handlers
-# that use them, so the other commands start without loading them
+# normal_form, semigroup, states and presentations are imported inside the
+# handlers that use them, so the other commands start without loading them
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +274,8 @@ def cmd_normalize(ring, args):
 
 
 def cmd_diagonalize(ring, args):
+    from .normal_form import diagonalize
+
     A = load_matrix_operand(ring, args.matrix)
     return {"matrix": A.to_strings(), **record_payload(diagonalize(A)), "verified": _PENDING}
 
@@ -506,6 +507,8 @@ def _verdict(command, ring, data) -> bool:
 
 
 def _verify_diagonalize(ring, data) -> bool:
+    from .normal_form import verify_factorization
+
     A = load_matrix(ring, data.get("matrix"))
     return verify_factorization(A, load_fields(data, "diagonal-form", ring))
 

@@ -12,14 +12,18 @@ certificate: a replayable chain of elementary moves, an explicit
 factorization, or a violated rank/minor-valuation inequality.  Move
 indices follow the convention that index n names the class of the zero
 matrix (c^n = 0), so a move may legally produce "generator n" and add
-nothing.
+nothing.  One interpreter, _replay, re-checks every chain on exponent
+counts, in time linear in its moves and entries: a local chain with that
+cap n, and a formal chain over (Z, a) or (F_p[x], a) with no cap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from math import inf
 
 from .errors import PreconditionError, SearchBudgetError
 from .normal_form import diagonal_matrix, eliminated, factors, inverse_factors
@@ -277,49 +281,51 @@ def witness_chain(ring, a, b):
     return Positive(tuple(moves))
 
 
-def _apply_moves(n, start, target, moves):
-    """Replay moves with index convention e_n = identity; None on a bad move."""
-    cur = list(start)
-    tgt = list(target)
+def _replay(cur, tgt, moves, cap) -> bool:
+    """Whether moves lead the counts cur to tgt; False at a move that does not apply.
+
+    cur and tgt count the copies of each exponent, and cancels take from
+    both.  A local chain counts in lists indexed by exponent, with cap = n:
+    an exponent of n or above is the zero class (c^n = 0), so a move that
+    makes one adds nothing, and a PowerSwap may name j2 = n without holding
+    it.  A formal chain counts in Counters with cap = inf.  Each move costs
+    O(1), so a replay costs O(moves + entries).
+    """
     for mv in moves:
         if isinstance(mv, Cancel):
             i = mv.i
-            if not (0 <= i < n and cur[i] >= 1 and tgt[i] >= 1):
-                return None
+            if not (0 <= i < cap and cur[i] and tgt[i]):
+                return False
             cur[i] -= 1
             tgt[i] -= 1
         elif isinstance(mv, PowerSwap):
             j1, j2 = mv.j1, mv.j2
-            if not (0 <= j1 < j2 <= n and cur[j1] >= 1):
-                return None
-            if j2 < n and cur[j2] < 1:
-                return None
+            if not (0 <= j1 < j2 <= cap and cur[j1]) or j2 < cap and not cur[j2]:
+                return False
             cur[j1] -= 1
-            if j2 < n:
+            if j2 < cap:
                 cur[j2] -= 1
-            if j1 + 1 < n:
+            if j1 + 1 < cap:
                 cur[j1 + 1] += 1
-            if j2 - 1 < n:
-                cur[j2 - 1] += 1
-        elif isinstance(mv, ExponentIncrease):
+            cur[j2 - 1] += 1
+        elif isinstance(mv, (ExponentIncrease, Drop)):
             i = mv.i
-            if not (0 <= i < n and cur[i] >= 1):
-                return None
+            if not (0 <= i < cap and cur[i]):
+                return False
             cur[i] -= 1
-            if i + 1 < n:
+            if i + 1 < cap and isinstance(mv, ExponentIncrease):
                 cur[i + 1] += 1
-        elif isinstance(mv, Drop):
-            i = mv.i
-            if not (0 <= i < n and cur[i] >= 1):
-                return None
-            cur[i] -= 1
         else:
-            return None
-    return cur, tgt
+            return False
+    return cur == tgt
 
 
 def verify_certificate(ring, a, b, cert) -> bool:
-    """Re-check a certificate for the claim a <= b without re-deriving it."""
+    """Re-check a certificate for the claim a <= b without re-deriving it.
+
+    A Positive chain is replayed by _replay on the class counts of b, with
+    cap n: c^n = 0, so a move that makes exponent n adds nothing.
+    """
     try:
         a = check_element(ring, a)
         b = check_element(ring, b)
@@ -328,8 +334,7 @@ def verify_certificate(ring, a, b, cert) -> bool:
     if isinstance(cert, Positive):
         if not ring.is_local:
             return False
-        replay = _apply_moves(ring.nil_degree, b, a, cert.moves)
-        return replay is not None and replay[0] == replay[1]
+        return _replay(list(b), list(a), cert.moves, ring.nil_degree)
     if isinstance(cert, NegativeRank):
         if not ring.is_local or not 1 <= cert.k <= ring.nil_degree:
             return False
@@ -434,26 +439,6 @@ def _formal_successors(cur, tgt):
         yield Drop, (v,), (_without(cur, v), tgt)
 
 
-def _formal_apply(cur, tgt, mv):
-    """The state after move mv from (cur, tgt), or None when mv does not apply."""
-    if isinstance(mv, Cancel):
-        cur, tgt = _without(cur, mv.i), _without(tgt, mv.i)
-        return None if cur is None or tgt is None else (cur, tgt)
-    if isinstance(mv, PowerSwap):
-        if not mv.j1 < mv.j2:
-            return None
-        rest = _without(cur, mv.j1)
-        rest = None if rest is None else _without(rest, mv.j2)
-        return None if rest is None else (_with(_with(rest, mv.j1 + 1), mv.j2 - 1), tgt)
-    if isinstance(mv, ExponentIncrease):
-        rest = _without(cur, mv.i)
-        return None if rest is None else (_with(rest, mv.i + 1), tgt)
-    if isinstance(mv, Drop):
-        rest = _without(cur, mv.i)
-        return None if rest is None else (rest, tgt)
-    return None
-
-
 # fronts seen on requests of up to 8 values of 0-12 hold at most 9 pairs;
 # the cap keeps the bound's DP polynomial when values are spread wide
 _FRONT_CAP = 16
@@ -467,15 +452,9 @@ def _formal_bound(cur, tgt):
     """
     if cur == tgt:
         return 0
-    size_c, size_t = len(cur), len(tgt)
-    if size_t > size_c:
+    if _minor_refutation(tgt, cur) is not None:
         return None
-    sum_c = sum_t = 0
-    for x, t in zip(cur, tgt):
-        sum_c += x
-        sum_t += t
-        if sum_t < sum_c:
-            return None
+    size_c, size_t = len(cur), len(tgt)
     xs, ts = [], []
     i = j = 0
     while i < size_c and j < size_t:
@@ -623,19 +602,16 @@ def leq_provable(e_a, e_b, depth: int = 8):
 def verify_formal_certificate(e_a, e_b, cert) -> bool:
     """Re-check a leq_provable certificate for multisets e_a <= e_b.
 
-    False when e_a or e_b is not a multiset of ints >= 0.
+    False when e_a or e_b is not a multiset of ints >= 0.  A Positive chain
+    is replayed by _replay on the counts of e_b with no cap: no power of the
+    pivot is 0, so every move that makes an exponent adds it.
     """
     try:
         ea, eb = check_exponents(e_a), check_exponents(e_b)
     except PreconditionError:
         return False
     if isinstance(cert, Positive):
-        state = (eb, ea)
-        for mv in cert.moves:
-            state = _formal_apply(state[0], state[1], mv)
-            if state is None:
-                return False
-        return state[0] == state[1]
+        return _replay(Counter(eb), Counter(ea), cert.moves, inf)
     if isinstance(cert, NegativeMinor):
         pa, pb = tuple(accumulate(ea)), tuple(accumulate(eb))
         va, vb = profile_value(pa, cert.k), profile_value(pb, cert.k)

@@ -549,6 +549,52 @@ def reference_eliminate(ring, grid):
 
 
 # ---------------------------------------------------------------------------
+# the local chain replay as it was before one interpreter replayed local and
+# formal chains alike; kept as the oracle for it
+
+
+def reference_apply_moves(n, start, target, moves):
+    """Replay moves with index convention e_n = identity; None on a bad move."""
+    cur = list(start)
+    tgt = list(target)
+    for mv in moves:
+        if isinstance(mv, Cancel):
+            i = mv.i
+            if not (0 <= i < n and cur[i] >= 1 and tgt[i] >= 1):
+                return None
+            cur[i] -= 1
+            tgt[i] -= 1
+        elif isinstance(mv, PowerSwap):
+            j1, j2 = mv.j1, mv.j2
+            if not (0 <= j1 < j2 <= n and cur[j1] >= 1):
+                return None
+            if j2 < n and cur[j2] < 1:
+                return None
+            cur[j1] -= 1
+            if j2 < n:
+                cur[j2] -= 1
+            if j1 + 1 < n:
+                cur[j1 + 1] += 1
+            if j2 - 1 < n:
+                cur[j2 - 1] += 1
+        elif isinstance(mv, ExponentIncrease):
+            i = mv.i
+            if not (0 <= i < n and cur[i] >= 1):
+                return None
+            cur[i] -= 1
+            if i + 1 < n:
+                cur[i + 1] += 1
+        elif isinstance(mv, Drop):
+            i = mv.i
+            if not (0 <= i < n and cur[i] >= 1):
+                return None
+            cur[i] -= 1
+        else:
+            return None
+    return cur, tgt
+
+
+# ---------------------------------------------------------------------------
 # the formal-order search as it was before the pruned search over sorted
 # tuples: Counter moves, an unpruned queue; kept as the oracle for it
 

@@ -35,6 +35,7 @@ from rankcert.semigroup import (
     NegativeRank,
     Positive,
     PowerSwap,
+    minor_refutation,
 )
 
 from test_verify_fuzz import LIMIT_S, run
@@ -330,6 +331,19 @@ def edit(fn):
     return apply
 
 
+def long_formal_chain(last):
+    """An edit of FORMAL_CHAIN to a chain of 20000 moves at 0: increases, then one of kind last."""
+
+    def apply(data):
+        size = 20000
+        moves = [{"move": "exponent-increase", "i": 0}] * (size - 1) + [{"move": last, "i": 0}]
+        data.update(a=[1] * size, b=[0] * size, depth=size)
+        data["certificate"] = {"kind": "positive", "moves": moves}
+        return data
+
+    return apply
+
+
 # (emitting command, edit of its response, exit codes verify may give)
 EDITED_RESPONSES = [
     pytest.param(EXTEND_STATE, edit(lambda d: d.update(ball=3000)), {0}, id="ball-3000"),
@@ -485,6 +499,12 @@ EDITED_RESPONSES = [
     pytest.param(
         FORMAL_REFUTATION, edit(lambda d: d.update(depth=-1)), {1}, id="formal-depth-negative"
     ),
+    # a formal chain is replayed in time linear in its size: each move once
+    # sliced a sorted tuple, and each of these took about 7 s
+    pytest.param(
+        FORMAL_CHAIN, long_formal_chain("exponent-increase"), {0}, id="formal-increases-20000"
+    ),
+    pytest.param(FORMAL_CHAIN, long_formal_chain("drop"), {1}, id="formal-last-drop-20000"),
     pytest.param(DIAGONALIZE_X65535, edit(lambda d: None), {0}, id="diagonalize-x65535"),
     # the invertibility test of left reads c^30000 off its determinant
     pytest.param(
@@ -875,6 +895,61 @@ def test_small_ring_command_bytes(capsys, monkeypatch, inv):
     test_readme_command_bytes(capsys, monkeypatch, inv)
 
 
+# the fields of an order response that a single-leaf mutation edits
+ORDER_FIELDS = ("a_class", "b_class", "a", "b", "depth", "result", "certificate")
+ORDER_RESPONSES = [
+    json.loads(inv["stdout"])
+    for inv in README_INVOCATIONS + SMALL_RING_INVOCATIONS
+    if inv["argv"][0] in ("leq", "chain") and inv["verify"] is not None
+]
+
+
+def leaf_mutations(value):
+    """(path, new leaf) for each single-leaf mutation of a JSON value.
+
+    An int goes up or down by one or to 0, a bool flips, and a list loses
+    its last element or gains a copy of it; strings are kept.
+    """
+    if isinstance(value, bool):
+        yield (), not value
+    elif isinstance(value, int):
+        yield from (((), new) for new in {value - 1, value + 1, 0} - {value})
+    elif isinstance(value, (list, dict)):
+        if isinstance(value, list) and value:
+            yield (), value[:-1]
+            yield (), value + [value[-1]]
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            for path, new in leaf_mutations(item):
+                yield (key, *path), new
+
+
+def test_verified_order_responses_state_true_decisions():
+    # every mutation of a recorded leq or chain response that verify accepts
+    # states the true decision of the order it names
+    modes, accepted = set(), 0
+    for response in ORDER_RESPONSES:
+        modes.add(response["mode"])
+        for key in ORDER_FIELDS:
+            for path, new in leaf_mutations(response.get(key)):
+                doc = json.loads(json.dumps(response))
+                *inner, last = (key, *path)
+                parent = doc
+                for step in inner:
+                    parent = parent[step]
+                parent[last] = new
+                code, _, _ = run(["verify"], json.dumps(doc))
+                assert code in (0, 1, 2), (key, path, new)
+                if code:
+                    continue
+                accepted += 1
+                if doc["mode"] == "formal":
+                    true = minor_refutation(doc["a"], doc["b"]) is None
+                else:
+                    true = semigroup.leq(parse_ring(doc["ring"]), doc["a_class"], doc["b_class"])
+                assert doc["result"] is true, (doc["ring"], key, path, new)
+    assert modes == {"local", "regular", "formal"} and accepted > 0
+
+
 def test_every_certificate_kind_round_trips_through_its_codec(capsys):
     # each certificate a README response prints, the regular refusal and a
     # formal refutation; a kind printed without a codec entry fails to load
@@ -987,7 +1062,9 @@ def test_cli_commands_import_only_what_they_use():
     loaded = _loaded(MAIN, "normalize", "--ring", "Z/8", "--value", "6") - startup
     assert "rankcert.cli" in loaded
     unused = {"dataclasses", "inspect", "rankcert.states", "rankcert.presentations"}
-    assert not loaded & (unused | {"rankcert.acceptance", "rankcert.semigroup"})
+    assert not loaded & (
+        unused | {"rankcert.acceptance", "rankcert.semigroup", "rankcert.normal_form"}
+    )
     loaded = _loaded(MAIN, *LOCAL_CHAIN)
     assert "rankcert.semigroup" in loaded
     assert not loaded & {"rankcert.states", "rankcert.presentations"}

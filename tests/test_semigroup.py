@@ -1,7 +1,9 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -43,11 +45,13 @@ from rankcert import (
     witness_chain,
 )
 import rankcert.semigroup as semigroup
-from rankcert.semigroup import _formal_apply, _formal_bound, check_element
+from rankcert.semigroup import _formal_bound, _replay, check_element
 
 from helpers import (
+    _formal_apply,
     bfs_leq_provable,
     random_matrix,
+    reference_apply_moves,
     reference_leq_provable,
     separate_formal_bound,
 )
@@ -445,6 +449,17 @@ def test_long_formal_chains_are_quick(a, b, depth, expected):
         assert verify_formal_certificate(a, b, expected)
 
 
+def test_formal_verify_is_linear_in_the_chain():
+    # each move once sliced a sorted tuple: each of these took about 21 s
+    size = 40000
+    a, b = (1,) * size, (0,) * size
+    increases = (ExponentIncrease(0),) * (size - 1)
+    start = time.monotonic()
+    assert verify_formal_certificate(a, b, Positive(increases + (ExponentIncrease(0),)))
+    assert not verify_formal_certificate(a, b, Positive(increases + (Drop(0),)))
+    assert time.monotonic() - start < 0.5
+
+
 @pytest.mark.parametrize("a, b", [((1, 1), (0, 0)), ((0, 2, 2), (0, 1, 1)), ((4, 4, 4), (0, 0, 12))])
 def test_leq_provable_bounds_each_state_once_per_call(monkeypatch, a, b):
     # the rounds for bound = h(start), ..., depth regenerate the same states;
@@ -464,6 +479,158 @@ def test_formal_verify_rejects_bad_moves():
     assert not verify_formal_certificate((1, 1), (0, 2), Positive((PowerSwap(2, 0),)))
     assert not verify_formal_certificate((1, 1), (0, 2), Positive((Cancel(1),)))
     assert not verify_formal_certificate((0,), (1,), NegativeMinor(1, 0, 2))
+
+
+# ---------------------------------------------------------------------------
+# one interpreter replays local and formal chains: oracles are the local
+# replay it replaced and the Counter moves of the unpruned search
+
+
+REPLAY_RINGS = [parse_ring(spec) for spec in ("Z/4", "Z/8", "F2[x]/x^3")]
+MOVE_KINDS = [Cancel, PowerSwap, ExponentIncrease, Drop] * 3 + [None]
+# not moves: a plain tuple and an order certificate
+NOT_MOVES = [(0,), NegativeRank(1, Fraction(0), Fraction(0))]
+# copies of each index in a target that every cancel of a chain of at most
+# 8 moves can take from
+FULL = 8
+
+
+def draw_chain(data, state, apply, held, top):
+    """Up to 8 moves, drawn along their replay from state by apply.
+
+    A move that does not apply (apply gives None) leaves the state as it was.
+
+    Each index is a value that held(state) names or any of -1..top, often
+    -1 or top - 1, and a swap's j2 is often j1 + 1; now and then a move is
+    no move at all.  So most moves apply, and a chain with one that does
+    not is likely to apply around it.
+    """
+    moves = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        index = st.sampled_from([-1, top - 1]) | st.integers(-1, top)
+        if held(state):
+            index = st.sampled_from(held(state)) | index
+        kind = data.draw(st.sampled_from(MOVE_KINDS))
+        if kind is None:
+            mv = data.draw(st.sampled_from(NOT_MOVES))
+        elif kind is PowerSwap:
+            j1 = data.draw(index)
+            mv = PowerSwap(j1, data.draw(st.just(j1 + 1) | index))
+        else:
+            mv = kind(data.draw(index))
+        moves.append(mv)
+        state = apply(state, mv) or state
+    return tuple(moves)
+
+
+def local_verdict(n, a, b, moves):
+    replay = reference_apply_moves(n, b, a, moves)
+    return replay is not None and replay[0] == replay[1]
+
+
+def formal_verdict(a, b, moves):
+    state = (tuple(sorted(b)), tuple(sorted(a)))
+    for mv in moves:
+        state = _formal_apply(*state, mv)
+        if state is None:
+            return False
+    return state[0] == state[1]
+
+
+# Besides a given target, each check takes the targets that the reference
+# and the interpreter reach against a full target: so chains that both
+# accept, and chains that one of them accepts in error, are checked as
+# well as refused ones.
+
+
+def check_local_replay(ring, a, b, moves):
+    n = ring.nil_degree
+    full = [FULL] * n
+    cur, tgt = list(b), list(full)
+    _replay(cur, tgt, moves, n)  # the counts where the interpreter stops
+    targets = [a]
+    for counts in (reference_apply_moves(n, b, full, moves), (cur, tgt)):
+        if counts is not None:
+            targets.append(tuple(x + FULL - t for x, t in zip(*counts)))
+    for target in targets:
+        if min(target) >= 0:
+            expected = local_verdict(n, target, b, moves)
+            assert verify_certificate(ring, target, b, Positive(moves)) == expected, (
+                ring.spec, target, b, moves,
+            )
+
+
+FORMAL_FULL = Counter(dict.fromkeys(range(-1, 11), FULL))
+
+
+def formal_start(b):
+    return tuple(sorted(b)), tuple(sorted(FORMAL_FULL.elements()))
+
+
+def check_formal_replay(a, b, moves):
+    state = formal_start(b)
+    for mv in moves:
+        state = state and _formal_apply(*state, mv)
+    cur, tgt = Counter(b), Counter(FORMAL_FULL)
+    _replay(cur, tgt, moves, inf)  # the counts where the interpreter stops
+    targets = [a]
+    for counts in (state, (cur, tgt)):
+        if counts:
+            reached = Counter(counts[0]) + (FORMAL_FULL - Counter(counts[1]))
+            targets.append(tuple(reached.elements()))
+    for target in targets:
+        expected = formal_verdict(target, b, moves)
+        assert verify_formal_certificate(target, b, Positive(moves)) == expected, (
+            target, b, moves,
+        )
+
+
+def single_moves(top):
+    """Every move with indices in -1..top, and the not-moves."""
+    indices = range(-1, top + 1)
+    kinds = (Cancel, ExponentIncrease, Drop)
+    swaps = [PowerSwap(j1, j2) for j1 in indices for j2 in indices]
+    return [kind(i) for kind in kinds for i in indices] + swaps + NOT_MOVES
+
+
+@pytest.mark.parametrize("ring", REPLAY_RINGS, ids=lambda ring: ring.spec)
+def test_each_local_move_matches_the_reference_replay(ring):
+    n = ring.nil_degree
+    for b in product(range(3), repeat=n):
+        for mv in single_moves(n + 1):
+            check_local_replay(ring, b, b, (mv,))
+
+
+def test_each_formal_move_matches_the_counter_moves():
+    for b in multisets(3, 3):
+        for mv in single_moves(5):
+            check_formal_replay(b, b, (mv,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_local_replay_matches_the_reference_replay(data):
+    # indices -1..n+1 name a negative index, n and beyond, j2 = n and i = n - 1
+    ring = data.draw(st.sampled_from(REPLAY_RINGS))
+    n = ring.nil_degree
+    element = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    a, b = data.draw(element), data.draw(element)
+    moves = draw_chain(
+        data, (list(b), [FULL] * n), lambda s, mv: reference_apply_moves(n, *s, (mv,)),
+        lambda s: [i for i, count in enumerate(s[0]) if count], n + 1,
+    )
+    check_local_replay(ring, a, b, moves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_formal_replay_matches_the_counter_moves(data):
+    values = st.lists(st.integers(0, 8), max_size=6)
+    a, b = data.draw(values), data.draw(values)
+    moves = draw_chain(
+        data, formal_start(b), lambda s, mv: _formal_apply(*s, mv), lambda s: s[0], 10
+    )
+    check_formal_replay(a, b, moves)
 
 
 @pytest.mark.parametrize(
