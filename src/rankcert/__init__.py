@@ -23,16 +23,16 @@ _EXPORTS = {
         presentations_equivalent psi psi_group quotient_presentation signature""",
     "rings": """Matrix block_diag block_upper identity mat_mul matrix parse_matrix
         parse_ring stack_vertical zeros""",
-    "semigroup": """UNKNOWN Cancel Drop ExponentIncrease FactorResult NegativeComponent
-        NegativeMinor NegativeRank Positive PowerSwap class_of class_representative
-        has_rank_function leq leq_necessary leq_provable minor_profile
+    "semigroup": """UNKNOWN Cancel Drop ExponentIncrease FactorResult GroupElement
+        NegativeComponent NegativeMinor NegativeRank Positive PowerSwap class_of
+        class_representative cone_member group_add group_diff group_element group_neg
+        group_sub has_rank_function leq leq_necessary leq_provable minor_profile
         minor_refutation order_unit rank_profile regular_factor rk verify_certificate
         verify_factor verify_formal_certificate witness_chain""",
-    "states": """GroupElement GroupLawReport MinorSweep PullbackRank RkSquareResult
-        StateRange StateSpec check_states_exist cone_member group_add group_diff
-        group_element group_neg group_props_check group_sub pullback_rank
-        rk_for_square state_extension state_range verify_rk_square
-        verify_state_extension verify_state_range""",
+    "states": """GroupLawReport MinorSweep PullbackRank RkSquareResult StateRange
+        StateSpec check_states_exist group_props_check pullback_rank rk_for_square
+        state_extension state_range verify_rk_square verify_state_extension
+        verify_state_range""",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = ("errors", "fields", "normal_form", "polys", "presentations", "rings",

@@ -41,6 +41,9 @@ from .semigroup import (
     NegativeRank,
     Positive,
     class_of,
+    cone_member,
+    group_element,
+    group_sub,
     has_rank_function,
     leq,
     minor_refutation,
@@ -55,9 +58,6 @@ from .states import (
     MinorSweep,
     _vectors_up_to,
     check_states_exist,
-    cone_member,
-    group_element,
-    group_sub,
     pullback_rank,
     rk_for_square,
     state_range,

@@ -250,7 +250,7 @@ _PENDING = None
 
 def _check_hypothesis(ring, pivot, depth, a, b):
     """The formal hypothesis for a decision of a <= b searched to depth."""
-    from .states import check_formal_hypothesis
+    from .semigroup import check_formal_hypothesis
 
     # minor certificates need the hypothesis up to every exponent they use
     check_formal_hypothesis(ring, pivot, max((depth - 1, *a, *b)))

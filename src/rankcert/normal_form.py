@@ -345,5 +345,9 @@ def verify_factorization(A: Matrix, form: DiagonalForm) -> bool:
         return False
     if not is_invertible(left) or not is_invertible(right):
         return False
-    D = diagonal_matrix(ring, A.rows, A.cols, exps)
-    return mat_mul(mat_mul(left, D), right) == A
+    # left * D scales column j of left by c^(e_j), and D's zero columns pad
+    # it to A.cols, in O(rows * cols) products
+    mul, powers = ring.mul, [ring.generator_power(e) for e in exps]
+    pad = [ring.zero] * (A.cols - len(exps))
+    scaled = [[mul(x, g) for x, g in zip(row, powers)] + pad for row in left.entries]
+    return mat_mul(Matrix._canonical(ring, scaled), right) == A

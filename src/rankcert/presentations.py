@@ -22,8 +22,16 @@ from .errors import PreconditionError
 from .normal_form import eliminated
 from .records import record
 from .rings import Matrix, block_diag, stack_vertical, zeros
-from .semigroup import class_of, monoid_width, order_unit, rk
-from .states import GroupElement, cone_member, group_diff, group_element
+from .semigroup import (
+    GroupElement,
+    class_of,
+    cone_member,
+    group_diff,
+    group_element,
+    monoid_width,
+    order_unit,
+    rk,
+)
 
 
 @record

@@ -27,14 +27,16 @@ given.  Inside that boundary every ring operation takes canonical values
 and returns canonical values without re-reducing them, and matrices the
 library builds from such values skip normalization (`Matrix._canonical`).
 So F_p[x]/x^n, GF(p^k) and finite products of fields (F2*F3, F2*F3*F5,
-F4*F9) of order at most `fields.TABLE_CAP` = 64 can add and multiply by
-table lookup, decided in one place, `Ring.add` and `Ring.mul`: each pair
-of canonical values is computed once, the first time it is met, and
-looked up after that (`tabulated`), so a table holds at most 64^2 = 4096
-entries, and none before the ring's first addition or multiplication.
+F4*F9) of order at most `fields.TABLE_CAP` = 64 add, multiply, negate
+and take valuations by table lookup, decided in one place, `Ring` (add,
+mul and neg) and `_LocalRing` (valuation): each canonical argument, or
+pair of them, is computed once, the first time it is met, and looked up
+after that in a `_Table`, a dict that fills itself.  A two-argument
+table holds at most 64^2 = 4096 entries and a one-argument table at most
+64, and none exists before the ring's first use of its operation.
 Whether a ring tabulates is read off its spec, never by computing p^n
-for a large n or the order of a long product.  Z/p^n and prime fields
-keep their int arithmetic, one step per operation.  `parse_matrix`
+for a large n or the order of a long product.  Z, F_p[x], Z/p^n and
+prime fields keep their own methods, one step per operation.  `parse_matrix`
 parses each distinct literal of a matrix once per call, and keeps
 nothing after it returns.
 """
@@ -62,22 +64,36 @@ from .polys import (
 )
 
 
-def tabulated(op):
-    """op(a, b), looked up in a table that fills as pairs are met.
+class _Table(dict):
+    """op(key) for each key, computed the first time the key is met.
 
-    The table starts empty; a pair is computed by op the first time it
-    is met and looked up after that, so every entry is op's own result
-    and a ring of order q holds at most q^2 of them, on canonical
-    operands.  The table is the returned function's `table`.
+    A missing key calls op once and stores what it returns, so every
+    entry is op's own result.  Over a ring of order q a table keyed by
+    canonical values holds at most q entries.  A table's bound
+    `__getitem__` answers a key already met in one C-level call.
     """
-    table = {}
-    get = table.get
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, key):
+        out = self[key] = self.op(key)
+        return out
+
+
+def tabulated(op):
+    """op(a, b), looked up in a `_Table` keyed by the pair (a, b).
+
+    The table starts empty and holds at most q^2 entries for a ring of
+    order q, on canonical operands.  It is the returned function's `table`.
+    """
+    table = _Table(lambda pair: op(*pair))
+    get = table.__getitem__
 
     def lookup(a, b):
-        out = get((a, b))
-        if out is None:
-            out = table[a, b] = op(a, b)
-        return out
+        return get((a, b))
 
     lookup.table = table
     return lookup
@@ -100,10 +116,11 @@ def _within_table_cap(factors) -> bool:
 class Ring:
     """Common interface; concrete families override what they compute.
 
-    Z, F_p[x] and Z/p^n define add and mul themselves.  The other
-    families define _add and _mul, and set `tabulates` when their order
-    is at most TABLE_CAP; then add and mul look _add and _mul up in
-    tables (`tabulated`), and otherwise they are _add and _mul.
+    Z, F_p[x] and Z/p^n define add, mul and neg themselves.  The other
+    families define _add, _mul and _neg, and set `tabulates` when their
+    order is at most TABLE_CAP; then add and mul look _add and _mul up in
+    tables (`tabulated`), and neg is the lookup of a one-argument
+    `_Table` of _neg; otherwise they are _add, _mul and _neg.
     """
 
     spec = ""
@@ -125,8 +142,9 @@ class Ring:
     def mul(self):
         return tabulated(self._mul) if self.tabulates else self._mul
 
-    def neg(self, a):
-        raise NotImplementedError
+    @cached_property
+    def neg(self):
+        return _Table(self._neg).__getitem__ if self.tabulates else self._neg
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -280,9 +298,12 @@ class _LocalRing(Ring):
     nil_degree: int  # least n with c^n = 0
     generator: object  # the radical generator c
 
-    def valuation(self, a) -> int:
+    # Z/p^n defines valuation itself; F_p[x]/x^n and GF(p^k) define
+    # _valuation, looked up like neg when the ring tabulates
+    @cached_property
+    def valuation(self):
         """Largest v with c^v dividing a; nil_degree for zero."""
-        raise NotImplementedError
+        return _Table(self._valuation).__getitem__ if self.tabulates else self._valuation
 
     def shift(self, a, v: int):
         """The canonical a / c^v, for 0 <= v <= valuation(a)."""
@@ -401,13 +422,13 @@ class TruncatedPolyRing(_LocalRing):
             raise ParseError(f"bad truncated polynomial literal {raw!r}")
         return pnormalize(raw[: self.nil_degree], self.p)
 
-    def valuation(self, a):
+    def _valuation(self, a):
         return next((i for i, c in enumerate(a) if c), self.nil_degree)
 
     def shift(self, a, v):
         return a[v:]
 
-    def neg(self, a):
+    def _neg(self, a):
         return pneg(a, self.p)
 
     def _inverse(self, a):
@@ -487,7 +508,7 @@ class ExtensionField(_LocalRing):
             place *= p
         return out
 
-    def neg(self, a):
+    def _neg(self, a):
         p = self.p
         if p == 2:
             return a
@@ -502,7 +523,7 @@ class ExtensionField(_LocalRing):
         prod = pmul(self.decode(a), self.decode(b), self.p)
         return self.encode(pdivmod(prod, self.modulus, self.p)[1])
 
-    def valuation(self, a) -> int:
+    def _valuation(self, a) -> int:
         return 1 if a == 0 else 0
 
     def shift(self, a, v: int):
@@ -513,6 +534,9 @@ class ExtensionField(_LocalRing):
 
     def format(self, a):
         return str(a)
+
+    def elements(self):
+        return list(range(self.size))
 
 
 def make_field(q: int):
@@ -554,7 +578,7 @@ class FieldProductRing(Ring):
             out.append(c)
         return tuple(out)
 
-    def neg(self, a):
+    def _neg(self, a):
         return tuple([f.neg(x) for f, x in zip(self.fields, a)])
 
     def _add(self, a, b):

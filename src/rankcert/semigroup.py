@@ -4,7 +4,8 @@ Over an Artinian local family with radical generator c and c^n = 0, the
 classes of matrices under mutual subequivalence form the free abelian
 monoid on the generators <c^0>, ..., <c^(n-1)>; a class is stored as the
 tuple of generator multiplicities.  Over a product of fields a class is
-the tuple of componentwise ranks.
+the tuple of componentwise ranks.  An element [a] - [b] of the
+Grothendieck group Z^width is stored as a reduced (pos, neg) pair.
 
 The order is decided through the rank functions rk_k (local) or
 componentwise rank comparison (regular), and every decision carries a
@@ -28,7 +29,7 @@ from math import inf
 from .errors import PreconditionError, SearchBudgetError
 from .normal_form import diagonal_matrix, eliminated, factors, inverse_factors
 from .records import record
-from .rings import Matrix, identity, mat_mul
+from .rings import IntegerRing, Matrix, PolyRing, identity, mat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,53 @@ def least_violating_k(ring, a, b):
 
 
 # ---------------------------------------------------------------------------
+# Grothendieck group elements and the positive cone
+
+
+@record
+class GroupElement:
+    """[pos] - [neg], componentwise reduced so min(pos_i, neg_i) = 0."""
+
+    pos: tuple
+    neg: tuple
+
+
+def group_element(a, b) -> GroupElement:
+    if len(a) != len(b):
+        raise PreconditionError("group element over mismatched monoids")
+    diff = [x - y for x, y in zip(a, b)]
+    pos = tuple(max(d, 0) for d in diff)
+    neg = tuple(max(-d, 0) for d in diff)
+    return GroupElement(pos, neg)
+
+
+def group_diff(g: GroupElement) -> tuple:
+    return tuple(p - n for p, n in zip(g.pos, g.neg))
+
+
+def group_add(g: GroupElement, h: GroupElement) -> GroupElement:
+    return group_element(monoid_add(g.pos, h.pos), monoid_add(g.neg, h.neg))
+
+
+def group_neg(g: GroupElement) -> GroupElement:
+    return GroupElement(g.neg, g.pos)
+
+
+def group_sub(g: GroupElement, h: GroupElement) -> GroupElement:
+    return group_add(g, group_neg(h))
+
+
+def cone_member(ring, g: GroupElement) -> bool:
+    """[a] - [b] is positive iff b + c <= a + c for some c.
+
+    For the rank-induced local order and the componentwise regular
+    order the relation is additive, so the c is irrelevant and the
+    comparison reduces to leq(neg, pos).
+    """
+    return leq(ring, check_element(ring, g.neg), check_element(ring, g.pos))
+
+
+# ---------------------------------------------------------------------------
 # witness chains (local)
 
 
@@ -288,8 +336,9 @@ def _replay(cur, tgt, moves, cap) -> bool:
     both.  A local chain counts in lists indexed by exponent, with cap = n:
     an exponent of n or above is the zero class (c^n = 0), so a move that
     makes one adds nothing, and a PowerSwap may name j2 = n without holding
-    it.  A formal chain counts in Counters with cap = inf.  Each move costs
-    O(1), so a replay costs O(moves + entries).
+    it.  A formal chain counts with cap = inf, in lists or Counters (see
+    verify_formal_certificate).  Each move costs O(1), so a replay costs
+    O(moves + entries).
     """
     for mv in moves:
         if isinstance(mv, Cancel):
@@ -525,6 +574,29 @@ def _bounded_search(start, bound, bounds):
     return None
 
 
+def check_formal_hypothesis(ring, a, bound: int):
+    """Check a^m not in (a^(m+1)) for all m <= bound; return a normalized.
+
+    Z and F_p[x] are UFDs, so the first failure is at m = 0 when a is a
+    unit, at m = 1 when a = 0, and never otherwise.
+    """
+    if not isinstance(ring, (IntegerRing, PolyRing)):
+        raise PreconditionError("formal diagonal elements need Z or F_p[x]")
+    a = ring.normalize(a)
+    if ring.is_unit(a):
+        first = 0
+    elif ring.is_zero(a):
+        first = 1
+    else:
+        first = None
+    if first is not None and first <= bound:
+        raise PreconditionError(
+            f"hypothesis fails: {ring.format(a)}^{first} lies in "
+            f"({ring.format(a)}^{first + 1})"
+        )
+    return a
+
+
 def leq_provable(e_a, e_b, depth: int = 8):
     """Bounded search for a chain proving diag(a^{e_a}) <= diag(a^{e_b}).
 
@@ -599,19 +671,41 @@ def leq_provable(e_a, e_b, depth: int = 8):
     return UNKNOWN
 
 
+# the largest exponent that verify_formal_certificate counts in a list
+_DENSE_TOP = 64
+
+
 def verify_formal_certificate(e_a, e_b, cert) -> bool:
     """Re-check a leq_provable certificate for multisets e_a <= e_b.
 
     False when e_a or e_b is not a multiset of ints >= 0.  A Positive chain
     is replayed by _replay on the counts of e_b with no cap: no power of the
-    pivot is 0, so every move that makes an exponent adds it.
+    pivot is 0, so every move that makes an exponent adds it.  A move makes
+    an exponent at most one above the largest held, so while the exponents
+    are at most _DENSE_TOP the counts fit a list of top + moves + 1 slots,
+    and a move that reads past it names an exponent not held.  Larger
+    exponents count in Counters, so the replay costs O(moves + entries)
+    whatever values the payload names.
     """
     try:
         ea, eb = check_exponents(e_a), check_exponents(e_b)
     except PreconditionError:
         return False
     if isinstance(cert, Positive):
-        return _replay(Counter(eb), Counter(ea), cert.moves, inf)
+        moves = cert.moves
+        top = max(ea[-1] if ea else 0, eb[-1] if eb else 0)
+        if top > _DENSE_TOP:
+            return _replay(Counter(eb), Counter(ea), moves, inf)
+        size = top + len(moves) + 1
+        cur, tgt = [0] * size, [0] * size
+        for e in eb:
+            cur[e] += 1
+        for e in ea:
+            tgt[e] += 1
+        try:
+            return _replay(cur, tgt, moves, inf)
+        except IndexError:
+            return False
     if isinstance(cert, NegativeMinor):
         pa, pb = tuple(accumulate(ea)), tuple(accumulate(eb))
         va, vb = profile_value(pa, cert.k), profile_value(pb, cert.k)

@@ -1,8 +1,9 @@
 """States of the class monoid: cones, ranges, extensions, pullbacks.
 
-The Grothendieck group of a free class monoid is Z^width; an element
-[a] - [b] is stored as a reduced (pos, neg) pair.  State ranges are the
-best order relations against the order-unit v = <1> over a bounded grid:
+The Grothendieck group of a free class monoid is Z^width; its elements
+and positive cone live in `semigroup`, and `group_props_check` checks
+its group law exhaustively.  State ranges are the best order relations
+against the order-unit v = <1> over a bounded grid:
 
     p = sup { (n - k)/m : n * v <= m * a + k * v }
     q = inf { (n - k)/m : n * v >= m * a + k * v }
@@ -54,6 +55,13 @@ from .semigroup import (
     PowerSwap,
     _profile,
     check_element,
+    check_formal_hypothesis,
+    cone_member,
+    group_add,
+    group_diff,
+    group_element,
+    group_neg,
+    group_sub,
     has_rank_function,
     leq,
     monoid_add,
@@ -65,50 +73,7 @@ from .semigroup import (
 
 
 # ---------------------------------------------------------------------------
-# Grothendieck group elements and the positive cone
-
-
-@record
-class GroupElement:
-    """[pos] - [neg], componentwise reduced so min(pos_i, neg_i) = 0."""
-
-    pos: tuple
-    neg: tuple
-
-
-def group_element(a, b) -> GroupElement:
-    if len(a) != len(b):
-        raise PreconditionError("group element over mismatched monoids")
-    diff = [x - y for x, y in zip(a, b)]
-    pos = tuple(max(d, 0) for d in diff)
-    neg = tuple(max(-d, 0) for d in diff)
-    return GroupElement(pos, neg)
-
-
-def group_diff(g: GroupElement) -> tuple:
-    return tuple(p - n for p, n in zip(g.pos, g.neg))
-
-
-def group_add(g: GroupElement, h: GroupElement) -> GroupElement:
-    return group_element(monoid_add(g.pos, h.pos), monoid_add(g.neg, h.neg))
-
-
-def group_neg(g: GroupElement) -> GroupElement:
-    return GroupElement(g.neg, g.pos)
-
-
-def group_sub(g: GroupElement, h: GroupElement) -> GroupElement:
-    return group_add(g, group_neg(h))
-
-
-def cone_member(ring, g: GroupElement) -> bool:
-    """[a] - [b] is positive iff b + c <= a + c for some c.
-
-    For the rank-induced local order and the componentwise regular
-    order the relation is additive, so the c is irrelevant and the
-    comparison reduces to leq(neg, pos).
-    """
-    return leq(ring, check_element(ring, g.neg), check_element(ring, g.pos))
+# the group law of the Grothendieck group (semigroup.GroupElement)
 
 
 @record
@@ -585,29 +550,6 @@ class RkSquareResult:
     value: Fraction
     upper: Positive  # chain certifying 2<a> <= <1> + <a^2>
     lower: MinorSweep
-
-
-def check_formal_hypothesis(ring, a, bound: int):
-    """Check a^m not in (a^(m+1)) for all m <= bound; return a normalized.
-
-    Z and F_p[x] are UFDs, so the first failure is at m = 0 when a is a
-    unit, at m = 1 when a = 0, and never otherwise.
-    """
-    if not isinstance(ring, (IntegerRing, PolyRing)):
-        raise PreconditionError("formal diagonal elements need Z or F_p[x]")
-    a = ring.normalize(a)
-    if ring.is_unit(a):
-        first = 0
-    elif ring.is_zero(a):
-        first = 1
-    else:
-        first = None
-    if first is not None and first <= bound:
-        raise PreconditionError(
-            f"hypothesis fails: {ring.format(a)}^{first} lies in "
-            f"({ring.format(a)}^{first + 1})"
-        )
-    return a
 
 
 def _square_candidates(bound: int) -> int:

@@ -90,6 +90,43 @@ def reference_det(ring, M):
     return total
 
 
+def reference_is_diagonal_form(ring, A, exponents, zero_count, left, right) -> bool:
+    """Whether A = left * D * right is a true diagonal form of A over a finite local ring.
+
+    D is diag(c^e for e in exponents) padded with zeros to A's shape, the
+    exponents ascend in [0, n), and left and right are invertible.  Each
+    product entry is summed by ring.add and ring.mul, c^e is e products of
+    c, and a matrix is invertible when its Leibniz determinant has an
+    inverse among the ring's elements: nothing of normal_form is used.
+    """
+    n, rows, cols = ring.nil_degree, len(A), len(A[0])
+    if list(exponents) != sorted(exponents) or not all(0 <= e < n for e in exponents):
+        return False
+    if zero_count < 0 or len(exponents) + zero_count != min(rows, cols):
+        return False
+    if (len(left), len(left[0]), len(right), len(right[0])) != (rows, rows, cols, cols):
+        return False
+    elements = ring.elements()
+    for square in (left, right):
+        d = reference_det(ring, Matrix(ring, square))
+        if not any(ring.mul(d, x) == ring.one for x in elements):
+            return False
+    powers = []
+    for e in exponents:
+        g = ring.one
+        for _ in range(e):
+            g = ring.mul(g, ring.generator)
+        powers.append(g)
+
+    def entry(i, j):
+        total = ring.zero
+        for t, g in enumerate(powers):
+            total = ring.add(total, ring.mul(ring.mul(left[i][t], g), right[t][j]))
+        return total
+
+    return all(entry(i, j) == A[i][j] for i in range(rows) for j in range(cols))
+
+
 def random_monoid_element(ring, rng, max_norm):
     width = len(order_unit(ring))
     vec = [0] * width

@@ -38,6 +38,7 @@ from rankcert.semigroup import (
     minor_refutation,
 )
 
+from helpers import reference_is_diagonal_form
 from test_verify_fuzz import LIMIT_S, run
 
 
@@ -950,6 +951,60 @@ def test_verified_order_responses_state_true_decisions():
     assert modes == {"local", "regular", "formal"} and accepted > 0
 
 
+DIAGONAL_RESPONSES = [
+    json.loads(inv["stdout"])
+    for inv in README_INVOCATIONS + SMALL_RING_INVOCATIONS
+    if inv["argv"][0] == "diagonalize" and inv["verify"] is not None
+]
+
+
+def diagonal_mutations(response):
+    """Each single-leaf mutation of a diagonalize response's form and matrix.
+
+    The ints and lists mutate as in leaf_mutations, and an entry of a
+    matrix becomes each other element of the ring.
+    """
+    ring = parse_ring(response["ring"])
+    literals = [ring.format(x) for x in ring.elements()]
+    for key in ("exponents", "zero_count", "left", "right", "matrix"):
+        value = response[key]
+        yield from (((key, *path), new) for path, new in leaf_mutations(value))
+        if key in ("left", "right", "matrix"):
+            for i, row in enumerate(value):
+                for j, literal in enumerate(row):
+                    yield from (((key, i, j), new) for new in literals if new != literal)
+
+
+def test_verified_diagonalize_responses_state_true_factorizations():
+    # every mutation of a recorded diagonalize response that verify accepts
+    # is a diagonal form of the matrix it names, by an oracle that shares
+    # no code with normal_form
+    start, accepted, refused = time.monotonic(), 0, 0
+    for response in DIAGONAL_RESPONSES:
+        ring = parse_ring(response["ring"])
+        for path, new in diagonal_mutations(response):
+            doc = json.loads(json.dumps(response))
+            *inner, last = path
+            parent = doc
+            for step in inner:
+                parent = parent[step]
+            parent[last] = new
+            code, _, _ = run(["verify"], json.dumps(doc))
+            assert code in (0, 1, 2), (path, new)
+            if code:
+                refused += 1
+                continue
+            accepted += 1
+            grids = [[[ring.parse(x) for x in row] for row in doc[key]]
+                     for key in ("matrix", "left", "right")]
+            assert reference_is_diagonal_form(
+                ring, grids[0], doc["exponents"], doc["zero_count"], *grids[1:]
+            ), (doc["ring"], path, new)
+    assert {r["ring"] for r in DIAGONAL_RESPONSES} == {"Z/8", "F2[x]/x^3"}
+    assert accepted > 0 and refused > 0
+    assert time.monotonic() - start < 2
+
+
 def test_every_certificate_kind_round_trips_through_its_codec(capsys):
     # each certificate a README response prints, the regular refusal and a
     # formal refutation; a kind printed without a codec entry fails to load
@@ -1056,7 +1111,7 @@ def _loaded(code, *argv):
 MAIN = "from rankcert.cli import main; main(sys.argv[1:])"
 
 
-def test_cli_commands_import_only_what_they_use():
+def test_cli_commands_import_only_what_they_use(tmp_path):
     # each command imports the modules it uses; records need no dataclasses
     startup = _loaded("pass")
     loaded = _loaded(MAIN, "normalize", "--ring", "Z/8", "--value", "6") - startup
@@ -1070,6 +1125,19 @@ def test_cli_commands_import_only_what_they_use():
     assert not loaded & {"rankcert.states", "rankcert.presentations"}
     loaded = _loaded("import rankcert")
     assert {m for m in loaded if m.startswith("rankcert")} == {"rankcert"}
+    # the group elements and the formal hypothesis live in semigroup, so
+    # dim, equiv, phi, psi and a formal leq with its verify need no states
+    formal = next(inv for inv in README_INVOCATIONS if "--elem" in inv["argv"])
+    path = tmp_path / "formal.json"
+    path.write_text(formal["stdout"])
+    commands = [inv["argv"] for inv in README_INVOCATIONS
+                if inv["argv"][0] in ("dim", "equiv", "phi", "psi")]
+    commands += [formal["argv"], ["verify", "--file", str(path)]]
+    assert [argv[0] for argv in commands] == ["dim", "equiv", "phi", "psi", "leq", "verify"]
+    for argv in commands:
+        loaded = _loaded(MAIN, *argv)
+        assert "rankcert.semigroup" in loaded, argv
+        assert "rankcert.states" not in loaded, argv
 
 
 def test_diagonalize_and_its_verify_load_no_order_modules(capsys, tmp_path):

@@ -195,9 +195,12 @@ def test_small_rings_fill_their_tables_lazily():
     product = parse_ring("F4*F9")
     rings = [parse_ring("F2[x]/x^3"), product, *product.fields]
     for ring in rings:
-        assert "add" not in vars(ring) and "mul" not in vars(ring)
+        assert not {"add", "mul", "neg", "valuation"} & set(vars(ring))
     for ring in rings:
         assert ring.add.table == {} and ring.mul.table == {}
+        assert ring.neg.__self__ == {}
+        if ring.is_local:
+            assert ring.valuation.__self__ == {}
     ring = rings[0]
     assert ring.mul((1, 1), (1, 1)) == (1, 0, 1)
     assert ring.mul.table == {((1, 1), (1, 1)): (1, 0, 1)} and ring.add.table == {}
@@ -207,6 +210,7 @@ def test_small_rings_fill_their_tables_lazily():
 
 def test_rings_above_the_table_cap_never_tabulate():
     rings = [parse_ring(spec) for spec in ("F2[x]/x^7", "F2[x]/x^65536", "F5[x]/x^3")]
+    rings += [parse_ring("F3[x]/x^4")]
     rings += [parse_ring(spec).fields[0] for spec in ("F128", "F81")]
     # products of order 77, 128 and 210, whatever their factors do
     rings += [parse_ring(spec) for spec in ("F7*F11", "F64*F2", "F2*F3*F5*F7")]
@@ -214,6 +218,45 @@ def test_rings_above_the_table_cap_never_tabulate():
         one = ring.one
         assert ring.mul(ring.add(one, one), one) == ring.add(one, one)
         assert not hasattr(ring.add, "table") and not hasattr(ring.mul, "table"), ring
+        # neg and the valuation are the family's own methods
+        assert ring.neg == ring._neg, ring
+        if ring.is_local:
+            assert ring.valuation == ring._valuation, ring
+
+
+# every ring of order at most 64 whose family tabulates
+TABULATING = [f"F2[x]/x^{n}" for n in range(2, 7)] + ["F3[x]/x^2", "F3[x]/x^3"]
+TABULATING += ["F4", "F8", "F9", "F16", "F2*F3", "F2*F3*F5", "F4*F9"]
+
+
+@pytest.mark.parametrize("spec", TABULATING)
+def test_tabulated_neg_and_valuation_are_the_family_ops(spec):
+    ring = parse_ring(spec)
+    if spec in ("F4", "F8", "F9", "F16"):
+        ring = ring.fields[0]
+    assert ring.tabulates
+    elements = ring.elements()
+    ops = [(ring.neg, ring._neg)]
+    if ring.is_local:
+        ops.append((ring.valuation, ring._valuation))
+    for _ in range(2):  # the first pass fills each table, the second reads it
+        for looked_up, op in ops:
+            assert [looked_up(a) for a in elements] == [op(a) for a in elements]
+    for looked_up, _ in ops:
+        assert len(looked_up.__self__) == len(elements) <= 64
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_extension_field_elements_are_its_canonical_encodings(q):
+    # elements() once raised PreconditionError ("... is infinite")
+    field = parse_ring(f"F{q}").fields[0]
+    elements = field.elements()
+    assert field.is_finite and len(elements) == len(set(elements)) == q
+    # a canonical element is k base-p digits; sums and products stay among them
+    assert all(len(field.decode(a)) <= field.k for a in elements)
+    assert {op(a, b) for op in (field.add, field.mul) for a in elements for b in elements} == set(
+        elements
+    )
 
 
 @pytest.mark.parametrize("spec", ["F2[x]/x^6", "F64"])

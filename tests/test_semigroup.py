@@ -633,6 +633,38 @@ def test_formal_replay_matches_the_counter_moves(data):
     check_formal_replay(a, b, moves)
 
 
+def shifted(mv, s):
+    if isinstance(mv, PowerSwap):
+        return PowerSwap(mv.j1 + s, mv.j2 + s)
+    if isinstance(mv, (Cancel, ExponentIncrease, Drop)):
+        return type(mv)(mv.i + s)
+    return mv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_formal_replay_keeps_its_verdicts_above_the_dense_counts(data):
+    # formal moves have no cap, so adding s to every exponent and index keeps
+    # the verdict; exponents above _DENSE_TOP replay in Counters, not lists
+    values = st.lists(st.integers(0, 8), max_size=6)
+    a, b = data.draw(values), data.draw(values)
+    moves = draw_chain(
+        data, formal_start(b), lambda s, mv: _formal_apply(*s, mv), lambda s: s[0], 10
+    )
+    state = formal_start(b)
+    for mv in moves:
+        state = state and _formal_apply(*state, mv)
+    targets = [a]
+    if state:
+        targets.append(tuple((Counter(state[0]) + (FORMAL_FULL - Counter(state[1]))).elements()))
+    s = semigroup._DENSE_TOP + 1
+    for target in targets:
+        expected = verify_formal_certificate(target, b, Positive(moves))
+        moved = Positive(tuple(shifted(mv, s) for mv in moves))
+        up = [x + s for x in target], [x + s for x in b]
+        assert verify_formal_certificate(*up, moved) == expected, (target, b, moves)
+
+
 @pytest.mark.parametrize(
     "exponents",
     [(1.5,), (1.9,), (True,), ("1",), (-1,), (0, -2), 3, None],
