@@ -301,6 +301,35 @@ def cmd_rank(ring, args):
     }
 
 
+# A class-vector operand of leq or chain sets the size of the certificate by
+# its entries, not its length, so a request would choose its own cost without
+# a cap.  Over a product of w fields the command factors representatives of
+# side at most s = max(a + b), in about w s^3 field operations.  Over a local
+# ring of nil degree n the chain makes |a| = sum(a) cancels, at most n - 1
+# swaps before each, and at most |b| + swaps drops: at most 2n|a| + |b|
+# moves.  A swap costs O(n) to build, and a move about as much to print and
+# replay as 64 steps of that, so (2n|a| + |b|) ceil(n/64) bounds the work.
+# At the cap the slowest requests found take about 0.3 s on a 2-core VM: a
+# factorization over GF(2^32), the costliest field, and a chain of 20000 drops.
+CLASS_WORK_CAP = 20_000
+
+
+def _check_class_work(ring, a, b):
+    """Refuse a leq or chain request whose class vectors exceed CLASS_WORK_CAP."""
+    if ring.is_local:
+        n = ring.nil_degree
+        work = (2 * n * sum(a) + sum(b)) * -(-n // 64)
+        rule = f"(2n|a| + |b|) * ceil(n/64) <= {CLASS_WORK_CAP}, n = {n} the nil degree"
+    else:
+        s = max(1, *a, *b)
+        work = ring.width * s**3
+        rule = f"w * s^3 <= {CLASS_WORK_CAP}, w = {ring.width} fields, s = {s} the largest entry"
+    if work > CLASS_WORK_CAP:
+        raise PreconditionError(
+            f"class vectors over {ring.spec} need {rule}; this request needs {work}"
+        )
+
+
 def cmd_leq(ring, args):
     """leq and chain: an order decision read off its certificate."""
     from .semigroup import class_representative, regular_factor, witness_chain
@@ -309,6 +338,8 @@ def cmd_leq(ring, args):
         return _formal_leq(ring, args)
     A, a = load_class_operand(ring, args.a)
     B, b = load_class_operand(ring, args.b)
+    if A is None or B is None:
+        _check_class_work(ring, a, b)
     payload = {"a_class": list(a), "b_class": list(b), "verified": _PENDING}
     if ring.is_local:
         payload["mode"] = "local"

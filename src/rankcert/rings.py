@@ -39,6 +39,11 @@ for a large n or the order of a long product.  Z, F_p[x], Z/p^n and
 prime fields keep their own methods, one step per operation.  `parse_matrix`
 parses each distinct literal of a matrix once per call, and keeps
 nothing after it returns.
+
+The guards shared by every family live in `Ring` alone: `is_zero`
+compares with the canonical zero, `unit_inverse` raises
+PreconditionError unless `is_unit` holds and then calls the family's
+`_inverse`, and `format` is `str` unless a family prints otherwise.
 """
 
 from __future__ import annotations
@@ -116,11 +121,13 @@ def _within_table_cap(factors) -> bool:
 class Ring:
     """Common interface; concrete families override what they compute.
 
-    Z, F_p[x] and Z/p^n define add, mul and neg themselves.  The other
-    families define _add, _mul and _neg, and set `tabulates` when their
-    order is at most TABLE_CAP; then add and mul look _add and _mul up in
-    tables (`tabulated`), and neg is the lookup of a one-argument
-    `_Table` of _neg; otherwise they are _add, _mul and _neg.
+    Every family defines is_unit and _inverse; is_zero, the unit_inverse
+    guard and the str formatter are defined here once.  Z, F_p[x] and
+    Z/p^n define add, mul and neg themselves.  The other families define
+    _add, _mul and _neg, and set `tabulates` when their order is at most
+    TABLE_CAP; then add and mul look _add and _mul up in tables
+    (`tabulated`), and neg is the lookup of a one-argument `_Table` of
+    _neg; otherwise they are _add, _mul and _neg.
     """
 
     spec = ""
@@ -150,12 +157,18 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a == self.zero  # exact: values are canonical
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
     def unit_inverse(self, a):
+        if not self.is_unit(a):
+            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
+        return self._inverse(a)
+
+    def _inverse(self, a):
+        """The inverse of a value that is_unit accepts."""
         raise NotImplementedError
 
     def ideal_member(self, x, gen) -> bool:
@@ -166,7 +179,7 @@ class Ring:
         raise NotImplementedError
 
     def format(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
 
     def elements(self):
         raise PreconditionError(f"{self.spec} is infinite")
@@ -213,15 +226,10 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a in (1, -1)
 
-    def unit_inverse(self, a):
-        if not self.is_unit(a):
-            raise PreconditionError(f"{a} is not a unit in Z")
+    def _inverse(self, a):
         return a
 
     def ideal_member(self, x, gen):
@@ -234,9 +242,6 @@ class IntegerRing(Ring):
             return int(text)
         except ValueError:
             raise ParseError(f"bad integer literal {text!r}") from None
-
-    def format(self, a):
-        return str(a)
 
 
 class PolyRing(Ring):
@@ -266,15 +271,10 @@ class PolyRing(Ring):
     def mul(self, a, b):
         return pmul(a, b, self.p)
 
-    def is_zero(self, a):
-        return a == ()
-
     def is_unit(self, a):
         return len(a) == 1
 
-    def unit_inverse(self, a):
-        if not self.is_unit(a):
-            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
+    def _inverse(self, a):
         return (pow(a[0], -1, self.p),)
 
     def ideal_member(self, x, gen):
@@ -290,7 +290,10 @@ class PolyRing(Ring):
 
 
 class _LocalRing(Ring):
-    """Shared logic for the Artinian local families: Z/p^n, F_p[x]/x^n and GF(p^k)."""
+    """Shared logic for the Artinian local families: Z/p^n, F_p[x]/x^n and GF(p^k).
+
+    A unit is a value of valuation 0; `Ring.unit_inverse` guards it.
+    """
 
     is_local = True
     is_finite = True
@@ -309,19 +312,8 @@ class _LocalRing(Ring):
         """The canonical a / c^v, for 0 <= v <= valuation(a)."""
         raise NotImplementedError
 
-    def _inverse(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero
-
     def is_unit(self, a):
         return self.valuation(a) == 0
-
-    def unit_inverse(self, a):
-        if not self.is_unit(a):
-            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
-        return self._inverse(a)
 
     def ideal_member(self, x, gen):
         return self.valuation(x) >= self.valuation(gen)
@@ -386,9 +378,6 @@ class ModPrimePowerRing(_LocalRing):
             return self.normalize(int(text))
         except ValueError:
             raise ParseError(f"bad residue literal {text!r}") from None
-
-    def format(self, a):
-        return str(a)
 
     def elements(self):
         return list(range(self.modulus))
@@ -532,9 +521,6 @@ class ExtensionField(_LocalRing):
     def _inverse(self, a):
         return self.power(a, self.size - 2)  # a^(q-2) = a^(-1) in GF(q)
 
-    def format(self, a):
-        return str(a)
-
     def elements(self):
         return list(range(self.size))
 
@@ -587,16 +573,11 @@ class FieldProductRing(Ring):
     def _mul(self, a, b):
         return tuple([f.mul(x, y) for f, x, y in zip(self.fields, a, b)])
 
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
     def is_unit(self, a):
         return all(x != 0 for x in a)
 
-    def unit_inverse(self, a):
-        if not self.is_unit(a):
-            raise PreconditionError(f"{self.format(a)} is not a unit in {self.spec}")
-        return tuple(f.unit_inverse(x) for f, x in zip(self.fields, a))
+    def _inverse(self, a):
+        return tuple(f._inverse(x) for f, x in zip(self.fields, a))
 
     def ideal_member(self, x, gen):
         return all(g != 0 or c == 0 for c, g in zip(x, gen))

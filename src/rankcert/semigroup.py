@@ -10,7 +10,10 @@ Grothendieck group Z^width is stored as a reduced (pos, neg) pair.
 The order is decided through the rank functions rk_k (local) or
 componentwise rank comparison (regular), and every decision carries a
 certificate: a replayable chain of elementary moves, an explicit
-factorization, or a violated rank/minor-valuation inequality.  Move
+factorization, or a violated rank/minor-valuation inequality.  Each
+public entry point checks each class operand once (check_element) and
+reads every decision and rank refutation off its integer profile
+(_profile); the private helpers trust what they are given.  Move
 indices follow the convention that index n names the class of the zero
 matrix (c^n = 0), so a move may legally produce "generator n" and add
 nothing.  One interpreter, _replay, re-checks every chain on exponent
@@ -202,12 +205,15 @@ def rk(ring, k: int, a) -> Fraction:
     n = ring.nil_degree
     if not 1 <= k <= n:
         raise PreconditionError(f"k = {k} outside [1, {n}]")
-    a = check_element(ring, a)
-    return Fraction(_profile(ring, a)[k - 1], k)
+    return Fraction(_profile(ring, check_element(ring, a))[k - 1], k)
 
 
 def rank_profile(ring, a) -> tuple:
-    return tuple(rk(ring, k, a) for k in range(1, ring.nil_degree + 1))
+    """(rk_1(a), ..., rk_n(a)), read off one profile in O(n)."""
+    if not ring.is_local:
+        raise PreconditionError("rk_k is defined for the local families")
+    profile = _profile(ring, check_element(ring, a))
+    return tuple(Fraction(x, k) for k, x in enumerate(profile, 1))
 
 
 def leq(ring, a, b) -> bool:
@@ -216,10 +222,9 @@ def leq(ring, a, b) -> bool:
     return all(x <= y for x, y in zip(_profile(ring, a), _profile(ring, b)))
 
 
-def least_violating_k(ring, a, b):
-    """Smallest k with rk_k(a) > rk_k(b), or None (local only)."""
-    pairs = zip(_profile(ring, a), _profile(ring, b))
-    return next((k for k, (x, y) in enumerate(pairs, 1) if x > y), None)
+def _first_excess(pa, pb):
+    """The least k with pa[k - 1] > pb[k - 1]; None iff the profiled a <= b."""
+    return next((k for k, (x, y) in enumerate(zip(pa, pb), 1) if x > y), None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +271,7 @@ def cone_member(ring, g: GroupElement) -> bool:
     order the relation is additive, so the c is irrelevant and the
     comparison reduces to leq(neg, pos).
     """
-    return leq(ring, check_element(ring, g.neg), check_element(ring, g.pos))
+    return leq(ring, g.neg, g.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +291,10 @@ def witness_chain(ring, a, b):
     a = check_element(ring, a)
     b = check_element(ring, b)
     n = ring.nil_degree
-    k_bad = least_violating_k(ring, a, b)
-    if k_bad is not None:
-        return NegativeRank(k_bad, rk(ring, k_bad, a), rk(ring, k_bad, b))
+    pa, pb = _profile(ring, a), _profile(ring, b)
+    k = _first_excess(pa, pb)
+    if k is not None:
+        return NegativeRank(k, Fraction(pa[k - 1], k), Fraction(pb[k - 1], k))
     if a == b:
         return Positive(())
 
@@ -320,7 +326,7 @@ def witness_chain(ring, a, b):
             raise SearchBudgetError(
                 f"witness chain exceeded its bound {swap_budget}; this is a bug"
             )
-        if least_violating_k(ring, tuple(cur_a), tuple(cur_b)) is not None:
+        if _first_excess(_profile(ring, cur_a), _profile(ring, cur_b)) is not None:
             raise SearchBudgetError(
                 "rank comparison broke during chain construction; this is a bug"
             )
@@ -380,15 +386,16 @@ def verify_certificate(ring, a, b, cert) -> bool:
         b = check_element(ring, b)
     except PreconditionError:
         return False
+    if not ring.is_local:
+        return False
     if isinstance(cert, Positive):
-        if not ring.is_local:
-            return False
         return _replay(list(b), list(a), cert.moves, ring.nil_degree)
     if isinstance(cert, NegativeRank):
-        if not ring.is_local or not 1 <= cert.k <= ring.nil_degree:
+        k = cert.k
+        if not 1 <= k <= ring.nil_degree:
             return False
-        lhs = rk(ring, cert.k, a)
-        rhs = rk(ring, cert.k, b)
+        lhs = Fraction(_profile(ring, a)[k - 1], k)
+        rhs = Fraction(_profile(ring, b)[k - 1], k)
         return lhs == cert.lhs and rhs == cert.rhs and lhs > rhs
     return False
 
@@ -444,11 +451,9 @@ def leq_necessary(e_a, e_b) -> bool:
 
 
 def _without(seq, v):
-    """The sorted tuple seq less one copy of v, or None when v is absent."""
+    """The sorted tuple seq less one copy of v, which it holds."""
     k = bisect_left(seq, v)
-    if k < len(seq) and seq[k] == v:
-        return seq[:k] + seq[k + 1 :]
-    return None
+    return seq[:k] + seq[k + 1 :]
 
 
 def _with(seq, v):

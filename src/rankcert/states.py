@@ -141,7 +141,11 @@ class StateRange:
 
 
 def check_states_exist(ring):
-    """Raise unless (m+1)v is incomparable above m * v for every m >= 1."""
+    """Raise unless (m+1)v is incomparable above m * v for every m >= 1.
+
+    It cannot raise on a ring that check_element accepts, whose P(<1>) is
+    (1, ..., n) or (1, ..., 1), so state_range and state_extension skip it.
+    """
     if not has_rank_function(ring):
         raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
@@ -205,7 +209,6 @@ def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
     a = check_element(ring, a)
     if n_bound < 1 or m_bound < 1:
         raise PreconditionError("bounds must be >= 1")
-    check_states_exist(ring)
     low, high = _extremes(_profile(ring, a), _profile(ring, order_unit(ring)))
     p = _best_below(*low, n_bound, m_bound)
     q = _best_below(high[1], high[0], m_bound, n_bound)[::-1] if high[0] else (0, 1)
@@ -422,7 +425,6 @@ def state_extension(
         raise PreconditionError("ball must be >= 0")
     if m_bound < 1:
         raise PreconditionError("M must be >= 1")
-    check_states_exist(ring)
     pa, zero = _profile(ring, a), monoid_identity(ring)
     lane = (m_bound * max(pa) + len(pa) * ball).bit_length() + 1
     elems, denom, supports = _span_with_values(ring, spec, ball, lane)

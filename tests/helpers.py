@@ -127,14 +127,6 @@ def reference_is_diagonal_form(ring, A, exponents, zero_count, left, right) -> b
     return all(entry(i, j) == A[i][j] for i in range(rows) for j in range(cols))
 
 
-def random_monoid_element(ring, rng, max_norm):
-    width = len(order_unit(ring))
-    vec = [0] * width
-    for _ in range(rng.randrange(max_norm + 1)):
-        vec[rng.randrange(width)] += 1
-    return tuple(vec)
-
-
 # ---------------------------------------------------------------------------
 # reference state enumerations: the Fraction/leq loops, one public leq call
 # per relation, kept as an oracle for the integer-profile versions

@@ -4,10 +4,13 @@ Each example takes one README command (the CLI block, `verify --file`
 and `selftest --only 2`), and replaces the values of one or two of its
 flags by short, mostly invalid values, or drops a flag.  It runs the
 command in-process; an exception escaping `main` is what would print a
-traceback.  Large values stay out: `extend-state --ball` still costs time
-that grows with its value, and a formal request whose lists need many
-drops still costs seconds.  The long formal chains pinned below take
-milliseconds at their large `--depth`.
+traceback.  Large class vectors are among the values: a `leq` or `chain`
+request whose vectors exceed `cli.CLASS_WORK_CAP` exits 3 at once, and
+`rank`, `state-range` and `extend-state` read a class vector in closed
+form.  Other large values stay out: `extend-state --ball` still costs
+time that grows with its value, and a formal request whose lists need
+many drops still costs seconds.  The long formal chains pinned below
+take milliseconds at their large `--depth`.
 """
 
 import json
@@ -26,7 +29,7 @@ README_COMMANDS = tuple(
 ) + (("verify", "--file", RESPONSE), ("selftest", "--only", "2"))
 VALUES = (
     "", "[]", "{}", "x", "-1", "0", "1.5", "[[]]", "null", "[1]", "[[1]]", "[-1]", "true",
-    '["1/0"]', '[["x"]]', "2", "[0,0]", "F2[x]/x^256",
+    '["1/0"]', '[["x"]]', "2", "[0,0]", "F2[x]/x^256", "[100000,100000]", "[0,100000,0]",
 )
 # without --only, selftest runs the whole acceptance suite, about a minute
 KEPT = {("selftest", "--only")}

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -23,7 +24,14 @@ from rankcert import (
     StateRange,
     parse_matrix,
 )
-from rankcert.cli import _CODECS, load_fields, load_record, main, record_payload
+from rankcert.cli import (
+    _CODECS,
+    CLASS_WORK_CAP,
+    load_fields,
+    load_record,
+    main,
+    record_payload,
+)
 from rankcert.rings import matrix, parse_ring
 from rankcert.semigroup import (
     Cancel,
@@ -670,6 +678,51 @@ def test_axioms_check_cost_does_not_grow_with_the_ring(ring, count, n):
 def test_axioms_check_count_above_the_cap_is_refused_at_once():
     code, out, elapsed = run(("axioms-check", "--ring", "Z/8", "--count", LARGE))
     assert code == 3 and out == "" and elapsed < LIMIT_S
+
+
+# a class vector sets the size of its certificate by its entries: these took
+# seconds, or were killed, before CLASS_WORK_CAP
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("leq", "--ring", "F2*F3", "--a", "[100000,100000]", "--b", '[["(1,1)"]]'),
+        ("leq", "--ring", "F2*F3", "--a", "[60,60]", "--b", "[61,61]"),
+        ("leq", "--ring", "F4294967296", "--a", "[27]", "--b", "[28]"),
+        ("chain", "--ring", "Z/8", "--a", "[0,100000,0]", "--b", "[50000,0,50000]"),
+        ("chain", "--ring", "Z/8", "--a", "[0,0,0]", "--b", "[0,20001,0]"),
+        ("chain", "--ring", "F2[x]/x^64", "--a", json.dumps([0] * 40 + [1000] + [0] * 23),
+         "--b", json.dumps([1000] + [0] * 62 + [1000])),
+        ("chain", "--ring", "F2[x]/x^1024", "--a", json.dumps([0] * 512 + [1] + [0] * 511),
+         "--b", json.dumps([1] + [0] * 1022 + [1])),
+    ],
+)
+def test_class_vectors_above_the_work_cap_are_refused_at_once(argv):
+    code, out, elapsed = run(argv)
+    assert code == 3 and out == "" and elapsed < LIMIT_S
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        main(list(argv))
+    assert f"<= {CLASS_WORK_CAP}" in err.getvalue()
+
+
+# the slowest requests found at the cap: a factorization over the costliest
+# field, and a chain of drops; a matrix operand is not capped
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("leq", "--ring", "F4294967296", "--a", "[26]", "--b", "[27]"),
+        ("leq", "--ring", "F4294967296*F4294967296", "--a", "[20,20]", "--b", "[21,21]"),
+        ("chain", "--ring", "Z/2", "--a", "[0]", "--b", "[20000]"),
+        ("chain", "--ring", "F2[x]/x^64", "--a", json.dumps([0] * 32 + [153] + [0] * 31),
+         "--b", json.dumps([153] + [0] * 62 + [153])),
+        ("leq", "--ring", "F2", "--a", '[["(1)"]]', "--b", json.dumps(
+            [["(1)" if i == j else "(0)" for j in range(30)] for i in range(30)])),
+    ],
+)
+def test_class_vectors_at_the_work_cap_answer_in_time(argv):
+    code, out, elapsed = run(argv)
+    assert code == 0 and elapsed < LIMIT_S
+    assert json.loads(out)["verified"] is True
 
 
 @pytest.mark.parametrize(

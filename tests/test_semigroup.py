@@ -45,6 +45,7 @@ from rankcert import (
     witness_chain,
 )
 import rankcert.semigroup as semigroup
+from rankcert.acceptance import LOCAL_RINGS
 from rankcert.semigroup import _formal_bound, _replay, check_element
 
 from helpers import (
@@ -797,6 +798,35 @@ def test_rank_profile_length():
         Fraction(3, 2),
         Fraction(2),
     )
+
+
+@pytest.mark.parametrize("spec", ["Z", "F2[x]", "F2*F3"])
+def test_rank_profile_outside_the_local_families_is_a_precondition_error(spec):
+    # it once raised AttributeError, reading the nil degree first
+    with pytest.raises(PreconditionError, match="local families"):
+        rank_profile(parse_ring(spec), (1, 0))
+
+
+def test_rank_profile_reads_one_profile():
+    ring = parse_ring("F2[x]/x^4096")
+    a = tuple(i % 3 for i in range(4096))
+    start = time.perf_counter()
+    profile = rank_profile(ring, a)
+    assert time.perf_counter() - start < 0.1  # n rk calls took 1.4 s
+    assert all(profile[k - 1] == rk(ring, k, a) for k in (1, 2, 4095, 4096))
+
+
+def test_negative_rank_is_the_first_excess_of_the_rank_profiles():
+    # criterion 1's grid: five local rings, class norms up to 4
+    for spec in LOCAL_RINGS:
+        ring = parse_ring(spec)
+        vecs = vectors_up_to(ring.nil_degree, 4)
+        for a, b in product(vecs, vecs):
+            cert = witness_chain(ring, a, b)
+            if isinstance(cert, NegativeRank):
+                pa, pb = rank_profile(ring, a), rank_profile(ring, b)
+                k = next(k for k in range(1, len(pa) + 1) if pa[k - 1] > pb[k - 1])
+                assert cert == NegativeRank(k, pa[k - 1], pb[k - 1])
 
 
 def test_check_element_returns_a_valid_tuple_as_it_is():
