@@ -300,6 +300,9 @@ def witness_chain(ring, a, b):
 
     moves = []
     cur_a, cur_b = list(a), list(b)
+    # P(cur_b) - P(cur_a): a Cancel leaves it, a PowerSwap(j1, j2) lowers
+    # positions j1..j2-2 by one; a negative entry means cur_a <= cur_b broke
+    slack = [y - x for x, y in zip(pa, pb)]
     swap_budget = sum(b) * n * (n + 1)
     swaps = 0
     while sum(cur_a) > 0:
@@ -326,10 +329,12 @@ def witness_chain(ring, a, b):
             raise SearchBudgetError(
                 f"witness chain exceeded its bound {swap_budget}; this is a bug"
             )
-        if _first_excess(_profile(ring, cur_a), _profile(ring, cur_b)) is not None:
-            raise SearchBudgetError(
-                "rank comparison broke during chain construction; this is a bug"
-            )
+        for k in range(j1, j2 - 1):
+            slack[k] -= 1
+            if slack[k] < 0:
+                raise SearchBudgetError(
+                    "rank comparison broke during chain construction; this is a bug"
+                )
     for i in range(n):
         moves.extend([Drop(i)] * cur_b[i])
     return Positive(tuple(moves))

@@ -28,11 +28,18 @@ monotonicity conflict.  Profiles are packed into one int each, so a
 relation is one test of the lanes' high bits (SWAR): a lane of B =
 bitlen(M max P(a) + width * ball) + 1 bits holds m P(a) + P(c) - P(b),
 biased by 2^(B - 1), exactly for 0 <= m <= M, as no lane of a profile in
-the ball exceeds width * ball.  A pair's best m is searched for only when
-the test at the m that would tie the optimum passes.  The witness, the
-first relation in sorted (b, c, m) order worth the optimum, is kept by
-the same pass: a nonzero generator g shared by b and c gives the earlier
-witness (b - g, c - g, m).
+the ball exceeds width * ball.  Elements are packed too, coordinate 0 in
+the most significant lane of bitlen(ball) + 1 bits, so int order is
+tuple order and a tuple is built only for a returned witness or an
+error text.  One test at the m that would tie the best ratio seen
+decides both whether a pair conflicts and whether it can reach the
+optimum; a tie there is settled by one test at the next m, and only a
+pair that improves the optimum has its best m searched for.  The
+witness, the first relation in sorted (b, c, m) order worth the optimum,
+is kept by the same pass: a nonzero generator g shared by b and c gives
+the earlier witness (b - g, c - g, m).  An answer depends only on the
+best ratio and the least witness, so neither the order of the pass nor
+an element read twice can change it.
 
 Each order decision compares integer order profiles (semigroup._profile)
 of operands validated once at the boundary.
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 from .errors import BoundExceededError, PreconditionError
 from .fields import FIELD_CAP, is_prime
@@ -266,32 +272,44 @@ class StateSpec:
     values: tuple  # Fractions, one per generator
 
 
-def _pack(profile, lane: int) -> int:
-    """A profile as one int, P_i in bits [i lane, (i + 1) lane)."""
-    return sum(z << i * lane for i, z in enumerate(profile))
+def _pack(entries, lane: int) -> int:
+    """Entries as one int, the first in the most significant lane of the given width."""
+    out = 0
+    for z in entries:
+        out = out << lane | z
+    return out
 
 
-def _span_with_values(ring, spec: StateSpec, ball: int, lane: int):
+def _unpack(packed: int, lane: int, width: int) -> tuple:
+    """The width entries of a packed element (_pack), as a tuple."""
+    mask = (1 << lane) - 1
+    return tuple([packed >> shift & mask for shift in range((width - 1) * lane, -1, -lane)])
+
+
+def _span_with_values(ring, spec: StateSpec, ball: int, lane: int, elane: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
-    Returns ({element: value numerator}, denominator, {support: {(element,
-    packed profile, value numerator)}}): every value is an integer over
-    one common denominator, a support is the bitmask of the generators
-    with a nonzero coefficient in some combination reaching the element,
-    and profiles are packed in lanes of the given width (_pack).  Each
-    step of the walk adds a generator's packed profile, value and norm:
-    the profile is additive, and no lane of an element in the ball
-    reaches 2^(lane - 1) (state_extension).  The first additivity
-    conflict, in lexicographic order of the coefficients, is rejected.
+    Returns ({element: value numerator}, denominator, {support: [(element,
+    packed profile, value numerator)]}): every value is an integer over one
+    common denominator, a support is the bitmask of the generators with a
+    nonzero coefficient in some combination reaching the element, and each
+    support lists an element once.  Elements are packed in lanes of elane
+    bits and profiles in lanes of the given width (_pack); an element
+    entry is at most ball < 2^(elane - 1), so int order is tuple order.
+    Each step of the walk adds a generator's packed element, packed
+    profile, value and norm: the profile is additive, and no profile lane
+    of an element in the ball reaches 2^(lane - 1) (state_extension).  The
+    first additivity conflict, in lexicographic order of the coefficients,
+    is rejected.
     """
     gens = [check_element(ring, g) for g in spec.generators]
-    vals = [Fraction(v) for v in spec.values]
+    vals = [v if type(v) is Fraction else Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
-    denom = lcm(*(v.denominator for v in vals))
-    combos = [(monoid_identity(ring), 0, 0, 0, 0)]
+    denom = lcm(*[v.denominator for v in vals])
+    combos = [(0, 0, 0, 0, 0)]
     for i, (g, v) in enumerate(zip(gens, vals)):
-        pg, ng = _pack(_profile(ring, g), lane), sum(g)
+        eg, pg, ng = _pack(g, elane), _pack(_profile(ring, g), lane), sum(g)
         gv = v.numerator * (denom // v.denominator)
         grown = []
         for combo in combos:
@@ -299,7 +317,7 @@ def _span_with_values(ring, spec: StateSpec, ball: int, lane: int):
             elt, prof, val, support, norm = combo
             support |= 1 << i
             while norm + ng <= ball:
-                elt, prof = tuple(map(add, elt, g)), prof + pg
+                elt, prof = elt + eg, prof + pg
                 val, norm = val + gv, norm + ng
                 grown.append((elt, prof, val, support, norm))
                 if not ng:  # a zero generator is taken once, to expose its value
@@ -310,11 +328,11 @@ def _span_with_values(ring, spec: StateSpec, ball: int, lane: int):
         prev = elems.setdefault(elt, val)
         if prev != val:
             raise PreconditionError(
-                f"state spec is inconsistent: element {elt} gets values "
-                f"{Fraction(prev, denom)} and {Fraction(val, denom)}"
+                f"state spec is inconsistent: element {_unpack(elt, elane, len(gens[0]))} "
+                f"gets values {Fraction(prev, denom)} and {Fraction(val, denom)}"
             )
-        supports.setdefault(support, set()).add((elt, prof, val))
-    return elems, denom, supports
+        supports.setdefault(support, {})[elt] = elt, prof, val
+    return elems, denom, {s: list(group.values()) for s, group in supports.items()}
 
 
 def _least(pa, high, e, lo, hi):
@@ -328,7 +346,7 @@ def _least(pa, high, e, lo, hi):
     return lo
 
 
-def _extension_optima(supports, pa, high, m_bound: int, zero):
+def _extension_optima(supports, pa, high, m_bound: int):
     """Best (d, m, witness) for p and for q, and the least conflicting pair.
 
     For b, c with d = v(b) - v(c) > 0 and packed E = P(c) - P(b), b <= c +
@@ -339,13 +357,27 @@ def _extension_optima(supports, pa, high, m_bound: int, zero):
     <= c with v(b) > v(c), of which the least (b, c) is returned (None
     without one); else it is worth d / least for p and d / min(M, most)
     for q.  p starts at 0 with the least witness (0, 0, 1), so a pair with
-    d = 0 decides q only, at m = 1.  A pair is screened for p at floor(d
-    p_m / p_d), capped at M, and for q at ceil(d q_m / q_d); only if it
-    passes is least, or most = M - the least k with k P(a) - M P(a) - E >=
-    0, found by binary search (_least).  q's witness is None when no pair
-    has an upper relation.
+    d = 0 decides q only, at m = 1.
+
+    A pair is screened for p at m = floor(d p_m / p_d), capped at M: one
+    test there decides the p screen, and, as a conflict relates at every m
+    >= 0, a pair failing it is no conflict; only a pair passing it is
+    tested at m = 0.  A pair passing with d / m > p improves p, and
+    least is found by binary search (_least).  At an exact tie, d / m = p,
+    one test at m - 1 tells whether the pair improves p (least < m, then
+    searched for) or ties it with least = m; a tie replaces (d, m,
+    witness) only if its witness is earlier.  q is screened at m = ceil(d
+    q_m / q_d) alike, with most = M - the least k with k P(a) - M P(a) - E
+    >= 0, and a tie is settled by one test at m + 1.  q's witness is None
+    when no pair has an upper relation.
+
+    Each result is the best ratio with the least witness worth it, kept
+    with that witness's d and m, or the least conflict, and a screen skips
+    only pairs worse than the best seen, so neither the order in which
+    pairs are visited nor a pair read twice can change it.  Elements are
+    the packed ints of _span_with_values, whose int order is tuple order.
     """
-    p_d, p_m, p_w = 0, 1, (zero, zero, 1)
+    p_d, p_m, p_w = 0, 1, (0, 0, 1)
     q_d, q_m, q_w = 1, 0, None  # 1/0 stands above every ratio
     conflict = None
     groups = list(supports.items())
@@ -357,24 +389,38 @@ def _extension_optima(supports, pa, high, m_bound: int, zero):
                 for y, py, vy in cs:
                     d, e = vx - vy, py - px
                     if not d:
-                        for w, e in (((x, y, 1), e), ((y, x, 1), -e)):
-                            if (q_d or w < q_w) and (high - pa - e) & high == high:
-                                q_d, q_m, q_w = 0, 1, w
+                        if (high - pa - e) & high == high and (q_d or (x, y, 1) < q_w):
+                            q_d, q_m, q_w = 0, 1, (x, y, 1)
+                        if (high - pa + e) & high == high and (q_d or (y, x, 1) < q_w):
+                            q_d, q_m, q_w = 0, 1, (y, x, 1)
                         continue
                     b, c = x, y
                     if d < 0:
                         b, c, d, e = y, x, -d, -e
-                    if (high + e) & high == high:
-                        conflict = min(conflict or (b, c), (b, c))
-                        continue
-                    m = min(d * p_m // p_d, m_bound) if p_d else m_bound
-                    if m and (m * pa + high + e) & high == high:
-                        m = _least(pa, high, e, 1, m)
+                    m = d * p_m // p_d if p_d else m_bound
+                    if m > m_bound:
+                        m = m_bound
+                    if (m * pa + high + e) & high == high:
+                        if not m or (high + e) & high == high:
+                            conflict = min(conflict or (b, c), (b, c))
+                            continue
+                        if d * p_m > p_d * m or (
+                            m > 1 and ((m - 1) * pa + high + e) & high == high
+                        ):  # d / least beats p: least < m, or d / m beats p already
+                            m = _least(pa, high, e, 1, m)
                         if d * p_m > p_d * m or (b, c, m) < p_w:
                             p_d, p_m, p_w = d, m, (b, c, m)
-                    m = max(-(-d * q_m // q_d), 1) if q_d else m_bound + 1
+                    if not q_m:  # no q yet: 1/0 stands above d / 1
+                        m = 1
+                    elif q_d:
+                        m = -(-d * q_m // q_d)
+                    else:  # q = 0 stands below d / m
+                        continue
                     if m <= m_bound and (high - m * pa - e) & high == high:
-                        m = m_bound - _least(pa, high, -e - m_bound * pa, 0, m_bound - m)
+                        if d * q_m < q_d * m or (
+                            m < m_bound and (high - (m + 1) * pa - e) & high == high
+                        ):
+                            m = m_bound - _least(pa, high, -e - m_bound * pa, 0, m_bound - m)
                         if d * q_m < q_d * m or (b, c, m) < q_w:
                             q_d, q_m, q_w = d, m, (b, c, m)
     return (p_d, p_m, p_w), (q_d, q_m, q_w), conflict
@@ -416,28 +462,41 @@ def state_extension(
     for lanes of B = bitlen(M max P(a) + width * ball) + 1 bits: a
     profile lane in the ball is at most width * ball, so every lane of
     m P(a) + P(c) - P(b) with 0 <= m <= M lies in (-2^(B - 1), 2^(B -
-    1)), and biased by 2^(B - 1) it borrows nothing from the next.  A pair
-    costs one subtraction of packed ints and at most three tests, and
-    O(log M) more tests when it passes a screen.
+    1)), and biased by 2^(B - 1) it borrows nothing from the next.
+    Elements are packed in lanes of bitlen(ball) + 1 bits, coordinate 0
+    most significant, so witnesses and conflicts compare as ints in tuple
+    order, and tuples are built only for the answer or an error text.  A
+    pair costs one subtraction of packed ints and usually two tests: one
+    at p's screened m, which also tells whether the pair conflicts (the
+    relation then holds down to m = 0), and one at q's.  A tie with the
+    best ratio seen costs one test more, and only a pair that improves an
+    endpoint costs O(log M) tests more.  The answer is the best ratio with
+    the least witness, so the order in which pairs are read cannot change
+    it.
     """
     a = check_element(ring, a)
     if ball < 0:
         raise PreconditionError("ball must be >= 0")
     if m_bound < 1:
         raise PreconditionError("M must be >= 1")
-    pa, zero = _profile(ring, a), monoid_identity(ring)
-    lane = (m_bound * max(pa) + len(pa) * ball).bit_length() + 1
-    elems, denom, supports = _span_with_values(ring, spec, ball, lane)
+    pa, width = _profile(ring, a), len(a)
+    lane, elane = (m_bound * max(pa) + width * ball).bit_length() + 1, ball.bit_length() + 1
+    elems, denom, supports = _span_with_values(ring, spec, ball, lane, elane)
     (p_d, p_m, p_w), (q_d, q_m, q_w), conflict = _extension_optima(
-        supports, _pack(pa, lane), _pack([1 << lane - 1] * len(pa), lane), m_bound, zero
+        supports, _pack(pa, lane), _pack([1 << lane - 1] * width, lane), m_bound
     )
+
+    def unpacked(b, c, *m):
+        return (_unpack(b, elane, width), _unpack(c, elane, width), *m)
+
     if conflict is not None:
         x, y = conflict
+        b, c = unpacked(x, y)
         raise PreconditionError(
-            f"state spec is inconsistent: {x} <= {y} but value "
+            f"state spec is inconsistent: {b} <= {c} but value "
             f"{Fraction(elems[x], denom)} > {Fraction(elems[y], denom)}"
         )
-    if elems.get(order_unit(ring)) != denom:
+    if elems.get(_pack(order_unit(ring), elane)) != denom:
         raise PreconditionError(
             "state spec must contain the order-unit <1> with value 1"
         )
@@ -445,6 +504,7 @@ def state_extension(
         raise BoundExceededError(
             f"no witness relation found within bounds ({ball}, {m_bound})"
         )
+    p_w, q_w = unpacked(*p_w), unpacked(*q_w)
     p_lb, q_ub = Fraction(p_d, p_m * denom), Fraction(q_d, q_m * denom)
     if p_d * q_m > q_d * p_m:  # p_lb > q_ub, with p_m, q_m >= 1
         # every extending state s has p_lb <= s(a) <= q_ub, so none exists

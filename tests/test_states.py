@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from rankcert import (
     verify_state_range,
 )
 
+from rankcert import states
 from rankcert.acceptance import brute_square_sweep
 from rankcert.polys import min_irreducible
 from rankcert.semigroup import _profile
@@ -532,6 +534,25 @@ def test_state_extension_lanes_hold_m_bound_10_18():
     assert verify_state_extension(Z8, spec, E0, unit, 48, 10**18, False)
 
 
+def test_state_extension_settles_ties_without_a_search():
+    # the README spec at ball 48: ties at the screened m are settled by one
+    # test, so only the pairs that improve p or q are searched
+    spec = StateSpec(generators=(E0, E2), values=(Fraction(1), Fraction(0)))
+    least, calls = states._least, []
+
+    def counted(*args):
+        calls.append(args)
+        return least(*args)
+
+    expected = state_extension(Z8, spec, E1, ball=12, m_bound=12)
+    for m_bound in (12, 10**18):
+        calls.clear()
+        with mock.patch.object(states, "_least", counted):
+            sr = state_extension(Z8, spec, E1, ball=48, m_bound=m_bound)
+        assert sr == expected
+        assert len(calls) <= 8
+
+
 @st.composite
 def packed_lane_cases(draw):
     """wide_extension_cases, or their inconsistent variant, with M up to 10**18 one time in two."""
@@ -544,6 +565,8 @@ def packed_lane_cases(draw):
 
 
 Z2, F2F3 = parse_ring("Z/2"), parse_ring("F2*F3")
+Z32, F2F3F5 = parse_ring("Z/32"), parse_ring("F2*F3*F5")
+Z32_UNIT, Z32_E2, Z32_E3 = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -555,10 +578,52 @@ Z2, F2F3 = parse_ring("Z/2"), parse_ring("F2*F3")
 # a zero lane of P(a) over F2*F3: a zero generator, and the conflict (1, 0) <= (1, 1)
 @example((F2F3, StateSpec(((1, 1), (0, 1), (0, 0)), (1, 0, 0)), (1, 0), 12, 10**18, False))
 @example((F2F3, StateSpec(((1, 1), (1, 0)), (1, 2)), (0, 1), 12, 10**18, True))
+# element lanes of ball.bit_length() + 1 bits, at the balls where that width
+# steps (7, 8, 15, 16): witnesses with an entry equal to the ball, crossed
+# bounds naming one, and conflict texts naming such elements
+@example((Z32, StateSpec((Z32_UNIT, Z32_E2), (1, Fraction(1, 5))), (0, 0, 2, 0, 1), 7, 12, False))
+@example((Z32, StateSpec((Z32_UNIT, (0, 0, 0, 2, 0)), (1, 1)), (1, 2, 0, 2, 1), 8, 12, False))
+@example(
+    (Z32, StateSpec((Z32_UNIT, Z32_E2), (1, Fraction(4, 7))), (2, 0, 2, 1, 2), 15, 10**18, True)
+)
+@example((Z32, StateSpec((Z32_UNIT, (0,) * 5), (1, 0)), (2, 0, 1, 1, 1), 16, 12, False))
+@example((Z32, StateSpec((Z32_UNIT, Z32_E3, (0, 0, 0, 16, 0)), (1, 0, 1)), Z32_E2, 16, 12, False))
+@example((F2F3F5, StateSpec(((1, 1, 1), (0, 0, 1)), (1, 0)), (0, 0, 2), 7, 10**18, False))
+@example((F2F3F5, StateSpec(((1, 1, 1), (0, 0, 1), (0, 0, 8)), (1, 0, 1)), (0, 1, 0), 8, 12, True))
+@example(
+    (F2F3F5, StateSpec(((1, 1, 1), (1, 0, 0), (15, 0, 1)), (1, 1, 14)), (0, 1, 0), 16, 12, False)
+)
 def test_state_extension_matches_the_sorted_difference_kernel(case):
     # the packed-lane tests against the kernel they replaced, whose cost does
     # not grow with M
     assert outcome(state_extension, *case) == outcome(sorted_difference_state_extension, *case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_lane_cases(), st.randoms(use_true_random=False))
+@example(CROSSED, random.Random(0))
+def test_pair_kernel_ignores_visit_order_and_repeated_entries(case, rng):
+    # every answer is the best ratio with the least witness, or the least
+    # conflict: shuffling the support groups and their entries, and reading
+    # one entry twice, must not change p, q, either witness or the conflict
+    kernel, inputs = states._extension_optima, []
+
+    def captured(*args):
+        inputs.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(states, "_extension_optima", captured):
+        outcome(state_extension, *case)
+    if not inputs:  # the span walk refused an additivity conflict
+        return
+    supports, *rest = inputs[0]
+    groups = [(support, list(entries)) for support, entries in supports.items()]
+    rng.shuffle(groups)
+    for _, entries in groups:
+        rng.shuffle(entries)
+    entries = rng.choice(groups)[1]
+    entries.insert(rng.randrange(len(entries) + 1), rng.choice(entries))
+    assert kernel(dict(groups), *rest) == kernel(supports, *rest)
 
 
 FROZEN = json.loads((Path(__file__).parent / "fixtures" / "extension_answers.json").read_text())
