@@ -304,13 +304,16 @@ def cmd_rank(ring, args):
 # A class-vector operand of leq or chain sets the size of the certificate by
 # its entries, not its length, so a request would choose its own cost without
 # a cap.  Over a product of w fields the command factors representatives of
-# side at most s = max(a + b), in about w s^3 field operations.  Over a local
+# side at most s = max(a + b); their factors are almost identities, and the
+# matrix product skips zero entries, so a factorization costs about w s^2
+# field operations, which w s^3 bounds with room to spare.  Over a local
 # ring of nil degree n the chain makes |a| = sum(a) cancels, at most n - 1
 # swaps before each, and at most |b| + swaps drops: at most 2n|a| + |b|
 # moves.  A swap costs O(n) to build, and a move about as much to print and
 # replay as 64 steps of that, so (2n|a| + |b|) ceil(n/64) bounds the work.
-# At the cap the slowest requests found take about 0.3 s on a 2-core VM: a
-# factorization over GF(2^32), the costliest field, and a chain of 20000 drops.
+# At the cap the slowest request found is a chain of 20000 drops, about
+# 0.2 s on a 2-core VM; a factorization over GF(2^32), the costliest field,
+# takes about 0.05 s.
 CLASS_WORK_CAP = 20_000
 
 

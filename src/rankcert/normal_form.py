@@ -13,8 +13,9 @@ GF(p^k) is `rings.ExtensionField`; c = 0, and every nonzero entry is a
 unit of valuation 0.  So the same kernel gives the ranks of the field
 components of a product ring and of a residue field.  Callers read only
 what they need: a class reads the exponents, a rank counts them, and
-`diagonalize` and `semigroup.regular_factor` replay the operations into
-their factors.
+`factors` alone replays the operations into factors, for `diagonalize`
+and, with `inverse_factors` feeding it the inverse operations, for
+`semigroup.regular_factor`.
 
 Each `Matrix` is eliminated at most once.  `eliminated(A)`, or
 `eliminated(A, i)` for the i-th field component of a product ring, runs
@@ -109,9 +110,9 @@ def eliminate(ring, grid):
             for row in M[d:]:
                 row[d], row[pj] = row[pj], row[d]
             ops.append((_SWAP_COLS, d, pj, None))
-        unit = shift(M[d][d], v)
+        unit = shift(M[d][d], v)  # a unit: v is the pivot's valuation
         if unit != ring.one:
-            u = ring.unit_inverse(unit)
+            u = ring._inverse(unit)
             M[d][d:] = [mul(u, x) for x in M[d][d:]]
             ops.append((_SCALE, d, u, unit))
         # the pivot is now exactly c^v; every other entry has valuation >= v
@@ -201,24 +202,21 @@ def factors(ring, rows, cols, ops):
 
 
 def inverse_factors(ring, rows, cols, ops):
-    """(L^-1, R^-1) with L^-1 * A * R^-1 = D: each operation applied to identities."""
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    Linv, Rinv = _identity_grid(ring, rows), _identity_grid(ring, cols)
-    for kind, i, j, t in ops:
-        if kind == _SWAP_ROWS:
-            Linv[i], Linv[j] = Linv[j], Linv[i]
-        elif kind == _SWAP_COLS:
-            for row in Rinv:
-                row[i], row[j] = row[j], row[i]
-        elif kind == _SCALE:  # j is the unit u
-            Linv[i] = [mul(j, x) for x in Linv[i]]
-        elif kind == _ADD_ROW:
-            Linv[i] = [x if y == zero else add(x, mul(t, y)) for x, y in zip(Linv[i], Linv[j])]
-        else:
-            for row in Rinv:
-                if row[j] != zero:
-                    row[i] = add(row[i], mul(t, row[j]))
-    return Linv, Rinv
+    """(L^-1, R^-1) with L^-1 * A * R^-1 = D, as `factors` of the inverse operations.
+
+    L = E1^-1 ... Ek^-1 for the row operations E1, ..., Ek in order, so
+    L^-1 = Ek ... E1 is what `factors` builds from Ek^-1, ..., E1^-1; R
+    likewise.  A swap is its own inverse, a scaling by u is inverted by
+    u^-1, and a transvection by t by -t.
+    """
+    neg, inverse = ring.neg, []
+    for kind, i, j, t in reversed(ops):
+        if kind == _SCALE:  # (u, u^-1) becomes (u^-1, u)
+            j, t = t, j
+        elif kind == _ADD_ROW or kind == _ADD_COL:
+            t = neg(t)
+        inverse.append((kind, i, j, t))
+    return factors(ring, rows, cols, inverse)
 
 
 def diagonalize(A: Matrix) -> DiagonalForm:

@@ -686,9 +686,6 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def to_strings(self):
         return [[self.ring.format(x) for x in row] for row in self.entries]
 
@@ -755,7 +752,11 @@ def zeros(ring: Ring, r: int, c: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """A * B, row by row: each nonzero A[i][t] adds A[i][t] * B[t] to row i."""
+    """A * B, row by row: each nonzero A[i][t] adds A[i][t] * B[t] to row i.
+
+    The first such term starts the row, so a row of A with one nonzero
+    entry costs B.cols products and no sums.
+    """
     if A.ring != B.ring:
         raise PreconditionError("matrix product over different rings")
     if A.cols != B.rows:
@@ -764,11 +765,14 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     add, mul, zero = ring.add, ring.mul, ring.zero
     out = []
     for row_a in A.entries:
-        row = [zero] * B.cols
+        row = None
         for x, row_b in zip(row_a, B.entries):
             if x != zero:
-                row = [add(acc, mul(x, y)) for acc, y in zip(row, row_b)]
-        out.append(row)
+                if row is None:
+                    row = [mul(x, y) for y in row_b]
+                else:
+                    row = [add(acc, mul(x, y)) for acc, y in zip(row, row_b)]
+        out.append([zero] * B.cols if row is None else row)
     return Matrix._canonical(ring, out)
 
 

@@ -305,18 +305,21 @@ def witness_chain(ring, a, b):
     slack = [y - x for x, y in zip(pa, pb)]
     swap_budget = sum(b) * n * (n + 1)
     swaps = 0
-    while sum(cur_a) > 0:
-        common = next((i for i in range(n) if cur_a[i] and cur_b[i]), None)
+    # left copies of a remain, none below index low, which only moves up,
+    # so no index below low is common
+    left, low = sum(a), 0
+    while left:
+        while not cur_a[low]:
+            low += 1
+        common = next((i for i in range(low, n) if cur_a[i] and cur_b[i]), None)
         if common is not None:
             moves.append(Cancel(common))
             cur_a[common] -= 1
             cur_b[common] -= 1
+            left -= 1
             continue
-        i_a = next(i for i in range(n) if cur_a[i])
-        support_b = [i for i in range(n) if cur_b[i]]
-        j1 = max(i for i in support_b if i < i_a)
-        above = [i for i in support_b if i > j1]
-        j2 = above[0] if above else n
+        j1 = next(i for i in range(low - 1, -1, -1) if cur_b[i])
+        j2 = next((i for i in range(j1 + 1, n) if cur_b[i]), n)
         moves.append(PowerSwap(j1, j2))
         cur_b[j1] -= 1
         if j2 < n:
@@ -757,51 +760,38 @@ def regular_factor(A: Matrix, B: Matrix) -> FactorResult | NegativeComponent:
     ring = A.ring
     if not ring.is_product or B.ring != ring:
         raise PreconditionError("regular_factor needs matrices over one product ring")
-    eliminations = [(eliminated(A, i), eliminated(B, i)) for i in range(ring.width)]
-    for i, ((exps_a, _), (exps_b, _)) in enumerate(eliminations):
-        if len(exps_a) > len(exps_b):
-            return NegativeComponent(i, len(exps_a), len(exps_b))
+    ranks_a, ranks_b = class_of(A), class_of(B)
+    k = _first_excess(ranks_a, ranks_b)
+    if k is not None:
+        return NegativeComponent(k - 1, ranks_a[k - 1], ranks_b[k - 1])
     if A == B:
         return FactorResult(identity(ring, A.rows), identity(ring, A.cols))
 
     # A = Pa E Qa and B = Pb E' Qb with E, E' 0/1 diagonal and rank(A) = r <= rank(B),
     # so A = (Pa[:, :r] Pb^-1[:r, :]) B (Qb^-1[:, :r] Qa[:r, :]).
     c_parts, d_parts = [], []
-    for f, ((exps_a, ops_a), (_, ops_b)) in zip(ring.fields, eliminations):
-        r = len(exps_a)
-        Pa, Qa = factors(f, A.rows, A.cols, ops_a)
-        Pb_inv, Qb_inv = inverse_factors(f, B.rows, B.cols, ops_b)
+    for i, (f, r) in enumerate(zip(ring.fields, ranks_a)):
+        Pa, Qa = factors(f, A.rows, A.cols, eliminated(A, i)[1])
+        Pb_inv, Qb_inv = inverse_factors(f, B.rows, B.cols, eliminated(B, i)[1])
         c_parts.append(_product_through(f, Pa, Pb_inv, r))
         d_parts.append(_product_through(f, Qb_inv, Qa, r))
 
-    def assemble(parts, r, c):
-        return Matrix._canonical(
-            ring,
-            [
-                [tuple(parts[i][s][t] for i in range(ring.width)) for t in range(c)]
-                for s in range(r)
-            ],
-        )
-
-    C = assemble(c_parts, A.rows, B.rows)
-    D = assemble(d_parts, B.cols, A.cols)
+    # entry (s, t) of C or D is the tuple of the components' entries (s, t)
+    C, D = (
+        Matrix._canonical(ring, [zip(*rows) for rows in zip(*parts)])
+        for parts in (c_parts, d_parts)
+    )
     if mat_mul(mat_mul(C, B), D) != A:
         raise SearchBudgetError("regular factorization failed to verify; this is a bug")
     return FactorResult(C, D)
 
 
 def _product_through(f, X, Y, r):
-    """X[:, :r] * Y[:r, :] over the field f."""
-    out = []
-    for row in X:
-        out_row = []
-        for t in range(len(Y[0])):
-            acc = 0
-            for k in range(r):
-                acc = f.add(acc, f.mul(row[k], Y[k][t]))
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    """X[:, :r] * Y[:r, :] over the field f, by mat_mul; a zero grid when r = 0."""
+    if not r:
+        return [[f.zero] * len(Y[0]) for _ in X]
+    X, Y = Matrix._canonical(f, [row[:r] for row in X]), Matrix._canonical(f, Y[:r])
+    return mat_mul(X, Y).entries
 
 
 def verify_factor(A: Matrix, B: Matrix, result) -> bool:

@@ -656,11 +656,13 @@ def rk_for_square(ring, a, bound: int = 6) -> RkSquareResult:
     at 1/2.  Lower side: every grid relation c + m<a> <= b that would
     push the infimum below 1/2 is refuted by the minor index k = m1 + m
     (see _square_sweep), so the lower certificate is that lemma together
-    with the number of relations it covers, for a bound >= 0.
+    with the number of relations it covers, for a bound >= 0.  The
+    hypothesis a^m not in (a^(m+1)) is checked up to max(bound, 2), since
+    the upper chain uses a^2: a must be neither 0 nor a unit.
     """
-    check_formal_hypothesis(ring, a, bound)
     if bound < 0:
         raise PreconditionError("bounds must be >= 0")
+    check_formal_hypothesis(ring, a, max(bound, 2))
     return RkSquareResult(Fraction(1, 2), Positive((PowerSwap(0, 2),)), _square_sweep(bound))
 
 
@@ -670,10 +672,11 @@ def verify_rk_square(ring, a, result: RkSquareResult) -> bool:
     The lower certificate is checked by the refuting-index lemma: it
     must claim every candidate refuted, and its candidate count is
     compared with the closed form, in constant time.  A bound below 0
-    covers no relation, so it certifies nothing.
+    covers no relation, so it certifies nothing.  The hypothesis is
+    checked up to max(bound, 2), as rk_for_square checks it.
     """
     try:
-        check_formal_hypothesis(ring, a, result.lower.bound)
+        check_formal_hypothesis(ring, a, max(result.lower.bound, 2))
     except PreconditionError:
         return False
     if result.value != Fraction(1, 2):

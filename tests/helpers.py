@@ -85,7 +85,7 @@ def reference_det(ring, M):
         )
         term = ring.one
         for i in range(n):
-            term = ring.mul(term, M.entry(i, perm[i]))
+            term = ring.mul(term, M.entries[i][perm[i]])
         total = ring.add(total, term) if inversions % 2 == 0 else ring.sub(total, term)
     return total
 

@@ -3,10 +3,12 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +17,12 @@ import pytest
 import rankcert
 from rankcert import semigroup
 from rankcert import (
+    BoundExceededError,
     DiagonalForm,
     GroupElement,
     LocalSignature,
     MinorSweep,
+    PreconditionError,
     RegularSignature,
     RkSquareResult,
     StateRange,
@@ -46,7 +50,7 @@ from rankcert.semigroup import (
     minor_refutation,
 )
 
-from helpers import reference_is_diagonal_form
+from helpers import reference_is_diagonal_form, reference_state_range
 from test_verify_fuzz import LIMIT_S, run
 
 
@@ -107,6 +111,22 @@ def test_rk_square_has_no_depth_flag(capsys, ring, a):
         "kind": "positive",
         "moves": [{"j1": 0, "j2": 2, "move": "power-swap"}],
     }
+
+
+@pytest.mark.parametrize("ring, elem", [("Z", "2"), ("F2[x]", "x")])
+def test_rk_square_of_zero_is_refused_at_every_bound(capsys, tmp_path, ring, elem):
+    # rk(0) = 0 for every rank function, so 0 is refused at every bound,
+    # though its hypothesis first fails at m = 1: the upper chain uses a^2
+    for bounds in ("0", "1"):
+        argv = ("rk-square", "--ring", ring, "--a", "0", "--bounds", bounds)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and "0^1 lies in (0^2)" in err
+    # such a response, built by hand from the one for elem, does not verify
+    data = run_json(capsys, "rk-square", "--ring", ring, "--a", elem)
+    data.update(elem="0", bounds=0, lower={"bound": 0, "candidates": 0, "refuted": 0})
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", "--file", str(path))[0] == 1
 
 
 def sub_half_relations(bound):
@@ -1055,6 +1075,115 @@ def test_verified_diagonalize_responses_state_true_factorizations():
             ), (doc["ring"], path, new)
     assert {r["ring"] for r in DIAGONAL_RESPONSES} == {"Z/8", "F2[x]/x^3"}
     assert accepted > 0 and refused > 0
+    assert time.monotonic() - start < 2
+
+
+# the recorded rk-square and state-range responses, and the requests of two
+# more: a state-range whose M is below the denominator of the optimum 2/3, so
+# that raising M leaves its q witness valid but no longer optimal, and a
+# rk-square over F2[x], where units and zero are spelled differently
+VALUE_RESPONSES = [
+    json.loads(inv["stdout"])
+    for inv in README_INVOCATIONS + SMALL_RING_INVOCATIONS
+    if inv["argv"][0] in ("rk-square", "state-range") and inv["verify"] is not None
+]
+VALUE_REQUESTS = (
+    ["state-range", "--ring", "Z/8", "--a", "[0,1,0]", "--N", "12", "--M", "2"],
+    ["rk-square", "--ring", "F2[x]", "--a", "x", "--bounds", "3"],
+)
+RATIONAL = re.compile(r"-?\d+/\d+")
+ELEMENTS = ("0", "1", "-1", "2", "3", "4", "x", "x+1", "x^2")
+
+
+def string_leaves(value, path=()):
+    """(path, string) for each string leaf of a JSON value."""
+    if isinstance(value, str):
+        yield path, value
+    elif isinstance(value, (list, dict)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from string_leaves(item, (*path, key))
+
+
+def value_mutations(response):
+    """Each single-leaf mutation of a rk-square or state-range response.
+
+    The ints and lists mutate as in leaf_mutations; a rational becomes a
+    non-canonical spelling of itself and three neighbours, and the element
+    of a rk-square response becomes each other literal of ELEMENTS.
+    """
+    yield from leaf_mutations(response)
+    for path, text in string_leaves(response):
+        if RATIONAL.fullmatch(text):
+            p, q = map(int, text.split("/"))
+            for new in (f"{2 * p}/{2 * q}", f"{p + 1}/{q}", f"{p - 1}/{q}", f"{p}/{q + 1}"):
+                yield path, new
+    if "elem" in response:
+        yield from ((("elem",), new) for new in ELEMENTS if new != response["elem"])
+
+
+def true_value_answer(doc):
+    """The answer the command gives to the request a response names, or None
+    where it refuses it, judged without the library's state code.
+
+    rk-square: the value 1/2 holds exactly when the element is neither 0 nor
+    a unit (+-1 over Z, a nonzero constant over F_p[x]).  state-range:
+    (p_lb, q_ub, exact) by the brute-force grid of helpers.
+    """
+    ring = parse_ring(doc["ring"])
+    if doc["command"] == "rk-square":
+        elem = ring.parse(doc["elem"])
+        unit = abs(elem) == 1 if ring.spec == "Z" else len(elem) == 1
+        return None if elem == ring.zero or unit else (Fraction(1, 2),)
+    try:
+        sr = reference_state_range(ring, doc["a"], doc["N"], doc["M"])
+    except (PreconditionError, BoundExceededError):
+        return None
+    return sr.p_lb, sr.q_ub, sr.exact
+
+
+def stated_value_answer(doc):
+    """The answer a response states, with its rationals read by value."""
+    if doc["command"] == "rk-square":
+        return (Fraction(doc["value"]),)
+    return Fraction(doc["p_lb"]), Fraction(doc["q_ub"]), tuple(map(Fraction, doc["exact"]))
+
+
+def test_verified_value_responses_state_true_answers():
+    # every mutation of a rk-square or state-range response that verify
+    # accepts states the command's answer to the request it names, compared
+    # by value, or falls in a named allow-list class:
+    # - "non-canonical": a rational spelled out of lowest terms ("0/2"),
+    #   which verify reads by value, as the README says;
+    # - "raised-bound": N or M raised, so that the printed witnesses stay
+    #   valid and state the answer at the recorded bounds, but a better one
+    #   exists within the new bounds; verify checks that each endpoint is
+    #   valid, not that it is the best one
+    start, refused, allowed = time.monotonic(), 0, Counter()
+    responses = VALUE_RESPONSES + [json.loads(run(argv)[1]) for argv in VALUE_REQUESTS]
+    for response in responses:
+        for path, new in value_mutations(response):
+            doc = json.loads(json.dumps(response))
+            *inner, last = path
+            parent = doc
+            for step in inner:
+                parent = parent[step]
+            parent[last] = new
+            code, _, _ = run(["verify"], json.dumps(doc))
+            assert code in (0, 1, 2), (path, new)
+            if code:
+                refused += 1
+                continue
+            stated, true = stated_value_answer(doc), true_value_answer(doc)
+            if stated == true:
+                texts = [t for _, t in string_leaves(doc) if RATIONAL.fullmatch(t)]
+                lowest = all(t == "{0.numerator}/{0.denominator}".format(Fraction(t)) for t in texts)
+                allowed["restated" if lowest else "non-canonical"] += 1
+                continue
+            raised = path in (("N",), ("M",)) and new > response[path[0]]
+            assert raised and stated == true_value_answer(response), (doc, path, new)
+            allowed["raised-bound"] += 1
+    assert {r["command"] for r in responses} == {"rk-square", "state-range"}
+    assert set(allowed) == {"restated", "non-canonical", "raised-bound"} and refused > 0
     assert time.monotonic() - start < 2
 
 

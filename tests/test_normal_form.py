@@ -14,6 +14,7 @@ from rankcert import (
     NegativeComponent,
     PreconditionError,
     class_of,
+    class_representative,
     diagonal_matrix,
     diagonalize,
     dim,
@@ -37,7 +38,7 @@ from rankcert import (
 from rankcert import normal_form
 from rankcert.normal_form import eliminate, eliminated, factors, inverse_factors
 from rankcert.polys import pdivmod, pscale
-from rankcert.rings import ExtensionField
+from rankcert.rings import ExtensionField, ModPrimePowerRing
 
 from helpers import (
     random_invertible,
@@ -225,6 +226,26 @@ def test_regular_factor_matches_reference(pair):
     for i in range(A.ring.width):
         claim = NegativeComponent(i, ranks_a[i], ranks_b[i])
         assert verify_factor(A, B, claim) == (ranks_a[i] > ranks_b[i])
+
+
+@pytest.mark.parametrize("a, b", [((39, 39), (40, 40)), ((0, 40), (40, 40)), ((40, 0), (40, 39))])
+def test_regular_factor_of_representatives_makes_quadratic_work(monkeypatch, a, b):
+    # the factors of class representatives are almost identities, and their
+    # products skip zero entries, so a factorization of side s = 40 makes at
+    # most 3 w s^2 field products, also where a component of A has rank 0
+    ring, s = parse_ring("F2*F3"), 40
+    A, B = class_representative(ring, a), class_representative(ring, b)
+    calls, mul = 0, ModPrimePowerRing.mul
+
+    def counted(field, x, y):
+        nonlocal calls
+        calls += 1
+        return mul(field, x, y)
+
+    monkeypatch.setattr(ModPrimePowerRing, "mul", counted)
+    res = regular_factor(A, B)
+    assert calls <= 3 * ring.width * s**2
+    assert isinstance(res, FactorResult) and verify_factor(A, B, res)
 
 
 @st.composite

@@ -435,7 +435,7 @@ def test_det_matches_permutation_expansion():
                 k = rng.randrange(1, size + 1)
                 rows = rng.sample(range(size), k)
                 cols = rng.sample(range(size), k)
-                sub = Matrix(ring, [[A.entry(i, j) for j in sorted(cols)] for i in sorted(rows)])
+                sub = Matrix(ring, [[A.entries[i][j] for j in sorted(cols)] for i in sorted(rows)])
                 assert minor(A, rows, cols) == reference_det(ring, sub), (spec, A, rows, cols)
 
 
@@ -466,7 +466,7 @@ def test_det_minor_and_invertibility_over_products_match_the_expansion(case):
     expected = reference_det(ring, A)
     assert det(A) == expected
     assert is_invertible(A) == ring.is_unit(expected)
-    sub = Matrix(ring, [[A.entry(i, j) for j in sorted(cols)] for i in sorted(rows)])
+    sub = Matrix(ring, [[A.entries[i][j] for j in sorted(cols)] for i in sorted(rows)])
     assert minor(A, rows, cols) == reference_det(ring, sub)
 
 

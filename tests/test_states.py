@@ -736,8 +736,10 @@ def test_rk_for_square_hypothesis_decided_at_any_bound():
         rk_for_square(z, 0, bound=10**9)
     with pytest.raises(PreconditionError, match=r"2\^0 lies in \(2\^1\)"):
         rk_for_square(f3x, (2,), bound=10**9)
-    # the first failure for 0 is at m = 1, beyond bound 0
-    assert rk_for_square(z, 0, bound=0).lower.candidates == 0
+    # the first failure for 0 is at m = 1, beyond bound 0, but the upper
+    # chain uses a^2, so the hypothesis is checked up to m = 2 at any bound
+    with pytest.raises(PreconditionError, match=r"0\^1 lies in \(0\^2\)"):
+        rk_for_square(z, 0, bound=0)
     res = rk_for_square(f3x, (1, 1), bound=10**6)
     assert res.lower.clean and verify_rk_square(f3x, (1, 1), res)
 
