@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
 
+from .errors import PreconditionError
 from .normal_form import diagonalize, is_invertible, minors_in_ideal, verify_factorization
 from .presentations import (
     module_class,
@@ -276,36 +277,39 @@ def _axiom_violations(rank_fn, ring, rng, count):
     return violations
 
 
+def rank_functions(ring, pi):
+    """The rank functions the axiom suite checks over ring, as (label, rank_fn).
+
+    Over a local ring rk_1, ..., rk_n; otherwise the pullback rank modulo pi.
+    """
+    if ring.is_local:
+        return [
+            (f"rk_{k}", lambda M, k=k: rk(ring, k, class_of(M)))
+            for k in range(1, ring.nil_degree + 1)
+        ]
+    if pi is None:
+        raise PreconditionError("axioms-check needs a local ring, or Z/F_p[x] with --pi")
+    rank_fn = pullback_rank(ring, pi)
+    return [(rank_fn.description, rank_fn)]
+
+
 def criterion_sylvester_axioms() -> CriterionResult:
     start = time.monotonic()
     failures = []
     suites = 0
-    for spec in LOCAL_RINGS:
+    # (ring, pi, seed) per roster; a local ring's rank functions share one stream
+    rosters = [(spec, None, 100 + len(spec)) for spec in LOCAL_RINGS] + [
+        ("Z", 0, 200), ("Z", 2, 200), ("Z", 3, 200),
+        ("F2[x]", 0, 200), ("F2[x]", (0, 1), 200), ("F3[x]", (0, 1), 200),
+    ]
+    for spec, pi, seed in rosters:
         ring = parse_ring(spec)
-        rng = random.Random(100 + len(spec))
-        for k in range(1, ring.nil_degree + 1):
-            rank_fn = lambda M, k=k, ring=ring: rk(ring, k, class_of(M))
+        rng = random.Random(seed)
+        for label, rank_fn in rank_functions(ring, pi):
             bad = _axiom_violations(rank_fn, ring, rng, 500)
             suites += 1
             if bad:
-                failures.append((spec, k, len(bad)))
-    z = parse_ring("Z")
-    f2x = parse_ring("F2[x]")
-    f3x = parse_ring("F3[x]")
-    pullbacks = [
-        (z, 0),
-        (z, 2),
-        (z, 3),
-        (f2x, 0),
-        (f2x, (0, 1)),
-        (f3x, (0, 1)),
-    ]
-    for ring, pi in pullbacks:
-        rng = random.Random(200)
-        bad = _axiom_violations(pullback_rank(ring, pi), ring, rng, 500)
-        suites += 1
-        if bad:
-            failures.append((ring.spec, pi, len(bad)))
+                failures.append((spec, label, len(bad)))
     elapsed = time.monotonic() - start
     detail = f"{suites} rank functions x 500 instances, {len(failures)} with violations"
     return CriterionResult(5, "Sylvester axiom suite", not failures, detail, elapsed)

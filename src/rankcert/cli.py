@@ -13,6 +13,11 @@ has one decode-and-check function in `_VERIFIERS`.  `verify` runs it on
 the response it reads, and `main` runs it on a response about to be
 printed that carries a `verified` field, so a printed verdict is the one
 `verify` gives on the printed bytes.
+
+The CLI names library code only as `rankcert.<public name>`: the package's
+export table says which module holds each name and loads that module on
+first use, so a command loads only the modules it runs.  `axioms-check`
+runs the acceptance suite's own roster of rank functions.
 """
 
 from __future__ import annotations
@@ -25,12 +30,6 @@ import sys
 from fractions import Fraction
 
 import rankcert
-
-from .errors import BoundExceededError, ParseError, PreconditionError
-from .rings import Matrix, parse_matrix, parse_ring
-
-# normal_form, semigroup, states and presentations are imported inside the
-# handlers that use them, so the other commands start without loading them
 
 
 # ---------------------------------------------------------------------------
@@ -46,21 +45,21 @@ def parse_fraction(text) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}") from None
+        raise rankcert.ParseError(f"bad rational {text!r}") from None
 
 
 def load_json(text: str, what: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+        raise rankcert.ParseError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _typed(value, kind, what):
     """value if it has type kind (an int is never a bool); else ParseError."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise ParseError(f"{what} is missing or not of type {kind.__name__}")
+    raise rankcert.ParseError(f"{what} is missing or not of type {kind.__name__}")
 
 
 def _get(data, key, kind):
@@ -72,32 +71,30 @@ def _int_tuple(value, what) -> tuple:
     return tuple(_typed(x, int, f"an entry of {what}") for x in _typed(value, list, what))
 
 
-def load_matrix(ring, data) -> Matrix:
+def load_matrix(ring, data) -> rankcert.Matrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ParseError("matrix payload must be a nonempty array of arrays")
-    return parse_matrix(ring, [[str(e) for e in row] for row in data])
+        raise rankcert.ParseError("matrix payload must be a nonempty array of arrays")
+    return rankcert.parse_matrix(ring, [[str(e) for e in row] for row in data])
 
 
-def load_matrix_operand(ring, text: str) -> Matrix:
+def load_matrix_operand(ring, text: str) -> rankcert.Matrix:
     """A matrix operand: a JSON array of rows."""
     return load_matrix(ring, load_json(text, "operand"))
 
 
 def load_class_operand(ring, text: str):
     """A matrix or class vector operand, as (matrix or None, class vector)."""
-    from .semigroup import check_element, class_of
-
     data = load_json(text, "operand")
     if isinstance(data, list) and data and isinstance(data[0], list):
         A = load_matrix(ring, data)
-        return A, class_of(A)
-    return None, check_element(ring, _int_tuple(data, "the operand"))
+        return A, rankcert.class_of(A)
+    return None, rankcert.semigroup.check_element(ring, _int_tuple(data, "the operand"))
 
 
 def _exponents(value, what) -> tuple:
     exponents = _int_tuple(value, what)
     if any(e < 0 for e in exponents):
-        raise ParseError("exponent multiset must be a list of nonnegative ints")
+        raise rankcert.ParseError("exponent multiset must be a list of nonnegative ints")
     return tuple(sorted(exponents))
 
 
@@ -107,9 +104,7 @@ def load_exponents(text: str) -> tuple:
 
 def load_spec(gens, values):
     """A state spec from JSON arrays of class vectors and of rationals."""
-    from .states import StateSpec
-
-    return StateSpec(
+    return rankcert.StateSpec(
         generators=tuple(_int_tuple(g, "a generator") for g in _typed(gens, list, "generators")),
         values=tuple(parse_fraction(v) for v in _typed(values, list, "values")),
     )
@@ -136,7 +131,7 @@ _CERTIFICATE = (
     lambda cert: record_payload(cert),
     lambda value, what, ring: load_record(value, "kind", ring),
 )
-_MATRIX = (Matrix.to_strings, lambda value, what, ring: load_matrix(ring, value))
+_MATRIX = (rankcert.Matrix.to_strings, lambda value, what, ring: load_matrix(ring, value))
 
 
 def _keyed(keys):
@@ -239,7 +234,7 @@ def load_record(data, tag: str, ring=None):
     """The move (tag "move") or order certificate (tag "kind") a payload encodes."""
     name = _get(data, tag, str)
     if _CODECS.get(name, (None, None))[1] != tag:
-        raise ParseError(f"unknown {tag} payload {data!r}")
+        raise rankcert.ParseError(f"unknown {tag} payload {data!r}")
     return load_fields(data, name, ring)
 
 
@@ -250,10 +245,8 @@ _PENDING = None
 
 def _check_hypothesis(ring, pivot, depth, a, b):
     """The formal hypothesis for a decision of a <= b searched to depth."""
-    from .semigroup import check_formal_hypothesis
-
     # minor certificates need the hypothesis up to every exponent they use
-    check_formal_hypothesis(ring, pivot, max((depth - 1, *a, *b)))
+    rankcert.semigroup.check_formal_hypothesis(ring, pivot, max((depth - 1, *a, *b)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +267,25 @@ def cmd_normalize(ring, args):
 
 
 def cmd_diagonalize(ring, args):
-    from .normal_form import diagonalize
-
     A = load_matrix_operand(ring, args.matrix)
-    return {"matrix": A.to_strings(), **record_payload(diagonalize(A)), "verified": _PENDING}
+    form = rankcert.diagonalize(A)
+    return {"matrix": A.to_strings(), **record_payload(form), "verified": _PENDING}
 
 
 def cmd_class(ring, args):
-    from .semigroup import class_of
-
     A = load_matrix_operand(ring, args.a)
     return {
         "matrix": A.to_strings(),
-        "class": list(class_of(A)),
+        "class": list(rankcert.class_of(A)),
     }
 
 
 def cmd_rank(ring, args):
-    from .semigroup import rk
-
     _, a = load_class_operand(ring, args.a)
     return {
         "k": args.k,
         "class": list(a),
-        "rank": fmt_fraction(rk(ring, args.k, a)),
+        "rank": fmt_fraction(rankcert.rk(ring, args.k, a)),
     }
 
 
@@ -328,15 +316,13 @@ def _check_class_work(ring, a, b):
         work = ring.width * s**3
         rule = f"w * s^3 <= {CLASS_WORK_CAP}, w = {ring.width} fields, s = {s} the largest entry"
     if work > CLASS_WORK_CAP:
-        raise PreconditionError(
+        raise rankcert.PreconditionError(
             f"class vectors over {ring.spec} need {rule}; this request needs {work}"
         )
 
 
 def cmd_leq(ring, args):
     """leq and chain: an order decision read off its certificate."""
-    from .semigroup import class_representative, regular_factor, witness_chain
-
     if args.elem is not None:
         return _formal_leq(ring, args)
     A, a = load_class_operand(ring, args.a)
@@ -346,53 +332,49 @@ def cmd_leq(ring, args):
     payload = {"a_class": list(a), "b_class": list(b), "verified": _PENDING}
     if ring.is_local:
         payload["mode"] = "local"
-        cert = witness_chain(ring, a, b)
+        cert = rankcert.witness_chain(ring, a, b)
     else:
-        A = class_representative(ring, a) if A is None else A
-        B = class_representative(ring, b) if B is None else B
+        A = rankcert.class_representative(ring, a) if A is None else A
+        B = rankcert.class_representative(ring, b) if B is None else B
         payload.update(mode="regular", a_matrix=A.to_strings(), b_matrix=B.to_strings())
-        cert = regular_factor(A, B)
+        cert = rankcert.regular_factor(A, B)
     payload.update(result=cert.ok, certificate=record_payload(cert))
     return payload
 
 
 def _formal_leq(ring, args):
     """Formal diagonal elements over (Z, elem) or (F_p[x], elem)."""
-    from .semigroup import UNKNOWN, leq_provable
-
     if ring.is_local or ring.is_product:
-        raise ParseError("--elem applies to the Z and F_p[x] families")
+        raise rankcert.ParseError("--elem applies to the Z and F_p[x] families")
     pivot = ring.parse(args.elem)
     a, b = load_exponents(args.a), load_exponents(args.b)
     _check_hypothesis(ring, pivot, args.depth, a, b)
-    cert = leq_provable(a, b, depth=args.depth)
+    cert = rankcert.leq_provable(a, b, depth=args.depth)
     payload = {
         "mode": "formal",
         "elem": ring.format(pivot),
         "depth": args.depth,
         "a": list(a),
         "b": list(b),
-        "result": "unknown" if cert is UNKNOWN else cert.ok,
+        "result": "unknown" if cert is rankcert.UNKNOWN else cert.ok,
     }
-    if cert is not UNKNOWN:
+    if cert is not rankcert.UNKNOWN:
         payload.update(certificate=record_payload(cert), verified=_PENDING)
     return payload
 
 
 def cmd_state_range(ring, args):
-    from .states import state_range
-
     _, a = load_class_operand(ring, args.a)
-    sr = state_range(ring, a, args.N, args.M)
+    sr = rankcert.state_range(ring, a, args.N, args.M)
     return {"a": list(a), "N": args.N, "M": args.M, **record_payload(sr)}
 
 
 def cmd_extend_state(ring, args):
-    from .states import state_extension
-
     spec = load_spec(load_json(args.generators, "generators"), load_json(args.values, "values"))
     _, a = load_class_operand(ring, args.a)
-    sr = state_extension(ring, spec, a, ball=args.ball, m_bound=args.M, shifted=args.shifted)
+    sr = rankcert.state_extension(
+        ring, spec, a, ball=args.ball, m_bound=args.M, shifted=args.shifted
+    )
     return {
         "generators": [list(g) for g in spec.generators],
         "values": [fmt_fraction(v) for v in spec.values],
@@ -405,61 +387,50 @@ def cmd_extend_state(ring, args):
 
 
 def cmd_rk_square(ring, args):
-    from .states import rk_for_square
-
     elem = ring.parse(args.a)
-    res = rk_for_square(ring, elem, bound=args.bounds)
+    res = rankcert.rk_for_square(ring, elem, bound=args.bounds)
     return {"elem": ring.format(elem), "bounds": args.bounds, **record_payload(res)}
 
 
 def cmd_dim(ring, args):
-    from .presentations import dim, presentation
-
     A = load_matrix_operand(ring, args.relations)
-    P = presentation(args.gens, A)
+    P = rankcert.presentation(args.gens, A)
     return {
         "gens": args.gens,
         "relations": A.to_strings(),
         "k": args.k,
-        "dim": fmt_fraction(dim(args.k, P)),
+        "dim": fmt_fraction(rankcert.dim(args.k, P)),
     }
 
 
 def _load_presentation(ring, text):
-    from .presentations import presentation
-
     data = load_json(text, "presentation payload")
     if not isinstance(data, dict) or "gens" not in data or "relations" not in data:
-        raise ParseError('presentation must look like {"gens": m, "relations": [[..]]}')
-    return presentation(_get(data, "gens", int), load_matrix(ring, data["relations"]))
+        raise rankcert.ParseError('presentation must look like {"gens": m, "relations": [[..]]}')
+    return rankcert.presentation(_get(data, "gens", int), load_matrix(ring, data["relations"]))
 
 
 def cmd_equiv(ring, args):
-    from .presentations import presentations_equivalent, signature
-
     P1 = _load_presentation(ring, args.p1)
     P2 = _load_presentation(ring, args.p2)
     return {
-        "equivalent": presentations_equivalent(P1, P2),
-        "signatures": [record_payload(signature(P1)), record_payload(signature(P2))],
+        "equivalent": rankcert.presentations_equivalent(P1, P2),
+        "signatures": [record_payload(rankcert.signature(P)) for P in (P1, P2)],
     }
 
 
 def cmd_phi(ring, args):
-    from .presentations import phi
-
     P = _load_presentation(ring, args.presentation)
-    return {"gens": P.gens, "relations": P.relations.to_strings(), **record_payload(phi(P))}
+    image = record_payload(rankcert.phi(P))
+    return {"gens": P.gens, "relations": P.relations.to_strings(), **image}
 
 
 def cmd_psi(ring, args):
-    from .presentations import module_basis_labels, psi
-
     A = load_matrix_operand(ring, args.a)
     return {
         "matrix": A.to_strings(),
-        "coeffs": list(psi(A)),
-        "basis": list(module_basis_labels(ring)),
+        "coeffs": list(rankcert.psi(A)),
+        "basis": list(rankcert.module_basis_labels(ring)),
     }
 
 
@@ -474,34 +445,23 @@ AXIOMS_WORK_CAP = 270_000
 
 def cmd_axioms_check(ring, args):
     from . import acceptance  # only this command and selftest use the suite
-    from .semigroup import class_of, rk
-    from .states import pullback_rank
 
     if args.count < 1:
-        raise PreconditionError("count must be >= 1")
+        raise rankcert.PreconditionError("count must be >= 1")
     if args.count > AXIOMS_COUNT_CAP:
-        raise PreconditionError(f"count must be <= {AXIOMS_COUNT_CAP}")
+        raise rankcert.PreconditionError(f"count must be <= {AXIOMS_COUNT_CAP}")
     n = ring.nil_degree if ring.is_local else 1
     if args.count * n**3 > AXIOMS_WORK_CAP:
-        raise PreconditionError(
+        raise rankcert.PreconditionError(
             f"count * n^3 must be <= {AXIOMS_WORK_CAP}, with count = {args.count} "
             f"and nil degree n = {n}"
         )
+    pi = None if ring.is_local or args.pi is None else ring.parse(args.pi)
     rng = random.Random(args.seed)
-    report = {}
-    if ring.is_local:
-        for k in range(1, ring.nil_degree + 1):
-            rank_fn = lambda M, k=k: rk(ring, k, class_of(M))
-            bad = acceptance._axiom_violations(rank_fn, ring, rng, args.count)
-            report[f"rk_{k}"] = len(bad)
-    elif args.pi is not None:
-        rank_fn = pullback_rank(ring, ring.parse(args.pi))
-        bad = acceptance._axiom_violations(rank_fn, ring, rng, args.count)
-        report[rank_fn.description] = len(bad)
-    else:
-        raise PreconditionError(
-            "axioms-check needs a local ring, or Z/F_p[x] with --pi"
-        )
+    report = {
+        label: len(acceptance._axiom_violations(rank_fn, ring, rng, args.count))
+        for label, rank_fn in acceptance.rank_functions(ring, pi)
+    }
     return {
         "count": args.count,
         "seed": args.seed,
@@ -522,12 +482,12 @@ def cmd_verify(args):
         else:
             text = sys.stdin.read()
     except (OSError, ValueError) as exc:
-        raise ParseError(f"verify payload is unreadable: {exc}") from None
+        raise rankcert.ParseError(f"verify payload is unreadable: {exc}") from None
     data = load_json(text, "verify payload")
     command = _get(data, "command", str)
     if command not in _VERIFIERS:
-        raise ParseError(f"verify does not support command {command!r}")
-    ok = _verdict(command, parse_ring(_get(data, "ring", str)), data)
+        raise rankcert.ParseError(f"verify does not support command {command!r}")
+    ok = _verdict(command, rankcert.parse_ring(_get(data, "ring", str)), data)
     return {"verified": ok, "of": command}, (0 if ok else 1)
 
 
@@ -535,28 +495,18 @@ def _verdict(command, ring, data) -> bool:
     """Decode a response of command into library types and re-check it."""
     try:
         return _VERIFIERS[command](ring, data)
-    except PreconditionError:
+    except rankcert.PreconditionError:
         # a certificate outside a library precondition certifies nothing
         return False
 
 
 def _verify_diagonalize(ring, data) -> bool:
-    from .normal_form import verify_factorization
-
     A = load_matrix(ring, data.get("matrix"))
-    return verify_factorization(A, load_fields(data, "diagonal-form", ring))
+    return rankcert.verify_factorization(A, load_fields(data, "diagonal-form", ring))
 
 
 def _verify_order(ring, data) -> bool:
     """A leq or chain response, in its formal, local or regular mode."""
-    from .semigroup import (
-        Positive,
-        class_of,
-        verify_certificate,
-        verify_factor,
-        verify_formal_certificate,
-    )
-
     mode, result = data.get("mode"), data.get("result")
     if mode not in ("formal", "local", "regular") or "certificate" not in data:
         return False  # a formal search may end unknown, with no certificate
@@ -566,46 +516,45 @@ def _verify_order(ring, data) -> bool:
         pivot = ring.parse(_get(data, "elem", str))
         depth = _get(data, "depth", int)
         # a chain must fit the depth it was searched to; a refutation needs none
-        if depth < 0 or isinstance(cert, Positive) and len(cert.moves) > depth:
+        if depth < 0 or isinstance(cert, rankcert.Positive) and len(cert.moves) > depth:
             return False
         _check_hypothesis(ring, pivot, depth, a, b)
-        ok = verify_formal_certificate(a, b, cert)
+        ok = rankcert.verify_formal_certificate(a, b, cert)
     else:
         a = _int_tuple(data.get("a_class"), "a_class")
         b = _int_tuple(data.get("b_class"), "b_class")
         if mode == "local":
-            ok = verify_certificate(ring, a, b, cert)
+            ok = rankcert.verify_certificate(ring, a, b, cert)
         else:
             A = load_matrix(ring, data.get("a_matrix"))
             B = load_matrix(ring, data.get("b_matrix"))
             # the claimed classes must be those of the matrices, whatever the certificate
-            ok = verify_factor(A, B, cert) and (a, b) == (class_of(A), class_of(B))
+            classes = (rankcert.class_of(A), rankcert.class_of(B))
+            ok = rankcert.verify_factor(A, B, cert) and (a, b) == classes
     return ok and result is cert.ok
 
 
 def _verify_rk_square(ring, data) -> bool:
-    from .states import verify_rk_square
-
     res = load_fields(data, "rk-square", ring)
-    return verify_rk_square(ring, ring.parse(_get(data, "elem", str)), res)
+    elem = ring.parse(_get(data, "elem", str))
+    # the sweep must be the one the named request runs
+    if _get(data, "bounds", int) != res.lower.bound:
+        return False
+    return rankcert.verify_rk_square(ring, elem, res)
 
 
 def _verify_state_range(ring, data) -> bool:
-    from .states import verify_state_range
-
     sr = load_fields(data, "state-range", ring)
     a = _int_tuple(data.get("a"), "a")
-    return verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
+    return rankcert.verify_state_range(ring, a, sr, _get(data, "N", int), _get(data, "M", int))
 
 
 def _verify_extend_state(ring, data) -> bool:
-    from .states import verify_state_extension
-
     spec = load_spec(data.get("generators"), data.get("values"))
     sr = load_fields(data, "extension", ring)
     a = _int_tuple(data.get("a"), "a")
     bounds = (_get(data, "ball", int), _get(data, "M", int), _get(data, "shifted", bool))
-    return verify_state_extension(ring, spec, a, sr, *bounds)
+    return rankcert.verify_state_extension(ring, spec, a, sr, *bounds)
 
 
 _VERIFIERS = {
@@ -624,7 +573,7 @@ def cmd_selftest(args):
     numbers = set(args.only) if args.only else None
     unknown = sorted((numbers or set()) - set(range(1, len(acceptance.CRITERIA) + 1)))
     if unknown:
-        raise PreconditionError(
+        raise rankcert.PreconditionError(
             f"unknown criteria {', '.join(map(str, unknown))}; they are numbered "
             f"1 to {len(acceptance.CRITERIA)}"
         )
@@ -776,19 +725,19 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if "ring" in args:
-            ring = parse_ring(args.ring)
+            ring = rankcert.parse_ring(args.ring)
             payload, code = {"ring": ring.spec, **args.handler(ring, args)}, 0
             if "verified" in payload:
                 payload["verified"] = _verdict(args.command, ring, payload)
         else:  # verify and selftest
             payload, code = args.handler(args)
-    except ParseError as exc:
+    except rankcert.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
+    except rankcert.PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
-    except BoundExceededError as exc:
+    except rankcert.BoundExceededError as exc:
         print(f"bound overflow: {exc}", file=sys.stderr)
         return 4
     if payload is not None:

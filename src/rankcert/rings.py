@@ -590,9 +590,10 @@ class FieldProductRing(Ring):
         if len(parts) != self.width:
             raise ParseError(f"expected {self.width} components in {text!r}")
         try:
-            return self.normalize([int(p) for p in parts])
+            components = [int(p) for p in parts]
         except ValueError:
             raise ParseError(f"bad product literal {text!r}") from None
+        return self.normalize(components)
 
     def format(self, a):
         return "(" + ",".join(str(c) for c in a) + ")"

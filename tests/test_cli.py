@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -141,7 +142,7 @@ def test_rk_square_verify_cost_is_bounded_by_the_certificate(capsys, tmp_path):
     assert data["lower"]["candidates"] == sub_half_relations(6)
     path = tmp_path / "resp.json"
     big = 1000000
-    data["lower"]["bound"] = big
+    data["bounds"] = data["lower"]["bound"] = big
     for count, code in ((data["lower"]["candidates"], 1), (sub_half_relations(big), 0)):
         data["lower"]["candidates"] = data["lower"]["refuted"] = count
         path.write_text(json.dumps(data))
@@ -331,6 +332,7 @@ LOCAL_CHAIN = ("chain", "--ring", "Z/8", "--a", "[0,2,0]", "--b", "[1,0,1]")
 FORMAL_REFUTATION = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[2]")
 FORMAL_CHAIN = ("leq", "--ring", "Z", "--elem", "2", "--a", "[1,1]", "--b", "[0,2]")
 RK_SQUARE_POLY = ("rk-square", "--ring", "F2[x]", "--a", "x")
+RK_SQUARE = ("rk-square", "--ring", "Z", "--a", "2", "--bounds", "6")
 # a chain of the two moves no README command prints
 FORMAL_DROP_CHAIN = ("chain", "--ring", "Z", "--elem", "2", "--a", "[1]", "--b", "[0,2]")
 DIAGONALIZE = ("diagonalize", "--ring", "Z/8", "--matrix", '[["2","1"],["0","4"]]')
@@ -494,6 +496,15 @@ EDITED_RESPONSES = [
         RK_SQUARE_POLY, edit(lambda d: d.update(upper={"move": "drop", "i": 0})), {2},
         id="upper-move",
     ),
+    # a response names the request whose sweep it carries: each of these
+    # edits of the README response, its lower bound left at 6, once verified
+    *(
+        pytest.param(
+            RK_SQUARE, edit(lambda d, b=b: d.update(bounds=b)), {1}, id=f"rk-square-bounds-{b}"
+        )
+        for b in (0, 5, 7)
+    ),
+    pytest.param(RK_SQUARE, edit(lambda d: None), {0}, id="rk-square-unedited"),
     pytest.param(DIAGONALIZE, edit(lambda d: d.update(exponents=[True])), {2}, id="exponent-bool"),
     pytest.param(DIAGONALIZE, edit(lambda d: d.pop("left")), {2}, id="no-left"),
     pytest.param(DIAGONALIZE, edit(lambda d: d.update(zero_count="1")), {2}, id="zero-count-str"),
@@ -1320,6 +1331,49 @@ def test_cli_commands_import_only_what_they_use(tmp_path):
         loaded = _loaded(MAIN, *argv)
         assert "rankcert.semigroup" in loaded, argv
         assert "rankcert.states" not in loaded, argv
+
+
+# the rankcert modules that each README command not covered above loads
+ORDER_MODULES = {
+    "rankcert", "rankcert.cli", "rankcert.errors", "rankcert.fields", "rankcert.normal_form",
+    "rankcert.polys", "rankcert.records", "rankcert.rings", "rankcert.semigroup",
+}
+STATE_MODULES = ORDER_MODULES | {"rankcert.states"}
+SUITE_MODULES = STATE_MODULES | {"rankcert.presentations", "rankcert.acceptance"}
+README_MODULES = {
+    "class": ORDER_MODULES, "rank": ORDER_MODULES, "leq": ORDER_MODULES,
+    "state-range": STATE_MODULES, "extend-state": STATE_MODULES, "rk-square": STATE_MODULES,
+    "axioms-check": SUITE_MODULES,
+}
+
+
+def test_readme_commands_load_the_modules_they_run():
+    commands = [inv["argv"] for inv in README_INVOCATIONS if inv["argv"][0] in README_MODULES
+                and (inv["argv"][0] != "leq" or json.loads(inv["stdout"])["mode"] == "regular")]
+    assert sorted({argv[0] for argv in commands}) == sorted(README_MODULES)
+    for argv in commands:
+        loaded = {m for m in _loaded(MAIN, *argv) if m.split(".")[0] == "rankcert"}
+        assert loaded == README_MODULES[argv[0]], argv
+
+
+def test_cli_reads_the_library_through_the_export_table():
+    # each library name resolves through rankcert's export table, so a
+    # misspelled one fails here rather than in the branch that reads it
+    tree = ast.parse(Path(rankcert.cli.__file__).read_text())
+    assert not [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            imports = {ast.unparse(node) for node in ast.walk(fn)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))}
+            assert imports <= {"from . import acceptance"}, fn.name
+    reads = [(ast.unparse(node.value), node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)]
+    public = {attr for owner, attr in reads if owner == "rankcert"}
+    helpers = {attr for owner, attr in reads if owner == "rankcert.semigroup"}
+    assert len(public) > 30 and helpers
+    assert public <= set(rankcert.__all__), public - set(rankcert.__all__)
+    for name in helpers:
+        assert hasattr(rankcert.semigroup, name), name
 
 
 def test_diagonalize_and_its_verify_load_no_order_modules(capsys, tmp_path):

@@ -651,6 +651,9 @@ def test_prime_field_components_are_the_residue_rings():
     assert pullback_rank(parse_ring("Z"), -5).field == parse_ring("Z/5")
     with pytest.raises(ParseError, match="component 3 out of range for F3"):
         parse_ring("F2*F3").normalize((1, 3))
+    # a literal's out-of-range component is named, not called a bad literal
+    with pytest.raises(ParseError, match="component 5 out of range for F3"):
+        parse_ring("F2*F3").parse("(1,5)")
     for field in parse_ring("F5*F9").fields:
         with pytest.raises(PreconditionError):
             field.unit_inverse(0)
