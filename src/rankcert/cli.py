@@ -456,7 +456,11 @@ def cmd_axioms_check(ring, args):
             f"count * n^3 must be <= {AXIOMS_WORK_CAP}, with count = {args.count} "
             f"and nil degree n = {n}"
         )
-    pi = None if ring.is_local or args.pi is None else ring.parse(args.pi)
+    if ring.is_local and args.pi is not None:
+        raise rankcert.PreconditionError(
+            f"--pi names a residue field of Z or F_p[x]; {ring.spec} is local"
+        )
+    pi = None if args.pi is None else ring.parse(args.pi)
     rng = random.Random(args.seed)
     report = {
         label: len(acceptance._axiom_violations(rank_fn, ring, rng, args.count))

@@ -17,6 +17,19 @@ what they need: a class reads the exponents, a rank counts them, and
 and, with `inverse_factors` feeding it the inverse operations, for
 `semigroup.regular_factor`.
 
+Over a ring of order q <= 16 `eliminate` works on byte rows: each row
+is a `bytearray` of element codes, an element's index in
+`ring.elements()`, so zero is code 0 and two codes fit in one byte.
+Finding a pivot, scaling its row and each row transvection are then
+one C-level `bytes.translate` through a 256-byte table: valuations, or
+a + t * b on a byte packing the codes a and b, with scaling as the a = 0
+case.  The tables are made from the ring's own operations on its first
+elimination and kept with it, as `ring.byte_codes` (`rings._ByteCodes`),
+shared by equal rings; they depend on the ring alone and record no
+answer.  Only the values that go into the operations are decoded, so
+both paths return the same (exponents, ops).  Larger rings keep one
+ring operation per entry.
+
 Each `Matrix` is eliminated at most once.  `eliminated(A)`, or
 `eliminated(A, i)` for the i-th field component of a product ring, runs
 `eliminate` on first use and keeps the result on A as tuples: immutable,
@@ -84,14 +97,28 @@ def eliminate(ring, grid):
     """Exponents of the diagonal form of grid, and the operations reaching it.
 
     The pivot of step d is the first entry, row-major, of least valuation
-    in the block below and right of (d, d); the scan stops at the first
-    unit, since nothing has a smaller valuation.  It is moved to (d, d)
-    and scaled to c^v; its column is cleared by row transvections and its
+    in the block below and right of (d, d).  It is moved to (d, d) and
+    scaled to c^v; its column is cleared by row transvections and its
     row by column transvections.  Columns left of d are zero below row
     d - 1, so a row transvection touches columns d and up only.  Once the
     pivot column is clear, a column transvection changes only the pivot
     row, which no later step reads, so column transvections are recorded
     without being applied.  The entries must be canonical values of ring.
+    A ring of order at most 16 eliminates rows of byte codes
+    (`_eliminate_codes`), any other the rows of values (`_eliminate_values`);
+    both make the same operations.
+    """
+    tables = ring.byte_codes
+    if tables is None:
+        return _eliminate_values(ring, grid)
+    return _eliminate_codes(ring, tables, grid)
+
+
+def _eliminate_values(ring, grid):
+    """`eliminate` on lists of values, one ring operation per entry.
+
+    The pivot scan stops at the first unit, since nothing has a smaller
+    valuation.
     """
     n = ring.nil_degree
     add, mul, neg, shift, valuation = ring.add, ring.mul, ring.neg, ring.shift, ring.valuation
@@ -128,6 +155,67 @@ def eliminate(ring, grid):
             x = pivot_row[j - d]
             if x != zero:
                 ops.append((_ADD_COL, j, d, neg(shift(x, v))))
+        exponents.append(v)
+    return exponents, ops
+
+
+def _eliminate_codes(ring, tables, grid):
+    """`eliminate` on `bytearray` rows of codes, by the tables of `rings._ByteCodes`.
+
+    Below row d - 1 the columns left of d are zero, of valuation n, so
+    whole rows stand in for the block.  Each step translates the block
+    to valuations in one call and takes the first byte of the least
+    valuation present.  A row transvection by t packs the row over the
+    pivot row, a << 4 | b per column, in one int, and translates its
+    bytes through axpy[t]; scaling by u translates the pivot row, whose
+    bytes are a = 0 packed with b, through axpy[u].  Only the values that
+    go into the operations are decoded.
+    """
+    n = ring.nil_degree
+    values, valuation, shifts, unshifts, inverse, axpy = (
+        tables.values, tables.valuation, tables.shift, tables.unshift, tables.inverse,
+        tables.axpy)
+    M = tables.encode(grid)
+    r, c = len(M), len(M[0])
+    exponents, ops = [], []
+    record = ops.append
+    for d in range(min(r, c)):
+        block = b"".join(M[d:]).translate(valuation)
+        for v in range(n):
+            k = block.find(v)
+            if k >= 0:
+                break
+        else:
+            break
+        pi, pj = divmod(k, c)
+        pi += d
+        if pi != d:
+            M[d], M[pi] = M[pi], M[d]
+            record((_SWAP_ROWS, d, pi, None))
+        if pj != d:
+            for row in M[d:]:
+                row[d], row[pj] = row[pj], row[d]
+            record((_SWAP_COLS, d, pj, None))
+        pivot_row = M[d]
+        unit = shifts[v][pivot_row[d]]
+        if unit != tables.one:
+            u = inverse[unit]
+            pivot_row[:] = pivot_row.translate(axpy[u])
+            record((_SCALE, d, values[u], values[unit]))
+        unshift = unshifts[v]
+        pivot = int.from_bytes(pivot_row, "big")
+        for i in range(d + 1, r):
+            row = M[i]
+            x = row[d]
+            if x:
+                t = unshift[x]
+                packed = int.from_bytes(row, "big") << 4 | pivot
+                row[:] = packed.to_bytes(c, "big").translate(axpy[t])
+                record((_ADD_ROW, i, d, values[t]))
+        for j in range(d + 1, c):
+            x = pivot_row[j]
+            if x:
+                record((_ADD_COL, j, d, values[unshift[x]]))
         exponents.append(v)
     return exponents, ops
 

@@ -36,7 +36,10 @@ table holds at most 64^2 = 4096 entries and a one-argument table at most
 64, and none exists before the ring's first use of its operation.
 Whether a ring tabulates is read off its spec, never by computing p^n
 for a large n or the order of a long product.  Z, F_p[x], Z/p^n and
-prime fields keep their own methods, one step per operation.  `parse_matrix`
+prime fields keep their own methods, one step per operation.  A local
+ring of order at most 16 also has `byte_codes`, the `_ByteCodes` tables
+through which `normal_form.eliminate` works on rows of bytes, made from
+these operations on the ring's first elimination.  `parse_matrix`
 parses each distinct literal of a matrix once per call, and keeps
 nothing after it returns.
 
@@ -104,18 +107,87 @@ def tabulated(op):
     return lookup
 
 
-def _within_table_cap(factors) -> bool:
-    """True iff the product of factors, each >= 2, is at most TABLE_CAP.
+def _product_at_most(factors, cap) -> bool:
+    """True iff the product of factors, each >= 2, is at most cap.
 
     It stops at the first partial product above the cap, so it takes at
-    most TABLE_CAP.bit_length() steps and never forms a large power.
+    most cap.bit_length() steps and never forms a large power.
     """
     order = 1
     for q in factors:
         order *= q
-        if order > TABLE_CAP:
+        if order > cap:
             return False
     return True
+
+
+class _ByteCodes:
+    """A local ring of order q <= 16 as one-byte element codes, and the
+    tables that eliminate `bytearray` rows of codes by `bytes.translate`.
+
+    An element's code is its index in `elements()`, so zero is code 0,
+    and two codes a, b pack into the one byte a << 4 | b.  Every table is
+    made from the ring's own operations the first time it is needed, and
+    a table keyed by a code or a valuation is a `_Table`:
+
+    - `valuation`: code -> valuation, n for zero;
+    - `shift[v]`, `unshift[v]`: the code of x -> the code of x / c^v and
+      of -(x / c^v), for x of valuation >= v: the unit of a pivot c^v * u
+      and the factor of the transvection clearing x against c^v;
+    - `inverse[u]`: the code of the inverse of the unit u;
+    - `add`: a << 4 | b -> the code of a + b;
+    - `axpy[t]`: a << 4 | b -> the code of a + t * b, from `add` and the
+      products t * b.  A byte below 16 packs a = 0 with b, so axpy[u]
+      also multiplies a row of plain codes by u.
+
+    `valuation`, `add` and `axpy[t]` are 256-byte translate tables.
+    `values` maps codes to elements, and `encode` a grid of elements to
+    a list of `bytearray` rows of codes.  Everything here depends on the
+    ring alone: at q = 16 it holds at most 17 translate tables, about
+    8 KiB in all.
+    """
+
+    def __init__(self, ring):
+        values = ring.elements()
+        codes = {x: i for i, x in enumerate(values)}
+        self.ring, self.values, self.codes, self.one = ring, values, codes, codes[ring.one]
+        if values == list(range(len(values))):  # Z/p^n and GF(p^k): each element is its code
+            self.encode = lambda grid: list(map(bytearray, grid))
+        else:
+            code = codes.__getitem__
+            self.encode = lambda grid: [bytearray(map(code, row)) for row in grid]
+        self.valuation = bytes(map(ring.valuation, values)).ljust(256, b"\0")
+        self.shift, self.unshift = _Table(self._shift), _Table(self._unshift)
+        self.inverse = _Table(lambda u: codes[ring._inverse(values[u])])
+        self.axpy = _Table(self._axpy)
+
+    def _shift(self, v):
+        ring, codes, valuation = self.ring, self.codes, self.valuation
+        return bytes([codes[ring.shift(x, v)] if valuation[a] >= v else 0
+                      for a, x in enumerate(self.values)])
+
+    def _unshift(self, v):
+        neg, values, codes = self.ring.neg, self.values, self.codes
+        return bytes([codes[neg(values[a])] for a in self.shift[v]])
+
+    @cached_property
+    def add(self):
+        add, values, codes, out = self.ring.add, self.values, self.codes, bytearray(256)
+        for a, x in enumerate(values):
+            out[a << 4 : (a << 4) + len(values)] = bytes([codes[add(x, y)] for y in values])
+        return bytes(out)
+
+    def _axpy(self, t):
+        mul, codes, x = self.ring.mul, self.codes, self.values[t]
+        times_t = [codes[mul(x, y)] for y in self.values] + [0] * (16 - len(self.values))
+        return bytes([a << 4 | b for a in range(16) for b in times_t]).translate(self.add)
+
+
+# the `_ByteCodes` of each ring of order <= 16, made the first time the
+# ring eliminates and shared by every equal ring: the tables depend on the
+# spec alone, and a pullback rank makes its residue field anew per call.
+# There are 23 such rings, so this holds at most about 120 KiB.
+_BYTE_CODES = _Table(_ByteCodes)
 
 
 class Ring:
@@ -312,6 +384,17 @@ class _LocalRing(Ring):
         """The canonical a / c^v, for 0 <= v <= valuation(a)."""
         raise NotImplementedError
 
+    def _order_at_most(self, cap) -> bool:
+        """True iff the ring has at most cap elements, read off its spec."""
+        raise NotImplementedError
+
+    # read on the ring's first elimination, so a ring that never
+    # eliminates builds no table
+    @cached_property
+    def byte_codes(self):
+        """The ring's `_ByteCodes` when two codes fit in a byte (order <= 16), else None."""
+        return _BYTE_CODES[self] if self._order_at_most(16) else None
+
     def is_unit(self, a):
         return self.valuation(a) == 0
 
@@ -373,6 +456,9 @@ class ModPrimePowerRing(_LocalRing):
     def _inverse(self, a):
         return pow(a, -1, self.modulus)
 
+    def _order_at_most(self, cap):
+        return self.modulus <= cap
+
     def parse(self, text):
         try:
             return self.normalize(int(text))
@@ -400,7 +486,7 @@ class TruncatedPolyRing(_LocalRing):
         self.zero = ()
         self.one = (1,)
         self.generator = self.normalize((0, 1))
-        self.tabulates = _within_table_cap(repeat(p, n))
+        self.tabulates = self._order_at_most(TABLE_CAP)
         self._add = partial(padd, p=p)
         self._mul = partial(pmul, p=p, below=n)
 
@@ -419,6 +505,9 @@ class TruncatedPolyRing(_LocalRing):
 
     def _neg(self, a):
         return pneg(a, self.p)
+
+    def _order_at_most(self, cap):
+        return _product_at_most(repeat(self.p, self.nil_degree), cap)
 
     def _inverse(self, a):
         # power series inversion of the unit up to degree n-1, in O(n * deg a);
@@ -468,7 +557,7 @@ class ExtensionField(_LocalRing):
         if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
             raise PreconditionError("modulus must be monic of degree k")
         self.spec = f"F{p}[x]/({format_poly(self.modulus)})"
-        self.tabulates = self.size <= TABLE_CAP
+        self.tabulates = self._order_at_most(TABLE_CAP)
 
     def decode(self, a: int) -> tuple:
         """The coefficient tuple of a canonical element: its base-p digits."""
@@ -521,6 +610,9 @@ class ExtensionField(_LocalRing):
     def _inverse(self, a):
         return self.power(a, self.size - 2)  # a^(q-2) = a^(-1) in GF(q)
 
+    def _order_at_most(self, cap):
+        return self.size <= cap
+
     def elements(self):
         return list(range(self.size))
 
@@ -548,7 +640,7 @@ class FieldProductRing(Ring):
         self.spec = "*".join(f"F{q}" for q in self.orders)
         self.zero = (0,) * self.width
         self.one = (1,) * self.width
-        self.tabulates = _within_table_cap(self.orders)
+        self.tabulates = _product_at_most(self.orders, TABLE_CAP)
 
     def normalize(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):

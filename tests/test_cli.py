@@ -598,6 +598,15 @@ OUT_OF_RANGE = [
     ),
     # the work grows as count * n^3 in the nil degree n; n = 256 at count 1
     # once took 23.9 s
+    # a local ring has no residue field to name; --pi was once ignored there
+    pytest.param(
+        ("axioms-check", "--ring", "Z/8", "--count", "1", "--pi", "x"), 3,
+        "--pi names a residue field of Z or F_p[x]; Z/8 is local", id="local-pi-x",
+    ),
+    pytest.param(
+        ("axioms-check", "--ring", "Z/8", "--count", "1", "--pi", "2"), 3,
+        "--pi names a residue field of Z or F_p[x]; Z/8 is local", id="local-pi-2",
+    ),
     pytest.param(
         ("axioms-check", "--ring", "F2[x]/x^256", "--count", "1"), 3,
         "count * n^3 must be <= 270000, with count = 1 and nil degree n = 256", id="work-cap",

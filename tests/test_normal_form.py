@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -35,9 +36,9 @@ from rankcert import (
     verify_factorization,
     zeros,
 )
-from rankcert import normal_form
+from rankcert import acceptance, normal_form
 from rankcert.normal_form import eliminate, eliminated, factors, inverse_factors
-from rankcert.polys import pdivmod, pscale
+from rankcert.polys import is_irreducible, pdivmod, pscale
 from rankcert.rings import ExtensionField, ModPrimePowerRing
 
 from helpers import (
@@ -467,3 +468,85 @@ def test_regular_requests_eliminate_each_component_once(eliminations):
         {(f, ring.component_grid(M, i)): 1 for M in (A, B) for i, f in enumerate(ring.fields)}
     )
     assert len(eliminations) == 2 * ring.width
+
+
+# ---------------------------------------------------------------------------
+# rings of order at most 16 eliminate rows of byte codes
+
+
+def _extension_fields(p, k):
+    """GF(p^k) modulo each monic irreducible of degree k."""
+    fields = []
+    for low in itertools.product(range(p), repeat=k):
+        modulus = low + (1,)
+        if is_irreducible(modulus, p):
+            fields.append(ExtensionField(p, k, modulus))
+    return fields
+
+
+# every finite local ring of order at most 16, each GF(p^k) under every modulus
+BYTE_RINGS = [parse_ring(f"Z/{q}") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+BYTE_RINGS += [parse_ring(f"F2[x]/x^{n}") for n in (2, 3, 4)] + [parse_ring("F3[x]/x^2")]
+BYTE_RINGS += [f for p, k in ((2, 2), (2, 3), (3, 2), (2, 4)) for f in _extension_fields(p, k)]
+# the smallest of each family above order 16
+GENERIC_RINGS = [parse_ring(spec) for spec in ("Z/27", "Z/32", "F2[x]/x^5")]
+GENERIC_RINGS += [parse_ring("F32").fields[0]]
+
+
+@st.composite
+def shaped_grids(draw, ring):
+    """A grid of shape 1..12 x 1..12, often a row or a column, of one of four
+    kinds: half zero, all zero, without a unit, or all units.  Its entries
+    are read off drawn bytes, which is fast and shrinks towards zero."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rows, cols = draw(st.sampled_from([(rows, cols), (1, cols), (rows, 1)]))
+    values = ring.elements()
+    pool = {
+        "half zero": [ring.zero] * len(values) + values,
+        "zero": [ring.zero],
+        "no unit": [x for x in values if not ring.is_unit(x)],
+        "units": [x for x in values if ring.is_unit(x)],
+    }[draw(st.sampled_from(["half zero", "zero", "no unit", "units"]))]
+    raw = draw(st.binary(min_size=rows * cols, max_size=rows * cols))
+    entries = [pool[b % len(pool)] for b in raw]
+    return tuple(tuple(entries[i : i + cols]) for i in range(0, rows * cols, cols))
+
+
+@pytest.mark.parametrize("ring", BYTE_RINGS + GENERIC_RINGS, ids=lambda ring: ring.spec)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_byte_elimination_matches_reference(ring, data):
+    assert (ring.byte_codes is None) == (ring in GENERIC_RINGS)
+    grid = data.draw(shaped_grids(ring))
+    assert eliminate(ring, grid) == reference_eliminate(ring, grid)
+
+
+def test_rings_of_order_at_most_16_never_reach_the_generic_loop(monkeypatch):
+    generic, reached = normal_form._eliminate_values, []
+
+    def guarded(ring, grid):
+        assert len(ring.elements()) > 16, f"{ring.spec} reached the generic loop"
+        reached.append(ring.spec)
+        return generic(ring, grid)
+
+    monkeypatch.setattr(normal_form, "_eliminate_values", guarded)
+    rng = random.Random(30)
+    # the local and product rings of the matrix-mix workload, and the suite's
+    for spec in ("Z/8", "F2[x]/x^3", "F3[x]/x^2", *acceptance.LOCAL_RINGS):
+        A = random_matrix(parse_ring(spec), rng, 4, 5)
+        assert verify_factorization(A, diagonalize(A))
+        assert class_of(A) == reference_class_of(A)
+    for spec in ("F2*F3", "F2*F3*F5", "F4*F9"):
+        ring = parse_ring(spec)
+        A, B = random_matrix(ring, rng, 3, 4), random_matrix(ring, rng, 4, 4)
+        assert verify_factor(A, B, regular_factor(A, B))
+        assert class_of(A) == reference_class_of(A)
+    # its residue pullback ranks: Z/p, and GF(4) modulo x^2+x+1
+    for spec, pi in (("Z", "2"), ("Z", "7"), ("F2[x]", "x+1"), ("F2[x]", "x^2+x+1")):
+        ring = parse_ring(spec)
+        M = random_matrix(ring, rng, 5, 6)
+        pullback_rank(ring, ring.parse(pi))(M)
+    assert reached == []
+    ring = parse_ring("Z/27")
+    diagonalize(random_matrix(ring, rng, 3, 3))
+    assert reached == ["Z/27"]
