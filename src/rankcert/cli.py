@@ -74,7 +74,7 @@ def _int_tuple(value, what) -> tuple:
 def load_matrix(ring, data) -> rankcert.Matrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise rankcert.ParseError("matrix payload must be a nonempty array of arrays")
-    return rankcert.parse_matrix(ring, [[str(e) for e in row] for row in data])
+    return rankcert.parse_matrix(ring, data)
 
 
 def load_matrix_operand(ring, text: str) -> rankcert.Matrix:
@@ -290,34 +290,27 @@ def cmd_rank(ring, args):
 
 
 # A class-vector operand of leq or chain sets the size of the certificate by
-# its entries, not its length, so a request would choose its own cost without
-# a cap.  Over a product of w fields the command factors representatives of
-# side at most s = max(a + b); their factors are almost identities, and the
-# matrix product skips zero entries, so a factorization costs about w s^2
-# field operations, which w s^3 bounds with room to spare.  Over a local
-# ring of nil degree n the chain makes |a| = sum(a) cancels, at most n - 1
-# swaps before each, and at most |b| + swaps drops: at most 2n|a| + |b|
-# moves.  A swap costs O(n) to build, and a move about as much to print and
-# replay as 64 steps of that, so (2n|a| + |b|) ceil(n/64) bounds the work.
-# At the cap the slowest request found is a chain of 20000 drops, about
-# 0.2 s on a 2-core VM; a factorization over GF(2^32), the costliest field,
-# takes about 0.05 s.
+# its entries, so the cap bounds that size, in closed form before anything is
+# built: a chain over nil degree n has |a| = sum(a) cancels, at most n - 1
+# swaps before each and at most |b| + swaps drops, so at most 2n|a| + |b|
+# moves; factors of representatives of side s = max(a + b) over w fields hold
+# at most w s^2 entries.  At the cap the slowest request found factors over
+# GF(2^32) at s = 141: about 0.5 s on a 2-core VM, with 1.1 MB of JSON.
 CLASS_WORK_CAP = 20_000
 
 
 def _check_class_work(ring, a, b):
-    """Refuse a leq or chain request whose class vectors exceed CLASS_WORK_CAP."""
+    """Refuse a leq or chain request whose certificate would exceed CLASS_WORK_CAP."""
     if ring.is_local:
-        n = ring.nil_degree
-        work = (2 * n * sum(a) + sum(b)) * -(-n // 64)
-        rule = f"(2n|a| + |b|) * ceil(n/64) <= {CLASS_WORK_CAP}, n = {n} the nil degree"
+        size = 2 * ring.nil_degree * sum(a) + sum(b)
+        rule = f"2n|a| + |b| <= {CLASS_WORK_CAP}, n = {ring.nil_degree} the nil degree"
     else:
         s = max(1, *a, *b)
-        work = ring.width * s**3
-        rule = f"w * s^3 <= {CLASS_WORK_CAP}, w = {ring.width} fields, s = {s} the largest entry"
-    if work > CLASS_WORK_CAP:
+        size = ring.width * s**2
+        rule = f"w * s^2 <= {CLASS_WORK_CAP}, w = {ring.width} fields, s = {s} the largest entry"
+    if size > CLASS_WORK_CAP:
         raise rankcert.PreconditionError(
-            f"class vectors over {ring.spec} need {rule}; this request needs {work}"
+            f"class vectors over {ring.spec} need {rule}; this request needs {size}"
         )
 
 

@@ -24,6 +24,7 @@ from .records import record
 from .rings import Matrix, block_diag, stack_vertical, zeros
 from .semigroup import (
     GroupElement,
+    check_int,
     class_of,
     cone_member,
     group_diff,
@@ -164,7 +165,7 @@ def psi(A: Matrix) -> tuple:
 def phi_group(ring, coeffs) -> GroupElement:
     """Linear extension of phi to the whole module-side group."""
     width = monoid_width(ring)
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(check_int(c, "a module coefficient") for c in coeffs)
     if len(coeffs) != width:
         raise PreconditionError("module coefficients have the wrong length")
     if ring.is_local:

@@ -350,8 +350,6 @@ class PolyRing(Ring):
         return (pow(a[0], -1, self.p),)
 
     def ideal_member(self, x, gen):
-        if not gen:
-            return not x
         return pdivides(gen, x, self.p)
 
     def parse(self, text):
@@ -400,9 +398,6 @@ class _LocalRing(Ring):
 
     def ideal_member(self, x, gen):
         return self.valuation(x) >= self.valuation(gen)
-
-    def radical_generator(self):
-        return self.generator
 
     def generator_power(self, i: int):
         """c^i, with i = nil_degree giving zero."""
@@ -809,17 +804,17 @@ def matrix(ring: Ring, rows) -> Matrix:
 
 
 def parse_matrix(ring: Ring, rows_of_strings) -> Matrix:
-    """The matrix of ring.parse of each entry, parsing each distinct string once.
+    """The matrix of ring.parse of each entry's str(), parsing each distinct string once.
 
-    The parsed strings are kept in a dict local to this call, so nothing
-    outlives it.  A literal that fails is not kept: it raises ring.parse's
-    own ParseError.  An entry that is not a str goes to ring.parse as it is.
+    So [[1]] and [["1"]] give the same matrix.  The parsed strings are kept
+    in a dict local to this call, so nothing outlives it.  A literal that
+    fails is not kept: it raises ring.parse's own ParseError.
     """
     parse, parsed = ring.parse, {}
 
     def entry(s):
         if type(s) is not str:
-            return parse(s)
+            s = str(s)
         out = parsed.get(s)
         if out is None:  # no ring value is None
             out = parsed[s] = parse(s)

@@ -128,6 +128,13 @@ def monoid_scale(m: int, a) -> tuple:
     return tuple(m * x for x in a)
 
 
+def check_int(value, name: str) -> int:
+    """A public bound, index or coefficient: an int, never a bool or a float."""
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int, not {value!r}")
+    return value
+
+
 def check_element(ring, a) -> tuple:
     """a as a monoid element of ring: a tuple of monoid_width(ring) ints >= 0.
 
@@ -203,7 +210,7 @@ def rk(ring, k: int, a) -> Fraction:
     if not ring.is_local:
         raise PreconditionError("rk_k is defined for the local families")
     n = ring.nil_degree
-    if not 1 <= k <= n:
+    if not 1 <= check_int(k, "k") <= n:
         raise PreconditionError(f"k = {k} outside [1, {n}]")
     return Fraction(_profile(ring, check_element(ring, a))[k - 1], k)
 
@@ -282,9 +289,13 @@ def witness_chain(ring, a, b):
     """Certify a <= b with a move chain, or refute with a rank violation.
 
     Follows the inductive order argument: cancel common generators, and
-    while supports are disjoint push the largest below-support generator
-    of b upward with a PowerSwap against the next one above (index n,
-    the identity, when none exists).
+    while supports are disjoint push the largest generator j1 of b below
+    low, the least of a, upward with a PowerSwap against the next one
+    above, j2 (index n, the identity, when none exists).  No index is
+    common until j1 + s reaches low or j2 - s reaches top, a's largest
+    below j2, so each walk of t = min(low - j1, j2 - top) swaps
+    PowerSwap(j1 + s, j2 - s) is emitted at once, and a cancel ends it:
+    a chain has at most 2n|a| + |b| moves and costs O(n|a| + moves).
     """
     if not ring.is_local:
         raise PreconditionError("witness_chain applies to the local families")
@@ -300,44 +311,42 @@ def witness_chain(ring, a, b):
 
     moves = []
     cur_a, cur_b = list(a), list(b)
-    # P(cur_b) - P(cur_a): a Cancel leaves it, a PowerSwap(j1, j2) lowers
-    # positions j1..j2-2 by one; a negative entry means cur_a <= cur_b broke
+    # P(cur_b) - P(cur_a), lowered by each walk; below 0, cur_a <= cur_b broke
     slack = [y - x for x, y in zip(pa, pb)]
     swap_budget = sum(b) * n * (n + 1)
     swaps = 0
-    # left copies of a remain, none below index low, which only moves up,
-    # so no index below low is common
-    left, low = sum(a), 0
-    while left:
+    # one cancel per copy of a; low only moves up, and no index below it is common
+    low = 0
+    for _ in range(sum(a)):
         while not cur_a[low]:
             low += 1
         common = next((i for i in range(low, n) if cur_a[i] and cur_b[i]), None)
-        if common is not None:
-            moves.append(Cancel(common))
-            cur_a[common] -= 1
-            cur_b[common] -= 1
-            left -= 1
-            continue
-        j1 = next(i for i in range(low - 1, -1, -1) if cur_b[i])
-        j2 = next((i for i in range(j1 + 1, n) if cur_b[i]), n)
-        moves.append(PowerSwap(j1, j2))
-        cur_b[j1] -= 1
-        if j2 < n:
-            cur_b[j2] -= 1
-        if j1 + 1 < n:
-            cur_b[j1 + 1] += 1
-        cur_b[j2 - 1] += 1
-        swaps += 1
-        if swaps > swap_budget:
-            raise SearchBudgetError(
-                f"witness chain exceeded its bound {swap_budget}; this is a bug"
-            )
-        for k in range(j1, j2 - 1):
-            slack[k] -= 1
-            if slack[k] < 0:
+        if common is None:  # a walk, which makes low or top common
+            j1 = next(i for i in range(low - 1, -1, -1) if cur_b[i])
+            j2 = next((i for i in range(j1 + 1, n) if cur_b[i]), n)
+            top = next(i for i in range(j2 - 1, low - 1, -1) if cur_a[i])
+            t = min(low - j1, j2 - top)
+            moves.extend(PowerSwap(j1 + s, j2 - s) for s in range(t))
+            cur_b[j1] -= 1
+            if j2 < n:
+                cur_b[j2] -= 1
+            cur_b[j1 + t] += 1
+            cur_b[j2 - t] += 1
+            swaps += t
+            if swaps > swap_budget:
                 raise SearchBudgetError(
-                    "rank comparison broke during chain construction; this is a bug"
+                    f"witness chain exceeded its bound {swap_budget}; this is a bug"
                 )
+            for k in range(j1, j2 - 1):
+                slack[k] -= min(t, k - j1 + 1, j2 - 1 - k)
+                if slack[k] < 0:
+                    raise SearchBudgetError(
+                        "rank comparison broke during chain construction; this is a bug"
+                    )
+            common = low if j1 + t == low else top
+        moves.append(Cancel(common))
+        cur_a[common] -= 1
+        cur_b[common] -= 1
     for i in range(n):
         moves.extend([Drop(i)] * cur_b[i])
     return Positive(tuple(moves))
@@ -669,7 +678,7 @@ def leq_provable(e_a, e_b, depth: int = 8):
     caches h, a function of the state alone.
     """
     ea, eb = check_exponents(e_a), check_exponents(e_b)
-    if depth < 0:
+    if check_int(depth, "depth") < 0:
         raise PreconditionError("depth must be >= 0")
     refutation = _minor_refutation(ea, eb)
     if refutation is not None:

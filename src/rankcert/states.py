@@ -62,6 +62,7 @@ from .semigroup import (
     _profile,
     check_element,
     check_formal_hypothesis,
+    check_int,
     cone_member,
     group_add,
     group_diff,
@@ -213,7 +214,7 @@ def state_range(ring, a, n_bound: int = 12, m_bound: int = 12) -> StateRange:
     Since u >= 0, the first of them in (n, k, m) order is (u, 0, w).
     """
     a = check_element(ring, a)
-    if n_bound < 1 or m_bound < 1:
+    if check_int(n_bound, "N") < 1 or check_int(m_bound, "M") < 1:
         raise PreconditionError("bounds must be >= 1")
     low, high = _extremes(_profile(ring, a), _profile(ring, order_unit(ring)))
     p = _best_below(*low, n_bound, m_bound)
@@ -475,9 +476,9 @@ def state_extension(
     it.
     """
     a = check_element(ring, a)
-    if ball < 0:
+    if check_int(ball, "ball") < 0:
         raise PreconditionError("ball must be >= 0")
-    if m_bound < 1:
+    if check_int(m_bound, "M") < 1:
         raise PreconditionError("M must be >= 1")
     pa, width = _profile(ring, a), len(a)
     lane, elane = (m_bound * max(pa) + width * ball).bit_length() + 1, ball.bit_length() + 1
@@ -660,7 +661,7 @@ def rk_for_square(ring, a, bound: int = 6) -> RkSquareResult:
     hypothesis a^m not in (a^(m+1)) is checked up to max(bound, 2), since
     the upper chain uses a^2: a must be neither 0 nor a unit.
     """
-    if bound < 0:
+    if check_int(bound, "bound") < 0:
         raise PreconditionError("bounds must be >= 0")
     check_formal_hypothesis(ring, a, max(bound, 2))
     return RkSquareResult(Fraction(1, 2), Positive((PowerSwap(0, 2),)), _square_sweep(bound))

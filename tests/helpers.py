@@ -17,6 +17,7 @@ from rankcert import (
     Drop,
     ExponentIncrease,
     Matrix,
+    NegativeRank,
     Positive,
     PowerSwap,
     PreconditionError,
@@ -621,6 +622,54 @@ def reference_apply_moves(n, start, target, moves):
         else:
             return None
     return cur, tgt
+
+
+# ---------------------------------------------------------------------------
+# the local chain constructor as it was before it emitted each walk of swaps
+# in one step: one swap per loop, O(n) slack work per swap; kept as the
+# oracle for it
+
+
+def reference_witness_chain(ring, a, b):
+    """witness_chain(ring, a, b) built one swap at a time."""
+    a = check_element(ring, a)
+    b = check_element(ring, b)
+    n = ring.nil_degree
+    pa, pb = _profile(ring, a), _profile(ring, b)
+    k = next((k for k, (x, y) in enumerate(zip(pa, pb), 1) if x > y), None)
+    if k is not None:
+        return NegativeRank(k, Fraction(pa[k - 1], k), Fraction(pb[k - 1], k))
+    if a == b:
+        return Positive(())
+    moves = []
+    cur_a, cur_b = list(a), list(b)
+    slack = [y - x for x, y in zip(pa, pb)]
+    left, low = sum(a), 0
+    while left:
+        while not cur_a[low]:
+            low += 1
+        common = next((i for i in range(low, n) if cur_a[i] and cur_b[i]), None)
+        if common is not None:
+            moves.append(Cancel(common))
+            cur_a[common] -= 1
+            cur_b[common] -= 1
+            left -= 1
+            continue
+        j1 = next(i for i in range(low - 1, -1, -1) if cur_b[i])
+        j2 = next((i for i in range(j1 + 1, n) if cur_b[i]), n)
+        moves.append(PowerSwap(j1, j2))
+        cur_b[j1] -= 1
+        if j2 < n:
+            cur_b[j2] -= 1
+        if j1 + 1 < n:
+            cur_b[j1 + 1] += 1
+        cur_b[j2 - 1] += 1
+        for k in range(j1, j2 - 1):
+            slack[k] -= 1
+            assert slack[k] >= 0, "rank comparison broke during chain construction"
+    for i in range(n):
+        moves.extend([Drop(i)] * cur_b[i])
+    return Positive(tuple(moves))
 
 
 # ---------------------------------------------------------------------------

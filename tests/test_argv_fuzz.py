@@ -5,11 +5,11 @@ and `selftest --only 2`), and replaces the values of one or two of its
 flags by short, mostly invalid values, or drops a flag.  It runs the
 command in-process; an exception escaping `main` is what would print a
 traceback.  Large class vectors are among the values: a `leq` or `chain`
-request whose vectors exceed `cli.CLASS_WORK_CAP` exits 3 at once, and
-`rank`, `state-range` and `extend-state` read a class vector in closed
-form.  Other large values stay out: `extend-state --ball` still costs
-time that grows with its value, and a formal request whose lists need
-many drops still costs seconds.  The long formal chains pinned below
+request whose certificate would exceed `cli.CLASS_WORK_CAP` in size exits
+3 at once, and `rank`, `state-range` and `extend-state` read a class
+vector in closed form.  Other large values stay out: `extend-state
+--ball` still costs time that grows with its value, and a formal request
+whose lists need many drops still costs seconds.  The long formal chains pinned below
 take milliseconds at their large `--depth`.
 """
 

@@ -648,6 +648,15 @@ def test_verify_certifies_state_range_exact(capsys, tmp_path):
         assert run_cli(capsys, "verify", "--file", str(path))[0] == code
 
 
+# a JSON entry that is no string is parsed as its text, which no ring reads
+@pytest.mark.parametrize("entry, text", [("true", "True"), ("1.5", "1.5"), ("null", "None"),
+                                         ("[1]", "[1]")])
+@pytest.mark.parametrize("ring", ["Z", "Z/8", "F2[x]/x^3", "F2*F3"])
+def test_matrix_entries_that_are_no_literal_are_parse_errors(capsys, ring, entry, text):
+    code, out, err = run_cli(capsys, "diagonalize", "--ring", ring, "--matrix", f"[[{entry}]]")
+    assert (code, out) == (2, "") and repr(text) in err
+
+
 # p_lb 4/5 > q_ub 1/10: the conflict (0,3,0) <= (2,0,0) lies outside ball 2,
 # and the crossed bounds prove that no state extends the spec; this once
 # exited 0, and verify accepted the response
@@ -720,20 +729,27 @@ def test_axioms_check_count_above_the_cap_is_refused_at_once():
     assert code == 3 and out == "" and elapsed < LIMIT_S
 
 
-# a class vector sets the size of its certificate by its entries: these took
-# seconds, or were killed, before CLASS_WORK_CAP
+def _far_chain(copies):
+    """chain over F2[x]/x^1024 from copies of e_512 to copies of e_0 + e_1023."""
+    a, b = [0] * 1024, [0] * 1024
+    a[512] = b[0] = b[1023] = copies
+    return ("chain", "--ring", "F2[x]/x^1024", "--a", json.dumps(a), "--b", json.dumps(b))
+
+
+# a class vector sets the size of its certificate by its entries: the
+# first and the three Z/8 and F2[x]/x^64 chains took seconds, or were killed,
+# before CLASS_WORK_CAP; the others lie one step past requests answered below
 @pytest.mark.parametrize(
     "argv",
     [
         ("leq", "--ring", "F2*F3", "--a", "[100000,100000]", "--b", '[["(1,1)"]]'),
-        ("leq", "--ring", "F2*F3", "--a", "[60,60]", "--b", "[61,61]"),
-        ("leq", "--ring", "F4294967296", "--a", "[27]", "--b", "[28]"),
+        ("leq", "--ring", "F2*F3", "--a", "[100,100]", "--b", "[101,101]"),
+        ("leq", "--ring", "F4294967296", "--a", "[141]", "--b", "[142]"),
         ("chain", "--ring", "Z/8", "--a", "[0,100000,0]", "--b", "[50000,0,50000]"),
         ("chain", "--ring", "Z/8", "--a", "[0,0,0]", "--b", "[0,20001,0]"),
         ("chain", "--ring", "F2[x]/x^64", "--a", json.dumps([0] * 40 + [1000] + [0] * 23),
          "--b", json.dumps([1000] + [0] * 62 + [1000])),
-        ("chain", "--ring", "F2[x]/x^1024", "--a", json.dumps([0] * 512 + [1] + [0] * 511),
-         "--b", json.dumps([1] + [0] * 1022 + [1])),
+        _far_chain(10),
     ],
 )
 def test_class_vectors_above_the_work_cap_are_refused_at_once(argv):
@@ -745,8 +761,11 @@ def test_class_vectors_above_the_work_cap_are_refused_at_once(argv):
     assert f"<= {CLASS_WORK_CAP}" in err.getvalue()
 
 
-# the slowest requests found at the cap: a factorization over the costliest
-# field, and a chain of drops; a matrix operand is not capped
+# requests at the cap answer in time.  GF(2^32) is the costliest field, and
+# s = 141 its slowest factorization found (1.1 MB of JSON); Z/2 gives the
+# longest chain of drops.  The three requests after the matrix operand were
+# refused while the cap modelled the constructor's running time, not the
+# certificate's size.  A matrix operand is not capped
 @pytest.mark.parametrize(
     "argv",
     [
@@ -757,6 +776,11 @@ def test_class_vectors_above_the_work_cap_are_refused_at_once(argv):
          "--b", json.dumps([153] + [0] * 62 + [153])),
         ("leq", "--ring", "F2", "--a", '[["(1)"]]', "--b", json.dumps(
             [["(1)" if i == j else "(0)" for j in range(30)] for i in range(30)])),
+        ("leq", "--ring", "F2*F3", "--a", "[60,60]", "--b", "[61,61]"),
+        ("leq", "--ring", "F4294967296", "--a", "[27]", "--b", "[28]"),
+        _far_chain(1),
+        ("leq", "--ring", "F4294967296", "--a", "[140]", "--b", "[141]"),
+        _far_chain(9),
     ],
 )
 def test_class_vectors_at_the_work_cap_answer_in_time(argv):

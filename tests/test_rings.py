@@ -92,7 +92,7 @@ def test_normalize_truncated_poly():
     v = ring.parse("x^2+x")
     # oracle: (x+1) * x = x^2 + x and x+1 is invertible mod x^3
     assert (ring.shift(v, ring.valuation(v)), ring.valuation(v)) == ((1, 1), 1)
-    assert ring.mul(ring.normalize((1, 1)), ring.radical_generator()) == v
+    assert ring.mul(ring.normalize((1, 1)), ring.generator) == v
     assert ring.is_unit(ring.normalize((1, 1)))
 
 
@@ -544,6 +544,26 @@ def test_public_constructors_canonicalize_entries():
     A = parse_matrix(z8, [["9", "2"], ["3", "12"]])
     assert A == matrix(z8, [[1, 2], [3, 4]])
     assert mat_mul(A, identity(z8, 2)) == Matrix(z8, [[9, 10], [11, 12]])
+
+
+# parse_matrix once sent a non-str entry to ring.parse as it was, which
+# raised AttributeError over F_p[x] and its quotients and over products, and
+# truncated 1.5 to 1 over Z; an entry now parses as its str(), as the CLI's
+# JSON entries always did
+@pytest.mark.parametrize("spec", ["Z", "F2[x]", "Z/8", "F2[x]/x^3", "F4", "F2*F3"])
+@pytest.mark.parametrize("entry", [1, (1, 1), 1.5, True, None, [1]])
+def test_parse_matrix_reads_an_entry_as_its_text(spec, entry):
+    ring = parse_ring(spec)
+
+    def outcome(rows):
+        try:
+            return parse_matrix(ring, rows)
+        except ParseError as exc:
+            return str(exc)
+
+    assert outcome([[entry, "0"]]) == outcome([[str(entry), "0"]])
+    if type(entry) is int and not ring.is_product:  # "1" is no product literal
+        assert isinstance(outcome([[entry]]), Matrix)
 
 
 def test_public_constructors_reject_empty_and_ragged_input():

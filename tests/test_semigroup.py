@@ -21,10 +21,12 @@ from rankcert import (
     Positive,
     PowerSwap,
     PreconditionError,
+    StateSpec,
     block_diag,
     block_upper,
     class_of,
     class_representative,
+    diagonalize,
     has_rank_function,
     identity,
     leq,
@@ -34,13 +36,22 @@ from rankcert import (
     matrix,
     minor_profile,
     minor_refutation,
+    module_basis_labels,
     order_unit,
     parse_ring,
+    phi_group,
+    presentation,
+    presentations_equivalent,
+    pullback_rank,
     rank_profile,
     regular_factor,
     rk,
+    rk_for_square,
+    state_extension,
+    state_range,
     verify_certificate,
     verify_factor,
+    verify_factorization,
     verify_formal_certificate,
     witness_chain,
 )
@@ -52,8 +63,10 @@ from helpers import (
     _formal_apply,
     bfs_leq_provable,
     random_matrix,
+    replace,
     reference_apply_moves,
     reference_leq_provable,
+    reference_witness_chain,
     separate_formal_bound,
 )
 
@@ -160,6 +173,63 @@ def test_exhaustive_equivalence_small(spec):
                 assert isinstance(cert, NegativeRank)
 
 
+def _chain_pairs(rng, spec, count, top, density):
+    """count seeded pairs over spec, entries up to top, swapped when only b <= a holds."""
+    ring = parse_ring(spec)
+    n = ring.nil_degree
+
+    def vector():
+        return tuple(rng.randint(0, top) if rng.random() < density else 0 for _ in range(n))
+
+    for _ in range(count):
+        a, b = vector(), vector()
+        if leq(ring, b, a) and not leq(ring, a, b):
+            a, b = b, a
+        yield ring, a, b
+
+
+def test_walks_give_the_chains_built_one_swap_at_a_time():
+    # 18000 short pairs on six local rings, and wide pairs whose walks are long
+    rng, start = random.Random(2831), time.perf_counter()
+    pairs = [
+        pair
+        for spec in ("Z/8", "Z/32", "F2[x]/x^5", "F3[x]/x^4", "F2[x]/x^9", "Z/729")
+        for pair in _chain_pairs(rng, spec, 3000, 3, 1.0)
+    ] + [
+        pair
+        for spec in ("F2[x]/x^16", "F2[x]/x^33", "F2[x]/x^64")
+        for density in (0.1, 0.3)
+        for pair in _chain_pairs(rng, spec, 40, 30, density)
+    ]
+    positive = 0
+    for ring, a, b in pairs:
+        cert = witness_chain(ring, a, b)
+        assert cert == reference_witness_chain(ring, a, b), (ring.spec, a, b)
+        positive += cert.ok
+    assert positive > len(pairs) // 2
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_chain_costs_linear_time_in_its_walks():
+    # built one swap at a time, the one-copy chain took about 30 ms: O(n) per swap
+    ring = parse_ring("F2[x]/x^1024")
+
+    def best_of_three(copies):
+        a, b = [0] * 1024, [0] * 1024
+        a[512] = b[0] = b[1023] = copies
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            cert = witness_chain(ring, a, b)
+            times.append(time.perf_counter() - start)
+        assert verify_certificate(ring, a, b, cert)
+        return min(times)
+
+    one = best_of_three(1)
+    assert one < 0.005
+    assert best_of_three(10) <= 12 * one
+
+
 def test_partial_order_laws():
     vecs = vectors_up_to(3, 3)
     for a in vecs:
@@ -224,6 +294,49 @@ def test_verify_certificate_replays_exponent_increase():
     assert verify_certificate(Z8, (0, 1, 0), (1, 0, 0), Positive((ExponentIncrease(0),)))
     assert verify_certificate(Z8, (0, 0, 0), (0, 0, 1), Positive((ExponentIncrease(2),)))
     assert not verify_certificate(Z8, (0, 0, 0), (0, 0, 1), Positive((ExponentIncrease(3),)))
+
+
+PROD = parse_ring("F2*F3")
+
+
+def _diagonal_form_over_z8():
+    return diagonalize(matrix(Z8, [[2]]))
+
+
+# the guards of the verifiers and of cross-ring calls: each refuses as its
+# docstring says, False from a verifier and PreconditionError from the rest
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: verify_certificate(PROD, (1, 0), (1, 1), Positive(())), False),
+        (lambda: verify_certificate(Z8, (0, 1, 0), (1, 0, 0), "positive"), False),
+        (lambda: verify_certificate(Z8, (0, 1, 0), (1, 0, 0), None), False),
+        (lambda: verify_formal_certificate((1,), (0,), None), False),
+        (lambda: verify_formal_certificate((1,), (0,), PowerSwap(0, 1)), False),
+        (lambda: verify_factorization(matrix(PROD, [[(1, 1)]]), _diagonal_form_over_z8()), False),
+        (lambda: verify_factorization(matrix(Z8, [[2]]), replace(
+            _diagonal_form_over_z8(), left=identity(parse_ring("Z/4"), 1))), False),
+        (lambda: presentations_equivalent(
+            presentation(1, matrix(Z8, [[2]])), presentation(1, matrix(parse_ring("Z/4"), [[2]]))),
+         PreconditionError),
+        (lambda: module_basis_labels(PROD), ("[S0]", "[S1]")),
+        (lambda: module_basis_labels(parse_ring("Z")), PreconditionError),
+        (lambda: state_extension(
+            Z8, StateSpec(generators=((1, 0, 0), (0, 1, 0)), values=(1,)), (0, 0, 1)),
+         PreconditionError),
+        (lambda: pullback_rank(parse_ring("Z"), 2)(matrix(Z8, [[1]])), PreconditionError),
+    ],
+    ids=["local-chain-over-a-product", "string-certificate", "no-certificate",
+         "formal-no-certificate", "formal-move-as-certificate", "factorization-over-a-product",
+         "factor-over-another-ring", "presentations-across-rings", "product-module-basis",
+         "module-basis-over-z", "fewer-values-than-generators", "pullback-of-another-ring"],
+)
+def test_verifiers_and_guards_refuse_as_documented(call, expected):
+    if expected is PreconditionError:
+        with pytest.raises(PreconditionError):
+            call()
+    else:
+        assert call() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -850,3 +963,30 @@ def test_check_element_rejects_malformed_operands(bad):
         check_element(parse_ring("Z/8"), bad)
     with pytest.raises(PreconditionError):
         leq(parse_ring("Z/8"), bad, (1, 0, 0))
+
+
+SPEC = StateSpec(generators=((1, 0, 0),), values=(1,))
+
+
+# each public bound, index and coefficient is an int, as a class entry is: a
+# float or a bool was compared as a number (and answered, or failed later with
+# TypeError or AttributeError), and phi_group rounded it
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        (lambda x: leq_provable((1, 1), (0, 2), depth=x), "depth"),
+        (lambda x: state_extension(Z8, SPEC, (0, 1, 0), ball=x), "ball"),
+        (lambda x: state_extension(Z8, SPEC, (0, 1, 0), m_bound=x), "M"),
+        (lambda x: rk(Z8, x, (0, 1, 0)), "k"),
+        (lambda x: rk_for_square(parse_ring("Z"), 2, x), "bound"),
+        (lambda x: state_range(Z8, (0, 1, 0), x, 3), "N"),
+        (lambda x: state_range(Z8, (0, 1, 0), 3, x), "M"),
+        (lambda x: phi_group(Z8, (x, 0, 0)), "a module coefficient"),
+    ],
+    ids=["depth", "ball", "extension-M", "k", "rk-square-bound", "N", "M", "phi-coefficient"],
+)
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, False, "1"])
+def test_public_bounds_refuse_a_non_int(call, bound, bad):
+    with pytest.raises(PreconditionError, match=f"^{bound} must be an int, not "):
+        call(bad)
+    call(1)  # an int in range answers
