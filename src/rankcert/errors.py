@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the int check of public sizes.
 
 The CLI maps these onto exit codes: ParseError -> 2,
 PreconditionError -> 3, BoundExceededError -> 4.
@@ -26,3 +26,10 @@ class SearchBudgetError(RankcertError, RuntimeError):
 
     Raised only when an internal invariant is broken; never a valid outcome.
     """
+
+
+def check_int(value, name: str) -> int:
+    """A public size, bound, index or coefficient: an int, never a bool or a float."""
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int, not {value!r}")
+    return value

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .polys import pdivmod
 from .records import record
 from .rings import IntegerRing, Matrix, mat_mul
@@ -393,7 +393,7 @@ def minor(M: Matrix, rows, cols):
 
 def minors_in_ideal(M: Matrix, k: int, gen) -> bool:
     """True iff every k x k minor of M lies in the ideal generated by gen."""
-    if not 1 <= k <= min(M.rows, M.cols):
+    if not 1 <= check_int(k, "k") <= min(M.rows, M.cols):
         raise PreconditionError(f"minor size {k} outside [1, {min(M.rows, M.cols)}]")
     ring = M.ring
     gen = ring.normalize(gen)

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_int
 from .normal_form import eliminated
 from .records import record
 from .rings import Matrix, block_diag, stack_vertical, zeros
 from .semigroup import (
     GroupElement,
-    check_int,
     class_of,
     cone_member,
     group_diff,
@@ -42,7 +41,7 @@ class Presentation:
 
 
 def presentation(gens: int, relations: Matrix) -> Presentation:
-    if gens < 1:
+    if check_int(gens, "gens") < 1:
         raise PreconditionError("a presentation needs at least one generator")
     if relations.cols != gens:
         raise PreconditionError(
@@ -52,7 +51,7 @@ def presentation(gens: int, relations: Matrix) -> Presentation:
 
 
 def free_presentation(ring, m: int) -> Presentation:
-    return presentation(m, zeros(ring, 1, m))
+    return presentation(m, zeros(ring, 1, check_int(m, "gens")))
 
 
 def direct_sum(P1: Presentation, P2: Presentation) -> Presentation:

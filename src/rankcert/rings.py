@@ -55,7 +55,7 @@ import re
 from functools import cached_property, partial
 from itertools import product, repeat
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, check_int
 from .fields import FIELD_CAP, TABLE_CAP, factor_prime_power, is_prime
 from .polys import (
     DEGREE_CAP,
@@ -405,6 +405,14 @@ class _LocalRing(Ring):
             raise PreconditionError(f"exponent {i} outside [0, {self.nil_degree}]")
         return self.power(self.generator, i)
 
+    def parse(self, text):
+        """An int literal, read by normalize (F_p[x]/x^n reads polynomials)."""
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"bad residue literal {text!r}") from None
+        return self.normalize(value)
+
 
 class ModPrimePowerRing(_LocalRing):
     """Z/p^n with radical generator c = p; values are residues in [0, p^n)."""
@@ -453,12 +461,6 @@ class ModPrimePowerRing(_LocalRing):
 
     def _order_at_most(self, cap):
         return self.modulus <= cap
-
-    def parse(self, text):
-        try:
-            return self.normalize(int(text))
-        except ValueError:
-            raise ParseError(f"bad residue literal {text!r}") from None
 
     def elements(self):
         return list(range(self.modulus))
@@ -553,6 +555,12 @@ class ExtensionField(_LocalRing):
             raise PreconditionError("modulus must be monic of degree k")
         self.spec = f"F{p}[x]/({format_poly(self.modulus)})"
         self.tabulates = self._order_at_most(TABLE_CAP)
+
+    def normalize(self, raw):
+        """An int encoding in [0, q), as a product-ring component is read."""
+        if isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw < self.size:
+            raise ParseError(f"bad GF({self.size}) literal {raw!r}: an int in [0, {self.size})")
+        return raw
 
     def decode(self, a: int) -> tuple:
         """The coefficient tuple of a canonical element: its base-p digits."""
@@ -826,7 +834,7 @@ def parse_matrix(ring: Ring, rows_of_strings) -> Matrix:
 
 
 def identity(ring: Ring, m: int) -> Matrix:
-    if m < 1:
+    if check_int(m, "size") < 1:
         raise PreconditionError("identity size must be >= 1")
     return Matrix._canonical(
         ring, [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
@@ -834,7 +842,7 @@ def identity(ring: Ring, m: int) -> Matrix:
 
 
 def zeros(ring: Ring, r: int, c: int) -> Matrix:
-    if r < 1 or c < 1:
+    if check_int(r, "rows") < 1 or check_int(c, "columns") < 1:
         raise PreconditionError("matrices must have at least one row and column")
     return Matrix._canonical(ring, [[ring.zero] * c for _ in range(r)])
 

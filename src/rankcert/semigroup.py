@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import inf
 
-from .errors import PreconditionError, SearchBudgetError
+from .errors import PreconditionError, SearchBudgetError, check_int
 from .normal_form import diagonal_matrix, eliminated, factors, inverse_factors
 from .records import record
 from .rings import IntegerRing, Matrix, PolyRing, identity, mat_mul
@@ -126,13 +126,6 @@ def monoid_add(a, b) -> tuple:
 
 def monoid_scale(m: int, a) -> tuple:
     return tuple(m * x for x in a)
-
-
-def check_int(value, name: str) -> int:
-    """A public bound, index or coefficient: an int, never a bool or a float."""
-    if type(value) is not int:
-        raise PreconditionError(f"{name} must be an int, not {value!r}")
-    return value
 
 
 def check_element(ring, a) -> tuple:

@@ -48,9 +48,9 @@ of operands validated once at the boundary.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .errors import BoundExceededError, PreconditionError
+from .errors import BoundExceededError, PreconditionError, check_int
 from .fields import FIELD_CAP, is_prime
 from .normal_form import bareiss, eliminate
 from .polys import is_irreducible, pdivmod, pscale
@@ -62,7 +62,6 @@ from .semigroup import (
     _profile,
     check_element,
     check_formal_hypothesis,
-    check_int,
     cone_member,
     group_add,
     group_diff,
@@ -71,7 +70,6 @@ from .semigroup import (
     group_sub,
     has_rank_function,
     leq,
-    monoid_add,
     monoid_identity,
     monoid_scale,
     order_unit,
@@ -287,36 +285,48 @@ def _unpack(packed: int, lane: int, width: int) -> tuple:
     return tuple([packed >> shift & mask for shift in range((width - 1) * lane, -1, -lane)])
 
 
+# The pairs (b, c) of disjoint support, each generator in b, in c or in
+# neither, number at most prod_j (2 floor(ball / ||g_j||_1) + 1), a zero g_j
+# counting 3; that bounds the span walk and the pair loop, before either runs.
+SPAN_CAP = 1_200_000
+
+
 def _span_with_values(ring, spec: StateSpec, ball: int, lane: int, elane: int):
     """Elements of the generated subsemigroup with ||.||_1 <= ball.
 
     Returns ({element: value numerator}, denominator, {support: [(element,
     packed profile, value numerator)]}): every value is an integer over one
-    common denominator, a support is the bitmask of the generators with a
-    nonzero coefficient in some combination reaching the element, and each
-    support lists an element once.  Elements are packed in lanes of elane
-    bits and profiles in lanes of the given width (_pack); an element
-    entry is at most ball < 2^(elane - 1), so int order is tuple order.
-    Each step of the walk adds a generator's packed element, packed
-    profile, value and norm: the profile is additive, and no profile lane
-    of an element in the ball reaches 2^(lane - 1) (state_extension).  The
-    first additivity conflict, in lexicographic order of the coefficients,
-    is rejected.
+    common denominator, a support is the bitmask of the nonzero generators
+    with a nonzero coefficient in some combination reaching the element,
+    and each support lists an element once.  Elements are packed in lanes
+    of elane bits and profiles in lanes of the given width (_pack); an
+    element entry is at most ball < 2^(elane - 1), so int order is tuple
+    order.  Each step of the walk adds a generator's packed element,
+    packed profile, value and norm: the profile is additive, and no
+    profile lane of an element in the ball reaches 2^(lane - 1)
+    (state_extension).  A walk above SPAN_CAP is refused first, then the
+    first additivity conflict in lexicographic order of the coefficients.
     """
     gens = [check_element(ring, g) for g in spec.generators]
     vals = [v if type(v) is Fraction else Fraction(v) for v in spec.values]
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
+    size = prod(2 * (ball // sum(g)) + 1 if any(g) else 3 for g in gens)
+    if size > SPAN_CAP:
+        raise PreconditionError(
+            f"the span walk needs prod over the generators g of (2 floor(ball/|g|) + 1) "
+            f"<= {SPAN_CAP}, with 3 for a zero g; ball {ball} needs {size}"
+        )
     denom = lcm(*[v.denominator for v in vals])
     combos = [(0, 0, 0, 0, 0)]
     for i, (g, v) in enumerate(zip(gens, vals)):
         eg, pg, ng = _pack(g, elane), _pack(_profile(ring, g), lane), sum(g)
-        gv = v.numerator * (denom // v.denominator)
+        gv, bit = v.numerator * (denom // v.denominator), 1 << i if ng else 0
         grown = []
         for combo in combos:
             grown.append(combo)
             elt, prof, val, support, norm = combo
-            support |= 1 << i
+            support |= bit
             while norm + ng <= ball:
                 elt, prof = elt + eg, prof + pg
                 val, norm = val + gv, norm + ng
@@ -444,9 +454,9 @@ def state_extension(
     every relation is decided at t = 0, and the witness (b, c, m, t)
     always has t = 0 either way.
 
-    The spec is checked first for additivity (_span_with_values), then
-    for monotonicity (x <= y implies v(x) <= v(y)), then for the unit
-    <1> with value 1.  A monotonicity conflict can lie outside the ball;
+    The span must fit SPAN_CAP, and the spec is checked for additivity
+    (_span_with_values), then for monotonicity (x <= y implies v(x) <=
+    v(y)), then for the unit <1> with value 1.  A monotonicity conflict can lie outside the ball;
     when it shows only as p_lb > q_ub, no state extends the spec either,
     and the crossed bounds are refused with both witnesses.  Pairs of
     disjoint support reach every optimum and every monotonicity conflict
@@ -522,23 +532,6 @@ def state_extension(
     )
 
 
-def _values_below(gens, values, top) -> dict:
-    """{element: value} over the span's elements componentwise <= top.
-
-    Each element keeps the value of the first combination reaching it; a
-    consistent spec gives every combination the same value.
-    """
-    found = {(0,) * len(top): Fraction(0)}
-    for g, v in zip(gens, values):
-        for elt, val in list(found.items()):
-            while any(g):
-                elt, val = monoid_add(elt, g), val + v
-                if any(x > t for x, t in zip(elt, top)):
-                    break
-                found.setdefault(elt, val)
-    return found
-
-
 def verify_state_extension(
     ring, spec: StateSpec, a, result: StateRange, ball: int, m_bound: int, shifted: bool
 ) -> bool:
@@ -546,43 +539,34 @@ def verify_state_extension(
 
     A witness (b, c, m, mbar) needs ||b||_1, ||c||_1 <= ball, 1 <= m <=
     m_bound and mbar = 0 unless shifted; its relation is decided at t = 0.
-    Values come from the span below b and c, so the cost is bounded by
-    the witness, not the ball.  An inconsistent spec admits no state, so
-    the emitter's consistency scan is not repeated; a result whose p_lb
-    exceeds its q_ub proves the same and is refused, and so is a spec
-    whose span does not give the order unit <1> the value 1.
+    <1> needs ||<1>||_1 <= ball too, as the command's span holds it.  The
+    values of b, c and <1> come from the command's span walk at the
+    largest of their norms, as every combination reaching b has norm
+    ||b||_1: the cost is bounded by SPAN_CAP, not the ball, and a walk the
+    command refuses at that norm, so at the ball, is refused too.  A
+    result whose p_lb exceeds its q_ub proves that no state extends the
+    spec and is refused, and so is a spec whose span does not give the
+    order unit <1> the value 1.
     """
-
-    def endpoint(witness, lower):
-        b, c, m, mbar = witness
-        b, c = check_element(ring, b), check_element(ring, c)
-        if max(sum(b), sum(c)) > ball or not 1 <= m <= m_bound:
-            return None
-        if mbar < 0 or (mbar > 0 and not shifted):
-            return None
-        if not _relation_holds(ring, b, c, m, pa, lower):
-            return None
-        values = _values_below(gens, spec.values, tuple(map(max, b, c)))
-        if b not in values or c not in values:
-            return None
-        return (values[b] - values[c]) / m
-
+    unit = order_unit(ring)
     try:
         pa = _profile(ring, check_element(ring, a))
-        gens = [check_element(ring, g) for g in spec.generators]
-        ends = (endpoint(result.p_witness, True), endpoint(result.q_witness, False))
+        wits = [(check_element(ring, b), check_element(ring, c), m, mbar)
+                for b, c, m, mbar in (result.p_witness, result.q_witness)]
+        top = max(sum(x) for b, c, _, _ in wits for x in (b, c, unit))
+        elane, lane = top.bit_length() + 1, (top * len(unit)).bit_length() + 1
+        elems, denom, _ = _span_with_values(ring, spec, top, lane, elane)
     except PreconditionError:
         return False
-    if len(gens) != len(spec.values) or ends != (result.p_lb, result.q_ub):
-        return False
-    # a state gives <1> the value 1; the span below <1> has at most
-    # 2^width elements, whatever the ball
-    unit = order_unit(ring)
-    if _values_below(gens, spec.values, unit).get(unit) != 1:
-        return False
+    ends = []
+    for (b, c, m, mbar), lower in zip(wits, (True, False)):
+        vb, vc = elems.get(_pack(b, elane)), elems.get(_pack(c, elane))
+        valid = None not in (vb, vc) and 1 <= m <= m_bound and (not mbar or mbar > 0 and shifted)
+        holds = valid and _relation_holds(ring, b, c, m, pa, lower)
+        ends.append(Fraction(vb - vc, m * denom) if holds else None)
     # a refused witness reads None; crossed bounds prove that no state extends the spec
-    p_lb, q_ub = ends
-    return p_lb is not None and q_ub is not None and p_lb <= q_ub
+    ok = top <= ball and elems.get(_pack(unit, elane)) == denom and None not in ends
+    return ok and ends == [result.p_lb, result.q_ub] and ends[0] <= ends[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ command in-process; an exception escaping `main` is what would print a
 traceback.  Large class vectors are among the values: a `leq` or `chain`
 request whose certificate would exceed `cli.CLASS_WORK_CAP` in size exits
 3 at once, and `rank`, `state-range` and `extend-state` read a class
-vector in closed form.  Other large values stay out: `extend-state
---ball` still costs time that grows with its value, and a formal request
-whose lists need many drops still costs seconds.  The long formal chains pinned below
-take milliseconds at their large `--depth`.
+vector in closed form.  An `extend-state --ball` whose span would exceed
+`states.SPAN_CAP` exits 3 at once, as pinned below.  Other large values
+stay out: a formal request whose lists need many drops still costs
+seconds.  The long formal chains pinned below take milliseconds at their
+large `--depth`.
 """
 
 import json
@@ -34,6 +35,7 @@ VALUES = (
 # without --only, selftest runs the whole acceptance suite, about a minute
 KEPT = {("selftest", "--only")}
 FORMAL = ("leq", "--ring", "Z", "--elem", "2")
+EXTEND_STATE = next(argv for argv in README_COMMANDS if argv[0] == "extend-state")
 SPREAD = [i * 10**7 for i in range(1, 21)]
 
 
@@ -73,6 +75,9 @@ def response_file(tmp_path_factory):
 # the bound's DP once kept all 2^20 matchings of these lists
 @example([*FORMAL, "--a", json.dumps(SPREAD), "--b", json.dumps(
     sorted(x for i, t in enumerate(SPREAD) for x in (t - 2**i, t + 2**i)))])
+# the span walk once grew with --ball; past SPAN_CAP it is refused before it starts
+@example([*EXTEND_STATE[:-4], "--ball", "1000000", "--M", "12"])
+@example([*EXTEND_STATE[:-4], "--ball", str(10**18), "--M", "12"])
 def test_every_command_is_total_on_mutated_readme_argv(response_file, argv):
     argv = [response_file if token == RESPONSE else token for token in argv]
     code, _, elapsed = run(argv, stdin=responses()[1])

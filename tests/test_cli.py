@@ -50,6 +50,7 @@ from rankcert.semigroup import (
     PowerSwap,
     minor_refutation,
 )
+from rankcert.states import SPAN_CAP
 
 from helpers import reference_is_diagonal_form, reference_state_range
 from test_verify_fuzz import LIMIT_S, run
@@ -789,6 +790,38 @@ def test_class_vectors_at_the_work_cap_answer_in_time(argv):
     assert json.loads(out)["verified"] is True
 
 
+# the span walk and the pair loop grow with the ball, so a request whose
+# closed-form bound exceeds SPAN_CAP is refused before either runs.  The
+# README spec bounds its pairs by (2 ball + 1)^2: ball 547 gives 1199025, 548
+# gives 1203409.  Three unit generators give (2 ball + 1)^3: 1157625 at 52
+THREE_UNITS = (
+    "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,1,0],[0,0,1]]",
+    "--values", '["1/1","2/3","1/3"]', "--a", "[1,1,0]", "--M", "12",
+)
+
+
+@pytest.mark.parametrize("ball", ["548", "1000000", str(10**18)])
+def test_extend_state_past_the_span_cap_is_refused_at_once(ball):
+    argv = EXTEND_STATE_ARGS + ("--ball", ball, "--M", "12")
+    code, out, elapsed = run(argv)
+    assert code == 3 and out == "" and elapsed < LIMIT_S
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        main(list(argv))
+    assert f"<= {SPAN_CAP}, with 3 for a zero g; ball {ball} needs" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args, ball", [(EXTEND_STATE_ARGS + ("--M", "12"), 547), (THREE_UNITS, 52)],
+    ids=["readme-547", "three-units-52"],
+)
+def test_extend_state_at_the_span_cap_answers_in_time(args, ball):
+    code, out, elapsed = run(args + ("--ball", str(ball)))
+    assert code == 0 and elapsed < LIMIT_S
+    assert run(["verify"], out)[0] == 0
+    assert run(args + ("--ball", str(ball + 1)))[0] == 3
+
+
 @pytest.mark.parametrize(
     "argv", [("normalize", "--ring", "Z/8", "--value", "6"), ("selftest", "--only", "2")]
 )
@@ -1149,7 +1182,7 @@ def string_leaves(value, path=()):
 
 
 def value_mutations(response):
-    """Each single-leaf mutation of a rk-square or state-range response.
+    """Each single-leaf mutation of a rk-square, state-range or extend-state response.
 
     The ints and lists mutate as in leaf_mutations; a rational becomes a
     non-canonical spelling of itself and three neighbours, and the element
@@ -1192,6 +1225,23 @@ def stated_value_answer(doc):
     return Fraction(doc["p_lb"]), Fraction(doc["q_ub"]), tuple(map(Fraction, doc["exact"]))
 
 
+def with_leaf(response, path, new):
+    """A copy of a response with the leaf at path replaced by new."""
+    doc = json.loads(json.dumps(response))
+    *inner, last = path
+    parent = doc
+    for step in inner:
+        parent = parent[step]
+    parent[last] = new
+    return doc
+
+
+def in_lowest_terms(doc):
+    """Whether every rational a response spells is in lowest terms."""
+    texts = [t for _, t in string_leaves(doc) if RATIONAL.fullmatch(t)]
+    return all(t == "{0.numerator}/{0.denominator}".format(Fraction(t)) for t in texts)
+
+
 def test_verified_value_responses_state_true_answers():
     # every mutation of a rk-square or state-range response that verify
     # accepts states the command's answer to the request it names, compared
@@ -1206,12 +1256,7 @@ def test_verified_value_responses_state_true_answers():
     responses = VALUE_RESPONSES + [json.loads(run(argv)[1]) for argv in VALUE_REQUESTS]
     for response in responses:
         for path, new in value_mutations(response):
-            doc = json.loads(json.dumps(response))
-            *inner, last = path
-            parent = doc
-            for step in inner:
-                parent = parent[step]
-            parent[last] = new
+            doc = with_leaf(response, path, new)
             code, _, _ = run(["verify"], json.dumps(doc))
             assert code in (0, 1, 2), (path, new)
             if code:
@@ -1219,9 +1264,7 @@ def test_verified_value_responses_state_true_answers():
                 continue
             stated, true = stated_value_answer(doc), true_value_answer(doc)
             if stated == true:
-                texts = [t for _, t in string_leaves(doc) if RATIONAL.fullmatch(t)]
-                lowest = all(t == "{0.numerator}/{0.denominator}".format(Fraction(t)) for t in texts)
-                allowed["restated" if lowest else "non-canonical"] += 1
+                allowed["restated" if in_lowest_terms(doc) else "non-canonical"] += 1
                 continue
             raised = path in (("N",), ("M",)) and new > response[path[0]]
             assert raised and stated == true_value_answer(response), (doc, path, new)
@@ -1229,6 +1272,58 @@ def test_verified_value_responses_state_true_answers():
     assert {r["command"] for r in responses} == {"rk-square", "state-range"}
     assert set(allowed) == {"restated", "non-canonical", "raised-bound"} and refused > 0
     assert time.monotonic() - start < 2
+
+
+# the recorded extend-state response, and the requests of two more: the
+# README request shifted, and a spec valued 1 on <1> and 1/2 on e1
+EXTENSION_RESPONSES = [
+    json.loads(inv["stdout"])
+    for inv in README_INVOCATIONS + SMALL_RING_INVOCATIONS
+    if inv["argv"][0] == "extend-state" and inv["verify"] is not None
+]
+EXTENSION_REQUESTS = (EXTEND_STATE + ("--shifted",), EXTEND_STATE_HALF)
+
+
+def extension_answer(doc):
+    """(p_lb, q_ub) that the command prints for the request a response names, or None."""
+    argv = ["extend-state", "--ring", doc["ring"], "--generators", json.dumps(doc["generators"]),
+            "--values", json.dumps(doc["values"]), "--a", json.dumps(doc["a"]),
+            "--ball", str(doc["ball"]), "--M", str(doc["M"])] + ["--shifted"] * doc["shifted"]
+    code, out, _ = run(argv)
+    if code:
+        return None
+    answer = json.loads(out)
+    return Fraction(answer["p_lb"]), Fraction(answer["q_ub"])
+
+
+def test_verified_extension_responses_state_true_answers():
+    # every mutation of an extend-state response that verify accepts states
+    # the command's answer to the request it names, compared by value, or
+    # falls in a named allow-list class:
+    # - "non-canonical": a rational spelled out of lowest terms ("0/2");
+    # - "not-optimal": the stated interval holds the command's, as its
+    #   witnesses stay valid while the request changed (the README response
+    #   with a = [0,0,0] keeps q_ub = 1/2, where the command prints 0/1);
+    #   verify checks that each endpoint is valid, not that it is the best one
+    start, refused, allowed = time.monotonic(), 0, Counter()
+    responses = EXTENSION_RESPONSES + [json.loads(run(argv)[1]) for argv in EXTENSION_REQUESTS]
+    for response in responses:
+        for path, new in value_mutations(response):
+            doc = with_leaf(response, path, new)
+            code, _, _ = run(["verify"], json.dumps(doc))
+            assert code in (0, 1, 2), (path, new)
+            if code:
+                refused += 1
+                continue
+            stated, true = (Fraction(doc["p_lb"]), Fraction(doc["q_ub"])), extension_answer(doc)
+            if stated == true:
+                allowed["restated" if in_lowest_terms(doc) else "non-canonical"] += 1
+                continue
+            assert true is not None and stated[0] <= true[0] <= true[1] <= stated[1], (doc, path)
+            allowed["not-optimal"] += 1
+    assert len(responses) == 3 and refused > 0
+    assert set(allowed) == {"restated", "non-canonical", "not-optimal"}
+    assert time.monotonic() - start < 1
 
 
 def test_every_certificate_kind_round_trips_through_its_codec(capsys):

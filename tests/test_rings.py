@@ -692,6 +692,34 @@ def test_extension_field_component():
         assert f.mul(a, f.unit_inverse(a)) == 1
 
 
+def _residue_field():
+    f2x = parse_ring("F2[x]")
+    return pullback_rank(f2x, f2x.parse("x^2+x+1")).field
+
+
+# GF(p^k) read no element from outside: normalize, parse and Matrix(F, ...)
+# each raised a bare NotImplementedError
+@pytest.mark.parametrize(
+    "field",
+    [lambda: parse_ring("F4").fields[0], lambda: parse_ring("F9").fields[0], _residue_field],
+    ids=["F4", "F9", "F2[x]/(x^2+x+1)"],
+)
+def test_extension_field_reads_an_int_encoding(field):
+    # as a product-ring component is read: an int encoding in [0, q)
+    F = field()
+    q = F.size
+    assert [F.normalize(x) for x in range(q)] == [F.parse(str(x)) for x in range(q)] == F.elements()
+    assert Matrix(F, [[1, q - 1]]).entries == ((1, q - 1),)
+    for bad in (True, False, 1.0, "1", None, -1, q):
+        with pytest.raises(ParseError):
+            F.normalize(bad)
+    for bad in ("x", "1.0", "-1", str(q)):
+        with pytest.raises(ParseError):
+            F.parse(bad)
+    with pytest.raises(ParseError):
+        Matrix(F, [[q]])
+
+
 @st.composite
 def truncated_literals(draw):
     """A ring F_p[x]/x^n and a literal with terms of any sign up to degree n + 3.

@@ -27,6 +27,7 @@ from rankcert import (
     class_of,
     class_representative,
     diagonalize,
+    free_presentation,
     has_rank_function,
     identity,
     leq,
@@ -36,6 +37,7 @@ from rankcert import (
     matrix,
     minor_profile,
     minor_refutation,
+    minors_in_ideal,
     module_basis_labels,
     order_unit,
     parse_ring,
@@ -54,6 +56,7 @@ from rankcert import (
     verify_factorization,
     verify_formal_certificate,
     witness_chain,
+    zeros,
 )
 import rankcert.semigroup as semigroup
 from rankcert.acceptance import LOCAL_RINGS
@@ -982,8 +985,16 @@ SPEC = StateSpec(generators=((1, 0, 0),), values=(1,))
         (lambda x: state_range(Z8, (0, 1, 0), x, 3), "N"),
         (lambda x: state_range(Z8, (0, 1, 0), 3, x), "M"),
         (lambda x: phi_group(Z8, (x, 0, 0)), "a module coefficient"),
+        (lambda x: presentation(x, zeros(Z8, 1, 1)), "gens"),
+        (lambda x: free_presentation(Z8, x), "gens"),
+        (lambda x: zeros(Z8, x, 2), "rows"),
+        (lambda x: zeros(Z8, 1, x), "columns"),
+        (lambda x: identity(Z8, x), "size"),
+        (lambda x: minors_in_ideal(identity(Z8, 2), x, 2), "k"),
     ],
-    ids=["depth", "ball", "extension-M", "k", "rk-square-bound", "N", "M", "phi-coefficient"],
+    ids=["depth", "ball", "extension-M", "k", "rk-square-bound", "N", "M", "phi-coefficient",
+         "presentation-gens", "free-presentation", "zeros-rows", "zeros-columns", "identity",
+         "minors-in-ideal"],
 )
 @pytest.mark.parametrize("bad", [2.5, 1.0, True, False, "1"])
 def test_public_bounds_refuse_a_non_int(call, bound, bad):

@@ -519,6 +519,18 @@ def test_state_extension_cost_grows_slowly_with_ball():
     assert sr == state_extension(Z8, spec, E1, ball=12, m_bound=12)
 
 
+def test_zero_generators_add_no_support_groups():
+    # a zero generator leaves both the element and its support as they are;
+    # eleven of them once made 2^11 support groups, and the kernel read every
+    # pair of groups
+    zeros = StateSpec((E0,) + ((0, 0, 0),) * 11, (1,) + (0,) * 11)
+    _, _, supports = states._span_with_values(Z8, zeros, 1, 8, 2)
+    assert set(supports) == {0, 1}
+    sr = state_extension(Z8, zeros, E1, ball=1, m_bound=12)
+    assert sr == state_extension(Z8, StateSpec((E0,), (1,)), E1, ball=1, m_bound=12)
+    assert verify_state_extension(Z8, zeros, E1, sr, 1, 12, False)
+
+
 def test_state_extension_lanes_hold_m_bound_10_18():
     # the README spec at ball 48: a lane holds M max P(a) + width * ball, here
     # 2 * 10**18 + 144 at a = e1, and the answers verify at the same bounds

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcert.cli import main
+from rankcert.states import _square_candidates
 
 README_RESPONSES = (
     ("diagonalize", "--ring", "Z/8", "--matrix", '[["2","1"],["0","4"]]'),
@@ -217,3 +218,60 @@ def test_verify_canonicalizes_diagonalize_entry_literals():
         assert code == 0 and json.loads(out)["verified"] is True, key
     code, out, _ = run(["verify"], json.dumps({**doc, "matrix": [["10", "-7"], ["8", "13"]]}))
     assert code == 1 and json.loads(out)["verified"] is False
+
+
+def coordinated_edits(x):
+    """{name: (kind, {path: value}, exit codes)}: a bound field raised to x with the witness
+    fields that it bounds.
+
+    A single-leaf edit cannot reach these: a large witness alone leaves its
+    bound, and a large bound alone leaves the witness small.
+    """
+    candidates = _square_candidates(x)
+    return {
+        "extend-state-ball-b": (
+            "extend-state", {("ball",): x, ("q_witness", "b"): [x - 1, 0, 1]}, {1}),
+        "extend-state-2ball-b": (
+            "extend-state", {("ball",): 2 * x + 1, ("q_witness", "b"): [x, 0, 1]}, {1}),
+        "extend-state-ball-bc": (
+            "extend-state",
+            {("ball",): x, ("p_witness", "b"): [x, 0, 0], ("p_witness", "c"): [x, 0, 0]}, {1}),
+        "extend-state-M-m": (
+            "extend-state", {("M",): x, ("p_witness", "m"): x, ("q_witness", "m"): x}, {1}),
+        "state-range-N-nk": (
+            "state-range", {("N",): x, ("p_witness", "n"): x, ("p_witness", "k"): x}, {0}),
+        "state-range-NM-nm": (
+            "state-range",
+            {("N",): 2 * x, ("M",): 3 * x, ("q_witness", "n"): 2 * x, ("q_witness", "m"): 3 * x},
+            {0}),
+        "rk-square-bounds-lower": (
+            "rk-square", {("bounds",): x, ("lower", "bound"): x}, {1}),
+        "rk-square-bounds-sweep": (
+            "rk-square",
+            {("bounds",): x, ("lower", "bound"): x, ("lower", "candidates"): candidates,
+             ("lower", "refuted"): candidates},
+            {0}),
+        "formal-depth-chain": (
+            "leq",
+            {("depth",): x, ("a",): [1, x - 1], ("b",): [0, x],
+             ("certificate", "moves", 0, "j2"): x},
+            {0}),
+    }
+
+
+@pytest.mark.parametrize("x", [10**6, 10**9], ids=["1e6", "1e9"])
+@pytest.mark.parametrize("name", list(coordinated_edits(1)))
+def test_verify_decides_coordinated_bound_edits_quickly(x, name):
+    # the extend-state edits took seconds while verify listed the span below
+    # the witness: 12.6 s as a process at 10^6
+    kind, changes, codes = coordinated_edits(x)[name]
+    doc = next(d for d in map(json.loads, responses())
+               if d["command"] == kind and d.get("mode") in (None, "formal"))
+    for (*inner, last), value in changes.items():
+        parent = doc
+        for key in inner:
+            parent = parent[key]
+        parent[last] = value
+    code, _, elapsed = run(["verify"], json.dumps(doc))
+    assert code in codes, changes
+    assert elapsed < LIMIT_S
