@@ -31,10 +31,11 @@ biased by 2^(B - 1), exactly for 0 <= m <= M, as no lane of a profile in
 the ball exceeds width * ball.  Elements are packed too, coordinate 0 in
 the most significant lane of bitlen(ball) + 1 bits, so int order is
 tuple order and a tuple is built only for a returned witness or an
-error text.  One test at the m that would tie the best ratio seen
-decides both whether a pair conflicts and whether it can reach the
-optimum; a tie there is settled by one test at the next m, and only a
-pair that improves the optimum has its best m searched for.  The
+error text.  One test at the last m that would beat the best ratio seen
+decides both whether a pair conflicts and whether it improves the
+optimum, and only an improving pair has its best m searched for; a pair
+that may tie the optimum is tested at the next m only when its witness
+would be earlier.  The
 witness, the first relation in sorted (b, c, m) order worth the optimum,
 is kept by the same pass: a nonzero generator g shared by b and c gives
 the earlier witness (b - g, c - g, m).  An answer depends only on the
@@ -370,17 +371,18 @@ def _extension_optima(supports, pa, high, m_bound: int):
     for q.  p starts at 0 with the least witness (0, 0, 1), so a pair with
     d = 0 decides q only, at m = 1.
 
-    A pair is screened for p at m = floor(d p_m / p_d), capped at M: one
-    test there decides the p screen, and, as a conflict relates at every m
-    >= 0, a pair failing it is no conflict; only a pair passing it is
-    tested at m = 0.  A pair passing with d / m > p improves p, and
-    least is found by binary search (_least).  At an exact tie, d / m = p,
-    one test at m - 1 tells whether the pair improves p (least < m, then
-    searched for) or ties it with least = m; a tie replaces (d, m,
-    witness) only if its witness is earlier.  q is screened at m = ceil(d
-    q_m / q_d) alike, with most = M - the least k with k P(a) - M P(a) - E
-    >= 0, and a tie is settled by one test at m + 1.  q's witness is None
-    when no pair has an upper relation.
+    A pair is screened for p at the last m with d / m > p, m = floor((d
+    p_m - 1) / p_d), capped at M (M while p = 0): one test there decides
+    whether the pair improves p, and, as a conflict relates at every m >=
+    0, a pair failing it is no conflict; only a pair passing it is tested
+    at m = 0.  An improving pair has least found by binary search
+    (_least).  A pair failing the screen has least > m, so it ties p only
+    at m + 1 = d p_m / p_d <= M, with least = m + 1; that test is made
+    only when its witness (b, c, m + 1) is earlier than p's, and most
+    pairs are ruled out by b alone.  q is screened alike at the first m
+    with d / m < q, floor(d q_m / q_d) + 1, with most = M - the least k
+    with k P(a) - M P(a) - E >= 0, and a tie is tested at m - 1.  q's
+    witness is None when no pair has an upper relation.
 
     Each result is the best ratio with the least witness worth it, kept
     with that witness's d and m, or the least conflict, and a screen skips
@@ -408,32 +410,34 @@ def _extension_optima(supports, pa, high, m_bound: int):
                     b, c = x, y
                     if d < 0:
                         b, c, d, e = y, x, -d, -e
-                    m = d * p_m // p_d if p_d else m_bound
+                    m = (d * p_m - 1) // p_d if p_d else m_bound  # the last m with d / m > p
                     if m > m_bound:
                         m = m_bound
                     if (m * pa + high + e) & high == high:
                         if not m or (high + e) & high == high:
                             conflict = min(conflict or (b, c), (b, c))
                             continue
-                        if d * p_m > p_d * m or (
-                            m > 1 and ((m - 1) * pa + high + e) & high == high
-                        ):  # d / least beats p: least < m, or d / m beats p already
-                            m = _least(pa, high, e, 1, m)
-                        if d * p_m > p_d * m or (b, c, m) < p_w:
-                            p_d, p_m, p_w = d, m, (b, c, m)
+                        m = _least(pa, high, e, 1, m)
+                        p_d, p_m, p_w = d, m, (b, c, m)
+                    elif (
+                        b <= p_w[0] and p_d and not d * p_m % p_d and (m := m + 1) <= m_bound
+                        and (b, c, m) < p_w and (m * pa + high + e) & high == high
+                    ):  # a tie, d / m = p, with least = m and an earlier witness
+                        p_d, p_m, p_w = d, m, (b, c, m)
                     if not q_m:  # no q yet: 1/0 stands above d / 1
                         m = 1
                     elif q_d:
-                        m = -(-d * q_m // q_d)
+                        m = d * q_m // q_d + 1  # the first m with d / m < q
                     else:  # q = 0 stands below d / m
                         continue
                     if m <= m_bound and (high - m * pa - e) & high == high:
-                        if d * q_m < q_d * m or (
-                            m < m_bound and (high - (m + 1) * pa - e) & high == high
-                        ):
-                            m = m_bound - _least(pa, high, -e - m_bound * pa, 0, m_bound - m)
-                        if d * q_m < q_d * m or (b, c, m) < q_w:
-                            q_d, q_m, q_w = d, m, (b, c, m)
+                        m = m_bound - _least(pa, high, -e - m_bound * pa, 0, m_bound - m)
+                        q_d, q_m, q_w = d, m, (b, c, m)
+                    elif (
+                        q_m and b <= q_w[0] and not d * q_m % q_d and (m := m - 1) <= m_bound
+                        and (b, c, m) < q_w and (high - m * pa - e) & high == high
+                    ):  # a tie, d / m = q, with most = m and an earlier witness
+                        q_d, q_m, q_w = d, m, (b, c, m)
     return (p_d, p_m, p_w), (q_d, q_m, q_w), conflict
 
 
@@ -480,10 +484,10 @@ def state_extension(
     pair costs one subtraction of packed ints and usually two tests: one
     at p's screened m, which also tells whether the pair conflicts (the
     relation then holds down to m = 0), and one at q's.  A tie with the
-    best ratio seen costs one test more, and only a pair that improves an
-    endpoint costs O(log M) tests more.  The answer is the best ratio with
-    the least witness, so the order in which pairs are read cannot change
-    it.
+    best ratio seen costs one test more only when its witness is earlier,
+    and only a pair that improves an endpoint costs O(log M) tests more.
+    The answer is the best ratio with the least witness, so the order in
+    which pairs are read cannot change it.
     """
     a = check_element(ring, a)
     if check_int(ball, "ball") < 0:

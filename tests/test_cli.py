@@ -793,7 +793,13 @@ def test_class_vectors_at_the_work_cap_answer_in_time(argv):
 # the span walk and the pair loop grow with the ball, so a request whose
 # closed-form bound exceeds SPAN_CAP is refused before either runs.  The
 # README spec bounds its pairs by (2 ball + 1)^2: ball 547 gives 1199025, 548
-# gives 1203409.  Three unit generators give (2 ball + 1)^3: 1157625 at 52
+# gives 1203409.  Three unit generators give (2 ball + 1)^3: 1157625 at 52.
+# At a = [1,1,0] and M = 10^18 most of the README spec's 449635 pairs tie
+# with p = 1, and took 0.5-0.9 s while each tie cost three tests
+README_TIES = (
+    "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,0,1]]",
+    "--values", '["1/1","0/1"]', "--a", "[1,1,0]", "--M", str(10**18),
+)
 THREE_UNITS = (
     "extend-state", "--ring", "Z/8", "--generators", "[[1,0,0],[0,1,0],[0,0,1]]",
     "--values", '["1/1","2/3","1/3"]', "--a", "[1,1,0]", "--M", "12",
@@ -812,8 +818,9 @@ def test_extend_state_past_the_span_cap_is_refused_at_once(ball):
 
 
 @pytest.mark.parametrize(
-    "args, ball", [(EXTEND_STATE_ARGS + ("--M", "12"), 547), (THREE_UNITS, 52)],
-    ids=["readme-547", "three-units-52"],
+    "args, ball",
+    [(EXTEND_STATE_ARGS + ("--M", "12"), 547), (README_TIES, 547), (THREE_UNITS, 52)],
+    ids=["readme-547", "readme-ties-547", "three-units-52"],
 )
 def test_extend_state_at_the_span_cap_answers_in_time(args, ball):
     code, out, elapsed = run(args + ("--ball", str(ball)))
