@@ -53,7 +53,7 @@ from rankcert.semigroup import (
 from rankcert.states import SPAN_CAP
 
 from helpers import reference_is_diagonal_form, reference_state_range
-from test_verify_fuzz import LIMIT_S, run
+from test_verify_fuzz import LIMIT_S, run, with_leaf
 
 
 def run_cli(capsys, *argv):
@@ -1230,17 +1230,6 @@ def stated_value_answer(doc):
     if doc["command"] == "rk-square":
         return (Fraction(doc["value"]),)
     return Fraction(doc["p_lb"]), Fraction(doc["q_ub"]), tuple(map(Fraction, doc["exact"]))
-
-
-def with_leaf(response, path, new):
-    """A copy of a response with the leaf at path replaced by new."""
-    doc = json.loads(json.dumps(response))
-    *inner, last = path
-    parent = doc
-    for step in inner:
-        parent = parent[step]
-    parent[last] = new
-    return doc
 
 
 def in_lowest_terms(doc):

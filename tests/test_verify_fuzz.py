@@ -220,6 +220,17 @@ def test_verify_canonicalizes_diagonalize_entry_literals():
     assert code == 1 and json.loads(out)["verified"] is False
 
 
+def with_leaf(response, path, new):
+    """A copy of a response with the leaf at path replaced by new."""
+    doc = json.loads(json.dumps(response))
+    *inner, last = path
+    parent = doc
+    for step in inner:
+        parent = parent[step]
+    parent[last] = new
+    return doc
+
+
 def coordinated_edits(x):
     """{name: (kind, {path: value}, exit codes)}: a bound field raised to x with the witness
     fields that it bounds.
@@ -267,11 +278,8 @@ def test_verify_decides_coordinated_bound_edits_quickly(x, name):
     kind, changes, codes = coordinated_edits(x)[name]
     doc = next(d for d in map(json.loads, responses())
                if d["command"] == kind and d.get("mode") in (None, "formal"))
-    for (*inner, last), value in changes.items():
-        parent = doc
-        for key in inner:
-            parent = parent[key]
-        parent[last] = value
+    for path, value in changes.items():
+        doc = with_leaf(doc, path, value)
     code, _, elapsed = run(["verify"], json.dumps(doc))
     assert code in codes, changes
     assert elapsed < LIMIT_S
