@@ -23,12 +23,12 @@ is a `bytearray` of element codes, an element's index in
 Finding a pivot, scaling its row and each row transvection are then
 one C-level `bytes.translate` through a 256-byte table: valuations, or
 a + t * b on a byte packing the codes a and b, with scaling as the a = 0
-case.  The tables are made from the ring's own operations on its first
-elimination and kept with it, as `ring.byte_codes` (`rings._ByteCodes`),
-shared by equal rings; they depend on the ring alone and record no
-answer.  Only the values that go into the operations are decoded, so
-both paths return the same (exponents, ops).  Larger rings keep one
-ring operation per entry.
+case.  The tables, `_ByteCodes`, are made from the ring's own operations
+on its first elimination and kept in this module's registry keyed by
+the ring, so equal rings share them; they depend on the ring alone and
+record no answer.  Only the values that go into the operations are
+decoded, so both paths return the same (exponents, ops).  Larger rings
+keep one ring operation per entry.
 
 Each `Matrix` is eliminated at most once.  `eliminated(A)`, or
 `eliminated(A, i)` for the i-th field component of a product ring, runs
@@ -55,12 +55,13 @@ minor is the det of a sub-grid: every family takes the same path.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .errors import PreconditionError, check_int
 from .polys import pdivmod
 from .records import record
-from .rings import IntegerRing, Matrix, mat_mul
+from .rings import IntegerRing, Matrix, _Table, mat_mul
 
 # Recorded operations, in the order they were applied to the working copy:
 #   (_SWAP_ROWS, i, j, None)   swap rows i and j
@@ -93,6 +94,76 @@ def diagonal_matrix(ring, rows: int, cols: int, exponents) -> Matrix:
     return Matrix._canonical(ring, grid)
 
 
+class _ByteCodes:
+    """A local ring of order q <= 16 as one-byte element codes, and the
+    tables that eliminate `bytearray` rows of codes by `bytes.translate`.
+
+    An element's code is its index in `elements()`, so zero is code 0,
+    and two codes a, b pack into the one byte a << 4 | b.  Every table is
+    made from the ring's own operations the first time it is needed, and
+    a table keyed by a code or a valuation is a `_Table`:
+
+    - `valuation`: code -> valuation, n for zero;
+    - `shift[v]`, `unshift[v]`: the code of x -> the code of x / c^v and
+      of -(x / c^v), for x of valuation >= v: the unit of a pivot c^v * u
+      and the factor of the transvection clearing x against c^v;
+    - `inverse[u]`: the code of the inverse of the unit u;
+    - `add`: a << 4 | b -> the code of a + b;
+    - `axpy[t]`: a << 4 | b -> the code of a + t * b, from `add` and the
+      products t * b.  A byte below 16 packs a = 0 with b, so axpy[u]
+      also multiplies a row of plain codes by u.
+
+    `valuation`, `add` and `axpy[t]` are 256-byte translate tables.
+    `values` maps codes to elements, and `encode` a grid of elements to
+    a list of `bytearray` rows of codes.  Everything here depends on the
+    ring alone: at q = 16 it holds at most 17 translate tables, about
+    8 KiB in all.
+    """
+
+    def __init__(self, ring):
+        values = ring.elements()
+        codes = {x: i for i, x in enumerate(values)}
+        self.ring, self.values, self.codes, self.one = ring, values, codes, codes[ring.one]
+        if values == list(range(len(values))):  # Z/p^n and GF(p^k): each element is its code
+            self.encode = lambda grid: list(map(bytearray, grid))
+        else:
+            code = codes.__getitem__
+            self.encode = lambda grid: [bytearray(map(code, row)) for row in grid]
+        self.valuation = bytes(map(ring.valuation, values)).ljust(256, b"\0")
+        self.shift, self.unshift = _Table(self._shift), _Table(self._unshift)
+        self.inverse = _Table(lambda u: codes[ring._inverse(values[u])])
+        self.axpy = _Table(self._axpy)
+
+    def _shift(self, v):
+        ring, codes, valuation = self.ring, self.codes, self.valuation
+        return bytes([codes[ring.shift(x, v)] if valuation[a] >= v else 0
+                      for a, x in enumerate(self.values)])
+
+    def _unshift(self, v):
+        neg, values, codes = self.ring.neg, self.values, self.codes
+        return bytes([codes[neg(values[a])] for a in self.shift[v]])
+
+    @cached_property
+    def add(self):
+        add, values, codes, out = self.ring.add, self.values, self.codes, bytearray(256)
+        for a, x in enumerate(values):
+            out[a << 4 : (a << 4) + len(values)] = bytes([codes[add(x, y)] for y in values])
+        return bytes(out)
+
+    def _axpy(self, t):
+        mul, codes, x = self.ring.mul, self.codes, self.values[t]
+        times_t = [codes[mul(x, y)] for y in self.values] + [0] * (16 - len(self.values))
+        return bytes([a << 4 | b for a in range(16) for b in times_t]).translate(self.add)
+
+
+# the `_ByteCodes` of each ring of order <= 16, made the first time the
+# ring eliminates and shared by every equal ring: the tables depend on the
+# spec alone, and a pullback rank makes its residue field anew per call.
+# There are 29 such specs (10 Z/p^n, 10 F_p[x]/x^n and 9 GF(p^k) moduli),
+# so this holds at most about 180 KiB.
+_BYTE_CODES = _Table(_ByteCodes)
+
+
 def eliminate(ring, grid):
     """Exponents of the diagonal form of grid, and the operations reaching it.
 
@@ -108,10 +179,9 @@ def eliminate(ring, grid):
     (`_eliminate_codes`), any other the rows of values (`_eliminate_values`);
     both make the same operations.
     """
-    tables = ring.byte_codes
-    if tables is None:
-        return _eliminate_values(ring, grid)
-    return _eliminate_codes(ring, tables, grid)
+    if ring._order_at_most(16):  # two codes fit in a byte
+        return _eliminate_codes(ring, _BYTE_CODES[ring], grid)
+    return _eliminate_values(ring, grid)
 
 
 def _eliminate_values(ring, grid):
@@ -160,7 +230,7 @@ def _eliminate_values(ring, grid):
 
 
 def _eliminate_codes(ring, tables, grid):
-    """`eliminate` on `bytearray` rows of codes, by the tables of `rings._ByteCodes`.
+    """`eliminate` on `bytearray` rows of codes, by the tables of `_ByteCodes`.
 
     Below row d - 1 the columns left of d are zero, of valuation n, so
     whole rows stand in for the block.  Each step translates the block

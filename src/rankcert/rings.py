@@ -36,12 +36,18 @@ table holds at most 64^2 = 4096 entries and a one-argument table at most
 64, and none exists before the ring's first use of its operation.
 Whether a ring tabulates is read off its spec, never by computing p^n
 for a large n or the order of a long product.  Z, F_p[x], Z/p^n and
-prime fields keep their own methods, one step per operation.  A local
-ring of order at most 16 also has `byte_codes`, the `_ByteCodes` tables
-through which `normal_form.eliminate` works on rows of bytes, made from
-these operations on the ring's first elimination.  `parse_matrix`
-parses each distinct literal of a matrix once per call, and keeps
-nothing after it returns.
+prime fields keep their own methods, one step per operation.  The byte
+tables through which `normal_form.eliminate` works over a local ring of
+order at most 16 live in `normal_form`.  `parse_matrix` parses each
+distinct literal of a matrix once per call, and keeps nothing after it
+returns.
+
+Every finite field is built here: `make_field` for a product component,
+and `residue_field` for the residue field of Z or F_p[x] modulo a prime,
+with the map onto it.  An F_p[x] value reaches its residue field one
+way, as its remainder modulo the monic pi read as base-p digits, the
+encoding of `ExtensionField`; when pi has degree 1 that is a value of
+Z/p.
 
 The guards shared by every family live in `Ring` alone: `is_zero`
 compares with the canonical zero, `unit_inverse` raises
@@ -60,6 +66,7 @@ from .fields import FIELD_CAP, TABLE_CAP, factor_prime_power, is_prime
 from .polys import (
     DEGREE_CAP,
     format_poly,
+    is_irreducible,
     min_irreducible,
     padd,
     parse_poly,
@@ -68,6 +75,7 @@ from .polys import (
     pmul,
     pneg,
     pnormalize,
+    pscale,
     pstrip,
 )
 
@@ -121,73 +129,21 @@ def _product_at_most(factors, cap) -> bool:
     return True
 
 
-class _ByteCodes:
-    """A local ring of order q <= 16 as one-byte element codes, and the
-    tables that eliminate `bytearray` rows of codes by `bytes.translate`.
-
-    An element's code is its index in `elements()`, so zero is code 0,
-    and two codes a, b pack into the one byte a << 4 | b.  Every table is
-    made from the ring's own operations the first time it is needed, and
-    a table keyed by a code or a valuation is a `_Table`:
-
-    - `valuation`: code -> valuation, n for zero;
-    - `shift[v]`, `unshift[v]`: the code of x -> the code of x / c^v and
-      of -(x / c^v), for x of valuation >= v: the unit of a pivot c^v * u
-      and the factor of the transvection clearing x against c^v;
-    - `inverse[u]`: the code of the inverse of the unit u;
-    - `add`: a << 4 | b -> the code of a + b;
-    - `axpy[t]`: a << 4 | b -> the code of a + t * b, from `add` and the
-      products t * b.  A byte below 16 packs a = 0 with b, so axpy[u]
-      also multiplies a row of plain codes by u.
-
-    `valuation`, `add` and `axpy[t]` are 256-byte translate tables.
-    `values` maps codes to elements, and `encode` a grid of elements to
-    a list of `bytearray` rows of codes.  Everything here depends on the
-    ring alone: at q = 16 it holds at most 17 translate tables, about
-    8 KiB in all.
-    """
-
-    def __init__(self, ring):
-        values = ring.elements()
-        codes = {x: i for i, x in enumerate(values)}
-        self.ring, self.values, self.codes, self.one = ring, values, codes, codes[ring.one]
-        if values == list(range(len(values))):  # Z/p^n and GF(p^k): each element is its code
-            self.encode = lambda grid: list(map(bytearray, grid))
-        else:
-            code = codes.__getitem__
-            self.encode = lambda grid: [bytearray(map(code, row)) for row in grid]
-        self.valuation = bytes(map(ring.valuation, values)).ljust(256, b"\0")
-        self.shift, self.unshift = _Table(self._shift), _Table(self._unshift)
-        self.inverse = _Table(lambda u: codes[ring._inverse(values[u])])
-        self.axpy = _Table(self._axpy)
-
-    def _shift(self, v):
-        ring, codes, valuation = self.ring, self.codes, self.valuation
-        return bytes([codes[ring.shift(x, v)] if valuation[a] >= v else 0
-                      for a, x in enumerate(self.values)])
-
-    def _unshift(self, v):
-        neg, values, codes = self.ring.neg, self.values, self.codes
-        return bytes([codes[neg(values[a])] for a in self.shift[v]])
-
-    @cached_property
-    def add(self):
-        add, values, codes, out = self.ring.add, self.values, self.codes, bytearray(256)
-        for a, x in enumerate(values):
-            out[a << 4 : (a << 4) + len(values)] = bytes([codes[add(x, y)] for y in values])
-        return bytes(out)
-
-    def _axpy(self, t):
-        mul, codes, x = self.ring.mul, self.codes, self.values[t]
-        times_t = [codes[mul(x, y)] for y in self.values] + [0] * (16 - len(self.values))
-        return bytes([a << 4 | b for a in range(16) for b in times_t]).translate(self.add)
+def _digits(a: int, p: int) -> tuple:
+    """The base-p digits of a >= 0, least significant first."""
+    out = []
+    while a:
+        a, c = divmod(a, p)
+        out.append(c)
+    return tuple(out)
 
 
-# the `_ByteCodes` of each ring of order <= 16, made the first time the
-# ring eliminates and shared by every equal ring: the tables depend on the
-# spec alone, and a pullback rank makes its residue field anew per call.
-# There are 23 such rings, so this holds at most about 120 KiB.
-_BYTE_CODES = _Table(_ByteCodes)
+def _read_digits(digits, p: int) -> int:
+    """The int with these base-p digits, least significant first, each in [0, p)."""
+    out = 0
+    for c in reversed(digits):
+        out = out * p + c
+    return out
 
 
 class Ring:
@@ -386,13 +342,6 @@ class _LocalRing(Ring):
         """True iff the ring has at most cap elements, read off its spec."""
         raise NotImplementedError
 
-    # read on the ring's first elimination, so a ring that never
-    # eliminates builds no table
-    @cached_property
-    def byte_codes(self):
-        """The ring's `_ByteCodes` when two codes fit in a byte (order <= 16), else None."""
-        return _BYTE_CODES[self] if self._order_at_most(16) else None
-
     def is_unit(self, a):
         return self.valuation(a) == 0
 
@@ -533,10 +482,11 @@ class ExtensionField(_LocalRing):
 
     f defaults to the lexicographically least monic irreducible of
     degree k.  An element is a plain int encoding its coefficient vector
-    base p, lowest degree in the least significant digit.  Addition and
-    negation work digitwise on the encoding (XOR when p = 2), and
-    multiplication decodes, multiplies and reduces modulo f.  The spec
-    names p and f, so fields with different moduli are unequal.
+    base p, lowest degree in the least significant digit.  Every
+    operation decodes, works through the F_p[x] kernels of `polys` and
+    encodes, multiplication reducing modulo f; only when p = 2 are
+    addition XOR and negation the identity.  The spec names p and f, so
+    fields with different moduli are unequal.
     """
 
     nil_degree = 1
@@ -564,41 +514,21 @@ class ExtensionField(_LocalRing):
 
     def decode(self, a: int) -> tuple:
         """The coefficient tuple of a canonical element: its base-p digits."""
-        coeffs, rest = [], a
-        while rest:
-            rest, c = divmod(rest, self.p)
-            coeffs.append(c)
-        return tuple(coeffs)
+        return _digits(a, self.p)
 
     def encode(self, coeffs) -> int:
         """The element with these coefficients, each in [0, p)."""
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + c
-        return out
+        return _read_digits(coeffs, self.p)
 
     def _add(self, a, b):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * place
-            place *= p
-        return out
+        return self.encode(padd(self.decode(a), self.decode(b), self.p))
 
     def _neg(self, a):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a
-        out, place = 0, 1
-        while a:
-            a, x = divmod(a, p)
-            out += -x % p * place
-            place *= p
-        return out
+        return self.encode(pneg(self.decode(a), self.p))
 
     def _mul(self, a, b):
         prod = pmul(self.decode(a), self.decode(b), self.p)
@@ -628,6 +558,34 @@ def make_field(q: int):
     return ModPrimePowerRing(p, 1) if k == 1 else ExtensionField(p, k)
 
 
+def residue_field(ring, pi):
+    """(field, reduce): the residue field of Z or F_p[x] modulo pi, and the map onto it.
+
+    pi must be a nonzero canonical value of ring; one that is not prime,
+    or whose field is above `FIELD_CAP`, raises PreconditionError.  Over
+    Z the field is Z/|pi|.  Over F_p[x], reduce takes the remainder of a
+    value modulo the monic associate of pi and reads it as base-p digits:
+    a value of Z/p when pi has degree 1, and of GF(p^k), the
+    `ExtensionField` modulo that monic pi, when it has degree k >= 2.
+    Nothing is cached: each call builds its field anew.
+    """
+    if isinstance(ring, IntegerRing):
+        p = abs(pi)
+        if not is_prime(p):
+            raise PreconditionError(f"{pi} is not prime in Z")
+        field = ModPrimePowerRing(p, 1)
+        return field, field.normalize
+    p, degree = ring.p, len(pi) - 1
+    # p^degree > FIELD_CAP from FIELD_CAP.bit_length() on
+    if degree >= 2 and p ** min(degree, FIELD_CAP.bit_length()) > FIELD_CAP:
+        raise PreconditionError(f"pi gives a residue field above order {FIELD_CAP}")
+    if not is_irreducible(pi, p):
+        raise PreconditionError(f"{ring.format(pi)} is not irreducible in {ring.spec}")
+    monic = pscale(pi, pow(pi[-1], -1, p), p)
+    field = ModPrimePowerRing(p, 1) if degree == 1 else ExtensionField(p, degree, monic)
+    return field, lambda x: _read_digits(pdivmod(x, monic, p)[1], p)
+
+
 class FieldProductRing(Ring):
     """Finite product of finite fields; values are tuples of field encodings."""
 
@@ -653,7 +611,8 @@ class FieldProductRing(Ring):
             raise ParseError(f"bad product literal {raw!r}")
         out = []
         for c, q in zip(raw, self.orders):
-            c = int(c)
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ParseError(f"bad product literal {raw!r}: component {c!r} is not an int")
             if not 0 <= c < q:
                 raise ParseError(f"component {c} out of range for F{q}")
             out.append(c)

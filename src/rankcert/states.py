@@ -52,11 +52,9 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import BoundExceededError, PreconditionError, check_int
-from .fields import FIELD_CAP, is_prime
 from .normal_form import bareiss, eliminate
-from .polys import is_irreducible, pdivmod, pscale
 from .records import record
-from .rings import ExtensionField, IntegerRing, Matrix, ModPrimePowerRing, PolyRing
+from .rings import IntegerRing, Matrix, PolyRing, residue_field
 from .semigroup import (
     Positive,
     PowerSwap,
@@ -686,12 +684,10 @@ class PullbackRank:
 
     pi = 0 gives the rank over the fraction field, by `bareiss`; a prime
     pi gives the rank over the residue field modulo pi, counted by
-    `eliminate`.  Both are exact.  A residue field of prime order is Z/p,
-    the local family with n = 1: over Z an entry is reduced mod |pi|, and
-    over F_p[x] a pi of degree 1 reduces an entry by evaluation at its
-    root.  Only a pi of degree k >= 2 over F_p[x] gives GF(p^k), a
-    `rings.ExtensionField` modulo the monic pi: local, with c = 0 and nil
-    degree 1.
+    `eliminate`.  Both are exact.  `rings.residue_field` builds the
+    residue field and the map onto it: Z/p over Z and for a pi of degree
+    1 over F_p[x], and GF(p^k), local with c = 0 and nil degree 1, for a
+    pi of degree k >= 2.
     """
 
     def __init__(self, ring, pi):
@@ -703,30 +699,7 @@ class PullbackRank:
             self.field = None
             self.description = f"rank over the fraction field of {ring.spec}"
             return
-        if isinstance(ring, IntegerRing):
-            p = abs(self.pi)
-            if not is_prime(p):
-                raise PreconditionError(f"{self.pi} is not prime in Z")
-            self.field = ModPrimePowerRing(p, 1)
-            self._reduce = self.field.normalize
-        else:
-            degree = len(self.pi) - 1  # p^degree > FIELD_CAP from FIELD_CAP.bit_length() on
-            if degree >= 2 and ring.p ** min(degree, FIELD_CAP.bit_length()) > FIELD_CAP:
-                raise PreconditionError(f"pi gives a residue field above order {FIELD_CAP}")
-            if not is_irreducible(self.pi, ring.p):
-                raise PreconditionError(
-                    f"{ring.format(self.pi)} is not irreducible in {ring.spec}"
-                )
-            p = ring.p
-            lead_inv = pow(self.pi[-1], -1, p)
-            monic = pscale(self.pi, lead_inv, p)
-            if degree == 1:
-                self.field = ModPrimePowerRing(p, 1)
-                self._reduce = lambda x: _evaluate(x, -monic[0] % p, p)
-            else:
-                field = ExtensionField(p, degree, monic)
-                self.field = field
-                self._reduce = lambda x: field.encode(pdivmod(x, monic, p)[1])
+        self.field, self._reduce = residue_field(ring, self.pi)
         self.description = f"rank over {ring.spec} modulo ({ring.format(self.pi)})"
 
     def __call__(self, M: Matrix) -> Fraction:
@@ -736,14 +709,6 @@ class PullbackRank:
             return Fraction(bareiss(self.ring, M.entries)[0])
         grid = [[self._reduce(x) for x in row] for row in M.entries]
         return Fraction(len(eliminate(self.field, grid)[0]))
-
-
-def _evaluate(a, root, p) -> int:
-    """a(root) mod p, by Horner's rule: a mod (x - root) in Z/p."""
-    acc = 0
-    for coeff in reversed(a):
-        acc = (acc * root + coeff) % p
-    return acc
 
 
 def pullback_rank(ring, pi) -> PullbackRank:

@@ -681,6 +681,18 @@ def test_prime_field_components_are_the_residue_rings():
     assert RESIDUE_F9 != parse_ring("F9").fields[0]
 
 
+# a component was read with int(): a bool or str was taken, a float truncated
+@pytest.mark.parametrize(
+    "spec, raw",
+    [("F2*F3", [True, 1]), ("F2*F3", [1, 1.9]), ("F2*F3", (1.0, True)), ("F4*F9", ["3", "1"])],
+)
+def test_product_normalize_refuses_a_component_that_is_not_an_int(spec, raw):
+    ring = parse_ring(spec)
+    for read in (ring.normalize, lambda raw: Matrix(ring, [[raw]])):
+        with pytest.raises(ParseError, match="bad product literal"):
+            read(raw)
+
+
 def test_extension_field_component():
     ring = parse_ring("F4")
     # GF(4) multiplication: x * (x+1) = x^2 + x = 1 with modulus x^2 + x + 1

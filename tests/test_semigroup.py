@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +21,7 @@ from rankcert import (
     NegativeComponent,
     NegativeMinor,
     NegativeRank,
+    ParseError,
     Positive,
     PowerSwap,
     PreconditionError,
@@ -26,10 +30,14 @@ from rankcert import (
     block_upper,
     class_of,
     class_representative,
+    det,
     diagonalize,
     free_presentation,
+    group_element,
     has_rank_function,
     identity,
+    image_signature,
+    is_invertible,
     leq,
     leq_necessary,
     leq_provable,
@@ -44,11 +52,14 @@ from rankcert import (
     phi_group,
     presentation,
     presentations_equivalent,
+    psi_group,
     pullback_rank,
     rank_profile,
     regular_factor,
     rk,
     rk_for_square,
+    signature,
+    stack_vertical,
     state_extension,
     state_range,
     verify_certificate,
@@ -60,7 +71,17 @@ from rankcert import (
 )
 import rankcert.semigroup as semigroup
 from rankcert.acceptance import LOCAL_RINGS
-from rankcert.semigroup import _formal_bound, _replay, check_element
+from rankcert.cli import main
+from rankcert.polys import pdivmod
+from rankcert.rings import (
+    ExtensionField,
+    FieldProductRing,
+    IntegerRing,
+    ModPrimePowerRing,
+    PolyRing,
+    TruncatedPolyRing,
+)
+from rankcert.semigroup import _formal_bound, _replay, check_element, monoid_width
 
 from helpers import (
     _formal_apply,
@@ -338,6 +359,99 @@ def test_verifiers_and_guards_refuse_as_documented(call, expected):
     if expected is PreconditionError:
         with pytest.raises(PreconditionError):
             call()
+    else:
+        assert call() == expected
+
+
+def _cli(*argv, stdin=""):
+    """`cli.main(argv)` in process on the given stdin: (exit code, stderr)."""
+    err, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
+
+
+# the public guards no other test reaches: each raises the error it names
+# with its message, or returns what its docstring promises
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: IntegerRing().normalize(True), ParseError("bad integer literal True")),
+        (lambda: PolyRing(2).normalize(1.5), ParseError("bad polynomial literal 1.5")),
+        (lambda: TruncatedPolyRing(2, 3).normalize(1.5),
+         ParseError("bad truncated polynomial literal 1.5")),
+        (lambda: ModPrimePowerRing(4, 1), ParseError("4 is not prime")),
+        (lambda: ModPrimePowerRing(2, 0), ParseError("exponent must be >= 1")),
+        (lambda: Z8.normalize("1"), ParseError("bad residue literal '1'")),
+        (lambda: TruncatedPolyRing(4, 2), ParseError("4 is not prime")),
+        (lambda: ExtensionField(2, 2, (1, 1, 0)),
+         PreconditionError("modulus must be monic of degree k")),
+        (lambda: FieldProductRing([]), ParseError("empty field product")),
+        (lambda: PROD.normalize([1]), ParseError("bad product literal [1]")),
+        (lambda: PROD.parse("(a,b)"), ParseError("bad product literal '(a,b)'")),
+        (lambda: identity(Z8, 0), PreconditionError("identity size must be >= 1")),
+        (lambda: mat_mul(identity(Z8, 1), identity(Z4, 1)),
+         PreconditionError("matrix product over different rings")),
+        (lambda: block_diag(identity(Z8, 1), identity(Z4, 1)),
+         PreconditionError("block sum over different rings")),
+        (lambda: block_upper(identity(Z8, 1), identity(Z4, 1), identity(Z8, 1)),
+         PreconditionError("block sum over different rings")),
+        (lambda: block_upper(identity(Z8, 1), identity(Z8, 2), identity(Z8, 1)),
+         PreconditionError("off-diagonal block has wrong shape")),
+        (lambda: stack_vertical(identity(Z8, 1), identity(Z8, 2)),
+         PreconditionError("vertical stack needs equal column counts")),
+        (lambda: Z8.generator_power(4), PreconditionError("exponent 4 outside [0, 3]")),
+        (lambda: Z.unit_inverse(-1), -1),
+        (lambda: det(zeros(Z8, 2, 3)), PreconditionError("determinant of a non-square matrix")),
+        (lambda: is_invertible(zeros(Z8, 2, 3)),
+         PreconditionError("invertibility needs a square matrix")),
+        (lambda: pdivmod((1,), (), 2), ZeroDivisionError("polynomial division by zero")),
+        (lambda: parse_ring("F2[x]").ideal_member((0, 1), ()), False),
+        (lambda: signature(presentation(1, matrix(Z, [[2]]))),
+         PreconditionError("Z is not a supported module family")),
+        (lambda: image_signature(matrix(Z8, [[2]])),
+         PreconditionError("image_signature applies to product-of-fields rings")),
+        (lambda: phi_group(Z8, (1, 0)),
+         PreconditionError("module coefficients have the wrong length")),
+        (lambda: psi_group(Z8, group_element((1,), (0,))),
+         PreconditionError("group element has the wrong width")),
+        (lambda: monoid_width(Z), PreconditionError("Z has no computed class monoid")),
+        (lambda: class_of(matrix(Z, [[2]])), PreconditionError("Z has no computed class monoid")),
+        (lambda: rk(PROD, 1, (1, 0)), PreconditionError("rk_k is defined for the local families")),
+        (lambda: group_element((1,), (0, 0)),
+         PreconditionError("group element over mismatched monoids")),
+        (lambda: witness_chain(PROD, (1, 0), (1, 1)),
+         PreconditionError("witness_chain applies to the local families")),
+        (lambda: regular_factor(matrix(PROD, [[1]]), matrix(parse_ring("F2*F5"), [[1]])),
+         PreconditionError("regular_factor needs matrices over one product ring")),
+        (lambda: _cli("leq", "--ring", "Z/8", "--elem", "2", "--a", "[1,1]", "--b", "[0,2]"),
+         (2, "parse error: --elem applies to the Z and F_p[x] families\n")),
+        (lambda: _cli("verify", stdin='{"command": "class", "ring": "Z/8"}'),
+         (2, "parse error: verify does not support command 'class'\n")),
+    ],
+    ids=["integer-bool", "poly-float", "truncated-float", "residue-not-prime",
+         "residue-exponent-0", "residue-str", "truncated-not-prime", "extension-not-monic",
+         "empty-product", "product-width", "product-parse", "identity-0", "mat-mul-across-rings",
+         "block-diag-across-rings", "block-upper-across-rings", "block-upper-shape",
+         "stack-vertical-shape", "generator-power-above-n", "z-unit-inverse", "det-2x3",
+         "is-invertible-2x3", "pdivmod-by-zero", "ideal-member-of-zero", "signature-over-z",
+         "image-signature-over-local", "phi-group-width", "psi-group-width", "monoid-width-over-z",
+         "class-of-over-z", "rk-over-product", "group-element-lengths",
+         "witness-chain-over-product", "regular-factor-across-rings", "cli-leq-elem-over-local",
+         "cli-verify-class"],
+)
+def test_public_guards_refuse_as_documented(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            call()
+        assert type(raised.value) is type(expected) and str(raised.value) == str(expected)
     else:
         assert call() == expected
 
