@@ -13,8 +13,7 @@ only `rings` does not import `states` or `presentations`.
 from importlib import import_module
 
 _EXPORTS = {
-    "errors": """BoundExceededError ParseError PreconditionError RankcertError
-        SearchBudgetError""",
+    "errors": "BoundExceededError ParseError PreconditionError RankcertError",
     "normal_form": """DiagonalForm det diagonal_matrix diagonalize is_invertible minor
         minors_in_ideal verify_factorization""",
     "presentations": """LocalSignature Presentation RegularSignature dim direct_sum

@@ -74,6 +74,8 @@ def _int_tuple(value, what) -> tuple:
 def load_matrix(ring, data) -> rankcert.Matrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise rankcert.ParseError("matrix payload must be a nonempty array of arrays")
+    if not data[0] or any(len(r) != len(data[0]) for r in data):
+        raise rankcert.ParseError("matrix payload rows must be nonempty and of one length")
     return rankcert.parse_matrix(ring, data)
 
 

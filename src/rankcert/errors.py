@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the int check of public sizes.
 
-The CLI maps these onto exit codes: ParseError -> 2,
-PreconditionError -> 3, BoundExceededError -> 4.
+RankcertError is the base of the three the package raises, and the CLI
+maps each onto an exit code: ParseError -> 2, PreconditionError -> 3,
+BoundExceededError -> 4.
 """
 
 
@@ -19,13 +20,6 @@ class PreconditionError(RankcertError, ValueError):
 
 class BoundExceededError(RankcertError, RuntimeError):
     """An enumeration finished without producing a required relation."""
-
-
-class SearchBudgetError(RankcertError, RuntimeError):
-    """A search exceeded a bound that termination arguments guarantee.
-
-    Raised only when an internal invariant is broken; never a valid outcome.
-    """
 
 
 def check_int(value, name: str) -> int:

@@ -508,6 +508,8 @@ EDITED_RESPONSES = [
     pytest.param(RK_SQUARE, edit(lambda d: None), {0}, id="rk-square-unedited"),
     pytest.param(DIAGONALIZE, edit(lambda d: d.update(exponents=[True])), {2}, id="exponent-bool"),
     pytest.param(DIAGONALIZE, edit(lambda d: d.pop("left")), {2}, id="no-left"),
+    # an empty row is malformed, not a wrong certificate: it once exited 1
+    pytest.param(DIAGONALIZE, edit(lambda d: d.update(left=[[]])), {2}, id="left-empty-row"),
     pytest.param(DIAGONALIZE, edit(lambda d: d.update(zero_count="1")), {2}, id="zero-count-str"),
     # the square of a prime near 10^7: trial division up to p took about 1.5 s
     pytest.param(
@@ -882,6 +884,8 @@ INVALID_OPERANDS = {
     "class": ("class", "--ring", "Z/8", "--a", "[0,1]"),  # 3
     "dim": ("dim", "--ring", "Z/8", "--gens", "1", "--relations", "[0]", "--k", "2"),  # 3
     "psi": ("psi", "--ring", "Z/8", "--a", "[]"),  # 3
+    "ragged": ("diagonalize", "--ring", "Z/8", "--matrix", '[["1"],["1","2"]]'),  # 3
+    "empty-row": ("diagonalize", "--ring", "Z/8", "--matrix", "[[]]"),  # 3
     # the ring is parsed before any other option is checked
     "ring-and-count": ("axioms-check", "--ring", "Q", "--count", "0"),  # 3
 }
@@ -1402,6 +1406,43 @@ def test_readme_order_commands_decide_once(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [REGULAR_LEQ, ("chain", "--ring", "F2*F3*F5", "--a", "[2,1,0]", "--b", "[3,3,3]")],
+    ids=["readme-leq", "chain-vectors"],
+)
+def test_a_factorization_is_multiplied_out_once(capsys, monkeypatch, argv):
+    # regular_factor multiplies per field; C * B * D over the product ring is
+    # verify_factor's alone (regular_factor once checked the same product)
+    calls, mat_mul = [], semigroup.mat_mul
+
+    def counted(X, Y):
+        calls.append((X.ring.spec, sys._getframe(1).f_code.co_name))
+        return mat_mul(X, Y)
+
+    monkeypatch.setattr(semigroup, "mat_mul", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["verified"] is True, err
+    assert [caller for spec, caller in calls if spec == argv[2]] == ["verify_factor"] * 2
+
+
+# the exit code of each library error, as the CLI docstring and README state
+EXIT_CODES = {rankcert.ParseError: 2, rankcert.PreconditionError: 3, rankcert.BoundExceededError: 4}
+
+
+@pytest.mark.parametrize(
+    "error", rankcert.RankcertError.__subclasses__(), ids=lambda error: error.__name__
+)
+def test_every_library_error_has_an_exit_code(capsys, monkeypatch, error):
+    def refuse(spec):
+        raise error("refused")
+
+    monkeypatch.setattr(rankcert, "parse_ring", refuse)
+    code, out, err = run_cli(capsys, "normalize", "--ring", "Z/8", "--value", "1")
+    assert (code, out) == (EXIT_CODES.get(error), "")
+    assert err.endswith(": refused\n") and err.count("\n") == 1
+
+
 def test_cli_import_leaves_acceptance_unloaded():
     # only selftest and axioms-check need the acceptance suite
     code = "import sys, rankcert.cli; print('rankcert.acceptance' in sys.modules)"
@@ -1588,13 +1629,14 @@ def test_parser_text_is_unchanged(capsys, monkeypatch, argv, code, out, err):
 
 
 # rankcert.__all__ before its names were loaded on first use, and
-# NegativeComponent, the regular refusal record
+# NegativeComponent, the regular refusal record; SearchBudgetError went with
+# the emitters' self-checks, the only code that raised it
 PUBLIC_NAMES = """
 BoundExceededError Cancel DiagonalForm Drop ExponentIncrease FactorResult GroupElement
 GroupLawReport LocalSignature Matrix MinorSweep NegativeComponent NegativeMinor NegativeRank
 ParseError Positive
 PowerSwap PreconditionError Presentation PullbackRank RankcertError RegularSignature
-RkSquareResult SearchBudgetError StateRange StateSpec UNKNOWN block_diag block_upper
+RkSquareResult StateRange StateSpec UNKNOWN block_diag block_upper
 check_states_exist class_of class_representative cone_member det diagonal_matrix diagonalize
 dim direct_sum errors fields free_presentation group_add group_diff group_element group_neg
 group_props_check group_sub has_rank_function identity image_signature is_invertible leq

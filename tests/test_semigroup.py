@@ -229,6 +229,8 @@ def test_walks_give_the_chains_built_one_swap_at_a_time():
     for ring, a, b in pairs:
         cert = witness_chain(ring, a, b)
         assert cert == reference_witness_chain(ring, a, b), (ring.spec, a, b)
+        if cert.ok:  # the size bound that cli.CLASS_WORK_CAP relies on
+            assert len(cert.moves) <= 2 * ring.nil_degree * sum(a) + sum(b), (ring.spec, a, b)
         positive += cert.ok
     assert positive > len(pairs) // 2
     assert time.perf_counter() - start < 2.0
