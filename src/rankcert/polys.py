@@ -6,10 +6,10 @@ take the prime p explicitly.
 
 Arithmetic takes canonical polynomials (coefficients in [0, p), no
 trailing zeros) and returns canonical polynomials without re-reducing
-them: `padd`, `pmul` and `pdivmod` reduce each coefficient once and strip
-trailing zeros only where a leading term can cancel.  Only `pnormalize`,
-and through it `parse_poly` and `pscale`, canonicalizes arbitrary
-coefficient lists.
+them: `padd`, `pmul`, `pdivmod` and `pmod_monic` reduce each coefficient
+once and strip trailing zeros only where a leading term can cancel.  Only
+`pnormalize`, and through it `parse_poly` and `pscale`, canonicalizes
+arbitrary coefficient lists.
 """
 
 from __future__ import annotations
@@ -102,6 +102,32 @@ def pdivmod(a, b, p) -> tuple:
             for i, c in terms:
                 rem[shift + i] -= factor * c
     return tuple(quo), pstrip([c % p for c in rem[:top]])
+
+
+def pmod_monic(a, m, p) -> tuple:
+    """The remainder of a modulo a monic m of degree >= 1, as pdivmod(a, m, p)[1].
+
+    Synthetic division: no quotient is built and the leading coefficient,
+    1, is never inverted.  A canonical a of lower degree than m is its
+    own remainder, and the remainder modulo x - r is a(r), by Horner's rule.
+    """
+    top = len(m) - 1
+    if len(a) <= top:
+        return a
+    if top == 1:
+        r, out = -m[0] % p, 0
+        for c in reversed(a):
+            out = (out * r + c) % p
+        return (out,) if out else ()
+    terms = [(i, p - c) for i, c in enumerate(m[:top]) if c]  # -m below its leading term
+    rem = list(a)
+    for lead in range(len(a) - 1, top - 1, -1):
+        factor = rem[lead] % p
+        if factor:
+            base = lead - top
+            for i, c in terms:
+                rem[base + i] += factor * c
+    return pstrip([c % p for c in rem[:top]])
 
 
 def pdivides(b, a, p) -> bool:

@@ -38,9 +38,13 @@ Whether a ring tabulates is read off its spec, never by computing p^n
 for a large n or the order of a long product.  Z, F_p[x], Z/p^n and
 prime fields keep their own methods, one step per operation.  The byte
 tables through which `normal_form.eliminate` works over a local ring of
-order at most 16 live in `normal_form`.  `parse_matrix` parses each
-distinct literal of a matrix once per call, and keeps nothing after it
-returns.
+order at most 16 live in `normal_form`.  `parse_matrix` reads entry
+texts through a `_Literals` table, parsing each distinct text once.  A
+ring of order at most 64 keeps its table as long as it lives, as it keeps
+its add and mul tables; the table stores a text only if it has at most 64
+characters and the table holds fewer than 4096, so it costs 1.8 MiB at
+worst.  Any other ring parses through a table local to the call, and
+keeps nothing after it returns.
 
 Every finite field is built here: `make_field` for a product component,
 and `residue_field` for the residue field of Z or F_p[x] modulo a prime,
@@ -71,7 +75,7 @@ from .polys import (
     padd,
     parse_poly,
     pdivides,
-    pdivmod,
+    pmod_monic,
     pmul,
     pneg,
     pnormalize,
@@ -96,6 +100,26 @@ class _Table(dict):
 
     def __missing__(self, key):
         out = self[key] = self.op(key)
+        return out
+
+
+class _Literals(_Table):
+    """parse(text) for each literal text met, kept while the table is small.
+
+    A missing text is parsed, and stored only if it has at most TABLE_CAP
+    characters and the table holds fewer than TABLE_CAP^2 = 4096 entries;
+    past either limit it is parsed on every meeting.  A text that fails
+    to parse raises and is not stored.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        if type(text) is not str:  # so True never meets the entry of "1"
+            return self[str(text)]
+        out = self.op(text)
+        if len(text) <= TABLE_CAP and len(self) < TABLE_CAP * TABLE_CAP:
+            self[text] = out
         return out
 
 
@@ -180,6 +204,18 @@ class Ring:
     @cached_property
     def neg(self):
         return _Table(self._neg).__getitem__ if self.tabulates else self._neg
+
+    @cached_property
+    def _literals(self):
+        """The `_Literals` of parse, kept by a ring of order <= TABLE_CAP (`parse_matrix`)."""
+        return _Literals(self.parse)
+
+    def _order_at_most(self, cap) -> bool:
+        """True iff the ring has at most cap elements, read off its spec.
+
+        An infinite ring has more; a finite family reads its own spec.
+        """
+        return False
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -336,10 +372,6 @@ class _LocalRing(Ring):
 
     def shift(self, a, v: int):
         """The canonical a / c^v, for 0 <= v <= valuation(a)."""
-        raise NotImplementedError
-
-    def _order_at_most(self, cap) -> bool:
-        """True iff the ring has at most cap elements, read off its spec."""
         raise NotImplementedError
 
     def is_unit(self, a):
@@ -532,7 +564,7 @@ class ExtensionField(_LocalRing):
 
     def _mul(self, a, b):
         prod = pmul(self.decode(a), self.decode(b), self.p)
-        return self.encode(pdivmod(prod, self.modulus, self.p)[1])
+        return self.encode(pmod_monic(prod, self.modulus, self.p))
 
     def _valuation(self, a) -> int:
         return 1 if a == 0 else 0
@@ -583,7 +615,7 @@ def residue_field(ring, pi):
         raise PreconditionError(f"{ring.format(pi)} is not irreducible in {ring.spec}")
     monic = pscale(pi, pow(pi[-1], -1, p), p)
     field = ModPrimePowerRing(p, 1) if degree == 1 else ExtensionField(p, degree, monic)
-    return field, lambda x: _read_digits(pdivmod(x, monic, p)[1], p)
+    return field, lambda x: _read_digits(pmod_monic(x, monic, p), p)
 
 
 class FieldProductRing(Ring):
@@ -601,7 +633,7 @@ class FieldProductRing(Ring):
         self.spec = "*".join(f"F{q}" for q in self.orders)
         self.zero = (0,) * self.width
         self.one = (1,) * self.width
-        self.tabulates = _product_at_most(self.orders, TABLE_CAP)
+        self.tabulates = self._order_at_most(TABLE_CAP)
 
     def normalize(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):
@@ -617,6 +649,9 @@ class FieldProductRing(Ring):
                 raise ParseError(f"component {c} out of range for F{q}")
             out.append(c)
         return tuple(out)
+
+    def _order_at_most(self, cap):
+        return _product_at_most(self.orders, cap)
 
     def _neg(self, a):
         return tuple([f.neg(x) for f, x in zip(self.fields, a)])
@@ -771,23 +806,27 @@ def matrix(ring: Ring, rows) -> Matrix:
 
 
 def parse_matrix(ring: Ring, rows_of_strings) -> Matrix:
-    """The matrix of ring.parse of each entry's str(), parsing each distinct string once.
+    """The matrix of ring.parse of each entry's str(), each distinct text parsed once.
 
-    So [[1]] and [["1"]] give the same matrix.  The parsed strings are kept
-    in a dict local to this call, so nothing outlives it.  A literal that
-    fails is not kept: it raises ring.parse's own ParseError.
+    So [[1]] and [["1"]] give the same matrix, and [[True]] is read as
+    "True".  The parsed texts are looked up in a `_Literals` table.  A
+    ring of order at most TABLE_CAP keeps its table (`Ring._literals`), so
+    a text is parsed once in the ring's life; the table stores at most
+    4096 texts of at most 64 characters, 1.8 MiB at worst (tracemalloc,
+    CPython 3.11: texts of four-byte digits with values of six terms;
+    0.94 MiB for ASCII texts).  Any other ring reads through a table local
+    to this call, so nothing outlives it.  A literal that fails is not
+    kept: it raises ring.parse's own ParseError.
     """
-    parse, parsed = ring.parse, {}
-
-    def entry(s):
-        if type(s) is not str:
-            s = str(s)
-        out = parsed.get(s)
-        if out is None:  # no ring value is None
-            out = parsed[s] = parse(s)
-        return out
-
-    entries = tuple(tuple(map(entry, row)) for row in rows_of_strings)
+    table = ring._literals if ring._order_at_most(TABLE_CAP) else _Literals(ring.parse)
+    get, entries = table.__getitem__, []
+    for row in rows_of_strings:
+        if type(row) not in (list, tuple):
+            row = tuple(row)  # read twice below if an entry is unhashable
+        try:
+            entries.append(tuple(map(get, row)))
+        except TypeError:  # an unhashable entry, such as a list, is read as its text
+            entries.append(tuple([get(str(s)) for s in row]))
     _check_shape(entries)
     return Matrix._canonical(ring, entries)
 

@@ -17,7 +17,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_rem
 
 from rankcert import parse_ring
-from rankcert.polys import is_irreducible, min_irreducible
+from rankcert.polys import is_irreducible, min_irreducible, pdivmod, pmod_monic
 from rankcert.rings import ExtensionField
 
 from helpers import reference_is_irreducible
@@ -70,6 +70,14 @@ def test_poly_ring_arithmetic_matches_galoistools(p, data):
             inverse = ring.unit_inverse(a)
             assert inverse == strip(inverse)
             assert from_gf(gf_mul(to_gf(a), to_gf(inverse), p, ZZ)) == (1,)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.data())
+def test_remainder_by_a_monic_divisor_is_the_pdivmod_remainder(p, degree, data):
+    a = data.draw(poly(p, 12))
+    m = data.draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)) + [1]
+    assert pmod_monic(a, tuple(m), p) == pdivmod(a, tuple(m), p)[1]
 
 
 @settings(max_examples=300, deadline=None)

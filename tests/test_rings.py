@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import time
 
 import pytest
@@ -643,9 +645,12 @@ def test_a_bad_literal_raises_its_own_error_each_time(spec, bad):
             assert str(raised.value) == str(direct.value)
 
 
-@pytest.mark.parametrize("spec", ["Z/8", "F2[x]/x^3", "F4*F9"])
+# Z/8, F2[x]/x^3 and F4*F9 have order <= TABLE_CAP and keep their parsed
+# literals across calls; Z and F2[x] parse afresh in each call
+@pytest.mark.parametrize("spec", ["Z/8", "F2[x]/x^3", "F4*F9", "Z", "F2[x]"])
 def test_parse_matrix_parses_each_distinct_literal_once_per_call(monkeypatch, spec):
     ring = parse_ring(spec)
+    keeps = ring.is_finite
     calls = []
     parse = ring.parse
 
@@ -660,8 +665,88 @@ def test_parse_matrix_parses_each_distinct_literal_once_per_call(monkeypatch, sp
     for n in (1, 2):
         A = parse_matrix(ring, grid)
         assert A.entries == tuple(tuple(parse(s) for s in row) for row in grid)
-        assert sorted(calls) == sorted([one, zero] * n)
+        assert sorted(calls) == sorted([one, zero] * (1 if keeps else n))
+    after = dict(vars(ring))
+    table = after.pop("_literals", None)
+    assert after == before
+    assert table == ({one: parse(one), zero: parse(zero)} if keeps else None)
+
+
+# a ring above the cap keeps no table: over F2[x]/x^65536 the 7-character
+# literal x^65535 is a value of 65536 terms
+@pytest.mark.parametrize("spec", ["Z/128", "F2[x]/x^7", "F2[x]/x^65536", "F2*F3*F5*F7", "F67"])
+def test_a_ring_above_the_table_cap_keeps_no_literals(spec):
+    ring = parse_ring(spec)
+    literal = "x^65535" if spec == "F2[x]/x^65536" else ring.format(ring.one)
+    before = dict(vars(ring))
+    for _ in range(2):
+        assert parse_matrix(ring, [[literal]]).entries == ((ring.parse(literal),),)
     assert vars(ring) == before
+
+
+def test_the_literal_table_holds_at_most_4096_entries():
+    ring = parse_ring("Z/64")
+    texts = [str(i) for i in range(-10**4, 10**4)]
+    for start in range(0, len(texts), 100):
+        row = texts[start : start + 100]
+        assert parse_matrix(ring, [row]).entries == (tuple(int(t) % 64 for t in row),)
+        assert len(ring._literals) <= 4096
+    assert len(ring._literals) == 4096
+    assert all(value == ring.parse(text) for text, value in ring._literals.items())
+
+
+def test_a_literal_longer_than_64_characters_is_parsed_and_not_kept():
+    ring = parse_ring("Z/8")
+    at_cap, past_cap = "0" * 63 + "9", "0" * 64 + "9"
+    assert parse_matrix(ring, [[at_cap, past_cap]]).entries == ((1, 1),)
+    assert list(ring._literals) == [at_cap]
+
+
+# True == 1 and hash(True) == hash(1), so a table keyed by entries would have
+# read True as the literal 1; [1] is unhashable
+@pytest.mark.parametrize("spec", ["Z/8", "F2*F3"])
+def test_entries_of_other_types_read_as_their_text_in_every_order(spec):
+    grids = [[[1]], [["1"]], [[True]], [[1.0]], [[[1]]]]
+
+    def outcome(ring, grid):
+        try:
+            return parse_matrix(ring, grid).entries
+        except ParseError as exc:
+            return str(exc)
+
+    def fresh(grid):  # the entry's text, parsed by a ring that has met nothing
+        ring = parse_ring(spec)
+        try:
+            return ((ring.parse(str(grid[0][0])),),)
+        except ParseError as exc:
+            return str(exc)
+
+    expected = [fresh(grid) for grid in grids]
+    assert expected[0] == expected[1] != expected[2]
+    for order in itertools.permutations(range(len(grids))):
+        ring = parse_ring(spec)
+        for i in order:
+            assert outcome(ring, grids[i]) == expected[i]
+        assert all(type(text) is str for text in ring._literals)
+
+
+# rows that can be read only once are read in full before an unhashable
+# entry sends the row back to be read as text
+def test_rows_read_once_are_read_whole():
+    z8 = parse_ring("Z/8")
+    rows = (iter(row) for row in [["1", "2"], ["3", "9"]])
+    assert parse_matrix(z8, rows).entries == ((1, 2), (3, 1))
+    with pytest.raises(ParseError, match=re.escape("bad residue literal '[1]'")):
+        parse_matrix(z8, (iter(row) for row in [["1", "2"], ["3", [1], "4"]]))
+
+
+@pytest.mark.parametrize("spec, bad", [("Z/8", "x"), ("F2[x]/x^3", "y"), ("F4*F9", "(1,2,3)")])
+def test_a_literal_that_fails_is_not_kept(spec, bad):
+    ring = parse_ring(spec)
+    one = ring.format(ring.one)
+    with pytest.raises(ParseError):
+        parse_matrix(ring, [[one, bad]])
+    assert list(ring._literals) == [one]
 
 
 def test_prime_field_components_are_the_residue_rings():
