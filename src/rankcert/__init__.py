@@ -14,23 +14,21 @@ from importlib import import_module
 
 _EXPORTS = {
     "errors": "BoundExceededError ParseError PreconditionError RankcertError",
-    "normal_form": """DiagonalForm det diagonal_matrix diagonalize is_invertible minor
+    "normal_form": """DiagonalForm diagonal_matrix diagonalize is_invertible minor
         minors_in_ideal verify_factorization""",
-    "presentations": """LocalSignature Presentation RegularSignature dim direct_sum
-        free_presentation image_signature module_basis_labels module_class
-        module_coeffs_sub module_cone_member module_leq phi phi_group presentation
+    "presentations": """LocalSignature Presentation RegularSignature dim module_basis_labels
+        module_class module_coeffs_sub module_cone_member phi phi_group presentation
         presentations_equivalent psi psi_group quotient_presentation signature""",
     "rings": """Matrix block_diag block_upper identity mat_mul matrix parse_matrix
         parse_ring stack_vertical zeros""",
     "semigroup": """UNKNOWN Cancel Drop ExponentIncrease FactorResult GroupElement
         NegativeComponent NegativeMinor NegativeRank Positive PowerSwap class_of
-        class_representative cone_member group_add group_diff group_element group_neg
-        group_sub has_rank_function leq leq_necessary leq_provable minor_profile
-        minor_refutation order_unit rank_profile regular_factor rk verify_certificate
-        verify_factor verify_formal_certificate witness_chain""",
-    "states": """GroupLawReport MinorSweep PullbackRank RkSquareResult StateRange
-        StateSpec check_states_exist group_props_check pullback_rank rk_for_square
-        state_extension state_range verify_rk_square verify_state_extension
+        class_representative cone_member group_add group_diff group_element group_sub
+        has_rank_function leq leq_provable minor_refutation order_unit rank_profile
+        regular_factor rk verify_certificate verify_factor verify_formal_certificate
+        witness_chain""",
+    "states": """MinorSweep PullbackRank RkSquareResult StateRange StateSpec pullback_rank
+        rk_for_square state_extension state_range verify_rk_square verify_state_extension
         verify_state_range""",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

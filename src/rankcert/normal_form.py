@@ -61,7 +61,7 @@ from itertools import combinations
 from .errors import PreconditionError, check_int
 from .polys import pdivmod
 from .records import record
-from .rings import IntegerRing, Matrix, _Table, mat_mul
+from .rings import IntegerRing, Matrix, _Table, mat_mul, zeros
 
 # Recorded operations, in the order they were applied to the working copy:
 #   (_SWAP_ROWS, i, j, None)   swap rows i and j
@@ -88,9 +88,15 @@ def _require_local(ring):
 def diagonal_matrix(ring, rows: int, cols: int, exponents) -> Matrix:
     """The padded diagonal matrix with entries c^e for e in exponents."""
     _require_local(ring)
-    grid = [[ring.zero] * cols for _ in range(rows)]
+    grid = [list(row) for row in zeros(ring, rows, cols).entries]
+    try:
+        exponents = tuple(exponents)
+    except TypeError:
+        raise PreconditionError(f"exponents must be a sequence, not {exponents!r}") from None
+    if len(exponents) > min(rows, cols):
+        raise PreconditionError(f"{len(exponents)} exponents for a {rows} x {cols} matrix")
     for idx, e in enumerate(exponents):
-        grid[idx][idx] = ring.generator_power(e)
+        grid[idx][idx] = ring.generator_power(check_int(e, "exponent"))
     return Matrix._canonical(ring, grid)
 
 
@@ -441,16 +447,13 @@ def _det(ring, grid):
     return d
 
 
-def det(M: Matrix):
-    if M.rows != M.cols:
-        raise PreconditionError("determinant of a non-square matrix")
-    return _det(M.ring, M.entries)
-
-
 def minor(M: Matrix, rows, cols):
     """Determinant of the submatrix with the given row/column index sets."""
-    rows = sorted(rows)
-    cols = sorted(cols)
+    try:
+        rows = sorted(check_int(i, "row index") for i in rows)
+        cols = sorted(check_int(j, "column index") for j in cols)
+    except TypeError:  # an index set that is not iterable
+        raise PreconditionError("minor needs equal nonempty row and column sets") from None
     k = len(rows)
     if k == 0 or k != len(cols):
         raise PreconditionError("minor needs equal nonempty row and column sets")

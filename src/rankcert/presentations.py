@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import PreconditionError, check_int
 from .normal_form import eliminated
 from .records import record
-from .rings import Matrix, block_diag, stack_vertical, zeros
+from .rings import Matrix, stack_vertical
 from .semigroup import (
     GroupElement,
     class_of,
@@ -48,14 +48,6 @@ def presentation(gens: int, relations: Matrix) -> Presentation:
             f"relations matrix has {relations.cols} columns for {gens} generators"
         )
     return Presentation(gens, relations)
-
-
-def free_presentation(ring, m: int) -> Presentation:
-    return presentation(m, zeros(ring, 1, check_int(m, "gens")))
-
-
-def direct_sum(P1: Presentation, P2: Presentation) -> Presentation:
-    return presentation(P1.gens + P2.gens, block_diag(P1.relations, P2.relations))
 
 
 def quotient_presentation(P: Presentation, extra: Matrix) -> Presentation:
@@ -100,23 +92,6 @@ def presentations_equivalent(P1: Presentation, P2: Presentation) -> bool:
     if P1.relations.ring != P2.relations.ring:
         raise PreconditionError("presentations over different rings")
     return signature(P1) == signature(P2)
-
-
-def module_leq(P1: Presentation, P2: Presentation) -> bool:
-    """Quotient-module order: componentwise multiplicities (regular only)."""
-    ring = P1.relations.ring
-    if not ring.is_product or P2.relations.ring != ring:
-        raise PreconditionError("module_leq applies to product-of-fields rings")
-    s1 = signature(P1).multiplicities
-    s2 = signature(P2).multiplicities
-    return all(x <= y for x, y in zip(s1, s2))
-
-
-def image_signature(A: Matrix) -> RegularSignature:
-    """Class of the row-space module of A (regular only)."""
-    if not A.ring.is_product:
-        raise PreconditionError("image_signature applies to product-of-fields rings")
-    return RegularSignature(class_of(A))
 
 
 # ---------------------------------------------------------------------------

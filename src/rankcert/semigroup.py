@@ -258,12 +258,8 @@ def group_add(g: GroupElement, h: GroupElement) -> GroupElement:
     return group_element(monoid_add(g.pos, h.pos), monoid_add(g.neg, h.neg))
 
 
-def group_neg(g: GroupElement) -> GroupElement:
-    return GroupElement(g.neg, g.pos)
-
-
 def group_sub(g: GroupElement, h: GroupElement) -> GroupElement:
-    return group_add(g, group_neg(h))
+    return group_add(g, GroupElement(h.neg, h.pos))
 
 
 def cone_member(ring, g: GroupElement) -> bool:
@@ -418,11 +414,6 @@ def check_exponents(exponents) -> tuple:
     return exps
 
 
-def minor_profile(exponents) -> tuple:
-    """Prefix sums of the sorted exponents: minimal k-minor valuations."""
-    return tuple(accumulate(check_exponents(exponents)))
-
-
 def profile_value(profile, k):
     """mu_k, with None for +infinity (fewer than k diagonal entries)."""
     return profile[k - 1] if 1 <= k <= len(profile) else None
@@ -441,11 +432,6 @@ def _minor_refutation(ea, eb):
         if vb is None or va < vb:
             return NegativeMinor(k, va, vb)
     return None
-
-
-def leq_necessary(e_a, e_b) -> bool:
-    """Necessary condition for diag(a^{e_a}) <= diag(a^{e_b})."""
-    return minor_refutation(e_a, e_b) is None
 
 
 def _without(seq, v):

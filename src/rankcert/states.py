@@ -1,9 +1,8 @@
 """States of the class monoid: cones, ranges, extensions, pullbacks.
 
 The Grothendieck group of a free class monoid is Z^width; its elements
-and positive cone live in `semigroup`, and `group_props_check` checks
-its group law exhaustively.  State ranges are the best order relations
-against the order-unit v = <1> over a bounded grid:
+and positive cone live in `semigroup`.  State ranges are the best order
+relations against the order-unit v = <1> over a bounded grid:
 
     p = sup { (n - k)/m : n * v <= m * a + k * v }
     q = inf { (n - k)/m : n * v >= m * a + k * v }
@@ -61,74 +60,10 @@ from .semigroup import (
     _profile,
     check_element,
     check_formal_hypothesis,
-    cone_member,
-    group_add,
-    group_diff,
-    group_element,
-    group_neg,
-    group_sub,
-    has_rank_function,
-    leq,
-    monoid_identity,
     monoid_scale,
     order_unit,
     verify_formal_certificate,
 )
-
-
-# ---------------------------------------------------------------------------
-# the group law of the Grothendieck group (semigroup.GroupElement)
-
-
-@record
-class GroupLawReport:
-    closure_ok: bool
-    antisymmetry_ok: bool
-    order_unit_ok: bool
-    elements_checked: int
-    failures: tuple
-
-
-def group_props_check(ring, max_norm: int = 3) -> GroupLawReport:
-    """Exhaustive group-law check on elements [x] - [y], ||x||, ||y|| <= max_norm."""
-    width = len(monoid_identity(ring))
-    vecs = _vectors_up_to(width, max_norm)
-    elems = [group_element(x, y) for x in vecs for y in vecs]
-    members = [g for g in elems if cone_member(ring, g)]
-    failures = []
-
-    for g in members:
-        for h in members:
-            if not cone_member(ring, group_add(g, h)):
-                failures.append(("closure", g, h))
-    closure_ok = not failures
-
-    anti = [
-        g for g in members if cone_member(ring, group_neg(g)) and any(group_diff(g))
-    ]
-    antisymmetry_ok = not anti
-    failures.extend(("antisymmetry", g) for g in anti)
-
-    v = order_unit(ring)
-    unit_ok = True
-    bound = max_norm * max(1, width) + 1
-    for g in elems:
-        if not any(
-            cone_member(ring, group_sub(group_element(monoid_scale(t, v), monoid_identity(ring)), g))
-            for t in range(bound + 1)
-        ):
-            unit_ok = False
-            failures.append(("order-unit", g))
-    return GroupLawReport(
-        closure_ok, antisymmetry_ok, unit_ok, len(elems), tuple(failures)
-    )
-
-
-def _vectors_up_to(width: int, norm: int):
-    out = [()]
-    for _ in range(width):
-        out = [v + (t,) for v in out for t in range(norm + 1)]
-    return [v for v in out if sum(v) <= norm]
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +77,6 @@ class StateRange:
     p_witness: tuple
     q_witness: tuple
     exact: object  # (low, high) Fractions when extreme states are known
-
-
-def check_states_exist(ring):
-    """Raise unless (m+1)v is incomparable above m * v for every m >= 1.
-
-    It cannot raise on a ring that check_element accepts, whose P(<1>) is
-    (1, ..., n) or (1, ..., 1), so state_range and state_extension skip it.
-    """
-    if not has_rank_function(ring):
-        raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
 
 def _extremes(pa, pv):

@@ -23,16 +23,19 @@ from rankcert import (
     PreconditionError,
     StateRange,
     StateSpec,
-    check_states_exist,
+    block_diag,
+    has_rank_function,
     identity,
     is_invertible,
     leq,
     minor_refutation,
     order_unit,
     parse_ring,
+    presentation,
     rank_profile,
     rk,
     state_extension,
+    zeros,
 )
 from rankcert.acceptance import SHIPPED_RINGS
 from rankcert.cli import record_payload
@@ -74,6 +77,15 @@ def random_invertible(ring, rng, size, attempts=300):
         if is_invertible(M):
             return M
     raise AssertionError(f"no invertible {size}x{size} over {ring.spec} found")
+
+
+def free_presentation(ring, m):
+    """R^m, presented by one zero relations row."""
+    return presentation(m, zeros(ring, 1, m))
+
+
+def direct_sum(P1, P2):
+    return presentation(P1.gens + P2.gens, block_diag(P1.relations, P2.relations))
 
 
 def reference_det(ring, M):
@@ -131,6 +143,12 @@ def reference_is_diagonal_form(ring, A, exponents, zero_count, left, right) -> b
 # ---------------------------------------------------------------------------
 # reference state enumerations: the Fraction/leq loops, one public leq call
 # per relation, kept as an oracle for the integer-profile versions
+
+
+def check_states_exist(ring):
+    """The states precondition of the reference enumerations: a rank function exists."""
+    if not has_rank_function(ring):
+        raise PreconditionError(f"no states exist: 2 * <1> <= 1 * <1> over {ring.spec}")
 
 
 def reference_states_exist(ring, limit):

@@ -30,20 +30,17 @@ from rankcert import (
     block_upper,
     class_of,
     class_representative,
-    det,
+    diagonal_matrix,
     diagonalize,
-    free_presentation,
     group_element,
     has_rank_function,
     identity,
-    image_signature,
     is_invertible,
     leq,
-    leq_necessary,
     leq_provable,
     mat_mul,
     matrix,
-    minor_profile,
+    minor,
     minor_refutation,
     minors_in_ideal,
     module_basis_labels,
@@ -86,6 +83,7 @@ from rankcert.semigroup import _formal_bound, _replay, check_element, monoid_wid
 from helpers import (
     _formal_apply,
     bfs_leq_provable,
+    free_presentation,
     random_matrix,
     replace,
     reference_apply_moves,
@@ -411,15 +409,32 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
          PreconditionError("vertical stack needs equal column counts")),
         (lambda: Z8.generator_power(4), PreconditionError("exponent 4 outside [0, 3]")),
         (lambda: Z.unit_inverse(-1), -1),
-        (lambda: det(zeros(Z8, 2, 3)), PreconditionError("determinant of a non-square matrix")),
         (lambda: is_invertible(zeros(Z8, 2, 3)),
          PreconditionError("invertibility needs a square matrix")),
+        (lambda: minor(identity(Z8, 2), [0.5], [0]),
+         PreconditionError("row index must be an int, not 0.5")),
+        (lambda: minor(identity(Z8, 2), ["0"], [0]),
+         PreconditionError("row index must be an int, not '0'")),
+        (lambda: minor(identity(Z8, 2), [True], [False]),
+         PreconditionError("row index must be an int, not True")),
+        (lambda: minor(identity(Z8, 2), 0, [0]),
+         PreconditionError("minor needs equal nonempty row and column sets")),
+        (lambda: diagonal_matrix(Z8, 0, 0, ()),
+         PreconditionError("matrices must have at least one row and column")),
+        (lambda: diagonal_matrix(Z8, 1, 1, (0, 0)),
+         PreconditionError("2 exponents for a 1 x 1 matrix")),
+        (lambda: diagonal_matrix(Z8, 2, 2, (1.0,)),
+         PreconditionError("exponent must be an int, not 1.0")),
+        (lambda: diagonal_matrix(Z8, True, 1, (0,)),
+         PreconditionError("rows must be an int, not True")),
+        (lambda: diagonal_matrix(Z8, 2, 2, (True,)),
+         PreconditionError("exponent must be an int, not True")),
+        (lambda: diagonal_matrix(Z8, 2, 2, 1),
+         PreconditionError("exponents must be a sequence, not 1")),
         (lambda: pdivmod((1,), (), 2), ZeroDivisionError("polynomial division by zero")),
         (lambda: parse_ring("F2[x]").ideal_member((0, 1), ()), False),
         (lambda: signature(presentation(1, matrix(Z, [[2]]))),
          PreconditionError("Z is not a supported module family")),
-        (lambda: image_signature(matrix(Z8, [[2]])),
-         PreconditionError("image_signature applies to product-of-fields rings")),
         (lambda: phi_group(Z8, (1, 0)),
          PreconditionError("module coefficients have the wrong length")),
         (lambda: psi_group(Z8, group_element((1,), (0,))),
@@ -442,12 +457,14 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
          "residue-exponent-0", "residue-str", "truncated-not-prime", "extension-not-monic",
          "empty-product", "product-width", "product-parse", "identity-0", "mat-mul-across-rings",
          "block-diag-across-rings", "block-upper-across-rings", "block-upper-shape",
-         "stack-vertical-shape", "generator-power-above-n", "z-unit-inverse", "det-2x3",
-         "is-invertible-2x3", "pdivmod-by-zero", "ideal-member-of-zero", "signature-over-z",
-         "image-signature-over-local", "phi-group-width", "psi-group-width", "monoid-width-over-z",
-         "class-of-over-z", "rk-over-product", "group-element-lengths",
-         "witness-chain-over-product", "regular-factor-across-rings", "cli-leq-elem-over-local",
-         "cli-verify-class"],
+         "stack-vertical-shape", "generator-power-above-n", "z-unit-inverse", "is-invertible-2x3",
+         "minor-float-index", "minor-str-index", "minor-bool-index", "minor-int-rows",
+         "diagonal-0x0", "diagonal-too-many-exponents", "diagonal-float-exponent",
+         "diagonal-bool-rows", "diagonal-bool-exponent", "diagonal-int-exponents",
+         "pdivmod-by-zero", "ideal-member-of-zero", "signature-over-z", "phi-group-width",
+         "psi-group-width", "monoid-width-over-z", "class-of-over-z", "rk-over-product",
+         "group-element-lengths", "witness-chain-over-product", "regular-factor-across-rings",
+         "cli-leq-elem-over-local", "cli-verify-class"],
 )
 def test_public_guards_refuse_as_documented(call, expected):
     if isinstance(expected, Exception):
@@ -463,11 +480,14 @@ def test_public_guards_refuse_as_documented(call, expected):
 
 
 def test_minor_profile_examples():
-    assert minor_profile((0, 1, 2)) == (0, 1, 3)
-    assert minor_profile(()) == ()
-    assert leq_necessary((), (0,))  # the empty multiset is the zero class
-    assert not leq_necessary((0,), ())
-    assert leq_necessary((1, 1), (0, 2))
+    # the minor profile of (0, 1, 2) is its prefix sums (0, 1, 3)
+    assert minor_refutation((0, 1, 2), (1,)) == NegativeMinor(1, 0, 1)
+    assert minor_refutation((0, 1, 2), (0, 2)) == NegativeMinor(2, 1, 2)
+    assert minor_refutation((0, 1, 2), (0, 1, 3)) == NegativeMinor(3, 3, 4)
+    assert minor_refutation((), ()) is None
+    assert minor_refutation((), (0,)) is None  # the empty multiset is the zero class
+    assert minor_refutation((0,), ()) == NegativeMinor(1, 0, None)
+    assert minor_refutation((1, 1), (0, 2)) is None
 
 
 def test_minor_lemma_grid_reproduction():
@@ -478,7 +498,7 @@ def test_minor_lemma_grid_reproduction():
         lhs = (0,) * m + (1,) * k + (2,) * j
         rhs = (0,) * n + (2,) * l
         if k > 2 * (n - m):
-            assert not leq_necessary(lhs, rhs), (m, n, k, j, l)
+            assert minor_refutation(lhs, rhs) is not None, (m, n, k, j, l)
 
 
 def test_leq_provable_examples():
@@ -907,7 +927,8 @@ def test_formal_exponents_are_checked_once(exponents):
     # a float or bool entry was once read by int(): (1.5,) <= (1,) held, and
     # a negative entry raised from verify_formal_certificate
     for call in (lambda: leq_provable(exponents, (1,)), lambda: leq_provable((1,), exponents),
-                 lambda: minor_profile(exponents)):
+                 lambda: minor_refutation(exponents, (1,)),
+                 lambda: minor_refutation((1,), exponents)):
         with pytest.raises(PreconditionError):
             call()
     for cert in (Positive(()), NegativeMinor(1, -1, 1), NegativeMinor(1, 1, -1)):
@@ -1102,7 +1123,7 @@ SPEC = StateSpec(generators=((1, 0, 0),), values=(1,))
         (lambda x: state_range(Z8, (0, 1, 0), 3, x), "M"),
         (lambda x: phi_group(Z8, (x, 0, 0)), "a module coefficient"),
         (lambda x: presentation(x, zeros(Z8, 1, 1)), "gens"),
-        (lambda x: free_presentation(Z8, x), "gens"),
+        (lambda x: free_presentation(Z8, x), "columns"),
         (lambda x: zeros(Z8, x, 2), "rows"),
         (lambda x: zeros(Z8, 1, x), "columns"),
         (lambda x: identity(Z8, x), "size"),

@@ -18,13 +18,15 @@ from rankcert import (
     PreconditionError,
     StateRange,
     StateSpec,
-    check_states_exist,
     cone_member,
     group_add,
+    group_diff,
     group_element,
-    group_props_check,
+    group_sub,
+    has_rank_function,
     mat_mul,
     matrix,
+    order_unit,
     parse_ring,
     pullback_rank,
     rank_profile,
@@ -88,11 +90,22 @@ def test_cone_is_rank_criterion():
 
 
 def test_group_props_exhaustive():
-    report = group_props_check(Z8, max_norm=3)
-    assert report.closure_ok
-    assert report.antisymmetry_ok
-    assert report.order_unit_ok
-    assert report.failures == ()
+    # the group law on every [x] - [y] with ||x||, ||y|| <= 3
+    vecs = vectors_up_to(3, 3)
+    elems = [group_element(x, y) for x in vecs for y in vecs]
+    members = [g for g in elems if cone_member(Z8, g)]
+    for g in members:
+        for h in members:
+            assert cone_member(Z8, group_add(g, h)), ("closure", g, h)
+        assert not (cone_member(Z8, group_element(g.neg, g.pos)) and any(group_diff(g))), (
+            "antisymmetry", g)
+    # the order unit: t * <1> - g is positive for some t <= 3 * width + 1
+    v = order_unit(Z8)
+    for g in elems:
+        assert any(
+            cone_member(Z8, group_sub(group_element(tuple(t * x for x in v), (0, 0, 0)), g))
+            for t in range(11)
+        ), ("order-unit", g)
 
 
 def test_cone_closure_random_pairs():
@@ -203,8 +216,9 @@ def test_state_range_bound_overflow():
 
 
 def test_check_states_exist_passes():
+    # states exist where a rank function does: 2 * <1> <= <1> fails
     for spec in ["Z/4", "Z/8", "Z/9", "F2[x]/x^3", "F3[x]/x^2", "F2*F3"]:
-        check_states_exist(parse_ring(spec))
+        assert has_rank_function(parse_ring(spec))
 
 
 # ---------------------------------------------------------------------------
