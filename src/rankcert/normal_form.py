@@ -49,19 +49,25 @@ right of the pivot is an (r + 1)-minor (Sylvester's identity), so the
 new entries divide exactly by the previous pivot and stay as large as
 the minors.  The pivots count the rank over the fraction field, and for
 a square matrix of full rank the last pivot, negated once per row swap,
-is det.  A matrix is invertible iff it is square with a unit det, and a
-minor is the det of a sub-grid: every family takes the same path.
+is det.  Its one loop runs on each family's own encoding: Z on ints by
+the int operators, F2[x] on the bit ints of `polys` (carry-less
+products, XOR for subtraction, `clquo` for the exact division) and
+F_p[x] for odd p on coefficient tuples; only the last pivot is decoded.
+A matrix is invertible iff it is square with a unit det, and the k x k
+minors that `minors_in_ideal` reads are dets of sub-grids: every family
+takes the same path.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
+from functools import cached_property, partial
 from itertools import combinations
 
 from .errors import PreconditionError, check_int
-from .polys import pdivmod
+from .polys import clmul, clquo, pdivmod
 from .records import record
-from .rings import IntegerRing, Matrix, _Table, mat_mul, zeros
+from .rings import IntegerRing, Matrix, _digits, _read_digits, _Table, mat_mul, zeros
 
 # Recorded operations, in the order they were applied to the working copy:
 #   (_SWAP_ROWS, i, j, None)   swap rows i and j
@@ -396,33 +402,41 @@ def diagonalize(A: Matrix) -> DiagonalForm:
     )
 
 
+def _fraction_free(ring):
+    """(encode, mul, sub, exact quotient, decode): the arithmetic of `bareiss`."""
+    if isinstance(ring, IntegerRing):
+        return int, operator.mul, operator.sub, operator.floordiv, int
+    p = ring.p
+    if p == 2:
+        return partial(_read_digits, p=2), clmul, operator.xor, clquo, partial(_digits, p=2)
+    return tuple, ring.mul, ring.sub, lambda x, d: pdivmod(x, d, p)[0], tuple
+
+
 def bareiss(ring, grid):
     """(rank, pivot): the rank of a grid over Z or F_p[x] and its last
-    pivot, negated once per row swap; // and pdivmod divide exactly."""
-    if isinstance(ring, IntegerRing):
-        divide = int.__floordiv__
-    else:
-        divide = lambda x, d: pdivmod(x, d, ring.p)[0]
-    M = [list(row) for row in grid]
+    pivot, negated once per row swap."""
+    encode, mul, sub, quo, decode = _fraction_free(ring)
+    M = [list(map(encode, row)) for row in grid]
     nrows, ncols = len(M), len(M[0])
-    rank, prev, swaps = 0, ring.one, 0
+    rank, prev, swaps = 0, encode(ring.one), 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if not ring.is_zero(M[r][col])), None)
+        pivot = next((r for r in range(rank, nrows) if M[r][col]), None)
         if pivot is None:
             continue
         if pivot != rank:
             M[rank], M[pivot] = M[pivot], M[rank]
             swaps += 1
-        top, pval = M[rank], M[rank][col]
+        top, pval = M[rank][col + 1 :], M[rank][col]
         for row in M[rank + 1 :]:
             x = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = divide(ring.sub(ring.mul(pval, row[j]), ring.mul(x, top[j])), prev)
+            row[col + 1 :] = [quo(sub(mul(pval, a), mul(x, b)), prev)
+                              for a, b in zip(row[col + 1 :], top)]
         prev = pval
         rank += 1
         if rank == nrows:
             break
-    return rank, ring.neg(prev) if swaps % 2 else prev
+    pivot = decode(prev)
+    return rank, ring.neg(pivot) if swaps % 2 else pivot
 
 
 def _det(ring, grid):
@@ -445,23 +459,6 @@ def _det(ring, grid):
         elif kind == _SWAP_ROWS or kind == _SWAP_COLS:
             d = ring.neg(d)
     return d
-
-
-def minor(M: Matrix, rows, cols):
-    """Determinant of the submatrix with the given row/column index sets."""
-    try:
-        rows = sorted(check_int(i, "row index") for i in rows)
-        cols = sorted(check_int(j, "column index") for j in cols)
-    except TypeError:  # an index set that is not iterable
-        raise PreconditionError("minor needs equal nonempty row and column sets") from None
-    k = len(rows)
-    if k == 0 or k != len(cols):
-        raise PreconditionError("minor needs equal nonempty row and column sets")
-    if len(set(rows)) != k or len(set(cols)) != k:
-        raise PreconditionError("minor index sets must not repeat")
-    if rows[0] < 0 or rows[-1] >= M.rows or cols[0] < 0 or cols[-1] >= M.cols:
-        raise PreconditionError("minor index out of range")
-    return _det(M.ring, [[M.entries[i][j] for j in cols] for i in rows])
 
 
 def minors_in_ideal(M: Matrix, k: int, gen) -> bool:

@@ -10,6 +10,11 @@ them: `padd`, `pmul`, `pdivmod` and `pmod_monic` reduce each coefficient
 once and strip trailing zeros only where a leading term can cancel.  Only
 `pnormalize`, and through it `parse_poly` and `pscale`, canonicalizes
 arbitrary coefficient lists.
+
+Over F_2 a polynomial is also a bit int, bit i the coefficient of x^i, as
+GF(2^k) (`rings.ExtensionField`) and F2[x] `normal_form.bareiss` store it.
+There addition is XOR, and the carry-less `clmul`, `clquo` and `clmod`
+shift and XOR whole ints, once per set bit of a factor or of the quotient.
 """
 
 from __future__ import annotations
@@ -128,6 +133,35 @@ def pmod_monic(a, m, p) -> tuple:
             for i, c in terms:
                 rem[base + i] += factor * c
     return pstrip([c % p for c in rem[:top]])
+
+
+def clmul(a: int, b: int) -> int:
+    """The product of two F2[x] bit ints: the denser shifted to each set bit of the other."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << low.bit_length() - 1
+        a ^= low
+    return out
+
+
+def clquo(a: int, b: int) -> int:
+    """The quotient of the F2[x] bit int a by a nonzero b; exact when b divides a."""
+    top, out = b.bit_length(), 0
+    while (n := a.bit_length()) >= top:
+        out |= 1 << n - top
+        a ^= b << n - top
+    return out
+
+
+def clmod(a: int, m: int) -> int:
+    """The remainder of the F2[x] bit int a modulo a nonzero m (monic, as over F_2 all are)."""
+    top = m.bit_length()
+    while (n := a.bit_length()) >= top:
+        a ^= m << n - top
+    return a
 
 
 def pdivides(b, a, p) -> bool:

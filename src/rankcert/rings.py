@@ -69,6 +69,8 @@ from .errors import ParseError, PreconditionError, check_int
 from .fields import FIELD_CAP, TABLE_CAP, factor_prime_power, is_prime
 from .polys import (
     DEGREE_CAP,
+    clmod,
+    clmul,
     format_poly,
     is_irreducible,
     min_irreducible,
@@ -514,11 +516,14 @@ class ExtensionField(_LocalRing):
 
     f defaults to the lexicographically least monic irreducible of
     degree k.  An element is a plain int encoding its coefficient vector
-    base p, lowest degree in the least significant digit.  Every
-    operation decodes, works through the F_p[x] kernels of `polys` and
-    encodes, multiplication reducing modulo f; only when p = 2 are
-    addition XOR and negation the identity.  The spec names p and f, so
-    fields with different moduli are unequal.
+    base p, lowest degree in the least significant digit.  When p = 2
+    that int is the F2[x] bit int of `polys`, and the field works on it
+    directly: addition is XOR, negation the identity, a product is
+    `clmod(clmul(a, b), f)` and an inverse comes from the extended
+    Euclidean algorithm.  For odd p every operation decodes, works
+    through the F_p[x] kernels of `polys` and encodes, multiplication
+    reducing modulo f, and an inverse is a^(q-2).  The spec names p and
+    f, so fields with different moduli are unequal.
     """
 
     nil_degree = 1
@@ -537,6 +542,7 @@ class ExtensionField(_LocalRing):
             raise PreconditionError("modulus must be monic of degree k")
         self.spec = f"F{p}[x]/({format_poly(self.modulus)})"
         self.tabulates = self._order_at_most(TABLE_CAP)
+        self._bits = _read_digits(self.modulus, 2) if p == 2 else None  # f as a bit int
 
     def normalize(self, raw):
         """An int encoding in [0, q), as a product-ring component is read."""
@@ -563,6 +569,8 @@ class ExtensionField(_LocalRing):
         return self.encode(pneg(self.decode(a), self.p))
 
     def _mul(self, a, b):
+        if self.p == 2:
+            return clmod(clmul(a, b), self._bits)
         prod = pmul(self.decode(a), self.decode(b), self.p)
         return self.encode(pmod_monic(prod, self.modulus, self.p))
 
@@ -573,7 +581,18 @@ class ExtensionField(_LocalRing):
         return a
 
     def _inverse(self, a):
-        return self.power(a, self.size - 2)  # a^(q-2) = a^(-1) in GF(q)
+        if self.p != 2:
+            return self.power(a, self.size - 2)  # a^(q-2) = a^(-1) in GF(q)
+        # extended Euclid on bit ints: u = s * a and v = t * a modulo f
+        # throughout; each step cancels the leading term of the longer one
+        u, v, s, t = a, self._bits, 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, s, t, shift = v, u, t, s, -shift
+            u ^= v << shift
+            s ^= t << shift
+        return s
 
     def _order_at_most(self, cap):
         return self.size <= cap
@@ -849,7 +868,9 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     """A * B, row by row: each nonzero A[i][t] adds A[i][t] * B[t] to row i.
 
     The first such term starts the row, so a row of A with one nonzero
-    entry costs B.cols products and no sums.
+    entry costs B.cols products and no sums; a zero entry of B[t] costs
+    neither, so sparse factors such as the C and D that `verify_factor`
+    multiplies out stay off the field arithmetic.
     """
     if A.ring != B.ring:
         raise PreconditionError("matrix product over different rings")
@@ -863,9 +884,10 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         for x, row_b in zip(row_a, B.entries):
             if x != zero:
                 if row is None:
-                    row = [mul(x, y) for y in row_b]
+                    row = [zero if y == zero else mul(x, y) for y in row_b]
                 else:
-                    row = [add(acc, mul(x, y)) for acc, y in zip(row, row_b)]
+                    row = [acc if y == zero else add(acc, mul(x, y))
+                           for acc, y in zip(row, row_b)]
         out.append([zero] * B.cols if row is None else row)
     return Matrix._canonical(ring, out)
 

@@ -39,8 +39,9 @@ from rankcert import (
 )
 from rankcert.acceptance import SHIPPED_RINGS
 from rankcert.cli import record_payload
-from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS
-from rankcert.polys import pdegree, pdivides
+from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS, _det
+from rankcert.polys import pdegree, pdivides, pdivmod, pmod_monic, pmul
+from rankcert.rings import IntegerRing
 from rankcert.semigroup import (
     _formal_successors,
     _profile,
@@ -101,6 +102,66 @@ def reference_det(ring, M):
             term = ring.mul(term, M.entries[i][perm[i]])
         total = ring.add(total, term) if inversions % 2 == 0 else ring.sub(total, term)
     return total
+
+
+def minor(M, rows, cols):
+    """The determinant of the submatrix of M on the given row and column index sets."""
+    rows, cols = sorted(rows), sorted(cols)
+    k = len(rows)
+    if k == 0 or k != len(cols) or len(set(rows)) != k or len(set(cols)) != k:
+        raise PreconditionError("minor needs equal nonempty sets of distinct indices")
+    if rows[0] < 0 or rows[-1] >= M.rows or cols[0] < 0 or cols[-1] >= M.cols:
+        raise PreconditionError("minor index out of range")
+    return _det(M.ring, [[M.entries[i][j] for j in cols] for i in rows])
+
+
+def reference_bareiss(ring, grid):
+    """(rank, pivot) of a grid over Z or F_p[x], fraction-free on the ring's own values.
+
+    Every entry stays a canonical value: ring.mul and ring.sub form the
+    cross products, and // over Z and pdivmod over F_p[x] divide exactly.
+    """
+    if isinstance(ring, IntegerRing):
+        divide = int.__floordiv__
+    else:
+        divide = lambda x, d: pdivmod(x, d, ring.p)[0]
+    M = [list(row) for row in grid]
+    nrows, ncols = len(M), len(M[0])
+    rank, prev, swaps = 0, ring.one, 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if not ring.is_zero(M[r][col])), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            swaps += 1
+        top, pval = M[rank], M[rank][col]
+        for row in M[rank + 1 :]:
+            x = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = divide(ring.sub(ring.mul(pval, row[j]), ring.mul(x, top[j])), prev)
+        prev = pval
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, ring.neg(prev) if swaps % 2 else prev
+
+
+def reference_extension_mul(field, a, b):
+    """a * b in GF(p^k) by the decode path: base-p digits, pmul, pmod_monic, digits back."""
+    product = pmul(field.decode(a), field.decode(b), field.p)
+    return field.encode(pmod_monic(product, field.modulus, field.p))
+
+
+def reference_extension_inverse(field, a):
+    """The inverse of a nonzero a in GF(q) as a^(q-2), by `reference_extension_mul`."""
+    out, e = 1, field.size - 2
+    while e:
+        if e & 1:
+            out = reference_extension_mul(field, out, a)
+        e >>= 1
+        a = reference_extension_mul(field, a, a)
+    return out
 
 
 def reference_is_diagonal_form(ring, A, exponents, zero_count, left, right) -> bool:

@@ -9,18 +9,28 @@ per pair: the first call fills the table, the second reads it.
 """
 
 import time
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_rem
 
 from rankcert import parse_ring
-from rankcert.polys import is_irreducible, min_irreducible, pdivmod, pmod_monic
+from rankcert.polys import (
+    clmod,
+    clmul,
+    clquo,
+    is_irreducible,
+    min_irreducible,
+    pdivmod,
+    pmod_monic,
+    pmul,
+)
 from rankcert.rings import ExtensionField
 
-from helpers import reference_is_irreducible
+from helpers import reference_extension_inverse, reference_extension_mul, reference_is_irreducible
 
 
 def strip(coeffs):
@@ -96,6 +106,60 @@ def test_truncated_ring_arithmetic_matches_galoistools(pn, data):
             inverse = ring.unit_inverse(a)
             assert inverse == strip(inverse) and len(inverse) <= n
             assert cut(gf_mul(to_gf(a), to_gf(inverse), p, ZZ)) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# F2[x] on bit ints, against the tuple kernels at p = 2
+
+
+def bits(a):
+    """An F2[x] tuple as a bit int: bit i is the coefficient of x^i."""
+    return sum(c << i for i, c in enumerate(a))
+
+
+# 0, 1, sparse and short, or dense with up to 3000 terms
+F2_BITS = st.one_of(st.sampled_from((0, 1)), st.integers(0, 2**70), st.integers(2**999, 2**3000))
+# a dense product of two long operands costs the tuple kernel about 0.5 s,
+# so one side is short except in the examples
+SHORT_BITS = st.integers(0, 2**64)
+ALL_ONES = 2**2500 - 1
+DENSE = int("10" * 1000 + "1101" * 300, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(F2_BITS, SHORT_BITS, st.integers(2, 2**64))
+@example(ALL_ONES, DENSE, DENSE >> 700)
+@example(0, 1, 2)
+@example(1, 0, 3)
+@example(DENSE, 1, 2**2000 + 1)
+def test_carry_less_kernel_matches_the_tuple_kernels(a, b, m):
+    ta, tb, tm = digits(a, 2), digits(b, 2), digits(m, 2)
+    assert clmul(a, b) == clmul(b, a) == bits(pmul(ta, tb, 2))
+    assert clmod(a, m) == bits(pmod_monic(ta, tm, 2))
+    quo, rem = pdivmod(ta, tm, 2)
+    assert clquo(a, m) == bits(quo) and clmul(bits(quo), m) ^ bits(rem) == a
+    if b:
+        assert clquo(clmul(a, b), b) == a
+
+
+@cache
+def binary_field(k):
+    return parse_ring(f"F{2**k}").fields[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 32).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(1, 2**k - 1), st.integers(0, 2**k - 1))))
+@example((32, 2**32 - 1, 2**31 + 5))
+@example((32, 1, 2**32 - 1))
+@example((2, 3, 2))
+def test_binary_field_products_and_inverses_match_the_decode_path(case):
+    k, a, b = case
+    field = binary_field(k)
+    product = reference_extension_mul(field, a, b)
+    for _ in range(2):  # a field of order <= 64 fills its table, then reads it
+        assert field.mul(a, b) == field.mul(b, a) == product
+        assert field.unit_inverse(a) == reference_extension_inverse(field, a)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from rankcert import (
     is_invertible,
     mat_mul,
     matrix,
-    minor,
     parse_ring,
     phi,
     presentation,
@@ -37,13 +36,15 @@ from rankcert import (
     zeros,
 )
 from rankcert import acceptance, normal_form
-from rankcert.normal_form import eliminate, eliminated, factors, inverse_factors
+from rankcert.normal_form import bareiss, eliminate, eliminated, factors, inverse_factors
 from rankcert.polys import is_irreducible, pdivmod, pscale
 from rankcert.rings import ExtensionField, ModPrimePowerRing
 
 from helpers import (
+    minor,
     random_invertible,
     random_matrix,
+    reference_bareiss,
     reference_class_of,
     reference_det,
     reference_diagonalize,
@@ -336,6 +337,47 @@ def test_is_invertible_matches_determinant(spec, size, rng):
     M = random_matrix(ring, rng, size, size)
     assert is_invertible(M) == ring.is_unit(reference_det(ring, M))
     assert is_invertible(identity(ring, size))
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination over Z and F_p[x], against the copied tuple loop
+
+
+@st.composite
+def fraction_free_grids(draw):
+    """(ring, grid): X * Y as matrix-mix draws it, then zero rows and columns.
+
+    X is r x k and Y is k x c with entries of degree <= 1 over F_p[x] (in
+    [-3, 3] over Z), so the rank is at most k and often exactly k: k =
+    min(r, c), often drawn, gives full rank more often than not, and a
+    square grid then a nonzero last pivot.  The product is taken by the
+    ring's own tuple arithmetic.
+    """
+    ring = parse_ring(draw(st.sampled_from(("F2[x]", "F2[x]", "F3[x]", "Z"))))
+    r = draw(st.integers(1, 12))
+    c = draw(st.one_of(st.just(r), st.integers(1, 12)))
+    k = draw(st.one_of(st.just(min(r, c)), st.integers(1, min(r, c))))
+    if ring.spec == "Z":
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.lists(st.integers(0, ring.p - 1), min_size=2, max_size=2).map(ring.normalize)
+    X = Matrix(ring, [[draw(entry) for _ in range(k)] for _ in range(r)])
+    Y = Matrix(ring, [[draw(entry) for _ in range(c)] for _ in range(k)])
+    grid = [list(row) for row in mat_mul(X, Y).entries]
+    if draw(st.booleans()):
+        for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+            grid[i] = [ring.zero] * c
+        for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+            for row in grid:
+                row[j] = ring.zero
+    return ring, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_free_grids())
+def test_bareiss_rank_and_last_pivot_match_the_tuple_loop(case):
+    ring, grid = case
+    assert bareiss(ring, grid) == reference_bareiss(ring, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from rankcert import (
     is_invertible,
     mat_mul,
     matrix,
-    minor,
     minors_in_ideal,
     parse_matrix,
     parse_ring,
@@ -27,7 +26,7 @@ from rankcert.acceptance import SHIPPED_RINGS
 from rankcert.fields import PRIME_CAP, factor_prime_power, is_prime
 from rankcert.polys import DEGREE_CAP, padd, parse_poly, pmul
 
-from helpers import random_matrix, reference_det
+from helpers import minor, random_matrix, reference_det
 
 SMALL_FINITE = ["Z/4", "Z/8", "Z/9", "Z/27", "F2[x]/x^3", "F3[x]/x^2", "F2[x]/x^4", "F2*F3"]
 # GF(p^k) is a local ring of nil degree 1: the F4, F8 and F9 components, and

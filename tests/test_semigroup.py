@@ -40,7 +40,6 @@ from rankcert import (
     leq_provable,
     mat_mul,
     matrix,
-    minor,
     minor_refutation,
     minors_in_ideal,
     module_basis_labels,
@@ -67,7 +66,7 @@ from rankcert import (
     zeros,
 )
 import rankcert.semigroup as semigroup
-from rankcert.acceptance import LOCAL_RINGS
+from rankcert.acceptance import LOCAL_RINGS, _vectors_up_to as vectors_up_to
 from rankcert.cli import main
 from rankcert.polys import pdivmod
 from rankcert.rings import (
@@ -93,13 +92,6 @@ from helpers import (
 )
 
 Z8 = parse_ring("Z/8")
-
-
-def vectors_up_to(width, norm):
-    out = [()]
-    for _ in range(width):
-        out = [v + (t,) for v in out for t in range(norm + 1)]
-    return [v for v in out if sum(v) <= norm]
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +403,6 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
         (lambda: Z.unit_inverse(-1), -1),
         (lambda: is_invertible(zeros(Z8, 2, 3)),
          PreconditionError("invertibility needs a square matrix")),
-        (lambda: minor(identity(Z8, 2), [0.5], [0]),
-         PreconditionError("row index must be an int, not 0.5")),
-        (lambda: minor(identity(Z8, 2), ["0"], [0]),
-         PreconditionError("row index must be an int, not '0'")),
-        (lambda: minor(identity(Z8, 2), [True], [False]),
-         PreconditionError("row index must be an int, not True")),
-        (lambda: minor(identity(Z8, 2), 0, [0]),
-         PreconditionError("minor needs equal nonempty row and column sets")),
         (lambda: diagonal_matrix(Z8, 0, 0, ()),
          PreconditionError("matrices must have at least one row and column")),
         (lambda: diagonal_matrix(Z8, 1, 1, (0, 0)),
@@ -458,7 +442,6 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
          "empty-product", "product-width", "product-parse", "identity-0", "mat-mul-across-rings",
          "block-diag-across-rings", "block-upper-across-rings", "block-upper-shape",
          "stack-vertical-shape", "generator-power-above-n", "z-unit-inverse", "is-invertible-2x3",
-         "minor-float-index", "minor-str-index", "minor-bool-index", "minor-int-rows",
          "diagonal-0x0", "diagonal-too-many-exponents", "diagonal-float-exponent",
          "diagonal-bool-rows", "diagonal-bool-exponent", "diagonal-int-exponents",
          "pdivmod-by-zero", "ideal-member-of-zero", "signature-over-z", "phi-group-width",

@@ -40,7 +40,7 @@ from rankcert import (
 )
 
 from rankcert import states
-from rankcert.acceptance import brute_square_sweep
+from rankcert.acceptance import _vectors_up_to as vectors_up_to, brute_square_sweep
 from rankcert.polys import min_irreducible
 from rankcert.semigroup import _profile
 from rankcert.states import _best_below
@@ -61,13 +61,6 @@ from helpers import (
 
 Z8 = parse_ring("Z/8")
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-
-
-def vectors_up_to(width, norm):
-    out = [()]
-    for _ in range(width):
-        out = [v + (t,) for v in out for t in range(norm + 1)]
-    return [v for v in out if sum(v) <= norm]
 
 
 # ---------------------------------------------------------------------------
