@@ -14,8 +14,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "errors": "BoundExceededError ParseError PreconditionError RankcertError",
-    "normal_form": """DiagonalForm diagonal_matrix diagonalize is_invertible minors_in_ideal
-        verify_factorization""",
+    "normal_form": "DiagonalForm diagonalize is_invertible minors_in_ideal verify_factorization",
     "presentations": """LocalSignature Presentation RegularSignature dim module_basis_labels
         module_class module_coeffs_sub module_cone_member phi phi_group presentation
         presentations_equivalent psi psi_group quotient_presentation signature""",

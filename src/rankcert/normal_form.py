@@ -67,7 +67,7 @@ from itertools import combinations
 from .errors import PreconditionError, check_int
 from .polys import clmul, clquo, pdivmod
 from .records import record
-from .rings import IntegerRing, Matrix, _digits, _read_digits, _Table, mat_mul, zeros
+from .rings import IntegerRing, Matrix, _digits, _read_digits, _Table, mat_mul
 
 # Recorded operations, in the order they were applied to the working copy:
 #   (_SWAP_ROWS, i, j, None)   swap rows i and j
@@ -84,26 +84,6 @@ class DiagonalForm:
     zero_count: int
     left: Matrix
     right: Matrix
-
-
-def _require_local(ring):
-    if not ring.is_local:
-        raise PreconditionError(f"{ring.spec} is not an Artinian local family")
-
-
-def diagonal_matrix(ring, rows: int, cols: int, exponents) -> Matrix:
-    """The padded diagonal matrix with entries c^e for e in exponents."""
-    _require_local(ring)
-    grid = [list(row) for row in zeros(ring, rows, cols).entries]
-    try:
-        exponents = tuple(exponents)
-    except TypeError:
-        raise PreconditionError(f"exponents must be a sequence, not {exponents!r}") from None
-    if len(exponents) > min(rows, cols):
-        raise PreconditionError(f"{len(exponents)} exponents for a {rows} x {cols} matrix")
-    for idx, e in enumerate(exponents):
-        grid[idx][idx] = ring.generator_power(check_int(e, "exponent"))
-    return Matrix._canonical(ring, grid)
 
 
 class _ByteCodes:
@@ -391,7 +371,8 @@ def inverse_factors(ring, rows, cols, ops):
 
 def diagonalize(A: Matrix) -> DiagonalForm:
     ring = A.ring
-    _require_local(ring)
+    if not ring.is_local:
+        raise PreconditionError(f"{ring.spec} is not an Artinian local family")
     exponents, ops = eliminated(A)
     L, R = factors(ring, A.rows, A.cols, ops)
     return DiagonalForm(

@@ -198,40 +198,20 @@ def _pgcd(a, b, p) -> tuple:
     return a
 
 
-def _prime_factors(k: int) -> list:
-    out, d = [], 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
 def is_irreducible(f, p) -> bool:
-    """Rabin's test: f of degree k >= 2 is irreducible over F_p iff
-    f divides x^(p^k) - x and gcd(x^(p^(k/r)) - x, f) = 1 for each prime
-    r dividing k.  It costs k p-th powers modulo f."""
+    """Ben-Or's test: f of degree k >= 2 is irreducible over F_p iff gcd(f,
+    x^(p^i) - x) = 1 for i = 1..k/2, as x^(p^i) - x is the product of the
+    monic irreducibles of degree dividing i.  It returns at the first common
+    factor, after d p-th powers modulo f for a least factor of degree d."""
     k = pdegree(f)
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    if not f[0]:  # x divides f
-        return False
-    x = (0, 1)
-    frobenius = [x]  # x^(p^i) modulo f, for i = 0..k
-    for _ in range(k):
-        frobenius.append(_frobenius(frobenius[-1], f, p))
-    if frobenius[k] != x:
-        return False
-    return all(
-        len(_pgcd(f, padd(frobenius[k // r], (0, p - 1), p), p)) == 1
-        for r in _prime_factors(k)
-    )
+    if k <= 1:
+        return k == 1
+    power, minus_x = (0, 1), (0, p - 1)
+    for _ in range(k // 2):
+        power = _frobenius(power, f, p)  # x^(p^i) modulo f
+        if len(_pgcd(f, padd(power, minus_x, p), p)) > 1:
+            return False
+    return True
 
 
 def min_irreducible(p, k) -> tuple:

@@ -165,4 +165,5 @@ def module_cone_member(ring, coeffs) -> bool:
 
 
 def module_coeffs_sub(a, b) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    """a - b, for int tuples of one width (checked as by `group_element`)."""
+    return group_diff(group_element(a, b))

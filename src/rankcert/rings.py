@@ -178,17 +178,16 @@ class Ring:
     Every family defines is_unit and _inverse; is_zero, the unit_inverse
     guard and the str formatter are defined here once.  Z, F_p[x] and
     Z/p^n define add, mul and neg themselves.  The other families define
-    _add, _mul and _neg, and set `tabulates` when their order is at most
-    TABLE_CAP; then add and mul look _add and _mul up in tables
-    (`tabulated`), and neg is the lookup of a one-argument `_Table` of
-    _neg; otherwise they are _add, _mul and _neg.
+    _add, _mul and _neg; when `_order_at_most(TABLE_CAP)` holds, add and
+    mul look _add and _mul up in tables (`tabulated`), and neg is the
+    lookup of a one-argument `_Table` of _neg; otherwise they are _add,
+    _mul and _neg.
     """
 
     spec = ""
     is_local = False
     is_product = False
     is_finite = False
-    tabulates = False
 
     def normalize(self, raw):
         raise NotImplementedError
@@ -197,15 +196,15 @@ class Ring:
     # allocates no table
     @cached_property
     def add(self):
-        return tabulated(self._add) if self.tabulates else self._add
+        return tabulated(self._add) if self._order_at_most(TABLE_CAP) else self._add
 
     @cached_property
     def mul(self):
-        return tabulated(self._mul) if self.tabulates else self._mul
+        return tabulated(self._mul) if self._order_at_most(TABLE_CAP) else self._mul
 
     @cached_property
     def neg(self):
-        return _Table(self._neg).__getitem__ if self.tabulates else self._neg
+        return _Table(self._neg).__getitem__ if self._order_at_most(TABLE_CAP) else self._neg
 
     @cached_property
     def _literals(self):
@@ -366,11 +365,12 @@ class _LocalRing(Ring):
     generator: object  # the radical generator c
 
     # Z/p^n defines valuation itself; F_p[x]/x^n and GF(p^k) define
-    # _valuation, looked up like neg when the ring tabulates
+    # _valuation, looked up like neg when the ring's order is at most TABLE_CAP
     @cached_property
     def valuation(self):
         """Largest v with c^v dividing a; nil_degree for zero."""
-        return _Table(self._valuation).__getitem__ if self.tabulates else self._valuation
+        op = self._valuation
+        return _Table(op).__getitem__ if self._order_at_most(TABLE_CAP) else op
 
     def shift(self, a, v: int):
         """The canonical a / c^v, for 0 <= v <= valuation(a)."""
@@ -466,7 +466,6 @@ class TruncatedPolyRing(_LocalRing):
         self.zero = ()
         self.one = (1,)
         self.generator = self.normalize((0, 1))
-        self.tabulates = self._order_at_most(TABLE_CAP)
         self._add = partial(padd, p=p)
         self._mul = partial(pmul, p=p, below=n)
 
@@ -541,7 +540,6 @@ class ExtensionField(_LocalRing):
         if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
             raise PreconditionError("modulus must be monic of degree k")
         self.spec = f"F{p}[x]/({format_poly(self.modulus)})"
-        self.tabulates = self._order_at_most(TABLE_CAP)
         self._bits = _read_digits(self.modulus, 2) if p == 2 else None  # f as a bit int
 
     def normalize(self, raw):
@@ -652,7 +650,6 @@ class FieldProductRing(Ring):
         self.spec = "*".join(f"F{q}" for q in self.orders)
         self.zero = (0,) * self.width
         self.one = (1,) * self.width
-        self.tabulates = self._order_at_most(TABLE_CAP)
 
     def normalize(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):
@@ -758,7 +755,7 @@ class Matrix:
     __slots__ = ("ring", "entries", "_eliminated")
 
     def __init__(self, ring: Ring, rows):
-        entries = tuple(tuple(ring.normalize(x) for x in row) for row in rows)
+        entries = tuple(tuple(map(ring.normalize, row)) for row in _rows(rows))
         _check_shape(entries)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", entries)
@@ -812,6 +809,23 @@ class Matrix:
         return f"Matrix({self.ring.spec}, {self.to_strings()})"
 
 
+def _rows(rows):
+    """Each row of rows, a list or tuple as it is and any other read once into a tuple.
+
+    A row of characters (str, bytes, bytearray), a non-iterable row and
+    non-iterable rows raise PreconditionError, as ragged rows do.
+    """
+    try:
+        for row in rows:
+            if type(row) not in (list, tuple):
+                if isinstance(row, (str, bytes, bytearray)):
+                    raise TypeError
+                row = tuple(row)
+            yield row
+    except TypeError:
+        raise PreconditionError("matrix rows must be an iterable of non-str iterables") from None
+
+
 def _check_shape(entries):
     if not entries or any(len(r) == 0 for r in entries):
         raise PreconditionError("matrices must have at least one row and column")
@@ -839,9 +853,7 @@ def parse_matrix(ring: Ring, rows_of_strings) -> Matrix:
     """
     table = ring._literals if ring._order_at_most(TABLE_CAP) else _Literals(ring.parse)
     get, entries = table.__getitem__, []
-    for row in rows_of_strings:
-        if type(row) not in (list, tuple):
-            row = tuple(row)  # read twice below if an entry is unhashable
+    for row in _rows(rows_of_strings):  # read twice below if an entry is unhashable
         try:
             entries.append(tuple(map(get, row)))
         except TypeError:  # an unhashable entry, such as a list, is read as its text

@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import inf
 
 from .errors import PreconditionError, check_int
-from .normal_form import diagonal_matrix, eliminated, factors, inverse_factors
+from .normal_form import eliminated, factors, inverse_factors
 from .records import record
 from .rings import IntegerRing, Matrix, PolyRing, identity, mat_mul
 
@@ -118,10 +118,6 @@ def monoid_width(ring) -> int:
     raise PreconditionError(f"{ring.spec} has no computed class monoid")
 
 
-def monoid_identity(ring) -> tuple:
-    return (0,) * monoid_width(ring)
-
-
 def monoid_add(a, b) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -166,11 +162,10 @@ def class_of(A: Matrix) -> tuple:
 
 
 def class_representative(ring, a) -> Matrix:
-    """A diagonal matrix whose class is a."""
+    """A diagonal 0/1 matrix over a product of fields whose class is a."""
+    if not ring.is_product:
+        raise PreconditionError("class_representative needs a product ring")
     a = check_element(ring, a)
-    if ring.is_local:
-        size = max(1, sum(a))
-        return diagonal_matrix(ring, size, size, [i for i, m in enumerate(a) for _ in range(m)])
     size = max(1, max(a))
     grid = [[ring.zero] * size for _ in range(size)]
     for t in range(size):
@@ -244,7 +239,7 @@ class GroupElement:
 def group_element(a, b) -> GroupElement:
     if len(a) != len(b):
         raise PreconditionError("group element over mismatched monoids")
-    diff = [x - y for x, y in zip(a, b)]
+    diff = [check_int(x, "a group entry") - check_int(y, "a group entry") for x, y in zip(a, b)]
     pos = tuple(max(d, 0) for d in diff)
     neg = tuple(max(-d, 0) for d in diff)
     return GroupElement(pos, neg)
@@ -255,6 +250,8 @@ def group_diff(g: GroupElement) -> tuple:
 
 
 def group_add(g: GroupElement, h: GroupElement) -> GroupElement:
+    if not len(g.pos) == len(g.neg) == len(h.pos) == len(h.neg):
+        raise PreconditionError("group elements over mismatched monoids")
     return group_element(monoid_add(g.pos, h.pos), monoid_add(g.neg, h.neg))
 
 

@@ -40,15 +40,15 @@ from rankcert import (
 from rankcert.acceptance import SHIPPED_RINGS
 from rankcert.cli import record_payload
 from rankcert.normal_form import _ADD_COL, _ADD_ROW, _SCALE, _SWAP_COLS, _SWAP_ROWS, _det
-from rankcert.polys import pdegree, pdivides, pdivmod, pmod_monic, pmul
+from rankcert.polys import _frobenius, _pgcd, padd, pdegree, pdivides, pdivmod, pmod_monic, pmul
 from rankcert.rings import IntegerRing
 from rankcert.semigroup import (
     _formal_successors,
     _profile,
     check_element,
     monoid_add,
-    monoid_identity,
     monoid_scale,
+    monoid_width,
 )
 
 
@@ -311,7 +311,7 @@ def reference_span_with_values(ring, spec, ball):
             value = value + gv
             t += 1
 
-    visit(0, monoid_identity(ring), Fraction(0))
+    visit(0, (0,) * monoid_width(ring), Fraction(0))
     ordered = sorted(elems)
     for x in ordered:
         for y in ordered:
@@ -617,6 +617,43 @@ def reference_is_irreducible(f, p) -> bool:
             if pdivides(tuple(coeffs), f, p):
                 return False
     return True
+
+
+def _prime_factors(k: int) -> list:
+    out, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            out.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
+def rabin_is_irreducible(f, p) -> bool:
+    """Rabin's test: f of degree k >= 2 is irreducible over F_p iff
+    f divides x^(p^k) - x and gcd(x^(p^(k/r)) - x, f) = 1 for each prime
+    r dividing k.  It costs k p-th powers modulo f, so it reaches the
+    degrees that trial division cannot."""
+    k = pdegree(f)
+    if k <= 0:
+        return False
+    if k == 1:
+        return True
+    if not f[0]:  # x divides f
+        return False
+    x = (0, 1)
+    frobenius = [x]  # x^(p^i) modulo f, for i = 0..k
+    for _ in range(k):
+        frobenius.append(_frobenius(frobenius[-1], f, p))
+    if frobenius[k] != x:
+        return False
+    return all(
+        len(_pgcd(f, padd(frobenius[k // r], (0, p - 1), p), p)) == 1
+        for r in _prime_factors(k)
+    )
 
 
 def reference_eliminate(ring, grid):
@@ -961,7 +998,7 @@ def span_with_values(ring, spec: StateSpec, ball: int):
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
     denom = lcm(*(v.denominator for v in vals))
-    combos = [(monoid_identity(ring), 0, 0)]
+    combos = [((0,) * monoid_width(ring), 0, 0)]
     for i, (g, v) in enumerate(zip(gens, vals)):
         gv, grown = v.numerator * (denom // v.denominator), []
         for elt, val, support in combos:
@@ -1174,7 +1211,7 @@ def _sorted_difference_span(ring, spec: StateSpec, ball: int):
     if len(gens) != len(vals):
         raise PreconditionError("generator/value length mismatch")
     denom = lcm(*(v.denominator for v in vals))
-    zero = monoid_identity(ring)
+    zero = (0,) * monoid_width(ring)
     combos = [(zero, zero, 0, 0, 0)]
     for i, (g, v) in enumerate(zip(gens, vals)):
         pg, ng, gv = _profile(ring, g), sum(g), v.numerator * (denom // v.denominator)

@@ -3,7 +3,8 @@
 Polynomial families are checked against sympy's dense F_p[x] routines
 (`sympy.polys.galoistools`, highest degree first), Z/p^n and prime fields
 against plain integer residues.  Irreducibility is checked against trial
-division (tests/helpers.py).  F_p[x]/x^n and GF(p^k) of order at most
+division and, at degrees it cannot reach, against Rabin's test
+(tests/helpers.py).  F_p[x]/x^n and GF(p^k) of order at most
 64 add and multiply by table lookup, so their operations are called twice
 per pair: the first call fills the table, the second reads it.
 """
@@ -30,7 +31,12 @@ from rankcert.polys import (
 )
 from rankcert.rings import ExtensionField
 
-from helpers import reference_extension_inverse, reference_extension_mul, reference_is_irreducible
+from helpers import (
+    rabin_is_irreducible,
+    reference_extension_inverse,
+    reference_extension_mul,
+    reference_is_irreducible,
+)
 
 
 def strip(coeffs):
@@ -255,7 +261,7 @@ def test_product_ring_arithmetic_matches_components(spec, data):
 
 
 # ---------------------------------------------------------------------------
-# Rabin's irreducibility test
+# the irreducibility test against trial division and Rabin's test
 
 
 def monic_polys(p, degree):
@@ -293,3 +299,37 @@ def test_large_binary_fields_parse_quickly():
         field = parse_ring(f"F{2**k}").fields[0]
         assert time.monotonic() - start < 0.1, k
         assert field.modulus == tuple(int(e in support) for e in range(k + 1))
+
+
+@st.composite
+def polys_to_test(draw):
+    """(p, f): f canonical over F_p, of any leading coefficient, often with f(0) = 0."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 1000003)))
+    k = draw(st.integers(0, 4 if p == 1000003 else 32))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    if low and draw(st.booleans()):
+        low[0] = 0  # x divides f
+    return p, tuple(low) + (draw(st.integers(1, p - 1)),)
+
+
+_G16 = min_irreducible(2, 16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_to_test())
+@example((2, (1, 0, 1, 1) + (0,) * 3 + (1,) + (0,) * 24 + (1,)))  # min_irreducible(2, 32)
+@example((2, pmul(_G16, _G16, 2)))  # no factor below degree 16
+@example((7, (4, 3, 1, 4, 5, 0, 3, 5, 4, 6, 2, 5, 5, 3, 0, 5, 2, 1, 1, 0, 2, 0, 6, 0, 2, 2, 5,
+              1, 3, 4, 2, 2)))  # irreducible, leading coefficient 2
+@example((1000003, (984787, 519896, 579715, 244406, 362494)))  # irreducible
+def test_ben_or_matches_rabin(case):
+    p, f = case
+    assert is_irreducible(f, p) == rabin_is_irreducible(f, p)
+
+
+def test_binary_field_moduli_are_rabins_first_irreducibles():
+    # every printed GF(2^k) entry is an int read against this modulus
+    for k in range(2, 33):
+        expected = next(f for f in monic_polys(2, k) if rabin_is_irreducible(f, 2))
+        assert min_irreducible(2, k) == expected, k
+        assert parse_ring(f"F{2**k}").fields[0].modulus == expected, k

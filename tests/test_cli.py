@@ -1630,13 +1630,14 @@ def test_parser_text_is_unchanged(capsys, monkeypatch, argv, code, out, err):
 
 # rankcert.__all__ before its names were loaded on first use, and
 # NegativeComponent, the regular refusal record; SearchBudgetError went with
-# the emitters' self-checks, the only code that raised it
+# the emitters' self-checks, the only code that raised it, and
+# diagonal_matrix with the local class representatives, which only tests built
 PUBLIC_NAMES = """
 BoundExceededError Cancel DiagonalForm Drop ExponentIncrease FactorResult GroupElement
 LocalSignature Matrix MinorSweep NegativeComponent NegativeMinor NegativeRank ParseError
 Positive PowerSwap PreconditionError Presentation PullbackRank RankcertError RegularSignature
 RkSquareResult StateRange StateSpec UNKNOWN block_diag block_upper class_of class_representative
-cone_member diagonal_matrix diagonalize dim errors fields group_add group_diff group_element
+cone_member diagonalize dim errors fields group_add group_diff group_element
 group_sub has_rank_function identity is_invertible leq leq_provable mat_mul matrix
 minor_refutation minors_in_ideal module_basis_labels module_class module_coeffs_sub
 module_cone_member normal_form order_unit parse_matrix parse_ring phi phi_group polys

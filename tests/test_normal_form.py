@@ -16,7 +16,6 @@ from rankcert import (
     PreconditionError,
     class_of,
     class_representative,
-    diagonal_matrix,
     diagonalize,
     dim,
     identity,
@@ -164,12 +163,6 @@ def test_min_minor_valuation_matches_exponent_prefix_sums():
                     for cc in combinations(range(cols), k):
                         vals.append(ring.valuation(minor(A, rr, cc)))
                 assert min(vals) == sum(exps[:k])
-
-
-def test_diagonal_matrix_padding():
-    ring = parse_ring("Z/8")
-    D = diagonal_matrix(ring, 2, 3, (0, 2))
-    assert D.to_strings() == [["1", "0", "0"], ["0", "4", "0"]]
 
 
 # ---------------------------------------------------------------------------

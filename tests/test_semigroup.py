@@ -18,6 +18,8 @@ from rankcert import (
     Drop,
     ExponentIncrease,
     FactorResult,
+    GroupElement,
+    Matrix,
     NegativeComponent,
     NegativeMinor,
     NegativeRank,
@@ -30,9 +32,10 @@ from rankcert import (
     block_upper,
     class_of,
     class_representative,
-    diagonal_matrix,
     diagonalize,
+    group_add,
     group_element,
+    group_sub,
     has_rank_function,
     identity,
     is_invertible,
@@ -43,7 +46,9 @@ from rankcert import (
     minor_refutation,
     minors_in_ideal,
     module_basis_labels,
+    module_coeffs_sub,
     order_unit,
+    parse_matrix,
     parse_ring,
     phi_group,
     presentation,
@@ -117,11 +122,10 @@ def test_class_of_product_components():
 
 def test_class_representative_round_trip():
     rng = random.Random(5)
-    for spec in ["Z/8", "F2*F3"]:
-        ring = parse_ring(spec)
-        for _ in range(30):
-            vec = tuple(rng.randrange(3) for _ in order_unit(ring))
-            assert class_of(class_representative(ring, vec)) == vec
+    ring = parse_ring("F2*F3")
+    for _ in range(30):
+        vec = tuple(rng.randrange(3) for _ in order_unit(ring))
+        assert class_of(class_representative(ring, vec)) == vec
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +372,7 @@ def _cli(*argv, stdin=""):
 
 
 Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
+NOT_ROWS = "matrix rows must be an iterable of non-str iterables"
 
 
 # the public guards no other test reaches: each raises the error it names
@@ -403,18 +408,14 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
         (lambda: Z.unit_inverse(-1), -1),
         (lambda: is_invertible(zeros(Z8, 2, 3)),
          PreconditionError("invertibility needs a square matrix")),
-        (lambda: diagonal_matrix(Z8, 0, 0, ()),
-         PreconditionError("matrices must have at least one row and column")),
-        (lambda: diagonal_matrix(Z8, 1, 1, (0, 0)),
-         PreconditionError("2 exponents for a 1 x 1 matrix")),
-        (lambda: diagonal_matrix(Z8, 2, 2, (1.0,)),
-         PreconditionError("exponent must be an int, not 1.0")),
-        (lambda: diagonal_matrix(Z8, True, 1, (0,)),
-         PreconditionError("rows must be an int, not True")),
-        (lambda: diagonal_matrix(Z8, 2, 2, (True,)),
-         PreconditionError("exponent must be an int, not True")),
-        (lambda: diagonal_matrix(Z8, 2, 2, 1),
-         PreconditionError("exponents must be a sequence, not 1")),
+        (lambda: parse_matrix(Z8, [5]), PreconditionError(NOT_ROWS)),
+        (lambda: parse_matrix(Z8, 5), PreconditionError(NOT_ROWS)),
+        (lambda: parse_matrix(Z8, ["12", "34"]), PreconditionError(NOT_ROWS)),
+        (lambda: Matrix(Z8, [5]), PreconditionError(NOT_ROWS)),
+        (lambda: matrix(Z8, None), PreconditionError(NOT_ROWS)),
+        (lambda: matrix(Z8, [b"12"]), PreconditionError(NOT_ROWS)),
+        (lambda: parse_matrix(Z8, [bytearray(b"12")]), PreconditionError(NOT_ROWS)),
+        (lambda: matrix(Z8, (iter(row) for row in [[1, 2], [3, 9]])).entries, ((1, 2), (3, 1))),
         (lambda: pdivmod((1,), (), 2), ZeroDivisionError("polynomial division by zero")),
         (lambda: parse_ring("F2[x]").ideal_member((0, 1), ()), False),
         (lambda: signature(presentation(1, matrix(Z, [[2]]))),
@@ -428,6 +429,22 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
         (lambda: rk(PROD, 1, (1, 0)), PreconditionError("rk_k is defined for the local families")),
         (lambda: group_element((1,), (0, 0)),
          PreconditionError("group element over mismatched monoids")),
+        (lambda: group_element((0.5,), (0,)),
+         PreconditionError("a group entry must be an int, not 0.5")),
+        (lambda: group_element((0,), (True,)),
+         PreconditionError("a group entry must be an int, not True")),
+        (lambda: group_add(GroupElement((1, 2), (0, 0)), GroupElement((1,), (0,))),
+         PreconditionError("group elements over mismatched monoids")),
+        (lambda: group_sub(GroupElement((1, 2), (0, 0)), GroupElement((1,), (0,))),
+         PreconditionError("group elements over mismatched monoids")),
+        (lambda: group_add(GroupElement((1, 2), (0,)), GroupElement((1, 2), (0,))),
+         PreconditionError("group elements over mismatched monoids")),
+        (lambda: module_coeffs_sub((1, 2, 3), (1,)),
+         PreconditionError("group element over mismatched monoids")),
+        (lambda: module_coeffs_sub((0.5,), (0,)),
+         PreconditionError("a group entry must be an int, not 0.5")),
+        (lambda: class_representative(Z8, (1, 0, 0)),
+         PreconditionError("class_representative needs a product ring")),
         (lambda: witness_chain(PROD, (1, 0), (1, 1)),
          PreconditionError("witness_chain applies to the local families")),
         (lambda: regular_factor(matrix(PROD, [[1]]), matrix(parse_ring("F2*F5"), [[1]])),
@@ -442,11 +459,15 @@ Z, Z4 = parse_ring("Z"), parse_ring("Z/4")
          "empty-product", "product-width", "product-parse", "identity-0", "mat-mul-across-rings",
          "block-diag-across-rings", "block-upper-across-rings", "block-upper-shape",
          "stack-vertical-shape", "generator-power-above-n", "z-unit-inverse", "is-invertible-2x3",
-         "diagonal-0x0", "diagonal-too-many-exponents", "diagonal-float-exponent",
-         "diagonal-bool-rows", "diagonal-bool-exponent", "diagonal-int-exponents",
+         "parse-matrix-int-row", "parse-matrix-int-rows", "parse-matrix-str-rows",
+         "matrix-int-row", "matrix-none-rows", "matrix-bytes-row", "parse-matrix-bytearray-row",
+         "matrix-rows-read-once",
          "pdivmod-by-zero", "ideal-member-of-zero", "signature-over-z", "phi-group-width",
          "psi-group-width", "monoid-width-over-z", "class-of-over-z", "rk-over-product",
-         "group-element-lengths", "witness-chain-over-product", "regular-factor-across-rings",
+         "group-element-lengths", "group-element-float", "group-element-bool",
+         "group-add-widths", "group-sub-widths", "group-add-pos-neg-widths",
+         "module-coeffs-sub-widths", "module-coeffs-sub-float", "class-representative-over-local",
+         "witness-chain-over-product", "regular-factor-across-rings",
          "cli-leq-elem-over-local", "cli-verify-class"],
 )
 def test_public_guards_refuse_as_documented(call, expected):
